@@ -2,11 +2,12 @@
 
 Parameters come from flags, or from a flat JSON config file with flags
 taking precedence. Every run echoes its resolved config in the JSON
-record it prints, so a record can be re-run bit-exactly.
+record it prints, so a record can be re-run bit-exactly. The parser,
+defaults and checks are all generated from ``SCENARIO_TABLE``.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error,
-4 capacity error, 5 numerical error (orthogonal postselection or a
-negative inference radicand).
+4 capacity error, 5 numerical error (orthogonal postselection, a
+negative inference radicand, or a float overflow or division by zero).
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from .qcc import (
     run_ideal_qcc,
     run_joint_pointers,
 )
-from .qstate import SIGMA_X, StateVector
+from .qstate import SIGMA_X, StateVector, identity_operator
 from .serialize import (
     dumps_json,
     estimator_report_dict,
@@ -73,27 +77,6 @@ from .weakmeas import (
 
 OUTDIR_ENV = "QCCSIM_OUTDIR"
 
-SCENARIOS = (
-    "weak-value",
-    "qcc",
-    "qcc-joint",
-    "neutron-absorber",
-    "neutron-magnetic",
-    "montecarlo",
-    "sweep",
-)
-
-CONTEXT_NAMES = (
-    "spin-trivial",
-    "path-null",
-    "orthogonal",
-    "anomalous",
-    "qcc-pi-I",
-    "qcc-sigma-I",
-    "qcc-pi-II",
-    "qcc-sigma-II",
-)
-
 SWEEP_SCENARIOS = ("qcc", "neutron-absorber", "neutron-magnetic")
 MC_MODES = ("pointer", "intensity-absorber", "intensity-magnetic")
 
@@ -110,38 +93,40 @@ QCC_SWEEP_HEADER = (
 NEUTRON_SWEEP_HEADER = ("param", "ratio_exact", "ratio_predicted", "inferred_wv", "expansion_error")
 
 
+def _two_level(label: str, psi: list, chi: list, matrix) -> tuple[PrePostContext, Observable]:
+    ident = identity_operator((2,))
+    pre = StateVector((2,), (label,), psi)
+    post = StateVector((2,), (label,), chi)
+    return PrePostContext(pre, ident, ident, post), make_observable(matrix, (label,))
+
+
+def _anomalous(tan_theta: float, swap_spin_labels: bool) -> tuple[PrePostContext, Observable]:
+    theta = math.atan(float(tan_theta))
+    return _two_level("spin", [1.0, 0.0], [math.cos(theta), math.sin(theta)], SIGMA_X)
+
+
+_HALF = 1.0 / math.sqrt(2.0)
+# Context name -> builder(tan_theta, swap_spin_labels), in the CLI's choice order.
+_CONTEXTS = {
+    "spin-trivial": lambda t, swap: _two_level("spin", [1.0, 0.0], [1.0, 0.0], SIGMA_X),
+    "path-null": lambda t, swap: _two_level("path", [_HALF, _HALF], [0.0, 1.0], np.diag([1.0, 0.0])),
+    "orthogonal": lambda t, swap: _two_level("spin", [1.0, 0.0], [0.0, 1.0], SIGMA_X),
+    "anomalous": _anomalous,
+    "qcc-pi-I": lambda t, swap: (build_prepost(swap), arm_observable("I", "projector")),
+    "qcc-sigma-I": lambda t, swap: (build_prepost(swap), arm_observable("I", "sigma_x")),
+    "qcc-pi-II": lambda t, swap: (build_prepost(swap), arm_observable("II", "projector")),
+    "qcc-sigma-II": lambda t, swap: (build_prepost(swap), arm_observable("II", "sigma_x")),
+}
+CONTEXT_NAMES = tuple(_CONTEXTS)
+
+
 def build_context(
     name: str, tan_theta: float = 3.0, swap_spin_labels: bool = False
 ) -> tuple[PrePostContext, Observable]:
     """Named pre/postselection scenarios used by weak-value and montecarlo runs."""
-    from .qstate import identity_operator
-
-    if name.startswith("qcc-"):
-        arm = "I" if name.endswith("-I") else "II"
-        tag = "projector" if "-pi-" in name else "sigma_x"
-        return build_prepost(swap_spin_labels), arm_observable(arm, tag)
-    ident = identity_operator((2,))
-    if name == "spin-trivial":
-        psi = StateVector((2,), ("spin",), [1.0, 0.0])
-        chi = StateVector((2,), ("spin",), [1.0, 0.0])
-        obs = make_observable(SIGMA_X, ("spin",))
-    elif name == "orthogonal":
-        psi = StateVector((2,), ("spin",), [1.0, 0.0])
-        chi = StateVector((2,), ("spin",), [0.0, 1.0])
-        obs = make_observable(SIGMA_X, ("spin",))
-    elif name == "path-null":
-        r = 1.0 / math.sqrt(2.0)
-        psi = StateVector((2,), ("path",), [r, r])
-        chi = StateVector((2,), ("path",), [0.0, 1.0])
-        obs = make_observable(np.diag([1.0, 0.0]), ("path",))
-    elif name == "anomalous":
-        theta = math.atan(float(tan_theta))
-        psi = StateVector((2,), ("spin",), [1.0, 0.0])
-        chi = StateVector((2,), ("spin",), [math.cos(theta), math.sin(theta)])
-        obs = make_observable(SIGMA_X, ("spin",))
-    else:
+    if name not in _CONTEXTS:
         raise ValidationError(f"unknown context {name!r}; choose from {CONTEXT_NAMES}")
-    return PrePostContext(psi, ident, ident, chi), obs
+    return _CONTEXTS[name](tan_theta, swap_spin_labels)
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -161,6 +146,149 @@ def parse_range(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+@dataclass(frozen=True)
+class Param:
+    """One scenario parameter: its flag, default, type check and extra check.
+
+    ``kind`` is "float", "int", "choice", "switch" or "range" (a
+    start:stop:count string). A float whose default is None is optional.
+    ``check`` turns a well-typed value into a violation message or None.
+    With ``when = (key, values)`` the parameter is checked only while
+    ``params[key]`` is one of ``values``.
+    """
+
+    name: str
+    kind: str
+    default: object = None
+    help: str = ""
+    choices: tuple = ()
+    check: Callable[[object], str | None] | None = None
+    when: tuple[str, tuple] | None = None
+    flag: str = ""
+
+    @property
+    def option(self) -> str:
+        return self.flag or "--" + self.name.replace("_", "-")
+
+
+def _at_least(low: int) -> Callable[[float], str | None]:
+    return lambda value: f"must be >= {low}, got {value}" if value < low else None
+
+
+def _when(key: str, values: tuple, *params: Param) -> tuple[Param, ...]:
+    return tuple(replace(p, when=(key, values)) for p in params)
+
+
+def _sweep_range(name: str, scenario: str, check=None) -> Param:
+    help_text = f"{scenario} sweep grid, start:stop:count"
+    return Param(name, "range", None, help_text, check=check, when=("sweep_scenario", (scenario,)))
+
+
+CONTEXT = Param("context", "choice", "qcc-pi-I", "named pre/postselection context", CONTEXT_NAMES)
+TAN_THETA = Param("tan_theta", "float", 3.0, "tan(theta) of the anomalous context")
+POINTER_WIDTH = Param("pointer_width", "float", 1.0, "Gaussian pointer width",
+                      check=lambda width: f"must be > 0, got {width}" if width <= 0.0 else None)
+ARM = Param("arm", "choice", "I", "interferometer arm", ("I", "II"))
+ABSORBER_M = Param("M", "float", 0.1, "absorber strength, arm attenuation e^(-M)", check=_at_least(0))
+ROTATION_ALPHA = Param(
+    "alpha", "float", 0.2, "arm spin-rotation angle",
+    check=lambda alpha: f"must satisfy |alpha| <= pi, got {alpha}" if abs(alpha) > math.pi else None)
+OBSERVABLES = (
+    Param("observable_I", "choice", "projector", "observable coupled in arm I", OBSERVABLE_TAGS),
+    Param("observable_II", "choice", "sigma_x", "observable coupled in arm II", OBSERVABLE_TAGS),
+)
+
+WEAK_VALUE_PARAMS = (
+    CONTEXT,
+    TAN_THETA,
+    Param("g", "float", 0.01, "coupling strength"),
+    POINTER_WIDTH,
+    Param("grid_xmin", "float", None, "grid CSV lower edge; unset fits the pointer"),
+    Param("grid_xmax", "float", None, "grid CSV upper edge; unset fits the pointer"),
+    Param("grid_points", "int", 1024, "grid CSV points", check=_at_least(2)),
+)
+QCC_PARAMS = (
+    Param("g", "float", 0.02, "coupling for both arms"),
+    Param("g_I", "float", None, "arm-I coupling, overrides --g"),
+    Param("g_II", "float", None, "arm-II coupling, overrides --g"),
+    *OBSERVABLES,
+    POINTER_WIDTH,
+    Param("swap_spin_labels", "switch", False, "exchange the postselected spin labels"),
+)
+MONTECARLO_PARAMS = (
+    Param("mode", "choice", "pointer", "what to sample", MC_MODES),
+    *_when(
+        "mode", ("pointer",), CONTEXT, TAN_THETA,
+        Param("g", "float", 0.05, "coupling strength",
+              check=lambda g: "weak-value estimation needs a nonzero coupling" if g == 0.0 else None),
+        POINTER_WIDTH,
+    ),
+    *_when("mode", MC_MODES[1:], ARM),
+    *_when("mode", ("intensity-absorber",), ABSORBER_M),
+    *_when("mode", ("intensity-magnetic",), ROTATION_ALPHA),
+    Param("n", "int", 100000, "number of trials", check=_at_least(1)),
+    Param("seed", "int", 12345, "Philox key of the trial stream, below 2**128",
+          check=lambda seed: _at_least(0)(seed) or ("must be < 2**128" if seed >= 2**128 else None)),
+    Param("workers", "int", 1, "worker threads", check=_at_least(1)),
+)
+SWEEP_PARAMS = (
+    Param("sweep_scenario", "choice", None, "scenario to sweep", SWEEP_SCENARIOS, flag="--scenario"),
+    _sweep_range("g", "qcc"),
+    _sweep_range("M", "neutron-absorber",
+                 lambda values: "sweep values must be >= 0" if np.any(values < 0.0) else None),
+    _sweep_range(
+        "alpha", "neutron-magnetic",
+        lambda v: "sweep values must satisfy |alpha| <= pi" if np.any(np.abs(v) > math.pi) else None,
+    ),
+    ARM,
+    *OBSERVABLES,
+    POINTER_WIDTH,
+)
+
+
+class Scenario(NamedTuple):
+    """A subcommand: its help line, parameter table and runner."""
+
+    help: str
+    params: tuple[Param, ...]
+    run: Callable[[dict, Path | None], dict]
+    csv: bool = False  # whether --csv writes an artifact
+
+
+# Runners are looked up by module attribute at call time, so a wrapper
+# installed on a ``run_*`` function also sees the CLI's calls to it.
+SCENARIO_TABLE = {
+    "weak-value": Scenario("single weak measurement on a named context", WEAK_VALUE_PARAMS,
+                           lambda p, csv: run_weak_value(p, csv), csv=True),
+    "qcc": Scenario("Cheshire Cat run (qcc)", QCC_PARAMS, lambda p, csv: run_qcc_scenario(p, False)),
+    "qcc-joint": Scenario("Cheshire Cat run (qcc-joint)", QCC_PARAMS,
+                          lambda p, csv: run_qcc_scenario(p, True)),
+    "neutron-absorber": Scenario("arm absorber intensity experiment", (ARM, ABSORBER_M),
+                                 lambda p, csv: run_neutron_absorber(p)),
+    "neutron-magnetic": Scenario("arm spin-rotation intensity experiment", (ARM, ROTATION_ALPHA),
+                                 lambda p, csv: run_neutron_magnetic(p)),
+    "montecarlo": Scenario("finite-statistics sampling", MONTECARLO_PARAMS,
+                           lambda p, csv: run_montecarlo(p, csv), csv=True),
+    "sweep": Scenario("parameter sweep emitting a CSV table", SWEEP_PARAMS,
+                      lambda p, csv: run_sweep(p, csv), csv=True),
+}
+_FLAG_TYPES = {"float": float, "int": int}
+_VALUE_FLAGS = {p.option for s in SCENARIO_TABLE.values() for p in s.params if p.kind != "switch"}
+_NEGATIVE_START = re.compile(r"-[\d.]")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--alpha -3:3:11`` as ``--alpha=-3:3:11``: argparse reads a value
+    that starts with '-' and is not a plain number (a range, -1e-3) as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and _NEGATIVE_START.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qccsim",
@@ -169,8 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qccsim {__version__}")
     sub = parser.add_subparsers(dest="scenario", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, scenario in SCENARIO_TABLE.items():
+        p = sub.add_parser(name, help=scenario.help)
+        for param in scenario.params:
+            help_text = f"{param.help} (default: {param.default})"
+            if param.kind == "switch":
+                p.add_argument(param.option, action="store_true", dest=param.name, help=help_text)
+            else:
+                p.add_argument(param.option, dest=param.name, type=_FLAG_TYPES.get(param.kind),
+                               choices=param.choices or None, help=help_text)
         p.add_argument("--config", help="flat JSON config file; flags override its values")
         p.add_argument("--json", dest="json_path", help="also write the run record to this file")
         p.add_argument("--csv", dest="csv_path", help="write the scenario's CSV artifact here")
@@ -180,112 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="report precondition violations and exit without computing",
         )
-
-    p = sub.add_parser("weak-value", help="single weak measurement on a named context")
-    p.add_argument("--context", choices=CONTEXT_NAMES)
-    p.add_argument("--tan-theta", type=float, dest="tan_theta")
-    p.add_argument("--g", type=float)
-    p.add_argument("--pointer-width", type=float, dest="pointer_width")
-    p.add_argument("--grid-xmin", type=float, dest="grid_xmin")
-    p.add_argument("--grid-xmax", type=float, dest="grid_xmax")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    add_common(p)
-
-    for name in ("qcc", "qcc-joint"):
-        p = sub.add_parser(name, help=f"Cheshire Cat run ({name})")
-        p.add_argument("--g", type=float, help="coupling for both arms")
-        p.add_argument("--g-I", type=float, dest="g_I")
-        p.add_argument("--g-II", type=float, dest="g_II")
-        p.add_argument("--observable-I", choices=OBSERVABLE_TAGS, dest="observable_I")
-        p.add_argument("--observable-II", choices=OBSERVABLE_TAGS, dest="observable_II")
-        p.add_argument("--pointer-width", type=float, dest="pointer_width")
-        p.add_argument("--swap-spin-labels", action="store_true", dest="swap_spin_labels")
-        add_common(p)
-
-    p = sub.add_parser("neutron-absorber", help="arm absorber intensity experiment")
-    p.add_argument("--arm", choices=("I", "II"))
-    p.add_argument("--M", type=float)
-    add_common(p)
-
-    p = sub.add_parser("neutron-magnetic", help="arm spin-rotation intensity experiment")
-    p.add_argument("--arm", choices=("I", "II"))
-    p.add_argument("--alpha", type=float)
-    add_common(p)
-
-    p = sub.add_parser("montecarlo", help="finite-statistics sampling")
-    p.add_argument("--mode", choices=MC_MODES)
-    p.add_argument("--context", choices=CONTEXT_NAMES)
-    p.add_argument("--tan-theta", type=float, dest="tan_theta")
-    p.add_argument("--g", type=float)
-    p.add_argument("--pointer-width", type=float, dest="pointer_width")
-    p.add_argument("--arm", choices=("I", "II"))
-    p.add_argument("--M", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="parameter sweep emitting a CSV table")
-    p.add_argument("--scenario", choices=SWEEP_SCENARIOS, dest="sweep_scenario")
-    p.add_argument("--g", help="qcc sweep grid, start:stop:count")
-    p.add_argument("--M", help="absorber sweep grid, start:stop:count")
-    p.add_argument("--alpha", help="rotation sweep grid, start:stop:count")
-    p.add_argument("--arm", choices=("I", "II"))
-    p.add_argument("--observable-I", choices=OBSERVABLE_TAGS, dest="observable_I")
-    p.add_argument("--observable-II", choices=OBSERVABLE_TAGS, dest="observable_II")
-    p.add_argument("--pointer-width", type=float, dest="pointer_width")
-    add_common(p)
-
     return parser
-
-
-DEFAULTS: dict[str, dict] = {
-    "weak-value": {
-        "context": "qcc-pi-I",
-        "tan_theta": 3.0,
-        "g": 0.01,
-        "pointer_width": 1.0,
-        "grid_xmin": None,
-        "grid_xmax": None,
-        "grid_points": 1024,
-    },
-    "qcc": {
-        "g": 0.02,
-        "g_I": None,
-        "g_II": None,
-        "observable_I": "projector",
-        "observable_II": "sigma_x",
-        "pointer_width": 1.0,
-        "swap_spin_labels": False,
-    },
-    "neutron-absorber": {"arm": "I", "M": 0.1},
-    "neutron-magnetic": {"arm": "I", "alpha": 0.2},
-    "montecarlo": {
-        "mode": "pointer",
-        "context": "qcc-pi-I",
-        "tan_theta": 3.0,
-        "g": 0.05,
-        "pointer_width": 1.0,
-        "arm": "I",
-        "M": 0.1,
-        "alpha": 0.2,
-        "n": 100000,
-        "seed": 12345,
-        "workers": 1,
-    },
-    "sweep": {
-        "sweep_scenario": None,
-        "g": None,
-        "M": None,
-        "alpha": None,
-        "arm": "I",
-        "observable_I": "projector",
-        "observable_II": "sigma_x",
-        "pointer_width": 1.0,
-    },
-}
-DEFAULTS["qcc-joint"] = dict(DEFAULTS["qcc"])
 
 
 class ConfigParseError(SimulationError):
@@ -308,7 +338,7 @@ def load_config_file(path: str) -> dict:
 
 def resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, list[str]]:
     """Merge defaults, config file, and explicit flags; collect violations."""
-    params = dict(DEFAULTS[scenario])
+    params = {param.name: param.default for param in SCENARIO_TABLE[scenario].params}
     violations: list[str] = []
     if args.config:
         for key, value in load_config_file(args.config).items():
@@ -323,121 +353,49 @@ def resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, list[
     return params, violations
 
 
-def _check_finite(violations: list[str], params: dict, name: str) -> float | None:
-    value = params.get(name)
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        violations.append(f"{name}: must be a number, got {params.get(name)!r}")
-        return None
-    if not math.isfinite(value):
-        violations.append(f"{name}: must be finite, got {value!r}")
-        return None
-    params[name] = value
-    return value
-
-
-def _check_int(violations: list[str], params: dict, name: str, minimum: int) -> int | None:
-    value = params.get(name)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        violations.append(f"{name}: must be an integer, got {params.get(name)!r}")
-        return None
-    if value < minimum:
-        violations.append(f"{name}: must be >= {minimum}, got {value}")
-        return None
-    params[name] = value
-    return value
-
-
-def _check_choice(violations: list[str], params: dict, name: str, choices) -> None:
-    if params.get(name) not in choices:
-        violations.append(f"{name}: must be one of {tuple(choices)}, got {params.get(name)!r}")
+def _problem(param: Param, params: dict) -> str | None:
+    """Why ``params[param.name]`` is invalid, or None; stores coerced numbers back."""
+    raw = value = params.get(param.name)
+    if param.kind == "float":
+        if raw is None and param.default is None:
+            return None
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            return f"must be a number, got {raw!r}"
+        if not math.isfinite(value):
+            return f"must be finite, got {value!r}"
+        params[param.name] = value
+    elif param.kind == "int":
+        if isinstance(raw, float) and raw.is_integer():
+            value = int(raw)
+        if not isinstance(value, int) or isinstance(value, bool):
+            return f"must be an integer, got {raw!r}"
+        params[param.name] = value
+    elif param.kind == "choice" and raw not in param.choices:
+        return f"must be one of {param.choices}, got {raw!r}"
+    elif param.kind == "switch" and not isinstance(raw, bool):
+        return f"must be true or false, got {raw!r}"
+    elif param.kind == "range":
+        if raw is None:
+            return f"sweep over {params[param.when[0]]} needs {param.option} start:stop:count"
+        try:
+            value = parse_range(raw)
+        except ValidationError as exc:
+            return str(exc)
+    return param.check(value) if param.check is not None else None
 
 
 def validate_params(scenario: str, params: dict) -> list[str]:
-    """Every violated precondition, one message per violation."""
-    v: list[str] = []
-    if scenario == "weak-value":
-        _check_choice(v, params, "context", CONTEXT_NAMES)
-        _check_finite(v, params, "tan_theta")
-        _check_finite(v, params, "g")
-        width = _check_finite(v, params, "pointer_width")
-        if width is not None and width <= 0.0:
-            v.append(f"pointer_width: must be > 0, got {width}")
-        _check_int(v, params, "grid_points", 2)
-        for key in ("grid_xmin", "grid_xmax"):
-            if params.get(key) is not None:
-                _check_finite(v, params, key)
-    elif scenario in ("qcc", "qcc-joint"):
-        _check_choice(v, params, "observable_I", OBSERVABLE_TAGS)
-        _check_choice(v, params, "observable_II", OBSERVABLE_TAGS)
-        _check_finite(v, params, "g")
-        for key in ("g_I", "g_II"):
-            if params.get(key) is not None:
-                _check_finite(v, params, key)
-        width = _check_finite(v, params, "pointer_width")
-        if width is not None and width <= 0.0:
-            v.append(f"pointer_width: must be > 0, got {width}")
-    elif scenario == "neutron-absorber":
-        _check_choice(v, params, "arm", ("I", "II"))
-        m = _check_finite(v, params, "M")
-        if m is not None and m < 0.0:
-            v.append(f"M: must be >= 0, got {m}")
-    elif scenario == "neutron-magnetic":
-        _check_choice(v, params, "arm", ("I", "II"))
-        alpha = _check_finite(v, params, "alpha")
-        if alpha is not None and abs(alpha) > math.pi:
-            v.append(f"alpha: must satisfy |alpha| <= pi, got {alpha}")
-    elif scenario == "montecarlo":
-        _check_choice(v, params, "mode", MC_MODES)
-        _check_int(v, params, "n", 1)
-        _check_int(v, params, "seed", 0)
-        _check_int(v, params, "workers", 1)
-        if params.get("mode") == "pointer":
-            _check_choice(v, params, "context", CONTEXT_NAMES)
-            _check_finite(v, params, "tan_theta")
-            g = _check_finite(v, params, "g")
-            if g == 0.0:
-                v.append("g: weak-value estimation needs a nonzero coupling")
-            width = _check_finite(v, params, "pointer_width")
-            if width is not None and width <= 0.0:
-                v.append(f"pointer_width: must be > 0, got {width}")
-        elif params.get("mode") == "intensity-absorber":
-            _check_choice(v, params, "arm", ("I", "II"))
-            m = _check_finite(v, params, "M")
-            if m is not None and m < 0.0:
-                v.append(f"M: must be >= 0, got {m}")
-        elif params.get("mode") == "intensity-magnetic":
-            _check_choice(v, params, "arm", ("I", "II"))
-            alpha = _check_finite(v, params, "alpha")
-            if alpha is not None and abs(alpha) > math.pi:
-                v.append(f"alpha: must satisfy |alpha| <= pi, got {alpha}")
-    elif scenario == "sweep":
-        _check_choice(v, params, "sweep_scenario", SWEEP_SCENARIOS)
-        ranges = {"qcc": "g", "neutron-absorber": "M", "neutron-magnetic": "alpha"}
-        key = ranges.get(params.get("sweep_scenario"))
-        if key is not None:
-            if params.get(key) is None:
-                v.append(f"{key}: sweep over {params['sweep_scenario']} needs --{key} start:stop:count")
-            else:
-                try:
-                    values = parse_range(params[key])
-                except ValidationError as exc:
-                    v.append(f"{key}: {exc}")
-                else:
-                    if key == "M" and np.any(values < 0.0):
-                        v.append("M: sweep values must be >= 0")
-                    if key == "alpha" and np.any(np.abs(values) > math.pi):
-                        v.append("alpha: sweep values must satisfy |alpha| <= pi")
-        _check_choice(v, params, "arm", ("I", "II"))
-        _check_choice(v, params, "observable_I", OBSERVABLE_TAGS)
-        _check_choice(v, params, "observable_II", OBSERVABLE_TAGS)
-        width = _check_finite(v, params, "pointer_width")
-        if width is not None and width <= 0.0:
-            v.append(f"pointer_width: must be > 0, got {width}")
-    return v
+    """Every violated precondition, one message per violation, in table order."""
+    violations: list[str] = []
+    for param in SCENARIO_TABLE[scenario].params:
+        if param.when is not None and params.get(param.when[0]) not in param.when[1]:
+            continue
+        problem = _problem(param, params)
+        if problem is not None:
+            violations.append(f"{param.name}: {problem}")
+    return violations
 
 
 def _qcc_config(params: dict) -> QccConfig:
@@ -525,7 +483,7 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
         if cfg.M > 0.0:
             inferred = infer_projector_weak_value(cfg.arm, cfg.M, counts.ratio)
     else:
-        pi_w = 1.0 if cfg.arm == "I" else 0.0
+        pi_w = weak_value(build_prepost(), arm_observable(cfg.arm, "projector")).real
         try:
             inferred = infer_spin_weak_value_modulus(cfg.arm, cfg.alpha, counts.ratio, pi_w)
         except NegativeRadicand:
@@ -545,14 +503,7 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
         values = parse_range(params["g"])
         header = QCC_SWEEP_HEADER
         for g in values:
-            cfg = QccConfig(
-                observable_I=params["observable_I"],
-                observable_II=params["observable_II"],
-                g_I=float(g),
-                g_II=float(g),
-                pointer_width=params["pointer_width"],
-            )
-            rep = run_ideal_qcc(cfg)
+            rep = run_ideal_qcc(_qcc_config({**params, "g_I": float(g), "g_II": float(g)}))
             rows.append(
                 (
                     float(g),
@@ -577,14 +528,13 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
                 rep = intensity_absorber(AbsorberConfig(params["arm"], float(value)))
                 predicted = rep.first_order_prediction
             rows.append((float(value), rep.ratio, predicted, rep.inferred_weak_value, rep.expansion_error))
-    if csv_path is not None:
-        write_sweep_csv(csv_path, header, rows)
     out = {
         "swept_scenario": scenario,
         "columns": list(header),
         "rows": [dict(zip(header, row)) for row in rows],
     }
     if csv_path is not None:
+        write_sweep_csv(csv_path, header, rows)
         out["sweep_csv"] = str(csv_path)
     return out
 
@@ -599,14 +549,11 @@ def _resolve_out_path(raw: str | None, out_dir: Path) -> Path | None:
     return path
 
 
-CSV_SCENARIOS = ("weak-value", "montecarlo", "sweep")
-
-
 def run(args: argparse.Namespace) -> int:
     scenario = args.scenario
     params, violations = resolve_params(scenario, args)
     violations += validate_params(scenario, params)
-    if args.csv_path is not None and scenario not in CSV_SCENARIOS:
+    if args.csv_path is not None and not SCENARIO_TABLE[scenario].csv:
         violations.append(f"csv: no CSV artifact defined for scenario {scenario}")
     if args.validate_only:
         sys.stdout.write(dumps_json({"scenario": scenario, "violations": violations}))
@@ -618,18 +565,7 @@ def run(args: argparse.Namespace) -> int:
     csv_path = _resolve_out_path(args.csv_path, out_dir)
     json_path = _resolve_out_path(args.json_path, out_dir)
 
-    if scenario == "weak-value":
-        results = run_weak_value(params, csv_path)
-    elif scenario in ("qcc", "qcc-joint"):
-        results = run_qcc_scenario(params, joint=scenario == "qcc-joint")
-    elif scenario == "neutron-absorber":
-        results = run_neutron_absorber(params)
-    elif scenario == "neutron-magnetic":
-        results = run_neutron_magnetic(params)
-    elif scenario == "montecarlo":
-        results = run_montecarlo(params, csv_path)
-    else:
-        results = run_sweep(params, csv_path)
+    results = SCENARIO_TABLE[scenario].run(params, csv_path)
 
     record = {
         "artifact": "qccsim",
@@ -652,7 +588,7 @@ def _error_object(exc: Exception) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return run(args)
     except ConfigParseError as exc:
@@ -664,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         sys.stderr.write(_error_object(exc))
         return 4
-    except NumericalError as exc:
+    except (NumericalError, OverflowError, ZeroDivisionError) as exc:
         sys.stderr.write(_error_object(exc))
         return 5
 

@@ -18,16 +18,6 @@ from .errors import CapacityError, DimensionMismatch, ValidationError
 from .tolerances import MAX_AMPLITUDES, TOL
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def ensure_finite_complex(value: complex, what: str = "value") -> complex:
-    """Return ``value`` as a builtin complex, rejecting NaN/Inf components."""
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValidationError(f"{what} must have finite real and imaginary parts, got {z!r}")
-    return z
 
 
 def _frozen_array(values, shape_hint: str) -> np.ndarray:
@@ -82,9 +72,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def subsystem_dim(self, label: str) -> int:
-        return self.dims[self._position(label)]
 
     def _position(self, label: str) -> int:
         try:

@@ -23,7 +23,6 @@ from .neutron import IntensityReport, SystematicTermReport
 from .pointer import GridPointerState
 from .qcc import QccReport
 from .weakmeas import (
-    ExpectationDecomposition,
     LinearResponseReport,
     ValidityReport,
     WeakMeasurementResult,
@@ -142,14 +141,6 @@ def estimator_report_dict(report: EstimatorReport) -> dict:
 
 def intensity_counts_dict(counts: IntensityCounts) -> dict:
     return asdict(counts)
-
-
-def expectation_decomposition_dict(check: ExpectationDecomposition) -> dict:
-    out = {"lhs": check.lhs}
-    out.update(complex_fields("rhs", check.rhs))
-    out["abs_diff"] = check.abs_diff
-    out["n_outcomes"] = check.n_outcomes
-    return out
 
 
 def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -1,16 +1,20 @@
 """Command-line interface: records, artifacts, exit codes, reproducibility."""
 
+import argparse
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qccsim.cli import main, parse_range
+from qccsim.cli import SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import ValidationError
 
 from oracles import fit_exponent
@@ -201,6 +205,21 @@ class TestSweeps:
                 1.0 - 2.0 * float(row["param"]), abs=1e-14
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--scenario", "neutron-magnetic", "--alpha", "-3:3:11"),
+            ("--scenario", "qcc", "--g", "-0.1:0.1:3"),
+        ],
+    )
+    def test_negative_range_without_equals_sign(self, capsys, argv):
+        *head, flag, value = argv
+        code, spaced, _ = run_cli(capsys, "sweep", *head, flag, value)
+        assert code == 0
+        code, joined, _ = run_cli(capsys, "sweep", *head, f"{flag}={value}")
+        assert code == 0
+        assert json.loads(spaced)["results"]["rows"] == json.loads(joined)["results"]["rows"]
+
     def test_range_parsing(self):
         assert parse_range("0:1:5").tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert parse_range("0.3:0.3:1").tolist() == [0.3]
@@ -280,6 +299,24 @@ class TestExitCodes:
         assert code == 5
         assert json.loads(err)["error"]["type"] == "OrthogonalPostselection"
 
+    def test_seed_beyond_philox_key_exits_three(self, capsys):
+        code, _, err = run_cli(capsys, "montecarlo", "--seed", str(2**128), "--n", "10")
+        assert code == 3
+        assert json.loads(err)["error"]["message"] == "seed: must be < 2**128"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("weak-value", "--g", "1e300"), "OverflowError"),
+            (("qcc-joint", "--g", "1e200"), "OverflowError"),
+            (("weak-value", "--pointer-width", "1e-300"), "ZeroDivisionError"),
+        ],
+    )
+    def test_float_overflow_exits_five(self, capsys, argv, error):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 5
+        assert json.loads(err)["error"]["type"] == error
+
 
 class TestValidateOnly:
     def test_violations_are_listed_without_running(self, capsys):
@@ -327,6 +364,46 @@ class TestMonteCarloCli:
         results = json.loads(out)["results"]
         se = results["counts"]["ratio_std_error"]
         assert abs(results["counts"]["ratio"] - math.exp(-0.4)) <= 4.0 * se
+
+
+TABLE_ENTRIES = [(name, param) for name, spec in SCENARIO_TABLE.items() for param in spec.params]
+# Cheap valid runs whose records echo every parameter of the scenario.
+RECORD_ARGS = {"montecarlo": ("--n", "10"), "sweep": ("--scenario", "neutron-absorber", "--M", "0:0.1:2")}
+WRONG_TYPED = {"float": "abc", "int": "abc", "choice": [0], "switch": "yes", "range": 5}
+
+
+def scenario_parser(scenario: str) -> argparse.ArgumentParser:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[scenario]
+
+
+@lru_cache(maxsize=None)
+def record_config(scenario: str) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main([scenario, *RECORD_ARGS.get(scenario, ())]) == 0
+    return json.loads(out.getvalue())["config"]
+
+
+@pytest.mark.parametrize(
+    "scenario, param", TABLE_ENTRIES, ids=[f"{name}:{param.name}" for name, param in TABLE_ENTRIES]
+)
+def test_table_entry_drives_flag_config_record_and_check(capsys, tmp_path, scenario, param):
+    flags = [a.option_strings for a in scenario_parser(scenario)._actions if a.dest == param.name]
+    assert flags == [[param.option]]
+
+    assert list(record_config(scenario)).index(param.name) == SCENARIO_TABLE[scenario].params.index(param)
+
+    config = {param.name: WRONG_TYPED[param.kind]}
+    if param.when is not None:
+        config[param.when[0]] = param.when[1][0]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, scenario, "--config", str(path), "--validate-only")
+    assert code == 3
+    violations = json.loads(out)["violations"]
+    assert not any("unknown parameter" in v for v in violations)
+    assert len([v for v in violations if v.startswith(f"{param.name}:")]) == 1
 
 
 def test_console_entry_point_runs():
