@@ -65,6 +65,7 @@ from .serialize import (
     write_sweep_csv,
     write_trials_csv,
 )
+from .tolerances import MAX_AMPLITUDES
 from .weakmeas import (
     Observable,
     PrePostContext,
@@ -101,8 +102,9 @@ def _two_level(label: str, psi: list, chi: list, matrix) -> tuple[PrePostContext
 
 
 def _anomalous(tan_theta: float, swap_spin_labels: bool) -> tuple[PrePostContext, Observable]:
-    theta = math.atan(float(tan_theta))
-    return _two_level("spin", [1.0, 0.0], [math.cos(theta), math.sin(theta)], SIGMA_X)
+    # chi = (cos theta, sin theta) without atan, which loses precision at large |tan theta|.
+    h = math.hypot(1.0, tan_theta)
+    return _two_level("spin", [1.0, 0.0], [1.0 / h, tan_theta / h], SIGMA_X)
 
 
 _HALF = 1.0 / math.sqrt(2.0)
@@ -141,6 +143,8 @@ def parse_range(text: str) -> np.ndarray:
         raise ValidationError(f"bad range {text!r}: {exc}") from None
     if count < 1:
         raise ValidationError(f"range count must be >= 1, got {count}")
+    if count > MAX_AMPLITUDES:
+        raise CapacityError(f"range count {count} exceeds limit {MAX_AMPLITUDES}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValidationError(f"range endpoints must be finite, got {text!r}")
     return np.linspace(start, stop, count)

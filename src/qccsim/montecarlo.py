@@ -10,6 +10,7 @@ exact final density by inverse-CDF on a dense tabulation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ValidationError
 from .neutron import AbsorberConfig, MagneticConfig, perturbed_intensity, reference_intensity
-from .pointer import GRID_HALF_WIDTHS, GaussianPointerState, density, mean_position, norm_sq
+from .pointer import GRID_HALF_WIDTHS, GaussianPointerState, density, mean_position
 from .weakmeas import Observable, PrePostContext, couple_and_postselect
 
 DENSITY_POINTS = 4096
@@ -140,7 +141,8 @@ def sample_trials(
     if len(bounds) == 1:
         parts = [run_chunk(bounds[0])]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Never more threads than chunks or CPUs; the output does not depend on it.
+        with ThreadPoolExecutor(max_workers=min(workers, len(bounds), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(run_chunk, bounds))
 
     mask = np.concatenate([m for m, _ in parts])
@@ -211,11 +213,10 @@ def sample_intensity_experiment(
     r_ref = n_ref / n
     r_pert = n_pert / n
     ratio = r_pert / r_ref
-    var_term = 0.0
     if n_pert > 0:
-        var_term += (1.0 - r_pert) / (n * r_pert)
-    var_term += (1.0 - r_ref) / (n * r_ref)
-    ratio_se = ratio * math.sqrt(var_term) if n_pert > 0 else 0.0
+        ratio_se = ratio * math.sqrt((1.0 - r_pert) / (n * r_pert) + (1.0 - r_ref) / (n * r_ref))
+    else:
+        ratio_se = math.nan  # undefined without perturbed detections; JSON null
     pooled = (n_ref + n_pert) / (2.0 * n)
     denom = math.sqrt(pooled * (1.0 - pooled) * 2.0 / n) if 0.0 < pooled < 1.0 else 0.0
     if denom > 0.0:

@@ -8,6 +8,7 @@ replace the pointer readout by intensity ratios.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,8 +94,9 @@ def _arm_rotation(arm: str, alpha: float) -> Operator:
     return Operator((2, 2), full, kind="unitary")
 
 
+@functools.cache
 def reference_intensity() -> float:
-    """Unperturbed postselected intensity |<chi_f|psi>|^2."""
+    """Unperturbed postselected intensity |<chi_f|psi>|^2, computed once."""
     ctx = build_prepost()
     return abs(inner(ctx.chi_f, ctx.psi_i)) ** 2
 
@@ -117,8 +119,7 @@ def perturbed_intensity(cfg: AbsorberConfig | MagneticConfig) -> float:
 
 def intensity_absorber(cfg: AbsorberConfig) -> IntensityReport:
     """Exact absorber run against the first-order law 1 - 2 M Pi_w."""
-    ctx = build_prepost()
-    pi_w = weak_value(ctx, arm_observable(cfg.arm, "projector")).real
+    pi_w = weak_value(build_prepost(), arm_observable(cfg.arm, "projector")).real
     i0 = reference_intensity()
     i_pert = perturbed_intensity(cfg)
     ratio = i_pert / i0
@@ -233,8 +234,7 @@ def systematic_term_report(alpha: float) -> SystematicTermReport:
     alternate = intensity_magnetic(MagneticConfig("I", -alpha)).ratio
     deviation = ratio - 1.0
     quadratic = -(alpha**2) / 4.0
-    ctx = build_prepost()
-    sigma_trans = transition_element(ctx, arm_observable("I", "sigma_x"))
+    sigma_trans = transition_element(build_prepost(), arm_observable("I", "sigma_x"))
     return SystematicTermReport(
         alpha=alpha,
         ratio_exact=ratio,

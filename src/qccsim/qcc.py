@@ -9,6 +9,7 @@ projector times sigma_x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .pointer import (
     GaussianComponent,
+    GaussianPointerState,
     component_overlap,
     component_position_element,
     make_gaussian,
@@ -46,11 +48,17 @@ def arm_observable(arm: str, tag: str) -> Observable:
     """Arm-local observable on path (x) spin.
 
     ``projector`` is |arm><arm| (x) 1, ``sigma_x`` is |arm><arm| (x) sigma_x.
+    Built once per (arm, tag): every call returns the same immutable object.
     """
     if arm not in ARMS:
         raise ValidationError(f"arm must be one of {ARMS}, got {arm!r}")
     if tag not in OBSERVABLE_TAGS:
         raise ValidationError(f"observable must be one of {OBSERVABLE_TAGS}, got {tag!r}")
+    return _arm_observable(arm, tag)
+
+
+@functools.cache
+def _arm_observable(arm: str, tag: str) -> Observable:
     proj = np.zeros((2, 2), dtype=complex)
     proj[ARMS.index(arm), ARMS.index(arm)] = 1.0
     spin_part = SIGMA_X if tag == "sigma_x" else np.eye(2, dtype=complex)
@@ -63,18 +71,19 @@ def build_prepost(swap_spin_labels: bool = False) -> PrePostContext:
     Preselection: (|I> + |II>) |+z> / sqrt(2). Postselection:
     (|I>|+z> + |II>|-z>) / sqrt(2). With ``swap_spin_labels`` the spin
     labels in the postselection are exchanged, which swaps the roles of
-    the two arms in every report.
+    the two arms in every report. Built once per variant: every call
+    returns the same immutable object.
     """
+    return _prepost(bool(swap_spin_labels))
+
+
+@functools.cache
+def _prepost(swap_spin_labels: bool) -> PrePostContext:
+    # Basis order |I, +z>, |I, -z>, |II, +z>, |II, -z>.
     psi = np.zeros(4, dtype=complex)
-    psi[0] = 1.0 / math.sqrt(2.0)  # |I, +z>
-    psi[2] = 1.0 / math.sqrt(2.0)  # |II, +z>
+    psi[[0, 2]] = 1.0 / math.sqrt(2.0)
     chi = np.zeros(4, dtype=complex)
-    if swap_spin_labels:
-        chi[1] = 1.0 / math.sqrt(2.0)  # |I, -z>
-        chi[2] = 1.0 / math.sqrt(2.0)  # |II, +z>
-    else:
-        chi[0] = 1.0 / math.sqrt(2.0)  # |I, +z>
-        chi[3] = 1.0 / math.sqrt(2.0)  # |II, -z>
+    chi[[1, 2] if swap_spin_labels else [0, 3]] = 1.0 / math.sqrt(2.0)
     ident = identity_operator((2, 2))
     return PrePostContext(
         psi_i=StateVector((2, 2), SYSTEM_LABELS, psi),
@@ -93,7 +102,6 @@ class QccConfig:
     g_I: float = 0.02
     g_II: float = 0.02
     pointer_width: float = 1.0
-    spin_pre: str = "+z"
 
     def __post_init__(self) -> None:
         if self.observable_I not in OBSERVABLE_TAGS or self.observable_II not in OBSERVABLE_TAGS:
@@ -102,8 +110,6 @@ class QccConfig:
             raise ValidationError("couplings must be finite")
         if not (math.isfinite(self.pointer_width) and self.pointer_width > 0.0):
             raise ValidationError(f"pointer_width must be positive, got {self.pointer_width}")
-        if self.spin_pre != "+z":
-            raise ValidationError("the preselected spin is fixed to +z in this scenario")
 
 
 @dataclass(frozen=True)
@@ -130,12 +136,23 @@ class QccReport:
     joint: bool
 
 
-def _four_weak_values(ctx: PrePostContext) -> tuple[complex, complex, complex, complex]:
-    return (
-        weak_value(ctx, arm_observable("I", "projector")),
-        weak_value(ctx, arm_observable("I", "sigma_x")),
-        weak_value(ctx, arm_observable("II", "projector")),
-        weak_value(ctx, arm_observable("II", "sigma_x")),
+def _qcc_report(ctx: PrePostContext, cfg: QccConfig, phi0: GaussianPointerState, **measured) -> QccReport:
+    """A run's ``measured`` shifts, coupled probabilities and ``joint`` flag, plus
+    the four weak values, unperturbed postselection and weak-regime flag."""
+    amp = inner(chi_at_weak_time(ctx), psi_at_weak_time(ctx))
+    margins = (
+        validity_margin(ctx, arm_observable("I", cfg.observable_I), phi0, cfg.g_I).margin,
+        validity_margin(ctx, arm_observable("II", cfg.observable_II), phi0, cfg.g_II).margin,
+    )
+    return QccReport(
+        wv_pi_I=weak_value(ctx, arm_observable("I", "projector")),
+        wv_sigma_I=weak_value(ctx, arm_observable("I", "sigma_x")),
+        wv_pi_II=weak_value(ctx, arm_observable("II", "projector")),
+        wv_sigma_II=weak_value(ctx, arm_observable("II", "sigma_x")),
+        postselect_amp=amp,
+        postselect_prob=abs(amp) ** 2,
+        margin_warning=any(m >= WEAK_MARGIN_WARN for m in margins),
+        **measured,
     )
 
 
@@ -146,32 +163,16 @@ def run_ideal_qcc(cfg: QccConfig, swap_spin_labels: bool = False) -> QccReport:
     protocol: the reported shifts are exact single-coupling results.
     """
     ctx = build_prepost(swap_spin_labels)
-    wv_pi_I, wv_sigma_I, wv_pi_II, wv_sigma_II = _four_weak_values(ctx)
     phi0 = make_gaussian(0.0, cfg.pointer_width)
     base = mean_position(phi0)
-
-    obs_I = arm_observable("I", cfg.observable_I)
-    obs_II = arm_observable("II", cfg.observable_II)
-    res_I = couple_and_postselect(ctx, obs_I, phi0, cfg.g_I)
-    res_II = couple_and_postselect(ctx, obs_II, phi0, cfg.g_II)
-
-    amp = inner(chi_at_weak_time(ctx), psi_at_weak_time(ctx))
-    margins = (
-        validity_margin(ctx, obs_I, phi0, cfg.g_I).margin,
-        validity_margin(ctx, obs_II, phi0, cfg.g_II).margin,
-    )
-    return QccReport(
-        wv_pi_I=wv_pi_I,
-        wv_sigma_I=wv_sigma_I,
-        wv_pi_II=wv_pi_II,
-        wv_sigma_II=wv_sigma_II,
+    res_I = couple_and_postselect(ctx, arm_observable("I", cfg.observable_I), phi0, cfg.g_I)
+    res_II = couple_and_postselect(ctx, arm_observable("II", cfg.observable_II), phi0, cfg.g_II)
+    return _qcc_report(
+        ctx, cfg, phi0,
         shift_I=mean_position(res_I.pointer_final) - base,
         shift_II=mean_position(res_II.pointer_final) - base,
-        postselect_amp=amp,
-        postselect_prob=abs(amp) ** 2,
         postselect_prob_I=res_I.postselect_prob_coupled,
         postselect_prob_II=res_II.postselect_prob_coupled,
-        margin_warning=any(m >= WEAK_MARGIN_WARN for m in margins),
         joint=False,
     )
 
@@ -185,7 +186,6 @@ def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccRep
     terms of order g_I * g_II.
     """
     ctx = build_prepost(swap_spin_labels)
-    wv_pi_I, wv_sigma_I, wv_pi_II, wv_sigma_II = _four_weak_values(ctx)
     obs_I = arm_observable("I", cfg.observable_I)
     obs_II = arm_observable("II", cfg.observable_II)
     psi_w = psi_at_weak_time(ctx)
@@ -221,23 +221,11 @@ def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccRep
     if norm2 <= 0.0:
         raise ValidationError("joint postselection has zero probability")
 
-    phi0 = make_gaussian(0.0, width)
-    amp = inner(chi_w, psi_w)
-    margins = (
-        validity_margin(ctx, obs_I, phi0, cfg.g_I).margin,
-        validity_margin(ctx, obs_II, phi0, cfg.g_II).margin,
-    )
-    return QccReport(
-        wv_pi_I=wv_pi_I,
-        wv_sigma_I=wv_sigma_I,
-        wv_pi_II=wv_pi_II,
-        wv_sigma_II=wv_sigma_II,
+    return _qcc_report(
+        ctx, cfg, make_gaussian(0.0, width),
         shift_I=x_i / norm2,
         shift_II=x_ii / norm2,
-        postselect_amp=amp,
-        postselect_prob=abs(amp) ** 2,
         postselect_prob_I=norm2,
         postselect_prob_II=norm2,
-        margin_warning=any(m >= WEAK_MARGIN_WARN for m in margins),
         joint=True,
     )

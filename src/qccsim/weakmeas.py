@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,36 +153,43 @@ class WeakMeasurementResult:
         return norm_sq(self.pointer_final)
 
 
-def transition_element(ctx: PrePostContext, obs: Observable) -> complex:
-    """<chi(t_w)|A|psi(t_w)>; defined even for orthogonal postselections."""
+class _Evaluation(NamedTuple):
+    """One (context, observable) pair evaluated at the coupling time."""
+
+    psi_w: StateVector
+    chi_w: StateVector
+    a_psi: StateVector  # A|psi(t_w)>
+    overlap: complex  # <chi(t_w)|psi(t_w)>
+    transition: complex  # <chi(t_w)|A|psi(t_w)>
+
+    @property
+    def orthogonal(self) -> bool:
+        return abs(self.overlap) <= TOL.orthogonal_overlap
+
+    def weak_value(self) -> complex:
+        if self.orthogonal:
+            raise OrthogonalPostselection(
+                f"postselection overlap modulus {abs(self.overlap):.3e} is below "
+                f"{TOL.orthogonal_overlap}; weak value undefined"
+            )
+        return self.transition / self.overlap
+
+
+def _evaluate(ctx: PrePostContext, obs: Observable) -> _Evaluation:
     psi_w = psi_at_weak_time(ctx)
     chi_w = chi_at_weak_time(ctx)
-    return inner(chi_w, apply(obs.op, obs.targets, psi_w))
+    a_psi = apply(obs.op, obs.targets, psi_w)
+    return _Evaluation(psi_w, chi_w, a_psi, inner(chi_w, psi_w), inner(chi_w, a_psi))
+
+
+def transition_element(ctx: PrePostContext, obs: Observable) -> complex:
+    """<chi(t_w)|A|psi(t_w)>; defined even for orthogonal postselections."""
+    return _evaluate(ctx, obs).transition
 
 
 def weak_value(ctx: PrePostContext, obs: Observable) -> complex:
     """A^w = <chi(t_w)|A|psi(t_w)> / <chi(t_w)|psi(t_w)>."""
-    psi_w = psi_at_weak_time(ctx)
-    chi_w = chi_at_weak_time(ctx)
-    den = inner(chi_w, psi_w)
-    if abs(den) <= TOL.orthogonal_overlap:
-        raise OrthogonalPostselection(
-            f"postselection overlap modulus {abs(den):.3e} is below "
-            f"{TOL.orthogonal_overlap}; weak value undefined"
-        )
-    return inner(chi_w, apply(obs.op, obs.targets, psi_w)) / den
-
-
-def _branch_amplitudes(ctx: PrePostContext, obs: Observable) -> list[complex]:
-    """<chi(t_w)| P_k |psi(t_w)> for each eigenprojector P_k of the observable."""
-    psi_w = psi_at_weak_time(ctx)
-    chi_w = chi_at_weak_time(ctx)
-    amps = []
-    for vec in obs.eigvecs:
-        r_chi = partial_project(vec, obs.targets, chi_w)
-        r_psi = partial_project(vec, obs.targets, psi_w)
-        amps.append(inner(r_chi, r_psi))
-    return amps
+    return _evaluate(ctx, obs).weak_value()
 
 
 def couple_and_postselect(
@@ -197,22 +204,23 @@ def couple_and_postselect(
     initial pointer translated by g times the eigenvalue, weighted by
     <chi|a_k><a_k|psi>; this is exact for any coupling strength.
     """
+    return _couple(_evaluate(ctx, obs), obs, phi0, g)
+
+
+def _couple(ev: _Evaluation, obs: Observable, phi0: GaussianPointerState, g: float) -> WeakMeasurementResult:
     g = float(g)
     if not math.isfinite(g):
         raise ValidationError("coupling strength must be finite")
-    psi_w = psi_at_weak_time(ctx)
-    chi_w = chi_at_weak_time(ctx)
-    den = inner(chi_w, psi_w)
-    branches = _branch_amplitudes(ctx, obs)
-    pointer_final = superpose(
-        translate(phi0, g * a, c) for a, c in zip(obs.eigvals, branches)
-    )
-    num = sum(a * c for a, c in zip(obs.eigvals, branches))
-    wv = num / den if abs(den) > TOL.orthogonal_overlap else None
+    # Branch amplitude <chi(t_w)| P_k |psi(t_w)> per eigenprojector P_k.
+    branches = [
+        inner(partial_project(vec, obs.targets, ev.chi_w), partial_project(vec, obs.targets, ev.psi_w))
+        for vec in obs.eigvecs
+    ]
+    pointer_final = superpose(translate(phi0, g * a, c) for a, c in zip(obs.eigvals, branches))
     return WeakMeasurementResult(
-        weak_value=wv,
-        transition_element=complex(num),
-        postselect_prob_unperturbed=abs(den) ** 2,
+        weak_value=None if ev.orthogonal else ev.weak_value(),
+        transition_element=ev.transition,
+        postselect_prob_unperturbed=abs(ev.overlap) ** 2,
         pointer_final=pointer_final,
         g=g,
     )
@@ -235,10 +243,11 @@ def linear_response_report(
     g: float,
 ) -> LinearResponseReport:
     """Compare the exact mean-position shift with the linear weak-value law."""
-    wv = weak_value(ctx, obs)
-    result = couple_and_postselect(ctx, obs, phi0, g)
+    ev = _evaluate(ctx, obs)
+    ev.weak_value()  # an orthogonal postselection raises before coupling
+    result = _couple(ev, obs, phi0, g)
     exact_shift = mean_position(result.pointer_final) - mean_position(phi0)
-    predicted_shift = float(g) * wv.real
+    predicted_shift = float(g) * result.weak_value.real
     abs_error = abs(exact_shift - predicted_shift)
     ratio = exact_shift / predicted_shift if predicted_shift != 0.0 else math.nan
     return LinearResponseReport(exact_shift, predicted_shift, abs_error, ratio)
@@ -312,12 +321,9 @@ def validity_margin(
     g: float,
 ) -> ValidityReport:
     """Weak-regime margin and second-order dominance check."""
-    wv = weak_value(ctx, obs)
-    psi_w = psi_at_weak_time(ctx)
-    chi_w = chi_at_weak_time(ctx)
-    den = inner(chi_w, psi_w)
-    a_sq_psi = apply(obs.op, obs.targets, apply(obs.op, obs.targets, psi_w))
-    wv_sq = inner(chi_w, a_sq_psi) / den
+    ev = _evaluate(ctx, obs)
+    wv = ev.weak_value()
+    wv_sq = inner(ev.chi_w, apply(obs.op, obs.targets, ev.a_psi)) / ev.overlap
     sigma = phi0.width
     k0 = phi0.components[0].momentum_center
     p_scale = 1.0 / (2.0 * sigma)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qccsim.cli import SCENARIO_TABLE, build_parser, main, parse_range
-from qccsim.errors import ValidationError
+from qccsim.errors import CapacityError, ValidationError
 
 from oracles import fit_exponent
 
@@ -229,6 +229,8 @@ class TestSweeps:
             parse_range("0:1:0")
         with pytest.raises(ValidationError):
             parse_range("a:b:3")
+        with pytest.raises(CapacityError):
+            parse_range(f"0:1:{2**20 + 1}")
 
 
 class TestConfigFile:
@@ -290,6 +292,14 @@ class TestExitCodes:
         code, _, err = run_cli(
             capsys, "weak-value", "--context", "qcc-pi-I", "--g", "0.01",
             "--grid-points", str(2**21), "--csv", str(tmp_path / "grid.csv"),
+        )
+        assert code == 4
+        assert json.loads(err)["error"]["type"] == "CapacityError"
+
+    def test_oversized_sweep_range_exits_four(self, capsys):
+        # --validate-only parses the range without sweeping it.
+        code, _, err = run_cli(
+            capsys, "sweep", "--scenario", "qcc", "--g", f"0:1:{2**20 + 1}", "--validate-only"
         )
         assert code == 4
         assert json.loads(err)["error"]["type"] == "CapacityError"

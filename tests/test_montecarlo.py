@@ -7,6 +7,7 @@ import pytest
 
 from qccsim.cli import build_context
 from qccsim.errors import ValidationError
+import qccsim.montecarlo as montecarlo
 from qccsim.montecarlo import (
     TrialBatch,
     _trial_uniforms,
@@ -16,6 +17,7 @@ from qccsim.montecarlo import (
 )
 from qccsim.neutron import AbsorberConfig
 from qccsim.pointer import make_gaussian
+from qccsim.serialize import dumps_json, intensity_counts_dict
 from qccsim.weakmeas import couple_and_postselect
 
 from oracles import CHI2_999_DF63, gaussian_amplitude
@@ -54,6 +56,32 @@ class TestDeterminism:
         a = sample_trials(ctx, obs, PHI0, 0.05, 5_000, SEED)
         b = sample_trials(ctx, obs, PHI0, 0.05, 5_000, SEED + 1)
         assert not np.array_equal(a.postselected, b.postselected)
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 10)])
+    def test_thread_pool_is_capped_by_chunks_and_cpus(self, monkeypatch, cpus, expected):
+        pools = []
+
+        class RecordingPool:
+            """Runs chunks in the calling thread and records the requested size."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        ctx, obs = build_context("qcc-pi-I")
+        batch = sample_trials(ctx, obs, PHI0, 0.05, 10, SEED, workers=10**6)
+        assert pools == [expected]
+        assert batches_equal(batch, sample_trials(ctx, obs, PHI0, 0.05, 10, SEED))
 
     def test_chunked_stream_matches_contiguous_stream(self):
         whole = _trial_uniforms(SEED, 0, 300)
@@ -190,3 +218,9 @@ class TestIntensitySampling:
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValidationError):
             sample_intensity_experiment(AbsorberConfig("I", 0.1), 0, SEED)
+
+    def test_no_perturbed_detections_leave_the_error_undefined(self):
+        counts = sample_intensity_experiment(AbsorberConfig("I", 40.0), 100, 1)
+        assert counts.n_perturbed == 0
+        assert math.isnan(counts.ratio_std_error)
+        assert '"ratio_std_error": null' in dumps_json(intensity_counts_dict(counts))

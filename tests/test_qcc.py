@@ -32,6 +32,17 @@ class TestBuildPrepost:
         assert ctx.psi_i.norm == pytest.approx(1.0, abs=1e-14)
         assert ctx.chi_f.norm == pytest.approx(1.0, abs=1e-14)
 
+    def test_constants_are_built_once(self):
+        assert build_prepost() is build_prepost(False)
+        assert build_prepost(True) is build_prepost(swap_spin_labels=True)
+        assert arm_observable("I", "projector") is arm_observable("I", "projector")
+        with pytest.raises(ValueError):
+            build_prepost().psi_i.amps[0] = 0.0
+        with pytest.raises(ValidationError):
+            arm_observable("III", "projector")
+        with pytest.raises(ValidationError):
+            arm_observable("I", "sigma_z")
+
     def test_observable_structure(self):
         obs = arm_observable("II", "sigma_x")
         assert sorted(obs.eigvals) == pytest.approx([-1.0, 0.0, 0.0, 1.0], abs=1e-14)
@@ -139,8 +150,6 @@ class TestIdealRun:
             QccConfig(g_I=math.inf)
         with pytest.raises(ValidationError):
             QccConfig(pointer_width=0.0)
-        with pytest.raises(ValidationError):
-            QccConfig(spin_pre="-z")
 
 
 def joint_oracle(cfg: QccConfig, reverse: bool):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qccsim.cli import build_context
+from qccsim.cli import CONTEXT_NAMES, build_context
 from qccsim.errors import OrthogonalPostselection, ValidationError
 from qccsim.pointer import make_gaussian, mean_position, norm_sq
 from qccsim.qstate import (
@@ -92,6 +92,10 @@ class TestWeakValue:
             )
             assert combined == pytest.approx(separate, abs=1e-12)
 
+    def test_anomalous_weak_value_is_tan_theta_at_large_tan_theta(self):
+        ctx, obs = build_context("anomalous", tan_theta=1e11)
+        assert weak_value(ctx, obs).real == pytest.approx(1e11, rel=1e-12)
+
 
 class TestTransitionElement:
     def test_identity_observable_gives_overlap(self):
@@ -157,6 +161,17 @@ class TestCoupleAndPostselect:
         ctx, obs = build_context("anomalous")
         with pytest.raises(ValidationError):
             couple_and_postselect(ctx, obs, PHI0, math.inf)
+
+    @pytest.mark.parametrize(
+        "name, tan_theta",
+        [(name, 3.0) for name in CONTEXT_NAMES if name != "orthogonal"]
+        + [("anomalous", -12.3), ("anomalous", 49.7)],
+    )
+    def test_result_uses_the_weak_value_formula(self, name, tan_theta):
+        ctx, obs = build_context(name, tan_theta)
+        result = couple_and_postselect(ctx, obs, PHI0, 0.05)
+        assert result.weak_value == weak_value(ctx, obs)
+        assert result.transition_element == transition_element(ctx, obs)
 
 
 class TestLinearResponse:
