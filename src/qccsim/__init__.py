@@ -32,6 +32,7 @@ from .neutron import (
     SystematicTermReport,
     infer_projector_weak_value,
     infer_spin_weak_value_modulus,
+    infer_weak_value,
     intensity_absorber,
     intensity_magnetic,
     systematic_term_report,
@@ -62,7 +63,6 @@ from .qstate import (
     StateVector,
     apply,
     basis_state,
-    dagger,
     identity_operator,
     inner,
     normalized,

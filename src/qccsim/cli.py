@@ -37,8 +37,7 @@ from .montecarlo import estimate_weak_value, sample_intensity_experiment, sample
 from .neutron import (
     AbsorberConfig,
     MagneticConfig,
-    infer_projector_weak_value,
-    infer_spin_weak_value_modulus,
+    infer_weak_value,
     intensity_absorber,
     intensity_magnetic,
     systematic_term_report,
@@ -52,7 +51,7 @@ from .qcc import (
     run_ideal_qcc,
     run_joint_pointers,
 )
-from .qstate import SIGMA_X, StateVector, identity_operator
+from .qstate import SIGMA_X, StateVector
 from .serialize import (
     dumps_json,
     estimator_report_dict,
@@ -95,10 +94,9 @@ NEUTRON_SWEEP_HEADER = ("param", "ratio_exact", "ratio_predicted", "inferred_wv"
 
 
 def _two_level(label: str, psi: list, chi: list, matrix) -> tuple[PrePostContext, Observable]:
-    ident = identity_operator((2,))
     pre = StateVector((2,), (label,), psi)
     post = StateVector((2,), (label,), chi)
-    return PrePostContext(pre, ident, ident, post), make_observable(matrix, (label,))
+    return PrePostContext(pre, post), make_observable(matrix, (label,))
 
 
 def _anomalous(tan_theta: float, swap_spin_labels: bool) -> tuple[PrePostContext, Observable]:
@@ -482,16 +480,10 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
         cfg = MagneticConfig(params["arm"], params["alpha"])
         exact_report = intensity_magnetic(cfg)
     counts = sample_intensity_experiment(cfg, n, seed)
-    inferred = None
-    if isinstance(cfg, AbsorberConfig):
-        if cfg.M > 0.0:
-            inferred = infer_projector_weak_value(cfg.arm, cfg.M, counts.ratio)
-    else:
-        pi_w = weak_value(build_prepost(), arm_observable(cfg.arm, "projector")).real
-        try:
-            inferred = infer_spin_weak_value_modulus(cfg.arm, cfg.alpha, counts.ratio, pi_w)
-        except NegativeRadicand:
-            inferred = None  # sampled ratio below the reachable band
+    try:
+        inferred = infer_weak_value(cfg, counts.ratio)
+    except NegativeRadicand:
+        inferred = math.nan  # sampled ratio below the reachable band; JSON null
     return {
         "mode": params["mode"],
         "counts": intensity_counts_dict(counts),

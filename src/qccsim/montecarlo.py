@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .neutron import AbsorberConfig, MagneticConfig, perturbed_intensity, reference_intensity
 from .pointer import GRID_HALF_WIDTHS, GaussianPointerState, density, mean_position
+from .tolerances import MAX_TRIALS
 from .weakmeas import Observable, PrePostContext, couple_and_postselect
 
 DENSITY_POINTS = 4096
@@ -95,6 +96,13 @@ def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
     return draw
 
 
+def _check_trial_count(n: int) -> None:
+    if n < 1:
+        raise ValidationError(f"need at least one trial, got n={n}")
+    if n > MAX_TRIALS:
+        raise CapacityError(f"trial count {n} exceeds limit {MAX_TRIALS}")
+
+
 def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     bits = Philox(key=seed)
     if start:
@@ -117,8 +125,7 @@ def sample_trials(
     for any value because trial i derives all its randomness from
     counter block i of the seeded generator.
     """
-    if n < 1:
-        raise ValidationError(f"need at least one trial, got n={n}")
+    _check_trial_count(n)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     result = couple_and_postselect(ctx, obs, phi0, g)
@@ -136,13 +143,13 @@ def sample_trials(
         pos = draw(u[mask, 1]) if draw is not None else np.empty(0)
         return mask, pos
 
-    chunk_size = -(-n // workers)
+    # One chunk per thread, never more than trials or CPUs; the output does not depend on it.
+    chunk_size = -(-n // min(workers, n, os.cpu_count() or 1))
     bounds = [(s, min(chunk_size, n - s)) for s in range(0, n, chunk_size)]
     if len(bounds) == 1:
         parts = [run_chunk(bounds[0])]
     else:
-        # Never more threads than chunks or CPUs; the output does not depend on it.
-        with ThreadPoolExecutor(max_workers=min(workers, len(bounds), os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
             parts = list(pool.map(run_chunk, bounds))
 
     mask = np.concatenate([m for m, _ in parts])
@@ -201,8 +208,7 @@ def sample_intensity_experiment(
     same counter-based stream; the count ratio estimates the exact
     intensity ratio with a delta-method standard error.
     """
-    if n < 1:
-        raise ValidationError(f"need at least one trial, got n={n}")
+    _check_trial_count(n)
     p_ref = reference_intensity()
     p_pert = perturbed_intensity(cfg)
     u = _trial_uniforms(seed, 0, n)

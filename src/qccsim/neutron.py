@@ -101,6 +101,12 @@ def reference_intensity() -> float:
     return abs(inner(ctx.chi_f, ctx.psi_i)) ** 2
 
 
+@functools.cache
+def _projector_weak_value(arm: str) -> float:
+    """Ideal Re(Pi_w) of ``arm``, computed once per arm."""
+    return weak_value(build_prepost(), arm_observable(arm, "projector")).real
+
+
 def perturbed_intensity(cfg: AbsorberConfig | MagneticConfig) -> float:
     """Postselected intensity with the configured perturbation applied.
 
@@ -119,50 +125,58 @@ def perturbed_intensity(cfg: AbsorberConfig | MagneticConfig) -> float:
 
 def intensity_absorber(cfg: AbsorberConfig) -> IntensityReport:
     """Exact absorber run against the first-order law 1 - 2 M Pi_w."""
-    pi_w = weak_value(build_prepost(), arm_observable(cfg.arm, "projector")).real
+    pi_w = _projector_weak_value(cfg.arm)
     i0 = reference_intensity()
     i_pert = perturbed_intensity(cfg)
     ratio = i_pert / i0
     first = 1.0 - 2.0 * cfg.M * pi_w
     second = first + cfg.M**2 * (pi_w + pi_w**2)
-    inferred = (
-        infer_projector_weak_value(cfg.arm, cfg.M, ratio) if cfg.M > 0.0 else math.nan
-    )
     return IntensityReport(
         i0=i0,
         i_perturbed=i_pert,
         ratio=ratio,
         first_order_prediction=first,
         second_order_prediction=second,
-        inferred_weak_value=inferred,
+        inferred_weak_value=infer_weak_value(cfg, ratio),
         expansion_error=abs(ratio - first),
     )
 
 
 def intensity_magnetic(cfg: MagneticConfig) -> IntensityReport:
     """Exact rotation run against 1 + (alpha^2/4)(|sigma_w|^2 - Pi_w)."""
-    ctx = build_prepost()
-    pi_w = weak_value(ctx, arm_observable(cfg.arm, "projector")).real
-    sigma_w = weak_value(ctx, arm_observable(cfg.arm, "sigma_x"))
+    pi_w = _projector_weak_value(cfg.arm)
+    sigma_w = weak_value(build_prepost(), arm_observable(cfg.arm, "sigma_x"))
     i0 = reference_intensity()
     i_pert = perturbed_intensity(cfg)
     ratio = i_pert / i0
     first = 1.0 - cfg.alpha * sigma_w.imag
     second = 1.0 + (cfg.alpha**2 / 4.0) * (abs(sigma_w) ** 2 - pi_w)
-    inferred = (
-        infer_spin_weak_value_modulus(cfg.arm, cfg.alpha, ratio, pi_w)
-        if cfg.alpha != 0.0
-        else math.nan
-    )
     return IntensityReport(
         i0=i0,
         i_perturbed=i_pert,
         ratio=ratio,
         first_order_prediction=first,
         second_order_prediction=second,
-        inferred_weak_value=inferred,
+        inferred_weak_value=infer_weak_value(cfg, ratio),
         expansion_error=abs(ratio - second),
     )
+
+
+def infer_weak_value(cfg: AbsorberConfig | MagneticConfig, measured_ratio: float) -> float:
+    """Weak value inferred from a measured intensity ratio of ``cfg``'s experiment.
+
+    The absorber yields Pi_w, the rotation |sigma_w| corrected with the
+    ideal Pi_w. At zero perturbation the ratio carries no information
+    and the result is NaN. Raises :class:`NegativeRadicand` for a
+    rotation ratio no spin weak value can reach.
+    """
+    absorber = isinstance(cfg, AbsorberConfig)
+    if (cfg.M if absorber else cfg.alpha) == 0.0:
+        return math.nan
+    if absorber:
+        return infer_projector_weak_value(cfg.arm, cfg.M, measured_ratio)
+    pi_w = _projector_weak_value(cfg.arm)
+    return infer_spin_weak_value_modulus(cfg.arm, cfg.alpha, measured_ratio, pi_w)
 
 
 def infer_projector_weak_value(arm: str, M: float, measured_ratio: float) -> float:

@@ -1,8 +1,8 @@
 """The ideal Quantum Cheshire Cat scenario on a two-arm interferometer.
 
 System space: path (arm I / arm II) tensor spin. The beam-splitter and
-mirror optics are folded into the pre- and postselected states, so the
-intermediate unitaries are identities. Couplings act arm-locally:
+mirror optics are folded into the pre- and postselected states, which
+are therefore the states at the coupling time. Couplings act arm-locally:
 presence is probed by the arm projector, the spin component by the arm
 projector times sigma_x.
 """
@@ -24,14 +24,12 @@ from .pointer import (
     make_gaussian,
     mean_position,
 )
-from .qstate import SIGMA_X, StateVector, identity_operator, inner
+from .qstate import SIGMA_X, StateVector, inner
 from .weakmeas import (
     Observable,
     PrePostContext,
-    chi_at_weak_time,
     couple_and_postselect,
     make_observable,
-    psi_at_weak_time,
     validity_margin,
     weak_value,
 )
@@ -84,11 +82,8 @@ def _prepost(swap_spin_labels: bool) -> PrePostContext:
     psi[[0, 2]] = 1.0 / math.sqrt(2.0)
     chi = np.zeros(4, dtype=complex)
     chi[[1, 2] if swap_spin_labels else [0, 3]] = 1.0 / math.sqrt(2.0)
-    ident = identity_operator((2, 2))
     return PrePostContext(
         psi_i=StateVector((2, 2), SYSTEM_LABELS, psi),
-        u_wi=ident,
-        u_fw=ident,
         chi_f=StateVector((2, 2), SYSTEM_LABELS, chi),
     )
 
@@ -139,7 +134,7 @@ class QccReport:
 def _qcc_report(ctx: PrePostContext, cfg: QccConfig, phi0: GaussianPointerState, **measured) -> QccReport:
     """A run's ``measured`` shifts, coupled probabilities and ``joint`` flag, plus
     the four weak values, unperturbed postselection and weak-regime flag."""
-    amp = inner(chi_at_weak_time(ctx), psi_at_weak_time(ctx))
+    amp = inner(ctx.chi_f, ctx.psi_i)
     margins = (
         validity_margin(ctx, arm_observable("I", cfg.observable_I), phi0, cfg.g_I).margin,
         validity_margin(ctx, arm_observable("II", cfg.observable_II), phi0, cfg.g_II).margin,
@@ -188,17 +183,15 @@ def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccRep
     ctx = build_prepost(swap_spin_labels)
     obs_I = arm_observable("I", cfg.observable_I)
     obs_II = arm_observable("II", cfg.observable_II)
-    psi_w = psi_at_weak_time(ctx)
-    chi_w = chi_at_weak_time(ctx)
     width = cfg.pointer_width
 
     # Joint branch (k, l): coefficient <chi|a_k><a_k|b_l><b_l|psi>,
     # pointer I shifted by g_I a_k, pointer II by g_II b_l.
     branches: list[tuple[complex, GaussianComponent, GaussianComponent]] = []
     for a_val, a_vec in zip(obs_I.eigvals, obs_I.eigvecs):
-        chi_a = inner(chi_w, a_vec)  # <chi|a_k>
+        chi_a = inner(ctx.chi_f, a_vec)  # <chi|a_k>
         for b_val, b_vec in zip(obs_II.eigvals, obs_II.eigvecs):
-            coeff = chi_a * inner(a_vec, b_vec) * inner(b_vec, psi_w)
+            coeff = chi_a * inner(a_vec, b_vec) * inner(b_vec, ctx.psi_i)
             branches.append(
                 (
                     coeff,

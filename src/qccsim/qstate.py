@@ -132,10 +132,6 @@ def identity_operator(dims: Sequence[int]) -> Operator:
     return Operator(tuple(dims), np.eye(side, dtype=complex), kind="unitary")
 
 
-def dagger(op: Operator) -> Operator:
-    return Operator(op.dims, op.entries.conj().T, kind=op.kind)
-
-
 def normalized(s: StateVector) -> StateVector:
     n = s.norm
     if n == 0.0:

@@ -46,3 +46,6 @@ TOL = Tolerances()
 
 # Largest amplitude count a tensor product or grid export may allocate.
 MAX_AMPLITUDES = 2**20
+
+# Largest trial count one Monte Carlo run may sample.
+MAX_TRIALS = 2**24

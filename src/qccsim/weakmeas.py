@@ -22,14 +22,7 @@ from .pointer import (
     superpose,
     translate,
 )
-from .qstate import (
-    Operator,
-    StateVector,
-    apply,
-    dagger,
-    inner,
-    partial_project,
-)
+from .qstate import Operator, StateVector, apply, inner
 from .tolerances import TOL
 
 
@@ -94,43 +87,22 @@ def make_observable(matrix, targets: Sequence[str], dims: Sequence[int] | None =
 
 @dataclass(frozen=True)
 class PrePostContext:
-    """Preselected state, intermediate unitaries, and postselection state.
+    """Preselected state and postselection state, both at the coupling time.
 
-    ``u_wi`` evolves from preparation to the coupling time, ``u_fw``
-    from the coupling time to the postselection. The postselection bra
-    is the adjoint of ``chi_f``.
+    Any evolution before or after the coupling is folded into the states
+    with :func:`~qccsim.qstate.apply`: ``psi_i`` is U_wi|psi>, ``chi_f``
+    is U_fw^dagger|chi>. The postselection bra is the adjoint of ``chi_f``.
     """
 
     psi_i: StateVector
-    u_wi: Operator
-    u_fw: Operator
     chi_f: StateVector
 
     def __post_init__(self) -> None:
-        if self.u_wi.kind != "unitary" or self.u_fw.kind != "unitary":
-            raise ValidationError("context unitaries must be tagged unitary")
         for name, state in (("psi_i", self.psi_i), ("chi_f", self.chi_f)):
             if abs(state.norm - 1.0) > TOL.structural:
                 raise ValidationError(f"{name} must be normalized, norm {state.norm!r}")
         if self.psi_i.dims != self.chi_f.dims or self.psi_i.labels != self.chi_f.labels:
             raise ValidationError("psi_i and chi_f must live on the same labeled space")
-        for name, op in (("u_wi", self.u_wi), ("u_fw", self.u_fw)):
-            if op.dims != self.psi_i.dims:
-                raise ValidationError(f"{name} dims {op.dims} do not match system {self.psi_i.dims}")
-
-    @property
-    def system_labels(self) -> tuple[str, ...]:
-        return self.psi_i.labels
-
-
-def psi_at_weak_time(ctx: PrePostContext) -> StateVector:
-    """Preselected state evolved forward to the coupling time."""
-    return apply(ctx.u_wi, ctx.system_labels, ctx.psi_i)
-
-
-def chi_at_weak_time(ctx: PrePostContext) -> StateVector:
-    """Postselection state evolved backward to the coupling time."""
-    return apply(dagger(ctx.u_fw), ctx.system_labels, ctx.chi_f)
 
 
 @dataclass(frozen=True)
@@ -156,11 +128,11 @@ class WeakMeasurementResult:
 class _Evaluation(NamedTuple):
     """One (context, observable) pair evaluated at the coupling time."""
 
-    psi_w: StateVector
-    chi_w: StateVector
-    a_psi: StateVector  # A|psi(t_w)>
-    overlap: complex  # <chi(t_w)|psi(t_w)>
-    transition: complex  # <chi(t_w)|A|psi(t_w)>
+    psi: StateVector
+    chi: StateVector
+    a_psi: StateVector  # A|psi>
+    overlap: complex  # <chi|psi>
+    transition: complex  # <chi|A|psi>
 
     @property
     def orthogonal(self) -> bool:
@@ -176,19 +148,22 @@ class _Evaluation(NamedTuple):
 
 
 def _evaluate(ctx: PrePostContext, obs: Observable) -> _Evaluation:
-    psi_w = psi_at_weak_time(ctx)
-    chi_w = chi_at_weak_time(ctx)
-    a_psi = apply(obs.op, obs.targets, psi_w)
-    return _Evaluation(psi_w, chi_w, a_psi, inner(chi_w, psi_w), inner(chi_w, a_psi))
+    psi, chi = ctx.psi_i, ctx.chi_f
+    if obs.targets != psi.labels:
+        raise ValidationError(
+            f"observable targets {obs.targets} must equal the context labels {psi.labels}"
+        )
+    a_psi = apply(obs.op, obs.targets, psi)
+    return _Evaluation(psi, chi, a_psi, inner(chi, psi), inner(chi, a_psi))
 
 
 def transition_element(ctx: PrePostContext, obs: Observable) -> complex:
-    """<chi(t_w)|A|psi(t_w)>; defined even for orthogonal postselections."""
+    """<chi|A|psi>; defined even for orthogonal postselections."""
     return _evaluate(ctx, obs).transition
 
 
 def weak_value(ctx: PrePostContext, obs: Observable) -> complex:
-    """A^w = <chi(t_w)|A|psi(t_w)> / <chi(t_w)|psi(t_w)>."""
+    """A^w = <chi|A|psi> / <chi|psi>."""
     return _evaluate(ctx, obs).weak_value()
 
 
@@ -211,11 +186,8 @@ def _couple(ev: _Evaluation, obs: Observable, phi0: GaussianPointerState, g: flo
     g = float(g)
     if not math.isfinite(g):
         raise ValidationError("coupling strength must be finite")
-    # Branch amplitude <chi(t_w)| P_k |psi(t_w)> per eigenprojector P_k.
-    branches = [
-        inner(partial_project(vec, obs.targets, ev.chi_w), partial_project(vec, obs.targets, ev.psi_w))
-        for vec in obs.eigvecs
-    ]
+    # Branch amplitude c_k = <chi|a_k><a_k|psi> per eigenvector a_k.
+    branches = [inner(ev.chi, vec) * inner(vec, ev.psi) for vec in obs.eigvecs]
     pointer_final = superpose(translate(phi0, g * a, c) for a, c in zip(obs.eigvals, branches))
     return WeakMeasurementResult(
         weak_value=None if ev.orthogonal else ev.weak_value(),
@@ -323,7 +295,7 @@ def validity_margin(
     """Weak-regime margin and second-order dominance check."""
     ev = _evaluate(ctx, obs)
     wv = ev.weak_value()
-    wv_sq = inner(ev.chi_w, apply(obs.op, obs.targets, ev.a_psi)) / ev.overlap
+    wv_sq = inner(ev.chi, apply(obs.op, obs.targets, ev.a_psi)) / ev.overlap
     sigma = phi0.width
     k0 = phi0.components[0].momentum_center
     p_scale = 1.0 / (2.0 * sigma)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qccsim.cli import SCENARIO_TABLE, build_parser, main, parse_range
+from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
 
 from oracles import fit_exponent
@@ -304,6 +304,12 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(err)["error"]["type"] == "CapacityError"
 
+    @pytest.mark.parametrize("mode", MC_MODES)
+    def test_oversized_trial_count_exits_four(self, capsys, mode):
+        code, _, err = run_cli(capsys, "montecarlo", "--mode", mode, "--n", str(10**12))
+        assert code == 4
+        assert json.loads(err)["error"]["type"] == "CapacityError"
+
     def test_numerical_failure_exits_five(self, capsys):
         code, _, err = run_cli(capsys, "weak-value", "--context", "orthogonal", "--g", "0.01")
         assert code == 5
@@ -364,6 +370,12 @@ class TestMonteCarloCli:
             1.0 + math.sin(0.25) ** 2, abs=1e-12
         )
         assert results["inferred_from_counts"] == pytest.approx(1.0, abs=0.2)
+
+    @pytest.mark.parametrize("mode, flag", [("intensity-absorber", "--M"), ("intensity-magnetic", "--alpha")])
+    def test_zero_perturbation_infers_null(self, capsys, mode, flag):
+        code, out, _ = run_cli(capsys, "montecarlo", "--mode", mode, flag, "0", "--n", "1000")
+        assert code == 0
+        assert json.loads(out)["results"]["inferred_from_counts"] is None
 
     def test_intensity_absorber_mode(self, capsys):
         code, out, _ = run_cli(

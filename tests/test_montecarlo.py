@@ -83,6 +83,20 @@ class TestDeterminism:
         assert pools == [expected]
         assert batches_equal(batch, sample_trials(ctx, obs, PHI0, 0.05, 10, SEED))
 
+    def test_chunk_count_follows_cpus_not_workers(self, monkeypatch):
+        chunks = []
+
+        def counting_uniforms(seed, start, count):
+            chunks.append(count)
+            return _trial_uniforms(seed, start, count)
+
+        monkeypatch.setattr(montecarlo, "_trial_uniforms", counting_uniforms)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        ctx, obs = build_context("qcc-pi-I")
+        batch = sample_trials(ctx, obs, PHI0, 0.05, 20_000, SEED, workers=10**6)
+        assert sorted(chunks) == [10_000, 10_000]
+        assert batches_equal(batch, sample_trials(ctx, obs, PHI0, 0.05, 20_000, SEED))
+
     def test_chunked_stream_matches_contiguous_stream(self):
         whole = _trial_uniforms(SEED, 0, 300)
         assert np.array_equal(_trial_uniforms(SEED, 100, 120), whole[100:220])

@@ -13,6 +13,7 @@ from qccsim.neutron import (
     MagneticConfig,
     infer_projector_weak_value,
     infer_spin_weak_value_modulus,
+    infer_weak_value,
     intensity_absorber,
     intensity_magnetic,
     perturbed_intensity,
@@ -144,6 +145,10 @@ class TestInference:
     def test_unreachable_ratio_raises(self):
         with pytest.raises(NegativeRadicand):
             infer_spin_weak_value_modulus("II", 0.1, 0.9, 0.0)
+
+    def test_zero_perturbation_infers_nan(self):
+        assert math.isnan(infer_weak_value(AbsorberConfig("I", 0.0), 0.9))
+        assert math.isnan(infer_weak_value(MagneticConfig("II", 0.0), 1.1))
 
     def test_zero_perturbation_rejected(self):
         with pytest.raises(ValidationError):

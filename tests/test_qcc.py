@@ -155,10 +155,8 @@ class TestIdealRun:
 def joint_oracle(cfg: QccConfig, reverse: bool):
     """Joint two-pointer marginals with the couplings factored in either
     order; commuting couplings must give identical results."""
-    from qccsim.weakmeas import chi_at_weak_time, psi_at_weak_time
-
     ctx = build_prepost()
-    psi_w, chi_w = psi_at_weak_time(ctx), chi_at_weak_time(ctx)
+    psi_w, chi_w = ctx.psi_i, ctx.chi_f
     obs_I = arm_observable("I", cfg.observable_I)
     obs_II = arm_observable("II", cfg.observable_II)
     branches = []

@@ -8,12 +8,7 @@ import pytest
 from qccsim.cli import CONTEXT_NAMES, build_context
 from qccsim.errors import OrthogonalPostselection, ValidationError
 from qccsim.pointer import make_gaussian, mean_position, norm_sq
-from qccsim.qstate import (
-    SIGMA_X,
-    StateVector,
-    identity_operator,
-    inner,
-)
+from qccsim.qstate import SIGMA_X, StateVector, inner
 from qccsim.weakmeas import (
     PrePostContext,
     couple_and_postselect,
@@ -38,23 +33,45 @@ PHI0 = make_gaussian(0.0, 1.0)
 
 
 def qubit_context(psi_amps, chi_amps, label="spin"):
-    ident = identity_operator((2,))
     return PrePostContext(
         StateVector((2,), (label,), psi_amps),
-        ident,
-        ident,
         StateVector((2,), (label,), chi_amps),
     )
 
 
 def random_context(rng, dim):
-    ident = identity_operator((dim,))
     return PrePostContext(
         StateVector((dim,), ("sys",), random_state(rng, dim)),
-        ident,
-        ident,
         StateVector((dim,), ("sys",), random_state(rng, dim)),
     )
+
+
+class TestContext:
+    def test_rejects_unnormalized_states(self):
+        with pytest.raises(ValidationError, match="psi_i must be normalized"):
+            qubit_context([1.0, 1.0], [1.0, 0.0])
+        with pytest.raises(ValidationError, match="chi_f must be normalized"):
+            qubit_context([1.0, 0.0], [0.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "chi", [StateVector((2,), ("path",), [1.0, 0.0]), StateVector((3,), ("spin",), [1.0, 0.0, 0.0])]
+    )
+    def test_rejects_mismatched_spaces(self, chi):
+        with pytest.raises(ValidationError, match="same labeled space"):
+            PrePostContext(StateVector((2,), ("spin",), [1.0, 0.0]), chi)
+
+    @pytest.mark.parametrize(
+        "matrix, targets",
+        [(np.diag([1.0, 0.0]), ("path",)), (np.kron(np.diag([1.0, 0.0]), SIGMA_X), ("spin", "path"))],
+        ids=["subset", "reordered"],
+    )
+    def test_observable_targets_must_equal_context_labels(self, matrix, targets):
+        ctx, _ = build_context("qcc-pi-I")
+        obs = make_observable(matrix, targets)
+        with pytest.raises(ValidationError, match="must equal the context labels"):
+            weak_value(ctx, obs)
+        with pytest.raises(ValidationError, match="must equal the context labels"):
+            couple_and_postselect(ctx, obs, PHI0, 0.05)
 
 
 class TestWeakValue:
