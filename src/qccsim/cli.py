@@ -33,7 +33,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .montecarlo import estimate_weak_value, sample_intensity_experiment, sample_trials
+from .montecarlo import check_trial_count, estimate_weak_value, sample_intensity_experiment, sample_trials
 from .neutron import (
     AbsorberConfig,
     MagneticConfig,
@@ -42,7 +42,7 @@ from .neutron import (
     intensity_magnetic,
     systematic_term_report,
 )
-from .pointer import GRID_HALF_WIDTHS, make_gaussian, norm_sq, to_grid
+from .pointer import check_grid_points, make_gaussian, norm_sq, support, to_grid
 from .qcc import (
     OBSERVABLE_TAGS,
     QccConfig,
@@ -155,6 +155,8 @@ class Param:
     ``kind`` is "float", "int", "choice", "switch" or "range" (a
     start:stop:count string). A float whose default is None is optional.
     ``check`` turns a well-typed value into a violation message or None.
+    It may also be a library rule: its ``ValidationError`` becomes the
+    violation and its ``CapacityError`` propagates, as in the run.
     With ``when = (key, values)`` the parameter is checked only while
     ``params[key]`` is one of ``values``.
     """
@@ -207,7 +209,7 @@ WEAK_VALUE_PARAMS = (
     POINTER_WIDTH,
     Param("grid_xmin", "float", None, "grid CSV lower edge; unset fits the pointer"),
     Param("grid_xmax", "float", None, "grid CSV upper edge; unset fits the pointer"),
-    Param("grid_points", "int", 1024, "grid CSV points", check=_at_least(2)),
+    Param("grid_points", "int", 1024, "grid CSV points", check=check_grid_points),
 )
 QCC_PARAMS = (
     Param("g", "float", 0.02, "coupling for both arms"),
@@ -228,7 +230,7 @@ MONTECARLO_PARAMS = (
     *_when("mode", MC_MODES[1:], ARM),
     *_when("mode", ("intensity-absorber",), ABSORBER_M),
     *_when("mode", ("intensity-magnetic",), ROTATION_ALPHA),
-    Param("n", "int", 100000, "number of trials", check=_at_least(1)),
+    Param("n", "int", 100000, "number of trials", check=check_trial_count),
     Param("seed", "int", 12345, "Philox key of the trial stream, below 2**128",
           check=lambda seed: _at_least(0)(seed) or ("must be < 2**128" if seed >= 2**128 else None)),
     Param("workers", "int", 1, "worker threads", check=_at_least(1)),
@@ -356,7 +358,9 @@ def resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, list[
 
 
 def _problem(param: Param, params: dict) -> str | None:
-    """Why ``params[param.name]`` is invalid, or None; stores coerced numbers back."""
+    """Why ``params[param.name]`` is invalid, or None; stores coerced numbers back.
+
+    Raises ``ValidationError`` for a malformed range or a failed library rule."""
     raw = value = params.get(param.name)
     if param.kind == "float":
         if raw is None and param.default is None:
@@ -364,6 +368,8 @@ def _problem(param: Param, params: dict) -> str | None:
         try:
             value = float(raw)
         except (TypeError, ValueError):
+            value = None
+        if value is None or isinstance(raw, bool):  # float(True) succeeds
             return f"must be a number, got {raw!r}"
         if not math.isfinite(value):
             return f"must be finite, got {value!r}"
@@ -381,10 +387,7 @@ def _problem(param: Param, params: dict) -> str | None:
     elif param.kind == "range":
         if raw is None:
             return f"sweep over {params[param.when[0]]} needs {param.option} start:stop:count"
-        try:
-            value = parse_range(raw)
-        except ValidationError as exc:
-            return str(exc)
+        value = parse_range(raw)
     return param.check(value) if param.check is not None else None
 
 
@@ -394,7 +397,10 @@ def validate_params(scenario: str, params: dict) -> list[str]:
     for param in SCENARIO_TABLE[scenario].params:
         if param.when is not None and params.get(param.when[0]) not in param.when[1]:
             continue
-        problem = _problem(param, params)
+        try:
+            problem = _problem(param, params)
+        except ValidationError as exc:  # a library rule's own message, as in the run
+            problem = str(exc)
         if problem is not None:
             violations.append(f"{param.name}: {problem}")
     return violations
@@ -421,14 +427,9 @@ def run_weak_value(params: dict, csv_path: Path | None) -> dict:
     out = {"context": params["context"]}
     out.update(weak_measurement_dict(result, linear, validity))
     if csv_path is not None:
-        w = result.pointer_final.width
-        centers = [c.center for c in result.pointer_final.components]
-        xmin = params["grid_xmin"]
-        xmax = params["grid_xmax"]
-        if xmin is None:
-            xmin = min(centers) - GRID_HALF_WIDTHS * w
-        if xmax is None:
-            xmax = max(centers) + GRID_HALF_WIDTHS * w
+        lo, hi = support(result.pointer_final)
+        xmin = lo if params["grid_xmin"] is None else params["grid_xmin"]
+        xmax = hi if params["grid_xmax"] is None else params["grid_xmax"]
         grid = to_grid(result.pointer_final, xmin, xmax, params["grid_points"])
         write_grid_csv(grid, csv_path)
         out["grid_csv"] = str(csv_path)
@@ -458,6 +459,7 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
     n, seed = params["n"], params["seed"]
     if params["mode"] == "pointer":
         ctx, obs = build_context(params["context"], params["tan_theta"])
+        wv = weak_value(ctx, obs)  # an orthogonal postselection raises before sampling
         phi0 = make_gaussian(0.0, params["pointer_width"])
         batch = sample_trials(ctx, obs, phi0, params["g"], n, seed, workers=params["workers"])
         estimator = estimate_weak_value(batch, phi0, params["g"])
@@ -466,7 +468,7 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
             "mode": "pointer",
             "context": params["context"],
             "estimator": estimator_report_dict(estimator),
-            "exact_weak_value_re": weak_value(ctx, obs).real,
+            "exact_weak_value_re": wv.real,
             "exact_postselect_prob": norm_sq(exact.pointer_final),
         }
         if csv_path is not None:
@@ -500,18 +502,8 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
         header = QCC_SWEEP_HEADER
         for g in values:
             rep = run_ideal_qcc(_qcc_config({**params, "g_I": float(g), "g_II": float(g)}))
-            rows.append(
-                (
-                    float(g),
-                    rep.wv_pi_I.real,
-                    rep.wv_sigma_I.real,
-                    rep.wv_pi_II.real,
-                    rep.wv_sigma_II.real,
-                    rep.shift_I,
-                    rep.shift_II,
-                    rep.postselect_prob,
-                )
-            )
+            record = qcc_report_dict(rep)
+            rows.append((float(g), *(record[c] for c in header[1:])))
     else:
         header = NEUTRON_SWEEP_HEADER
         magnetic = scenario == "neutron-magnetic"

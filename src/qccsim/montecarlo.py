@@ -19,7 +19,7 @@ from numpy.random import Generator, Philox
 
 from .errors import CapacityError, ValidationError
 from .neutron import AbsorberConfig, MagneticConfig, perturbed_intensity, reference_intensity
-from .pointer import GRID_HALF_WIDTHS, GaussianPointerState, density, mean_position
+from .pointer import GaussianPointerState, density, mean_position, support
 from .tolerances import MAX_TRIALS
 from .weakmeas import Observable, PrePostContext, couple_and_postselect
 
@@ -81,10 +81,7 @@ class EstimatorReport:
 
 def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
     """Inverse CDF of the normalized |phi_f(x)|^2 on a dense grid."""
-    w = pointer_final.width
-    lo = min(c.center for c in pointer_final.components) - GRID_HALF_WIDTHS * w
-    hi = max(c.center for c in pointer_final.components) + GRID_HALF_WIDTHS * w
-    xs = np.linspace(lo, hi, DENSITY_POINTS)
+    xs = np.linspace(*support(pointer_final), DENSITY_POINTS)
     dens = density(pointer_final, xs)
     segments = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(segments)))
@@ -96,7 +93,8 @@ def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
     return draw
 
 
-def _check_trial_count(n: int) -> None:
+def check_trial_count(n: int) -> None:
+    """The trial count rule: at least one trial, at most ``MAX_TRIALS``."""
     if n < 1:
         raise ValidationError(f"need at least one trial, got n={n}")
     if n > MAX_TRIALS:
@@ -125,7 +123,7 @@ def sample_trials(
     for any value because trial i derives all its randomness from
     counter block i of the seeded generator.
     """
-    _check_trial_count(n)
+    check_trial_count(n)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     result = couple_and_postselect(ctx, obs, phi0, g)
@@ -208,7 +206,7 @@ def sample_intensity_experiment(
     same counter-based stream; the count ratio estimates the exact
     intensity ratio with a delta-method standard error.
     """
-    _check_trial_count(n)
+    check_trial_count(n)
     p_ref = reference_intensity()
     p_pert = perturbed_intensity(cfg)
     u = _trial_uniforms(seed, 0, n)

@@ -168,6 +168,11 @@ def overlap(p: GaussianPointerState, q: GaussianPointerState) -> complex:
     return _pair_sum(p, q, component_overlap)
 
 
+def position_element(p: GaussianPointerState, q: GaussianPointerState) -> complex:
+    """Closed-form <p|x|q> including coefficients."""
+    return _pair_sum(p, q, component_position_element)
+
+
 def norm_sq(p: GaussianPointerState) -> float:
     """Closed-form squared norm; exact up to float rounding."""
     value = overlap(p, p).real
@@ -179,7 +184,7 @@ def mean_position(p: GaussianPointerState) -> float:
     n2 = norm_sq(p)
     if n2 <= 0.0:
         raise ValidationError("mean_position undefined for a zero-norm pointer state")
-    return _pair_sum(p, p, component_position_element).real / n2
+    return position_element(p, p).real / n2
 
 
 def mean_momentum(p: GaussianPointerState) -> float:
@@ -223,8 +228,7 @@ class GridPointerState:
         n = int(self.n_points)
         if not (math.isfinite(xmin) and math.isfinite(xmax)) or xmax <= xmin:
             raise ValidationError(f"bad grid domain [{xmin}, {xmax}]")
-        if n < 2 or n & (n - 1):
-            raise ValidationError(f"n_points must be a power of two >= 2, got {n}")
+        check_grid_points(n)
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size != n:
             raise ValidationError(f"amplitude array length {amps.size} != n_points {n}")
@@ -256,20 +260,31 @@ class GridPointerState:
         return float(np.trapezoid(dens, self.xs))
 
 
+def check_grid_points(n_points: int) -> None:
+    """The grid size rule: a power of two >= 2, at most ``MAX_AMPLITUDES`` points."""
+    if n_points > MAX_AMPLITUDES:
+        raise CapacityError(f"grid of {n_points} points exceeds limit {MAX_AMPLITUDES}")
+    if n_points < 2 or n_points & (n_points - 1):
+        raise ValidationError(f"point count must be a power of two >= 2, got {n_points}")
+
+
+def support(p: GaussianPointerState) -> tuple[float, float]:
+    """Domain (lo, hi) holding the superposition: its component span +- GRID_HALF_WIDTHS widths."""
+    w = p.width
+    centers = [c.center for c in p.components]
+    return min(centers) - GRID_HALF_WIDTHS * w, max(centers) + GRID_HALF_WIDTHS * w
+
+
 def to_grid(p: GaussianPointerState, xmin: float, xmax: float, n_points: int) -> GridPointerState:
     """Sample the superposition on [xmin, xmax] with ``n_points`` points.
 
-    The domain must cover every component center by at least eight
-    widths on each side; the trapezoidal norm is verified against the
-    closed form.
+    The domain must cover the pointer's :func:`support`; the trapezoidal
+    norm is verified against the closed form.
     """
     if not p.components:
         raise ValidationError("cannot grid-sample an empty pointer state")
-    if int(n_points) > MAX_AMPLITUDES:
-        raise CapacityError(f"grid of {n_points} points exceeds limit {MAX_AMPLITUDES}")
-    w = p.width
-    lo = min(c.center for c in p.components) - GRID_HALF_WIDTHS * w
-    hi = max(c.center for c in p.components) + GRID_HALF_WIDTHS * w
+    check_grid_points(int(n_points))
+    lo, hi = support(p)
     if xmin > lo or xmax < hi:
         raise ValidationError(
             f"domain [{xmin}, {xmax}] too small: need [{lo}, {hi}] "

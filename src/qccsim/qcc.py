@@ -17,12 +17,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .pointer import (
-    GaussianComponent,
     GaussianPointerState,
-    component_overlap,
-    component_position_element,
     make_gaussian,
     mean_position,
+    norm_sq,
+    overlap,
+    position_element,
+    translate,
 )
 from .qstate import SIGMA_X, StateVector, inner
 from .weakmeas import (
@@ -151,23 +152,32 @@ def _qcc_report(ctx: PrePostContext, cfg: QccConfig, phi0: GaussianPointerState,
     )
 
 
+def _couple_arms(
+    cfg: QccConfig, swap_spin_labels: bool
+) -> tuple[PrePostContext, GaussianPointerState, GaussianPointerState, GaussianPointerState]:
+    """The context, the initial pointer phi0 and the final pointers Phi_I,
+    Phi_II of one ordinary coupling per arm."""
+    ctx = build_prepost(swap_spin_labels)
+    phi0 = make_gaussian(0.0, cfg.pointer_width)
+    res_I = couple_and_postselect(ctx, arm_observable("I", cfg.observable_I), phi0, cfg.g_I)
+    res_II = couple_and_postselect(ctx, arm_observable("II", cfg.observable_II), phi0, cfg.g_II)
+    return ctx, phi0, res_I.pointer_final, res_II.pointer_final
+
+
 def run_ideal_qcc(cfg: QccConfig, swap_spin_labels: bool = False) -> QccReport:
     """Two separate single-pointer runs, one per arm, plus the weak values.
 
     Each arm couples its own pointer in its own run, which is the ideal
     protocol: the reported shifts are exact single-coupling results.
     """
-    ctx = build_prepost(swap_spin_labels)
-    phi0 = make_gaussian(0.0, cfg.pointer_width)
+    ctx, phi0, phi_I, phi_II = _couple_arms(cfg, swap_spin_labels)
     base = mean_position(phi0)
-    res_I = couple_and_postselect(ctx, arm_observable("I", cfg.observable_I), phi0, cfg.g_I)
-    res_II = couple_and_postselect(ctx, arm_observable("II", cfg.observable_II), phi0, cfg.g_II)
     return _qcc_report(
         ctx, cfg, phi0,
-        shift_I=mean_position(res_I.pointer_final) - base,
-        shift_II=mean_position(res_II.pointer_final) - base,
-        postselect_prob_I=res_I.postselect_prob_coupled,
-        postselect_prob_II=res_II.postselect_prob_coupled,
+        shift_I=mean_position(phi_I) - base,
+        shift_II=mean_position(phi_II) - base,
+        postselect_prob_I=norm_sq(phi_I),
+        postselect_prob_II=norm_sq(phi_II),
         joint=False,
     )
 
@@ -175,47 +185,27 @@ def run_ideal_qcc(cfg: QccConfig, swap_spin_labels: bool = False) -> QccReport:
 def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccReport:
     """Both couplings in one run on path (x) spin (x) pointer_I (x) pointer_II.
 
-    The two couplings commute (they act on disjoint arms and different
-    pointers), so the joint branch amplitude factorizes over the two
-    eigenbases; marginal shifts agree with the separate runs up to
-    terms of order g_I * g_II.
+    The arm observables are arm-local, so A_I A_II = 0 and the coupling
+    unitaries obey U_I U_II = U_I + U_II - 1 exactly: every cross term of
+    the product holds A_I A_II. The postselected two-pointer state is thus
+    Phi_I (x) phi0 + phi0 (x) Phi_II - <chi|psi> phi0 (x) phi0 at any coupling,
+    from the ideal run's two couplings. Marginal shifts agree with the
+    separate runs up to terms of order g_I * g_II.
     """
-    ctx = build_prepost(swap_spin_labels)
-    obs_I = arm_observable("I", cfg.observable_I)
-    obs_II = arm_observable("II", cfg.observable_II)
-    width = cfg.pointer_width
-
-    # Joint branch (k, l): coefficient <chi|a_k><a_k|b_l><b_l|psi>,
-    # pointer I shifted by g_I a_k, pointer II by g_II b_l.
-    branches: list[tuple[complex, GaussianComponent, GaussianComponent]] = []
-    for a_val, a_vec in zip(obs_I.eigvals, obs_I.eigvecs):
-        chi_a = inner(ctx.chi_f, a_vec)  # <chi|a_k>
-        for b_val, b_vec in zip(obs_II.eigvals, obs_II.eigvecs):
-            coeff = chi_a * inner(a_vec, b_vec) * inner(b_vec, ctx.psi_i)
-            branches.append(
-                (
-                    coeff,
-                    GaussianComponent(1.0, cfg.g_I * a_val, width, 0.0),
-                    GaussianComponent(1.0, cfg.g_II * b_val, width, 0.0),
-                )
-            )
-
-    norm2 = 0.0
-    x_i = 0.0
-    x_ii = 0.0
-    for ca, ua, va in branches:
-        for cb, ub, vb in branches:
-            w = (ca.conjugate() * cb)
-            o_i = component_overlap(ua, ub)
-            o_ii = component_overlap(va, vb)
-            norm2 += (w * o_i * o_ii).real
-            x_i += (w * component_position_element(ua, ub) * o_ii).real
-            x_ii += (w * o_i * component_position_element(va, vb)).real
+    ctx, phi0, phi_I, phi_II = _couple_arms(cfg, swap_spin_labels)
+    identity_term = translate(phi0, 0.0, -inner(ctx.chi_f, ctx.psi_i))
+    terms = ((phi_I, phi0), (phi0, phi_II), (identity_term, phi0))
+    norm2 = x_i = x_ii = 0.0
+    for p_s, q_s in terms:
+        for p_t, q_t in terms:
+            o_i, o_ii = overlap(p_s, p_t), overlap(q_s, q_t)
+            norm2 += (o_i * o_ii).real
+            x_i += (position_element(p_s, p_t) * o_ii).real
+            x_ii += (o_i * position_element(q_s, q_t)).real
     if norm2 <= 0.0:
         raise ValidationError("joint postselection has zero probability")
-
     return _qcc_report(
-        ctx, cfg, make_gaussian(0.0, width),
+        ctx, cfg, phi0,
         shift_I=x_i / norm2,
         shift_II=x_ii / norm2,
         postselect_prob_I=norm2,

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qccsim import cli
 from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
 
@@ -289,12 +290,23 @@ class TestExitCodes:
         assert "M" in json.loads(err)["error"]["message"]
 
     def test_capacity_failure_exits_four(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "weak-value", "--context", "qcc-pi-I", "--g", "0.01",
-            "--grid-points", str(2**21), "--csv", str(tmp_path / "grid.csv"),
-        )
-        assert code == 4
-        assert json.loads(err)["error"]["type"] == "CapacityError"
+        for extra in ((), ("--validate-only",)):
+            code, _, err = run_cli(
+                capsys, "weak-value", "--context", "qcc-pi-I", "--g", "0.01",
+                "--grid-points", str(2**21), "--csv", str(tmp_path / "grid.csv"), *extra,
+            )
+            assert code == 4
+            assert json.loads(err)["error"]["type"] == "CapacityError"
+
+    def test_grid_points_not_a_power_of_two_exits_three(self, capsys, tmp_path):
+        argv = ("weak-value", "--grid-points", "3", "--csv", str(tmp_path / "grid.csv"))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "grid_points: point count must be a power of two" in json.loads(err)["error"]["message"]
+        code, out, _ = run_cli(capsys, *argv, "--validate-only")
+        assert code == 3
+        assert [v.split(":")[0] for v in json.loads(out)["violations"]] == ["grid_points"]
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_oversized_sweep_range_exits_four(self, capsys):
         # --validate-only parses the range without sweeping it.
@@ -306,9 +318,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode", MC_MODES)
     def test_oversized_trial_count_exits_four(self, capsys, mode):
-        code, _, err = run_cli(capsys, "montecarlo", "--mode", mode, "--n", str(10**12))
-        assert code == 4
-        assert json.loads(err)["error"]["type"] == "CapacityError"
+        for extra in ((), ("--validate-only",)):
+            code, _, err = run_cli(capsys, "montecarlo", "--mode", mode, "--n", str(10**12), *extra)
+            assert code == 4
+            assert json.loads(err)["error"]["type"] == "CapacityError"
 
     def test_numerical_failure_exits_five(self, capsys):
         code, _, err = run_cli(capsys, "weak-value", "--context", "orthogonal", "--g", "0.01")
@@ -377,6 +390,18 @@ class TestMonteCarloCli:
         assert code == 0
         assert json.loads(out)["results"]["inferred_from_counts"] is None
 
+    @pytest.mark.parametrize(
+        "context", [("--context", "orthogonal"), ("--context", "anomalous", "--tan-theta", "1e200")]
+    )
+    def test_orthogonal_postselection_exits_five_before_sampling(self, capsys, monkeypatch, context):
+        sampled = []
+        monkeypatch.setattr(cli, "sample_trials", lambda *args, **kwargs: sampled.append(args))
+        for argv in (("montecarlo", *context, "--n", "1000"), ("weak-value", *context)):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 5
+            assert json.loads(err)["error"]["type"] == "OrthogonalPostselection"
+        assert sampled == []
+
     def test_intensity_absorber_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "montecarlo", "--mode", "intensity-absorber", "--arm", "I",
@@ -391,7 +416,7 @@ class TestMonteCarloCli:
 TABLE_ENTRIES = [(name, param) for name, spec in SCENARIO_TABLE.items() for param in spec.params]
 # Cheap valid runs whose records echo every parameter of the scenario.
 RECORD_ARGS = {"montecarlo": ("--n", "10"), "sweep": ("--scenario", "neutron-absorber", "--M", "0:0.1:2")}
-WRONG_TYPED = {"float": "abc", "int": "abc", "choice": [0], "switch": "yes", "range": 5}
+WRONG_TYPED = {"float": ("abc", True), "int": ("abc",), "choice": ([0],), "switch": ("yes",), "range": (5,)}
 
 
 def scenario_parser(scenario: str) -> argparse.ArgumentParser:
@@ -416,16 +441,17 @@ def test_table_entry_drives_flag_config_record_and_check(capsys, tmp_path, scena
 
     assert list(record_config(scenario)).index(param.name) == SCENARIO_TABLE[scenario].params.index(param)
 
-    config = {param.name: WRONG_TYPED[param.kind]}
-    if param.when is not None:
-        config[param.when[0]] = param.when[1][0]
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(config))
-    code, out, _ = run_cli(capsys, scenario, "--config", str(path), "--validate-only")
-    assert code == 3
-    violations = json.loads(out)["violations"]
-    assert not any("unknown parameter" in v for v in violations)
-    assert len([v for v in violations if v.startswith(f"{param.name}:")]) == 1
+    for wrong in WRONG_TYPED[param.kind]:
+        config = {param.name: wrong}
+        if param.when is not None:
+            config[param.when[0]] = param.when[1][0]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, scenario, "--config", str(path), "--validate-only")
+        assert code == 3
+        violations = json.loads(out)["violations"]
+        assert not any("unknown parameter" in v for v in violations)
+        assert len([v for v in violations if v.startswith(f"{param.name}:")]) == 1
 
 
 def test_console_entry_point_runs():

@@ -16,6 +16,7 @@ from qccsim.pointer import (
     mean_position,
     norm_sq,
     overlap,
+    position_element,
     superpose,
     to_grid,
     translate,
@@ -23,6 +24,7 @@ from qccsim.pointer import (
 
 from oracles import (
     gaussian_amplitude,
+    quadrature_grid,
     quadrature_mean_momentum,
     quadrature_mean_position,
     quadrature_norm_sq,
@@ -108,6 +110,20 @@ class TestMeanPosition:
         empty = GaussianPointerState(())
         with pytest.raises(ValidationError):
             mean_position(empty)
+
+
+class TestPositionElement:
+    def test_cross_element_matches_quadrature(self):
+        p_args = ((0.6, 0.8j), (-0.7, 1.1), 1.0, (0.3, -0.2))
+        q_args = ((1.0 - 0.5j, 0.4), (0.2, 2.0), 1.0, (0.0, 0.5))
+        xs = quadrature_grid(p_args[1] + q_args[1], 1.0)
+        f_p = gaussian_amplitude(xs, *p_args)
+        f_q = gaussian_amplitude(xs, *q_args)
+        expected = np.trapezoid(f_p.conj() * xs * f_q, xs)
+        p, q = two_component(*p_args), two_component(*q_args)
+        assert abs(expected) > 0.1
+        assert position_element(p, q) == pytest.approx(expected, abs=1e-10)
+        assert position_element(q, p) == pytest.approx(expected.conjugate(), abs=1e-10)
 
 
 class TestMeanMomentum:

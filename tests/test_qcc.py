@@ -1,5 +1,6 @@
 """Cheshire Cat configuration: weak-value signature and pointer shifts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from qccsim.errors import ValidationError
 from qccsim.pointer import GaussianComponent, component_overlap, component_position_element
 from qccsim.qcc import (
+    OBSERVABLE_TAGS,
     QccConfig,
     arm_observable,
     build_prepost,
@@ -49,6 +51,14 @@ class TestBuildPrepost:
         assert arm_observable("I", "projector").eigvals == pytest.approx(
             sorted([1.0, 1.0, 0.0, 0.0]), abs=1e-14
         )
+
+    def test_arm_observables_annihilate_each_other(self):
+        # The joint run's U_I U_II = U_I + U_II - 1 rests on A_I A_II = 0.
+        for tag_I, tag_II in itertools.product(OBSERVABLE_TAGS, repeat=2):
+            a_I = arm_observable("I", tag_I).op.entries
+            a_II = arm_observable("II", tag_II).op.entries
+            assert not np.any(a_I @ a_II)
+            assert not np.any(a_II @ a_I)
 
     def test_bad_arm_and_tag_rejected(self):
         with pytest.raises(ValidationError):
@@ -152,10 +162,10 @@ class TestIdealRun:
             QccConfig(pointer_width=0.0)
 
 
-def joint_oracle(cfg: QccConfig, reverse: bool):
+def joint_oracle(cfg: QccConfig, reverse: bool, swap: bool = False):
     """Joint two-pointer marginals with the couplings factored in either
     order; commuting couplings must give identical results."""
-    ctx = build_prepost()
+    ctx = build_prepost(swap)
     psi_w, chi_w = ctx.psi_i, ctx.chi_f
     obs_I = arm_observable("I", cfg.observable_I)
     obs_II = arm_observable("II", cfg.observable_II)
@@ -200,12 +210,21 @@ class TestJointRun:
         assert abs(joint.shift_I - ideal.shift_I) <= bound
         assert abs(joint.shift_II - ideal.shift_II) <= bound
 
-    def test_coupling_order_is_immaterial(self):
-        cfg = QccConfig(g_I=0.04, g_II=0.03)
-        forward = joint_oracle(cfg, reverse=False)
-        backward = joint_oracle(cfg, reverse=True)
+    @pytest.mark.parametrize(
+        "observable_I, observable_II, swap, g_I, g_II",
+        [
+            (*tags, swap, *g)
+            for tags in itertools.product(OBSERVABLE_TAGS, repeat=2)
+            for swap in (False, True)
+            for g in ((0.04, 0.03), (0.5, 0.5), (2.0, -1.3))
+        ],
+    )
+    def test_coupling_order_is_immaterial(self, observable_I, observable_II, swap, g_I, g_II):
+        cfg = QccConfig(observable_I, observable_II, g_I, g_II)
+        forward = joint_oracle(cfg, reverse=False, swap=swap)
+        backward = joint_oracle(cfg, reverse=True, swap=swap)
         assert forward == pytest.approx(backward, abs=1e-12)
-        joint = run_joint_pointers(cfg)
+        joint = run_joint_pointers(cfg, swap_spin_labels=swap)
         assert joint.shift_I == pytest.approx(forward[0], abs=1e-12)
         assert joint.shift_II == pytest.approx(forward[1], abs=1e-12)
         assert joint.postselect_prob_I == pytest.approx(forward[2], abs=1e-14)
