@@ -54,6 +54,7 @@ from .qcc import (
     QccConfig,
     QccReport,
     arm_observable,
+    arm_table,
     build_prepost,
     run_ideal_qcc,
     run_joint_pointers,
@@ -70,12 +71,14 @@ from .qstate import (
     tensor,
 )
 from .weakmeas import (
+    BranchTable,
     ExpectationDecomposition,
     LinearResponseReport,
     Observable,
     PrePostContext,
     ValidityReport,
     WeakMeasurementResult,
+    branch_table,
     couple_and_postselect,
     expectation_decomposition_check,
     linear_response_report,

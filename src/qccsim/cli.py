@@ -42,7 +42,7 @@ from .neutron import (
     intensity_magnetic,
     systematic_term_report,
 )
-from .pointer import check_grid_points, make_gaussian, norm_sq, support, to_grid
+from .pointer import check_grid_points, make_gaussian, support, to_grid
 from .qcc import (
     OBSERVABLE_TAGS,
     QccConfig,
@@ -65,15 +65,7 @@ from .serialize import (
     write_trials_csv,
 )
 from .tolerances import MAX_AMPLITUDES
-from .weakmeas import (
-    Observable,
-    PrePostContext,
-    couple_and_postselect,
-    linear_response_report,
-    make_observable,
-    validity_margin,
-    weak_value,
-)
+from .weakmeas import Observable, PrePostContext, branch_table, make_observable
 
 OUTDIR_ENV = "QCCSIM_OUTDIR"
 
@@ -369,7 +361,7 @@ def _problem(param: Param, params: dict) -> str | None:
             value = float(raw)
         except (TypeError, ValueError):
             value = None
-        if value is None or isinstance(raw, bool):  # float(True) succeeds
+        if value is None or isinstance(raw, (bool, str)):  # float(True), float("0.5") succeed
             return f"must be a number, got {raw!r}"
         if not math.isfinite(value):
             return f"must be finite, got {value!r}"
@@ -419,13 +411,12 @@ def _qcc_config(params: dict) -> QccConfig:
 
 
 def run_weak_value(params: dict, csv_path: Path | None) -> dict:
-    ctx, obs = build_context(params["context"], params["tan_theta"])
+    table = branch_table(*build_context(params["context"], params["tan_theta"]))
+    table.weak_value()  # an orthogonal postselection raises before coupling
     phi0 = make_gaussian(0.0, params["pointer_width"])
-    result = couple_and_postselect(ctx, obs, phi0, params["g"])
-    linear = linear_response_report(ctx, obs, phi0, params["g"])
-    validity = validity_margin(ctx, obs, phi0, params["g"])
+    result = table.couple(phi0, params["g"])
     out = {"context": params["context"]}
-    out.update(weak_measurement_dict(result, linear, validity))
+    out.update(weak_measurement_dict(result, table.linear_response(result), table.validity(phi0, params["g"])))
     if csv_path is not None:
         lo, hi = support(result.pointer_final)
         xmin = lo if params["grid_xmin"] is None else params["grid_xmin"]
@@ -458,18 +449,17 @@ def run_neutron_magnetic(params: dict) -> dict:
 def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
     n, seed = params["n"], params["seed"]
     if params["mode"] == "pointer":
-        ctx, obs = build_context(params["context"], params["tan_theta"])
-        wv = weak_value(ctx, obs)  # an orthogonal postselection raises before sampling
+        table = branch_table(*build_context(params["context"], params["tan_theta"]))
+        wv = table.weak_value()  # an orthogonal postselection raises before sampling
         phi0 = make_gaussian(0.0, params["pointer_width"])
-        batch = sample_trials(ctx, obs, phi0, params["g"], n, seed, workers=params["workers"])
-        estimator = estimate_weak_value(batch, phi0, params["g"])
-        exact = couple_and_postselect(ctx, obs, phi0, params["g"])
+        exact = table.couple(phi0, params["g"])
+        batch = sample_trials(exact, n, seed, workers=params["workers"])
         out = {
             "mode": "pointer",
             "context": params["context"],
-            "estimator": estimator_report_dict(estimator),
+            "estimator": estimator_report_dict(estimate_weak_value(batch, phi0, params["g"])),
             "exact_weak_value_re": wv.real,
-            "exact_postselect_prob": norm_sq(exact.pointer_final),
+            "exact_postselect_prob": exact.postselect_prob_coupled,
         }
         if csv_path is not None:
             write_trials_csv(batch, csv_path)
@@ -481,7 +471,7 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
     else:
         cfg = MagneticConfig(params["arm"], params["alpha"])
         exact_report = intensity_magnetic(cfg)
-    counts = sample_intensity_experiment(cfg, n, seed)
+    counts = sample_intensity_experiment(exact_report, n, seed)
     try:
         inferred = infer_weak_value(cfg, counts.ratio)
     except NegativeRadicand:
@@ -495,27 +485,25 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
 
 
 def run_sweep(params: dict, csv_path: Path | None) -> dict:
+    """One run over the whole swept array: its rows equal single runs at each value."""
     scenario = params["sweep_scenario"]
-    rows: list[tuple] = []
     if scenario == "qcc":
         values = parse_range(params["g"])
         header = QCC_SWEEP_HEADER
-        for g in values:
-            rep = run_ideal_qcc(_qcc_config({**params, "g_I": float(g), "g_II": float(g)}))
-            record = qcc_report_dict(rep)
-            rows.append((float(g), *(record[c] for c in header[1:])))
+        record = qcc_report_dict(run_ideal_qcc(_qcc_config({**params, "g_I": values, "g_II": values})))
+        columns = [values, *(record[c] for c in header[1:])]
     else:
         header = NEUTRON_SWEEP_HEADER
-        magnetic = scenario == "neutron-magnetic"
-        values = parse_range(params["alpha"] if magnetic else params["M"])
-        for value in values:
-            if magnetic:
-                rep = intensity_magnetic(MagneticConfig(params["arm"], float(value)))
-                predicted = rep.second_order_prediction
-            else:
-                rep = intensity_absorber(AbsorberConfig(params["arm"], float(value)))
-                predicted = rep.first_order_prediction
-            rows.append((float(value), rep.ratio, predicted, rep.inferred_weak_value, rep.expansion_error))
+        if scenario == "neutron-magnetic":
+            values = parse_range(params["alpha"])
+            rep = intensity_magnetic(MagneticConfig(params["arm"], values))
+            predicted = rep.second_order_prediction
+        else:
+            values = parse_range(params["M"])
+            rep = intensity_absorber(AbsorberConfig(params["arm"], values))
+            predicted = rep.first_order_prediction
+        columns = [values, rep.ratio, predicted, rep.inferred_weak_value, rep.expansion_error]
+    rows = list(zip(*(np.broadcast_to(column, values.shape).tolist() for column in columns)))
     out = {
         "swept_scenario": scenario,
         "columns": list(header),

@@ -18,10 +18,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import CapacityError, ValidationError
-from .neutron import AbsorberConfig, MagneticConfig, perturbed_intensity, reference_intensity
+from .neutron import IntensityReport
 from .pointer import GaussianPointerState, density, mean_position, support
 from .tolerances import MAX_TRIALS
-from .weakmeas import Observable, PrePostContext, couple_and_postselect
+from .weakmeas import WeakMeasurementResult
 
 DENSITY_POINTS = 4096
 
@@ -108,17 +108,12 @@ def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return Generator(bits).random((count, DRAWS_PER_TRIAL))
 
 
-def sample_trials(
-    ctx: PrePostContext,
-    obs: Observable,
-    phi0: GaussianPointerState,
-    g: float,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> TrialBatch:
-    """Sample n trials of the coupled pre/postselected run.
+def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: int = 1) -> TrialBatch:
+    """Sample n trials of a coupled pre/postselected run.
 
+    ``coupled`` is the exact run (see
+    :func:`~qccsim.weakmeas.couple_and_postselect`): its coupled
+    probability drives postselection and its final pointer the readout.
     ``workers`` only sets the execution layout; results are identical
     for any value because trial i derives all its randomness from
     counter block i of the seeded generator.
@@ -126,11 +121,10 @@ def sample_trials(
     check_trial_count(n)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    result = couple_and_postselect(ctx, obs, phi0, g)
-    p_post = min(max(result.postselect_prob_coupled, 0.0), 1.0)
+    p_post = min(max(coupled.postselect_prob_coupled, 0.0), 1.0)
     draw = (
-        _tabulated_inverse_cdf(result.pointer_final)
-        if p_post > 0.0 and result.pointer_final.components
+        _tabulated_inverse_cdf(coupled.pointer_final)
+        if p_post > 0.0 and coupled.pointer_final.components
         else None
     )
 
@@ -197,18 +191,18 @@ class IntensityCounts:
     seed: int
 
 
-def sample_intensity_experiment(
-    cfg: AbsorberConfig | MagneticConfig, n: int, seed: int
-) -> IntensityCounts:
+def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> IntensityCounts:
     """Bernoulli sampling of reference and perturbed detections.
 
-    Both runs use n trials each, with independent uniforms from the
-    same counter-based stream; the count ratio estimates the exact
-    intensity ratio with a delta-method standard error.
+    Detection probabilities are the exact intensities of one run's
+    report (``intensity_absorber`` or ``intensity_magnetic``). Both runs
+    use n trials each, with independent uniforms from the same
+    counter-based stream; the count ratio estimates the exact intensity
+    ratio with a delta-method standard error.
     """
     check_trial_count(n)
-    p_ref = reference_intensity()
-    p_pert = perturbed_intensity(cfg)
+    p_ref = exact.i0
+    p_pert = exact.i_perturbed
     u = _trial_uniforms(seed, 0, n)
     n_ref = int(np.sum(u[:, 0] < p_ref))
     n_pert = int(np.sum(u[:, 1] < p_pert))

@@ -16,24 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .pointer import (
-    GaussianPointerState,
-    make_gaussian,
-    mean_position,
-    norm_sq,
-    overlap,
-    position_element,
-    translate,
-)
-from .qstate import SIGMA_X, StateVector, inner
-from .weakmeas import (
-    Observable,
-    PrePostContext,
-    couple_and_postselect,
-    make_observable,
-    validity_margin,
-    weak_value,
-)
+from .pointer import make_gaussian, overlap, position_element, translate
+from .qstate import SIGMA_X, StateVector
+from .weakmeas import BranchTable, Observable, PrePostContext, branch_table, make_observable
 
 SYSTEM_LABELS = ("path", "spin")
 ARMS = ("I", "II")
@@ -89,20 +74,37 @@ def _prepost(swap_spin_labels: bool) -> PrePostContext:
     )
 
 
+def arm_table(arm: str, tag: str, swap_spin_labels: bool = False) -> BranchTable:
+    """Branch table of an arm observable in the Cheshire Cat context.
+
+    Built once per (arm, tag, variant): every call returns the same object.
+    """
+    return _arm_table(arm, tag, bool(swap_spin_labels))
+
+
+@functools.cache
+def _arm_table(arm: str, tag: str, swap_spin_labels: bool) -> BranchTable:
+    return branch_table(build_prepost(swap_spin_labels), arm_observable(arm, tag))
+
+
 @dataclass(frozen=True)
 class QccConfig:
-    """Couplings and observables for one Cheshire Cat run."""
+    """Couplings and observables for one Cheshire Cat run.
+
+    ``g_I`` and ``g_II`` may also be arrays of one shape: the config then
+    describes a sweep, and :func:`run_ideal_qcc` reports arrays.
+    """
 
     observable_I: str = "projector"
     observable_II: str = "sigma_x"
-    g_I: float = 0.02
-    g_II: float = 0.02
+    g_I: float | np.ndarray = 0.02
+    g_II: float | np.ndarray = 0.02
     pointer_width: float = 1.0
 
     def __post_init__(self) -> None:
         if self.observable_I not in OBSERVABLE_TAGS or self.observable_II not in OBSERVABLE_TAGS:
             raise ValidationError(f"observable tags must be in {OBSERVABLE_TAGS}")
-        if not (math.isfinite(self.g_I) and math.isfinite(self.g_II)):
+        if not (np.all(np.isfinite(self.g_I)) and np.all(np.isfinite(self.g_II))):
             raise ValidationError("couplings must be finite")
         if not (math.isfinite(self.pointer_width) and self.pointer_width > 0.0):
             raise ValidationError(f"pointer_width must be positive, got {self.pointer_width}")
@@ -116,6 +118,8 @@ class QccReport:
     postselection. ``postselect_prob_I``/``postselect_prob_II`` are the
     exact probabilities including the coupling: per arm for separate
     runs, both equal to the joint probability when ``joint`` is set.
+    For a sweep config the shift, probability and warning fields are
+    arrays over the couplings.
     """
 
     wv_pi_I: complex
@@ -132,52 +136,43 @@ class QccReport:
     joint: bool
 
 
-def _qcc_report(ctx: PrePostContext, cfg: QccConfig, phi0: GaussianPointerState, **measured) -> QccReport:
+def _qcc_report(cfg: QccConfig, swap_spin_labels: bool, **measured) -> QccReport:
     """A run's ``measured`` shifts, coupled probabilities and ``joint`` flag, plus
     the four weak values, unperturbed postselection and weak-regime flag."""
-    amp = inner(ctx.chi_f, ctx.psi_i)
-    margins = (
-        validity_margin(ctx, arm_observable("I", cfg.observable_I), phi0, cfg.g_I).margin,
-        validity_margin(ctx, arm_observable("II", cfg.observable_II), phi0, cfg.g_II).margin,
-    )
+    table = functools.partial(arm_table, swap_spin_labels=swap_spin_labels)
+    phi0 = make_gaussian(0.0, cfg.pointer_width)
+    margin_I = table("I", cfg.observable_I).validity(phi0, cfg.g_I).margin
+    margin_II = table("II", cfg.observable_II).validity(phi0, cfg.g_II).margin
+    amp = table("I", "projector").overlap
     return QccReport(
-        wv_pi_I=weak_value(ctx, arm_observable("I", "projector")),
-        wv_sigma_I=weak_value(ctx, arm_observable("I", "sigma_x")),
-        wv_pi_II=weak_value(ctx, arm_observable("II", "projector")),
-        wv_sigma_II=weak_value(ctx, arm_observable("II", "sigma_x")),
+        wv_pi_I=table("I", "projector").weak_value(),
+        wv_sigma_I=table("I", "sigma_x").weak_value(),
+        wv_pi_II=table("II", "projector").weak_value(),
+        wv_sigma_II=table("II", "sigma_x").weak_value(),
         postselect_amp=amp,
         postselect_prob=abs(amp) ** 2,
-        margin_warning=any(m >= WEAK_MARGIN_WARN for m in margins),
+        margin_warning=(margin_I >= WEAK_MARGIN_WARN) | (margin_II >= WEAK_MARGIN_WARN),
         **measured,
     )
-
-
-def _couple_arms(
-    cfg: QccConfig, swap_spin_labels: bool
-) -> tuple[PrePostContext, GaussianPointerState, GaussianPointerState, GaussianPointerState]:
-    """The context, the initial pointer phi0 and the final pointers Phi_I,
-    Phi_II of one ordinary coupling per arm."""
-    ctx = build_prepost(swap_spin_labels)
-    phi0 = make_gaussian(0.0, cfg.pointer_width)
-    res_I = couple_and_postselect(ctx, arm_observable("I", cfg.observable_I), phi0, cfg.g_I)
-    res_II = couple_and_postselect(ctx, arm_observable("II", cfg.observable_II), phi0, cfg.g_II)
-    return ctx, phi0, res_I.pointer_final, res_II.pointer_final
 
 
 def run_ideal_qcc(cfg: QccConfig, swap_spin_labels: bool = False) -> QccReport:
     """Two separate single-pointer runs, one per arm, plus the weak values.
 
     Each arm couples its own pointer in its own run, which is the ideal
-    protocol: the reported shifts are exact single-coupling results.
+    protocol: the reported shifts are exact single-coupling results. A
+    sweep config is evaluated over all its couplings at once.
     """
-    ctx, phi0, phi_I, phi_II = _couple_arms(cfg, swap_spin_labels)
-    base = mean_position(phi0)
+    swap = bool(swap_spin_labels)
+    phi0 = make_gaussian(0.0, cfg.pointer_width)
+    shift_I, prob_I = arm_table("I", cfg.observable_I, swap).readout(phi0, cfg.g_I)
+    shift_II, prob_II = arm_table("II", cfg.observable_II, swap).readout(phi0, cfg.g_II)
     return _qcc_report(
-        ctx, cfg, phi0,
-        shift_I=mean_position(phi_I) - base,
-        shift_II=mean_position(phi_II) - base,
-        postselect_prob_I=norm_sq(phi_I),
-        postselect_prob_II=norm_sq(phi_II),
+        cfg, swap,
+        shift_I=shift_I,
+        shift_II=shift_II,
+        postselect_prob_I=prob_I,
+        postselect_prob_II=prob_II,
         joint=False,
     )
 
@@ -192,8 +187,14 @@ def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccRep
     from the ideal run's two couplings. Marginal shifts agree with the
     separate runs up to terms of order g_I * g_II.
     """
-    ctx, phi0, phi_I, phi_II = _couple_arms(cfg, swap_spin_labels)
-    identity_term = translate(phi0, 0.0, -inner(ctx.chi_f, ctx.psi_i))
+    if np.ndim(cfg.g_I) or np.ndim(cfg.g_II):
+        raise ValidationError("a joint run takes scalar couplings")
+    swap = bool(swap_spin_labels)
+    phi0 = make_gaussian(0.0, cfg.pointer_width)
+    table_I = arm_table("I", cfg.observable_I, swap)
+    phi_I = table_I.pointer(phi0, cfg.g_I)
+    phi_II = arm_table("II", cfg.observable_II, swap).pointer(phi0, cfg.g_II)
+    identity_term = translate(phi0, 0.0, -table_I.overlap)
     terms = ((phi_I, phi0), (phi0, phi_II), (identity_term, phi0))
     norm2 = x_i = x_ii = 0.0
     for p_s, q_s in terms:
@@ -205,7 +206,7 @@ def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccRep
     if norm2 <= 0.0:
         raise ValidationError("joint postselection has zero probability")
     return _qcc_report(
-        ctx, cfg, phi0,
+        cfg, swap,
         shift_I=x_i / norm2,
         shift_II=x_ii / norm2,
         postselect_prob_I=norm2,

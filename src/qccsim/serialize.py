@@ -87,43 +87,24 @@ def complex_fields(prefix: str, z: complex | None) -> dict:
 
 
 def weak_measurement_dict(
-    result: WeakMeasurementResult,
-    linear: LinearResponseReport | None = None,
-    validity: ValidityReport | None = None,
+    result: WeakMeasurementResult, linear: LinearResponseReport, validity: ValidityReport
 ) -> dict:
-    out = {}
-    out.update(complex_fields("weak_value", result.weak_value))
-    out.update(complex_fields("transition", result.transition_element))
-    out["postselect_prob"] = result.postselect_prob_unperturbed
-    out["postselect_prob_coupled"] = result.postselect_prob_coupled
-    out["g"] = result.g
-    if linear is not None:
-        out["exact_shift"] = linear.exact_shift
-        out["predicted_shift"] = linear.predicted_shift
-        out["abs_error"] = linear.abs_error
-        out["ratio"] = linear.ratio
-    if validity is not None:
-        out["validity_margin"] = validity.margin
-        out["validity_first_order"] = validity.first_order
-        out["validity_second_order"] = validity.second_order
-        out["validity_dominance_ratio"] = validity.dominance_ratio
-    return out
+    return {
+        **complex_fields("weak_value", result.weak_value),
+        **complex_fields("transition", result.transition_element),
+        "postselect_prob": result.postselect_prob_unperturbed,
+        "postselect_prob_coupled": result.postselect_prob_coupled,
+        "g": result.g,
+        **vars(linear),
+        **{f"validity_{name}": value for name, value in vars(validity).items()},
+    }
 
 
 def qcc_report_dict(report: QccReport) -> dict:
+    """The report's fields in order, complex ones as ``_re``/``_im`` pairs."""
     out = {}
-    out.update(complex_fields("wv_pi_I", report.wv_pi_I))
-    out.update(complex_fields("wv_sigma_I", report.wv_sigma_I))
-    out.update(complex_fields("wv_pi_II", report.wv_pi_II))
-    out.update(complex_fields("wv_sigma_II", report.wv_sigma_II))
-    out["shift_I"] = report.shift_I
-    out["shift_II"] = report.shift_II
-    out.update(complex_fields("postselect_amp", report.postselect_amp))
-    out["postselect_prob"] = report.postselect_prob
-    out["postselect_prob_I"] = report.postselect_prob_I
-    out["postselect_prob_II"] = report.postselect_prob_II
-    out["margin_warning"] = report.margin_warning
-    out["joint"] = report.joint
+    for name, value in vars(report).items():
+        out.update(complex_fields(name, value) if isinstance(value, complex) else {name: value})
     return out
 
 

@@ -4,24 +4,22 @@ The coupling is impulsive: g stands for the time-integrated strength.
 It is applied through the spectral decomposition of the observable, so
 each eigenbranch translates the pointer exactly and results carry no
 weak-coupling or discretization approximation.
+
+A (context, observable) pair reduces to one :class:`BranchTable`. Its
+readouts are closed forms in g, evaluated over a whole array of
+couplings at once; a single run is the same kernel at one point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import OrthogonalPostselection, ValidationError
-from .pointer import (
-    GaussianPointerState,
-    mean_position,
-    norm_sq,
-    superpose,
-    translate,
-)
+from .pointer import GaussianPointerState, mean_position, superpose, translate
 from .qstate import Operator, StateVector, apply, inner
 from .tolerances import TOL
 
@@ -105,12 +103,41 @@ class PrePostContext:
             raise ValidationError("psi_i and chi_f must live on the same labeled space")
 
 
+def elementwise(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """``fn`` entry by entry, e.g. ``math.exp``: it rounds as scalar code does,
+    where numpy's vectorized exp, cos and pow can differ in the last bit."""
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
+
+
+def squared(values: np.ndarray, quantity: str, name: str) -> np.ndarray:
+    """``values**2`` entry by entry; an overflow names the quantity and the value."""
+
+    def square(v: float) -> float:
+        try:
+            return v**2
+        except OverflowError:
+            raise OverflowError(f"{quantity} overflows: {name}**2 at {name}={v!r}") from None
+
+    return elementwise(square, values)
+
+
+def pointwise(param, cls, **fields):
+    """``cls(**fields)``: array fields over the entries of ``param``, or Python
+    scalars when ``param`` is a scalar (one run, not a sweep)."""
+    if np.ndim(param) == 0:
+        fields = {k: v.item() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    return cls(**fields)
+
+
 @dataclass(frozen=True)
 class WeakMeasurementResult:
     """Outcome of one coupled pre/postselected run.
 
     ``weak_value`` is None when the postselection overlap is numerically
     orthogonal; the transition element stays defined either way.
+    ``postselect_prob_coupled`` is the exact postselection probability
+    including the coupling, ``exact_shift`` the exact mean-position
+    shift of the postselected pointer (NaN when that probability is 0).
     """
 
     weak_value: complex | None
@@ -118,21 +145,51 @@ class WeakMeasurementResult:
     postselect_prob_unperturbed: float
     pointer_final: GaussianPointerState
     g: float
-
-    @property
-    def postselect_prob_coupled(self) -> float:
-        """Exact postselection probability including the coupling."""
-        return norm_sq(self.pointer_final)
+    postselect_prob_coupled: float
+    exact_shift: float
 
 
-class _Evaluation(NamedTuple):
-    """One (context, observable) pair evaluated at the coupling time."""
+@dataclass(frozen=True)
+class LinearResponseReport:
+    """Exact pointer shift against the first-order law g * Re(A^w)."""
 
-    psi: StateVector
-    chi: StateVector
-    a_psi: StateVector  # A|psi>
+    exact_shift: float
+    predicted_shift: float
+    abs_error: float
+    ratio: float
+
+
+@dataclass(frozen=True)
+class ValidityReport:
+    """How deep a coupling sits in the linear-response regime.
+
+    ``margin`` is |g| * |A^w| / (2 sigma), using the Gaussian momentum
+    spread 1/(2 sigma); values well below 1 mark the weak regime.
+    ``dominance_ratio`` compares the second-order term of the coupled
+    overlap expansion, (g^2/2) |(A^2)^w| * ||P^2 phi0||, against the
+    first-order one. Fields are arrays over an array of couplings.
+    """
+
+    margin: float
+    first_order: float
+    second_order: float
+    dominance_ratio: float
+
+
+class BranchTable(NamedTuple):
+    """One (context, observable) pair, reduced to what every readout needs.
+
+    ``eigvals`` are the distinct eigenvalues a_k in eigenvector order, and
+    ``coeffs`` their nonzero branch amplitudes c_k = <chi|a_k><a_k|psi>,
+    summed over degenerate eigenvectors as superpose merges them.
+    ``transition`` is <chi|A|psi>, a vdot of chi with A|psi>.
+    """
+
+    eigvals: tuple[float, ...]
+    coeffs: tuple[complex, ...]
     overlap: complex  # <chi|psi>
-    transition: complex  # <chi|A|psi>
+    transition: complex
+    transition_sq: complex
 
     @property
     def orthogonal(self) -> bool:
@@ -146,25 +203,130 @@ class _Evaluation(NamedTuple):
             )
         return self.transition / self.overlap
 
+    def pointer(self, phi0: GaussianPointerState, g: float) -> GaussianPointerState:
+        """The postselected pointer sum_k c_k phi0(x - g a_k), exact at any coupling."""
+        return superpose(translate(phi0, g * a, c) for a, c in zip(self.eigvals, self.coeffs))
 
-def _evaluate(ctx: PrePostContext, obs: Observable) -> _Evaluation:
+    @np.errstate(all="ignore")
+    def readout(self, phi0: GaussianPointerState, g):
+        """Exact pointer shift and coupled postselection probability at each coupling in ``g``.
+
+        For a freshly prepared ``phi0`` (one unit component at rest), norm^2
+        and <x> of :meth:`pointer` are pair sums of c_j^* c_k times the overlap
+        e^{-g^2 (a_j - a_k)^2 / 8 sigma^2} (and g (a_j + a_k) / 2 for <x>), taken
+        in the order and rounding of ``norm_sq`` and ``mean_position``, so both
+        agree bit for bit. Floats for a scalar ``g``, arrays for an array; the
+        shift is NaN where the probability is 0.
+        """
+        gs = np.atleast_1d(np.asarray(g, dtype=float))
+        if gs.ndim != 1 or not np.all(np.isfinite(gs)):
+            raise ValidationError("coupling strength must be finite")
+        comps = phi0.components
+        if len(comps) != 1 or comps[0].coeff != 1.0 or comps[0].momentum_center != 0.0:
+            raise ValidationError("the coupled readout needs a freshly prepared pointer")
+        s2 = phi0.width * phi0.width
+        k_count, rows = len(self.eigvals), np.arange(gs.size)
+        if k_count and 8.0 * s2 == 0.0:
+            raise ZeroDivisionError("float division by zero")
+        x = comps[0].center + gs[:, None] * np.array(self.eigvals).reshape(1, k_count)
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("translation shift and coefficient must be finite")
+        # Branches landing on one center merge into the first, as in superpose (all at g = 0).
+        re, im = np.zeros(x.shape), np.zeros(x.shape)
+        for k, c in enumerate(self.coeffs):
+            first = np.full(gs.size, k)
+            for j in range(k - 1, -1, -1):
+                first[x[:, j] == x[:, k]] = j
+            re[rows, first] += c.real
+            im[rows, first] += c.imag
+        pairs = [(p, q) for p in range(k_count) for q in range(p, k_count)]
+        dc = np.array([x[:, p] - x[:, q] for p, q in pairs]).reshape(len(pairs), gs.size)
+        # component_overlap's exponent: its momentum terms vanish at rest but
+        # turn NaN with an infinite width or center distance.
+        overlaps = dict(zip(pairs, elementwise(math.exp, (-dc * dc / (8.0 * s2) - 0.0 * s2 / 2.0) + 0.0 * dc)))
+        norm, position = np.zeros(gs.size), np.zeros(gs.size)
+        for p in range(k_count):
+            for q in range(k_count):
+                e = overlaps[min(p, q), max(p, q)]
+                weight = re[:, p] * re[:, q] - (-im[:, p]) * im[:, q]
+                norm = norm + weight * e
+                position = position + weight * (e * ((x[:, p] + x[:, q]) / 2.0))
+        prob = np.maximum(norm, 0.0)
+        shift = np.where(prob > 0.0, position / prob, np.nan) - mean_position(phi0)
+        return (shift.item(), prob.item()) if np.ndim(g) == 0 else (shift, prob)
+
+    def couple(self, phi0: GaussianPointerState, g: float) -> WeakMeasurementResult:
+        """One coupled run: the final pointer and its readout at coupling ``g``."""
+        g = float(g)
+        shift, prob = self.readout(phi0, g)
+        return WeakMeasurementResult(
+            weak_value=None if self.orthogonal else self.weak_value(),
+            transition_element=self.transition,
+            postselect_prob_unperturbed=abs(self.overlap) ** 2,
+            pointer_final=self.pointer(phi0, g),
+            g=g,
+            postselect_prob_coupled=prob,
+            exact_shift=shift,
+        )
+
+    def linear_response(self, result: WeakMeasurementResult) -> LinearResponseReport:
+        """A coupled run's exact shift against the linear weak-value law."""
+        wv = self.weak_value()
+        if result.postselect_prob_coupled <= 0.0:
+            raise ValidationError("mean_position undefined for a zero-norm pointer state")
+        exact_shift = result.exact_shift
+        predicted_shift = result.g * wv.real
+        abs_error = abs(exact_shift - predicted_shift)
+        ratio = exact_shift / predicted_shift if predicted_shift != 0.0 else math.nan
+        return LinearResponseReport(exact_shift, predicted_shift, abs_error, ratio)
+
+    @np.errstate(all="ignore")
+    def validity(self, phi0: GaussianPointerState, g) -> ValidityReport:
+        """Weak-regime margin and second-order dominance at each coupling in ``g``."""
+        wv = self.weak_value()
+        wv_sq = self.transition_sq / self.overlap
+        sigma = phi0.width
+        k0 = phi0.components[0].momentum_center
+        p_scale = 1.0 / (2.0 * sigma)
+        # ||P^2 u|| for a normalized Gaussian wavepacket with momentum center k0.
+        p2_norm = math.sqrt(k0**4 + 6.0 * k0**2 / (4.0 * sigma**2) + 3.0 / (16.0 * sigma**4))
+        gs = np.abs(np.atleast_1d(np.asarray(g, dtype=float)))
+        margin = gs * p_scale * abs(wv)
+        second_order = squared(gs, "validity second order", "|g|") / 2.0 * abs(wv_sq) * p2_norm
+        dominance = np.where(margin > 0.0, second_order / margin, np.where(second_order > 0.0, math.inf, 0.0))
+        return pointwise(g, ValidityReport, margin=margin, first_order=margin,
+                         second_order=second_order, dominance_ratio=dominance)
+
+
+def branch_table(ctx: PrePostContext, obs: Observable) -> BranchTable:
+    """Reduce a (context, observable) pair to its :class:`BranchTable`."""
     psi, chi = ctx.psi_i, ctx.chi_f
     if obs.targets != psi.labels:
         raise ValidationError(
             f"observable targets {obs.targets} must equal the context labels {psi.labels}"
         )
+    merged: dict[float, complex] = {}
+    for a, vec in zip(obs.eigvals, obs.eigvecs):
+        merged[a] = merged.get(a, 0.0 + 0.0j) + inner(chi, vec) * inner(vec, psi)
+    branches = [(a, c) for a, c in merged.items() if c != 0.0]
     a_psi = apply(obs.op, obs.targets, psi)
-    return _Evaluation(psi, chi, a_psi, inner(chi, psi), inner(chi, a_psi))
+    return BranchTable(
+        eigvals=tuple(a for a, _ in branches),
+        coeffs=tuple(c for _, c in branches),
+        overlap=inner(chi, psi),
+        transition=inner(chi, a_psi),
+        transition_sq=inner(chi, apply(obs.op, obs.targets, a_psi)),
+    )
 
 
 def transition_element(ctx: PrePostContext, obs: Observable) -> complex:
     """<chi|A|psi>; defined even for orthogonal postselections."""
-    return _evaluate(ctx, obs).transition
+    return branch_table(ctx, obs).transition
 
 
 def weak_value(ctx: PrePostContext, obs: Observable) -> complex:
     """A^w = <chi|A|psi> / <chi|psi>."""
-    return _evaluate(ctx, obs).weak_value()
+    return branch_table(ctx, obs).weak_value()
 
 
 def couple_and_postselect(
@@ -179,33 +341,7 @@ def couple_and_postselect(
     initial pointer translated by g times the eigenvalue, weighted by
     <chi|a_k><a_k|psi>; this is exact for any coupling strength.
     """
-    return _couple(_evaluate(ctx, obs), obs, phi0, g)
-
-
-def _couple(ev: _Evaluation, obs: Observable, phi0: GaussianPointerState, g: float) -> WeakMeasurementResult:
-    g = float(g)
-    if not math.isfinite(g):
-        raise ValidationError("coupling strength must be finite")
-    # Branch amplitude c_k = <chi|a_k><a_k|psi> per eigenvector a_k.
-    branches = [inner(ev.chi, vec) * inner(vec, ev.psi) for vec in obs.eigvecs]
-    pointer_final = superpose(translate(phi0, g * a, c) for a, c in zip(obs.eigvals, branches))
-    return WeakMeasurementResult(
-        weak_value=None if ev.orthogonal else ev.weak_value(),
-        transition_element=ev.transition,
-        postselect_prob_unperturbed=abs(ev.overlap) ** 2,
-        pointer_final=pointer_final,
-        g=g,
-    )
-
-
-@dataclass(frozen=True)
-class LinearResponseReport:
-    """Exact pointer shift against the first-order law g * Re(A^w)."""
-
-    exact_shift: float
-    predicted_shift: float
-    abs_error: float
-    ratio: float
+    return branch_table(ctx, obs).couple(phi0, g)
 
 
 def linear_response_report(
@@ -215,14 +351,9 @@ def linear_response_report(
     g: float,
 ) -> LinearResponseReport:
     """Compare the exact mean-position shift with the linear weak-value law."""
-    ev = _evaluate(ctx, obs)
-    ev.weak_value()  # an orthogonal postselection raises before coupling
-    result = _couple(ev, obs, phi0, g)
-    exact_shift = mean_position(result.pointer_final) - mean_position(phi0)
-    predicted_shift = float(g) * result.weak_value.real
-    abs_error = abs(exact_shift - predicted_shift)
-    ratio = exact_shift / predicted_shift if predicted_shift != 0.0 else math.nan
-    return LinearResponseReport(exact_shift, predicted_shift, abs_error, ratio)
+    table = branch_table(ctx, obs)
+    table.weak_value()  # an orthogonal postselection raises before coupling
+    return table.linear_response(table.couple(phi0, g))
 
 
 @dataclass(frozen=True)
@@ -269,23 +400,6 @@ def expectation_decomposition_check(
     )
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """How deep a coupling sits in the linear-response regime.
-
-    ``margin`` is |g| * |A^w| / (2 sigma), using the Gaussian momentum
-    spread 1/(2 sigma); values well below 1 mark the weak regime.
-    ``dominance_ratio`` compares the second-order term of the coupled
-    overlap expansion, (g^2/2) |(A^2)^w| * ||P^2 phi0||, against the
-    first-order one.
-    """
-
-    margin: float
-    first_order: float
-    second_order: float
-    dominance_ratio: float
-
-
 def validity_margin(
     ctx: PrePostContext,
     obs: Observable,
@@ -293,20 +407,4 @@ def validity_margin(
     g: float,
 ) -> ValidityReport:
     """Weak-regime margin and second-order dominance check."""
-    ev = _evaluate(ctx, obs)
-    wv = ev.weak_value()
-    wv_sq = inner(ev.chi, apply(obs.op, obs.targets, ev.a_psi)) / ev.overlap
-    sigma = phi0.width
-    k0 = phi0.components[0].momentum_center
-    p_scale = 1.0 / (2.0 * sigma)
-    # ||P^2 u|| for a normalized Gaussian wavepacket with momentum center k0.
-    p2_norm = math.sqrt(k0**4 + 6.0 * k0**2 / (4.0 * sigma**2) + 3.0 / (16.0 * sigma**4))
-    g = abs(float(g))
-    margin = g * p_scale * abs(wv)
-    first_order = margin
-    second_order = (g**2 / 2.0) * abs(wv_sq) * p2_norm
-    if first_order > 0.0:
-        dominance = second_order / first_order
-    else:
-        dominance = math.inf if second_order > 0.0 else 0.0
-    return ValidityReport(margin, first_order, second_order, dominance)
+    return branch_table(ctx, obs).validity(phi0, g)

@@ -192,3 +192,17 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim))
     qmat, r = np.linalg.qr(m)
     return qmat * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def quadrature_readout(psi, chi, matrix, gs, width: float):
+    """Exact pointer shift and coupled norm^2 at each coupling in ``gs``, by quadrature.
+
+    The postselected pointer is sum_k <chi|a_k><a_k|psi> phi0(x - g a_k)
+    over a dense eigendecomposition of ``matrix``, one term per
+    eigenvector; phi0 is the unit Gaussian of ``width`` at rest at 0.
+    """
+    vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=complex))
+    coeffs = [np.vdot(chi, vecs[:, k]) * np.vdot(vecs[:, k], psi) for k in range(len(vals))]
+    shifts = [quadrature_mean_position(coeffs, [g * a for a in vals], width) for g in gs]
+    norms = [quadrature_norm_sq(coeffs, [g * a for a in vals], width) for g in gs]
+    return np.array(shifts), np.array(norms)

@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qccsim import cli
+from qccsim import cli, qcc, weakmeas
 from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
+from qccsim.qcc import OBSERVABLE_TAGS
+from qccsim.qstate import StateVector, apply
 
 from oracles import fit_exponent
 
@@ -221,6 +223,68 @@ class TestSweeps:
         assert code == 0
         assert json.loads(spaced)["results"]["rows"] == json.loads(joined)["results"]["rows"]
 
+    @pytest.mark.parametrize("observable_I", OBSERVABLE_TAGS)
+    @pytest.mark.parametrize("observable_II", OBSERVABLE_TAGS)
+    def test_qcc_rows_equal_single_runs(self, capsys, observable_I, observable_II):
+        tags = ("--observable-I", observable_I, "--observable-II", observable_II, "--pointer-width", "0.7")
+        _, out, _ = run_cli(capsys, "sweep", "--scenario", "qcc", "--g", "-1.5:2.5:9", *tags)
+        rows = json.loads(out)["results"]["rows"]
+        assert [row["g"] for row in rows] == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+        for row in rows:
+            _, single, _ = run_cli(capsys, "qcc", "--g", repr(row["g"]), *tags)
+            results = json.loads(single)["results"]
+            assert row == {"g": row["g"], **{c: results[c] for c in cli.QCC_SWEEP_HEADER[1:]}}
+
+    @pytest.mark.parametrize("arm", ["I", "II"])
+    @pytest.mark.parametrize(
+        "scenario, flag, spec",
+        [("neutron-absorber", "--M", "0:1.2:5"), ("neutron-magnetic", "--alpha", f"{-math.pi!r}:{math.pi!r}:5")],
+    )
+    def test_neutron_rows_equal_single_runs(self, capsys, arm, scenario, flag, spec):
+        _, out, _ = run_cli(capsys, "sweep", "--scenario", scenario, flag, spec, "--arm", arm)
+        rows = json.loads(out)["results"]["rows"]
+        params = [row["param"] for row in rows]
+        assert 0.0 in params and (scenario == "neutron-absorber" or params[::4] == [-math.pi, math.pi])
+        for row in rows:
+            _, single, _ = run_cli(capsys, scenario, flag, repr(row["param"]), "--arm", arm)
+            results = json.loads(single)["results"]
+            rep = results["intensity"] if scenario == "neutron-magnetic" else results
+            predicted = rep["second_order_prediction" if scenario == "neutron-magnetic" else "first_order_prediction"]
+            assert row == {
+                "param": row["param"],
+                "ratio_exact": rep["ratio"],
+                "ratio_predicted": predicted,
+                "inferred_wv": rep["inferred_weak_value"],
+                "expansion_error": rep["expansion_error"],
+            }
+
+    @pytest.mark.parametrize(
+        "scenario, flag", [("qcc", "--g"), ("neutron-absorber", "--M"), ("neutron-magnetic", "--alpha")]
+    )
+    def test_state_algebra_does_not_grow_with_the_point_count(self, capsys, monkeypatch, scenario, flag):
+        def counted_calls(points: int) -> tuple[int, int]:
+            for cached in (qcc._prepost, qcc._arm_observable, qcc._arm_table):
+                cached.cache_clear()
+            calls = {"apply": 0, "states": 0}
+
+            def counting_apply(*args):
+                calls["apply"] += 1
+                return apply(*args)
+
+            def counting_post_init(state):
+                calls["states"] += 1
+                post_init(state)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(weakmeas, "apply", counting_apply)
+                patch.setattr(StateVector, "__post_init__", counting_post_init)
+                code, _, _ = run_cli(capsys, "sweep", "--scenario", scenario, flag, f"0:1:{points}")
+            assert code == 0
+            return calls["apply"], calls["states"]
+
+        post_init = StateVector.__post_init__
+        assert counted_calls(3) == counted_calls(300)
+
     def test_range_parsing(self):
         assert parse_range("0:1:5").tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert parse_range("0.3:0.3:1").tolist() == [0.3]
@@ -242,6 +306,13 @@ class TestConfigFile:
         record = json.loads(out)
         assert record["config"]["g"] == 0.05
         assert record["config"]["observable_I"] == "sigma_x"
+
+    def test_string_is_not_a_number(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"g": "0.5"}))
+        code, out, err = run_cli(capsys, "weak-value", "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["message"] == "g: must be a number, got '0.5'"
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -346,6 +417,14 @@ class TestExitCodes:
         assert code == 5
         assert json.loads(err)["error"]["type"] == error
 
+    def test_overflow_message_names_quantity_and_coupling(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--scenario", "qcc", "--g", "0:1e200:3")
+        assert code == 5
+        assert json.loads(err)["error"] == {
+            "type": "OverflowError",
+            "message": "validity second order overflows: |g|**2 at |g|=5e+199",
+        }
+
 
 class TestValidateOnly:
     def test_violations_are_listed_without_running(self, capsys):
@@ -416,7 +495,7 @@ class TestMonteCarloCli:
 TABLE_ENTRIES = [(name, param) for name, spec in SCENARIO_TABLE.items() for param in spec.params]
 # Cheap valid runs whose records echo every parameter of the scenario.
 RECORD_ARGS = {"montecarlo": ("--n", "10"), "sweep": ("--scenario", "neutron-absorber", "--M", "0:0.1:2")}
-WRONG_TYPED = {"float": ("abc", True), "int": ("abc",), "choice": ([0],), "switch": ("yes",), "range": (5,)}
+WRONG_TYPED = {"float": ("abc", True, "0.5"), "int": ("abc",), "choice": ([0],), "switch": ("yes",), "range": (5,)}
 
 
 def scenario_parser(scenario: str) -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ from qccsim.montecarlo import (
     sample_intensity_experiment,
     sample_trials,
 )
-from qccsim.neutron import AbsorberConfig
+from qccsim.neutron import AbsorberConfig, intensity_absorber
 from qccsim.pointer import make_gaussian
 from qccsim.serialize import dumps_json, intensity_counts_dict
 from qccsim.weakmeas import couple_and_postselect
@@ -39,7 +39,7 @@ class TestDeterminism:
     def test_worker_layout_does_not_change_results(self):
         ctx, obs = build_context("qcc-pi-I")
         batches = [
-            sample_trials(ctx, obs, PHI0, 0.05, 10_000, SEED, workers=w)
+            sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10_000, SEED, workers=w)
             for w in (1, 3, 7)
         ]
         assert batches_equal(batches[0], batches[1])
@@ -47,14 +47,14 @@ class TestDeterminism:
 
     def test_same_seed_reproduces_bit_for_bit(self):
         ctx, obs = build_context("anomalous")
-        a = sample_trials(ctx, obs, PHI0, 0.05, 5_000, SEED)
-        b = sample_trials(ctx, obs, PHI0, 0.05, 5_000, SEED)
+        a = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 5_000, SEED)
+        b = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 5_000, SEED)
         assert batches_equal(a, b)
 
     def test_different_seed_changes_outcomes(self):
         ctx, obs = build_context("qcc-pi-I")
-        a = sample_trials(ctx, obs, PHI0, 0.05, 5_000, SEED)
-        b = sample_trials(ctx, obs, PHI0, 0.05, 5_000, SEED + 1)
+        a = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 5_000, SEED)
+        b = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 5_000, SEED + 1)
         assert not np.array_equal(a.postselected, b.postselected)
 
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 10)])
@@ -79,9 +79,9 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(ctx, obs, PHI0, 0.05, 10, SEED, workers=10**6)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10, SEED, workers=10**6)
         assert pools == [expected]
-        assert batches_equal(batch, sample_trials(ctx, obs, PHI0, 0.05, 10, SEED))
+        assert batches_equal(batch, sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10, SEED))
 
     def test_chunk_count_follows_cpus_not_workers(self, monkeypatch):
         chunks = []
@@ -93,9 +93,9 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo, "_trial_uniforms", counting_uniforms)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(ctx, obs, PHI0, 0.05, 20_000, SEED, workers=10**6)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 20_000, SEED, workers=10**6)
         assert sorted(chunks) == [10_000, 10_000]
-        assert batches_equal(batch, sample_trials(ctx, obs, PHI0, 0.05, 20_000, SEED))
+        assert batches_equal(batch, sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 20_000, SEED))
 
     def test_chunked_stream_matches_contiguous_stream(self):
         whole = _trial_uniforms(SEED, 0, 300)
@@ -107,13 +107,13 @@ class TestPostselectionStatistics:
     def test_rate_matches_exact_probability(self):
         ctx, obs = build_context("qcc-pi-I")
         n = 1_000_000
-        batch = sample_trials(ctx, obs, PHI0, 0.0, n, SEED)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), n, SEED)
         se = math.sqrt(0.25 * 0.75 / n)
         assert abs(batch.n_postselected / n - 0.25) <= 4.0 * se
 
     def test_orthogonal_postselection_never_accepts(self):
         ctx, obs = build_context("orthogonal")
-        batch = sample_trials(ctx, obs, PHI0, 0.0, 2_000, SEED)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 2_000, SEED)
         assert batch.n_postselected == 0
         assert batch.positions.size == 0
 
@@ -121,21 +121,21 @@ class TestPostselectionStatistics:
 class TestEstimator:
     def test_projector_arm_one(self):
         ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(ctx, obs, PHI0, 0.1, 1_000_000, SEED)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), 1_000_000, SEED)
         report = estimate_weak_value(batch, PHI0, 0.1)
         assert abs(report.estimated_wv_re - 1.0) <= 4.0 * report.std_error
         assert report.postselect_rate == pytest.approx(0.25, abs=0.01)
 
     def test_projector_arm_two_sees_nothing(self):
         ctx, obs = build_context("qcc-pi-II")
-        batch = sample_trials(ctx, obs, PHI0, 0.1, 1_000_000, SEED)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), 1_000_000, SEED)
         report = estimate_weak_value(batch, PHI0, 0.1)
         assert abs(report.estimated_wv_re) <= 4.0 * report.std_error
 
     def test_anomalous_amplification(self):
         g = 0.01
         ctx, obs = build_context("anomalous", tan_theta=3.0)
-        batch = sample_trials(ctx, obs, PHI0, g, 1_000_000, SEED)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, g), 1_000_000, SEED)
         report = estimate_weak_value(batch, PHI0, g)
         assert abs(report.estimated_wv_re - 3.0) <= 4.0 * report.std_error
         assert report.estimated_wv_re > 1.0
@@ -144,7 +144,7 @@ class TestEstimator:
         ctx, obs = build_context("qcc-pi-I")
         errors = []
         for n in (10_000, 1_000_000):
-            batch = sample_trials(ctx, obs, PHI0, 0.1, n, SEED)
+            batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), n, SEED)
             errors.append(estimate_weak_value(batch, PHI0, 0.1).std_error)
         assert 5.0 <= errors[0] / errors[1] <= 20.0
 
@@ -164,7 +164,7 @@ class TestEstimator:
         n_bins = 64
         edges = np.interp(np.linspace(0.0, 1.0, n_bins + 1)[1:-1], cdf, xs)
 
-        batch = sample_trials(ctx, obs, PHI0, g, 1_000_000, SEED)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, g), 1_000_000, SEED)
         counts = np.bincount(
             np.searchsorted(edges, batch.positions), minlength=n_bins
         )
@@ -174,13 +174,13 @@ class TestEstimator:
 
     def test_insufficient_statistics_rejected(self):
         ctx, obs = build_context("orthogonal")
-        batch = sample_trials(ctx, obs, PHI0, 0.0, 100, SEED)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 100, SEED)
         with pytest.raises(ValidationError):
             estimate_weak_value(batch, PHI0, 0.1)
 
     def test_zero_coupling_rejected(self):
         ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(ctx, obs, PHI0, 0.0, 100, SEED)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 100, SEED)
         with pytest.raises(ValidationError):
             estimate_weak_value(batch, PHI0, 0.0)
 
@@ -188,9 +188,9 @@ class TestEstimator:
 class TestBatchValidation:
     def test_bad_trial_counts(self):
         with pytest.raises(ValidationError):
-            sample_trials(*build_context("qcc-pi-I"), PHI0, 0.1, 0, SEED)
+            sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 0, SEED)
         with pytest.raises(ValidationError):
-            sample_trials(*build_context("qcc-pi-I"), PHI0, 0.1, 10, SEED, workers=0)
+            sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 10, SEED, workers=0)
 
     def test_inconsistent_batch_rejected(self):
         with pytest.raises(ValidationError):
@@ -204,37 +204,37 @@ class TestBatchValidation:
 
     def test_batch_arrays_are_read_only(self):
         ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(ctx, obs, PHI0, 0.1, 50, SEED)
+        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), 50, SEED)
         with pytest.raises(ValueError):
             batch.postselected[0] = False
 
 
 class TestIntensitySampling:
     def test_empty_arm_ratio_is_flat(self):
-        counts = sample_intensity_experiment(AbsorberConfig("II", 0.3), 100_000, SEED)
+        counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("II", 0.3)), 100_000, SEED)
         assert abs(counts.ratio - 1.0) <= 4.0 * counts.ratio_std_error
         assert abs(counts.two_proportion_z) < 4.0
 
     def test_null_perturbation_is_not_detected(self):
-        counts = sample_intensity_experiment(AbsorberConfig("I", 0.0), 10_000, SEED)
+        counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.0)), 10_000, SEED)
         assert abs(counts.two_proportion_z) < 4.0
 
     def test_occupied_arm_ratio_matches_exact(self):
-        counts = sample_intensity_experiment(AbsorberConfig("I", 0.1), 1_000_000, SEED)
+        counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 1_000_000, SEED)
         assert abs(counts.ratio - math.exp(-0.2)) <= 4.0 * counts.ratio_std_error
         assert counts.two_proportion_z < -4.0
 
     def test_counts_are_reproducible(self):
-        a = sample_intensity_experiment(AbsorberConfig("I", 0.2), 20_000, SEED)
-        b = sample_intensity_experiment(AbsorberConfig("I", 0.2), 20_000, SEED)
+        a = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.2)), 20_000, SEED)
+        b = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.2)), 20_000, SEED)
         assert (a.n_reference, a.n_perturbed) == (b.n_reference, b.n_perturbed)
 
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValidationError):
-            sample_intensity_experiment(AbsorberConfig("I", 0.1), 0, SEED)
+            sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 0, SEED)
 
     def test_no_perturbed_detections_leave_the_error_undefined(self):
-        counts = sample_intensity_experiment(AbsorberConfig("I", 40.0), 100, 1)
+        counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 40.0)), 100, 1)
         assert counts.n_perturbed == 0
         assert math.isnan(counts.ratio_std_error)
         assert '"ratio_std_error": null' in dumps_json(intensity_counts_dict(counts))

@@ -7,6 +7,8 @@ import pytest
 
 import qccsim.neutron
 from qccsim.errors import NegativeRadicand, ValidationError
+from qccsim.qcc import ARMS, build_prepost
+from qccsim.qstate import SIGMA_X, Operator, apply, inner
 from qccsim.neutron import (
     AbsorberConfig,
     IntensityReport,
@@ -30,6 +32,51 @@ from oracles import (
 
 M_GRID = (0.02, 0.05, 0.1, 0.25)
 ALPHA_GRID = (0.05, 0.1, 0.3, 0.5)
+
+
+def dense_intensity(cfg) -> float:
+    """|<chi|D psi>|^2 with the perturbation D applied as a dense operator."""
+    ctx = build_prepost()
+    j = ARMS.index(cfg.arm)
+    if isinstance(cfg, AbsorberConfig):
+        factors = [1.0, 1.0]
+        factors[j] = math.exp(-cfg.M)
+        psi = apply(Operator((2,), np.diag(factors).astype(complex)), "path", ctx.psi_i)
+    else:
+        full = np.eye(4, dtype=complex)
+        full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (
+            math.cos(cfg.alpha / 2.0) * np.eye(2, dtype=complex) + 1.0j * math.sin(cfg.alpha / 2.0) * SIGMA_X
+        )
+        psi = apply(Operator((2, 2), full, kind="unitary"), ("path", "spin"), ctx.psi_i)
+    return abs(inner(ctx.chi_f, psi)) ** 2
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_absorber_array_equals_dense_evaluation_bit_for_bit(self, arm):
+        Ms = np.concatenate([np.linspace(0.0, 3.0, 301), [1e-300, 0.7, 40.0, 700.0]])
+        intensities = perturbed_intensity(AbsorberConfig(arm, Ms))
+        assert intensities.tolist() == [dense_intensity(AbsorberConfig(arm, M)) for M in Ms.tolist()]
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_rotation_array_equals_dense_evaluation_bit_for_bit(self, arm):
+        alphas = np.concatenate([np.linspace(-math.pi, math.pi, 301), [0.0, -0.0, 1e-300, math.pi]])
+        intensities = perturbed_intensity(MagneticConfig(arm, alphas))
+        assert intensities.tolist() == [dense_intensity(MagneticConfig(arm, a)) for a in alphas.tolist()]
+
+    def test_sweep_report_equals_single_runs(self):
+        Ms = np.array([0.0, 0.05, 1.3])
+        sweep = intensity_absorber(AbsorberConfig("I", Ms))
+        for i, M in enumerate(Ms.tolist()):
+            single = intensity_absorber(AbsorberConfig("I", M))
+            for field, value in vars(single).items():
+                swept = getattr(sweep, field)
+                swept = swept if field == "i0" else swept[i].item()
+                assert swept == value or (math.isnan(swept) and math.isnan(value)), field
+
+    def test_overflowing_prediction_names_the_parameter(self):
+        with pytest.raises(OverflowError, match=r"M\*\*2 at M=1e\+200"):
+            intensity_absorber(AbsorberConfig("I", np.array([0.1, 1e200])))
 
 
 class TestReference:

@@ -12,6 +12,7 @@ from qccsim.qcc import (
     OBSERVABLE_TAGS,
     QccConfig,
     arm_observable,
+    arm_table,
     build_prepost,
     run_ideal_qcc,
     run_joint_pointers,
@@ -38,6 +39,7 @@ class TestBuildPrepost:
         assert build_prepost() is build_prepost(False)
         assert build_prepost(True) is build_prepost(swap_spin_labels=True)
         assert arm_observable("I", "projector") is arm_observable("I", "projector")
+        assert arm_table("II", "sigma_x") is arm_table("II", "sigma_x", False)
         with pytest.raises(ValueError):
             build_prepost().psi_i.amps[0] = 0.0
         with pytest.raises(ValidationError):
@@ -152,6 +154,19 @@ class TestIdealRun:
             dev_II.append(abs(report.postselect_prob_II - 0.25))
         assert max(dev_I) <= 1e-14
         assert fit_exponent(gs, dev_II) == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("observable_I, observable_II", itertools.product(OBSERVABLE_TAGS, repeat=2))
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_array_couplings_equal_single_runs(self, observable_I, observable_II, swap):
+        g = np.array([0.0, -0.4, 0.02, 1.5])
+        sweep = run_ideal_qcc(QccConfig(observable_I, observable_II, g, -2.0 * g, 0.6), swap)
+        for i, g_i in enumerate(g.tolist()):
+            single = run_ideal_qcc(QccConfig(observable_I, observable_II, g_i, -2.0 * g_i, 0.6), swap)
+            for field, value in vars(single).items():
+                swept = getattr(sweep, field)
+                assert (swept[i].item() if isinstance(swept, np.ndarray) else swept) == value, field
+        with pytest.raises(ValidationError):
+            run_joint_pointers(QccConfig(g_I=g, g_II=g))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -7,10 +7,11 @@ import pytest
 
 from qccsim.cli import CONTEXT_NAMES, build_context
 from qccsim.errors import OrthogonalPostselection, ValidationError
-from qccsim.pointer import make_gaussian, mean_position, norm_sq
+from qccsim.pointer import make_gaussian, mean_position, norm_sq, superpose, translate
 from qccsim.qstate import SIGMA_X, StateVector, inner
 from qccsim.weakmeas import (
     PrePostContext,
+    branch_table,
     couple_and_postselect,
     expectation_decomposition_check,
     linear_response_report,
@@ -25,6 +26,7 @@ from oracles import (
     anomalous_exact_shift,
     anomalous_postselect_prob,
     fit_exponent,
+    quadrature_readout,
     random_hermitian,
     random_state,
 )
@@ -298,3 +300,79 @@ class TestValidityMargin:
         errors = [linear_response_report(ctx, obs, PHI0, g).abs_error for g in gs]
         assert all(b > a for a, b in zip(margins, margins[1:]))
         assert all(b > a for a, b in zip(errors, errors[1:]))
+
+
+def table_cases():
+    """Every named context in both spin-label variants, plus random 2- and 4-level ones."""
+    cases = [(f"{name}-{swap}", *build_context(name, 3.0, swap)) for name in CONTEXT_NAMES for swap in (False, True)]
+    rng = np.random.default_rng(8)
+    for i, dim in enumerate((2, 4, 4)):
+        ctx = random_context(rng, dim)
+        cases.append((f"random-{dim}-{i}", ctx, make_observable(random_hermitian(rng, dim), ("sys",), (dim,))))
+    return cases
+
+
+TABLE_CASES = table_cases()
+
+
+# Zero, signs, subnormal and huge couplings: centers coincide at g = 0 and may overflow their distance.
+G_ARRAY = np.array([0.0, 0.02, -0.02, 0.3, -1.7, 4.0, 1e-320, 1e100, 1e154])
+
+
+class TestBranchTable:
+    @pytest.mark.parametrize("name, ctx, obs", TABLE_CASES, ids=[case[0] for case in TABLE_CASES])
+    @pytest.mark.parametrize("width", [0.3, 1.0, 3.0])
+    def test_readout_equals_the_pointer_readouts_bit_for_bit(self, name, ctx, obs, width):
+        phi0 = make_gaussian(0.0, width)
+        table = branch_table(ctx, obs)
+        shifts, probs = table.readout(phi0, G_ARRAY)
+        for g, shift, prob in zip(G_ARRAY.tolist(), shifts.tolist(), probs.tolist()):
+            # Reference: one branch per eigenvector, merged only by superpose.
+            raw = superpose(
+                translate(phi0, g * a, inner(ctx.chi_f, vec) * inner(vec, ctx.psi_i))
+                for a, vec in zip(obs.eigvals, obs.eigvecs)
+            )
+            assert table.pointer(phi0, g) == raw
+            assert prob == norm_sq(raw)
+            assert math.isnan(shift) if prob <= 0.0 else shift == mean_position(raw) - mean_position(phi0)
+            assert table.readout(phi0, g) == (shift, prob) or math.isnan(shift)
+
+    @pytest.mark.parametrize("name", ["anomalous", "qcc-sigma-I", "qcc-sigma-II", "path-null"])
+    def test_readout_matches_quadrature_over_a_coupling_array(self, name):
+        ctx, obs = build_context(name, tan_theta=3.0)
+        gs = np.linspace(-1.5, 2.5, 9)
+        shifts, probs = branch_table(ctx, obs).readout(make_gaussian(0.0, 0.7), gs)
+        want_shifts, want_probs = quadrature_readout(
+            ctx.psi_i.amps, ctx.chi_f.amps, obs.op.entries, gs, 0.7
+        )
+        assert np.max(np.abs(probs - want_probs)) <= 1e-10
+        assert np.max(np.abs(shifts - want_shifts)) <= 1e-9
+
+    def test_validity_over_an_array_equals_single_runs(self):
+        ctx, obs = build_context("anomalous", tan_theta=3.0)
+        table = branch_table(ctx, obs)
+        gs = np.array([0.0, -0.3, 0.05, 2.0])
+        report = table.validity(PHI0, gs)
+        for i, g in enumerate(gs.tolist()):
+            single = validity_margin(ctx, obs, PHI0, g)
+            assert (report.margin[i], report.second_order[i], report.dominance_ratio[i]) == (
+                single.margin, single.second_order, single.dominance_ratio
+            )
+
+    def test_overflowing_second_order_names_the_coupling(self):
+        table = branch_table(*build_context("anomalous"))
+        with pytest.raises(OverflowError, match=r"validity second order overflows: \|g\|\*\*2 at \|g\|=2e\+200"):
+            table.validity(PHI0, np.array([0.1, -2e200, 3e200]))
+
+    def test_degenerate_branches_are_merged_and_empty_ones_dropped(self):
+        table = branch_table(*build_context("qcc-sigma-II"))
+        assert table.eigvals == (-1.0, 0.0, 1.0)
+        assert len(table.coeffs) == 3
+        table = branch_table(*build_context("qcc-pi-I"))
+        assert table.eigvals == (1.0,)
+
+    def test_readout_needs_a_freshly_prepared_pointer(self):
+        table = branch_table(*build_context("anomalous"))
+        for phi0 in (translate(PHI0, 0.0, 2.0), superpose([PHI0, translate(PHI0, 1.0)])):
+            with pytest.raises(ValidationError):
+                table.readout(phi0, 0.1)
