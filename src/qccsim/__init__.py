@@ -4,88 +4,113 @@ Implements the four-step weak measurement protocol with an analytic
 Gaussian pointer, the Quantum Cheshire Cat interferometer scenario, the
 intensity-based absorber/rotation experiments that emulate it, and
 seeded Monte Carlo detection statistics.
+
+Exports load lazily (PEP 562): ``import qccsim`` imports no submodule
+and no numpy, so ``python -m qccsim.cli`` can set its thread default
+before numpy starts.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CapacityError,
-    DimensionMismatch,
-    NegativeRadicand,
-    NumericalError,
-    OrthogonalPostselection,
-    SimulationError,
-    ValidationError,
-)
-from .montecarlo import (
-    EstimatorReport,
-    IntensityCounts,
-    TrialBatch,
-    estimate_weak_value,
-    sample_intensity_experiment,
-    sample_trials,
-)
-from .neutron import (
-    AbsorberConfig,
-    IntensityReport,
-    MagneticConfig,
-    SystematicTermReport,
-    infer_projector_weak_value,
-    infer_spin_weak_value_modulus,
-    infer_weak_value,
-    intensity_absorber,
-    intensity_magnetic,
-    systematic_term_report,
-)
-from .pointer import (
-    GaussianComponent,
-    GaussianPointerState,
-    GridPointerState,
-    make_gaussian,
-    mean_momentum,
-    mean_position,
-    norm_sq,
-    overlap,
-    superpose,
-    to_grid,
-    translate,
-)
-from .qcc import (
-    QccConfig,
-    QccReport,
-    arm_observable,
-    arm_table,
-    build_prepost,
-    run_ideal_qcc,
-    run_joint_pointers,
-)
-from .qstate import (
-    Operator,
-    StateVector,
-    apply,
-    basis_state,
-    identity_operator,
-    inner,
-    normalized,
-    partial_project,
-    tensor,
-)
-from .weakmeas import (
-    BranchTable,
-    ExpectationDecomposition,
-    LinearResponseReport,
-    Observable,
-    PrePostContext,
-    ValidityReport,
-    WeakMeasurementResult,
-    branch_table,
-    couple_and_postselect,
-    expectation_decomposition_check,
-    linear_response_report,
-    make_observable,
-    transition_element,
-    validity_margin,
-    weak_value,
-)
+# Submodule -> the names it exports at package level.
+_EXPORTS = {
+    "errors": (
+        "CapacityError",
+        "DimensionMismatch",
+        "NegativeRadicand",
+        "NumericalError",
+        "OrthogonalPostselection",
+        "SimulationError",
+        "ValidationError",
+    ),
+    "montecarlo": (
+        "EstimatorReport",
+        "IntensityCounts",
+        "TrialBatch",
+        "estimate_weak_value",
+        "sample_intensity_experiment",
+        "sample_trials",
+    ),
+    "neutron": (
+        "AbsorberConfig",
+        "IntensityReport",
+        "MagneticConfig",
+        "SystematicTermReport",
+        "infer_projector_weak_value",
+        "infer_spin_weak_value_modulus",
+        "infer_weak_value",
+        "intensity_absorber",
+        "intensity_magnetic",
+        "systematic_term_report",
+    ),
+    "pointer": (
+        "GaussianComponent",
+        "GaussianPointerState",
+        "GridPointerState",
+        "make_gaussian",
+        "mean_momentum",
+        "mean_position",
+        "norm_sq",
+        "overlap",
+        "superpose",
+        "to_grid",
+        "translate",
+    ),
+    "qcc": (
+        "QccConfig",
+        "QccReport",
+        "arm_observable",
+        "arm_table",
+        "build_prepost",
+        "run_ideal_qcc",
+        "run_joint_pointers",
+    ),
+    "qstate": (
+        "Operator",
+        "StateVector",
+        "apply",
+        "basis_state",
+        "identity_operator",
+        "inner",
+        "normalized",
+        "partial_project",
+        "tensor",
+    ),
+    "weakmeas": (
+        "BranchTable",
+        "ExpectationDecomposition",
+        "LinearResponseReport",
+        "Observable",
+        "PrePostContext",
+        "ValidityReport",
+        "WeakMeasurementResult",
+        "branch_table",
+        "couple_and_postselect",
+        "expectation_decomposition_check",
+        "linear_response_report",
+        "make_observable",
+        "transition_element",
+        "validity_margin",
+        "weak_value",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "serialize", "startup", "tolerances"}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__, as an eager import would
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

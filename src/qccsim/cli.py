@@ -7,12 +7,14 @@ defaults and checks are all generated from ``SCENARIO_TABLE``.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error,
 4 capacity error, 5 numerical error (orthogonal postselection, a
-negative inference radicand, or a float overflow or division by zero).
+negative inference radicand, a float overflow or division by zero, or a
+pointer too far out for floats to resolve its width).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,6 +24,11 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+if __name__ == "__main__":  # a CLI process: one BLAS thread, set before numpy loads
+    from .startup import single_thread_blas
+
+    single_thread_blas()
 
 import numpy as np
 
@@ -285,6 +292,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+@functools.cache  # one parser per process: parsing does not change it, and no caller may
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qccsim",

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import CapacityError, ValidationError
 from .neutron import IntensityReport
@@ -102,6 +101,8 @@ def check_trial_count(n: int) -> None:
 
 
 def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    from numpy.random import Generator, Philox  # here, so runs that never sample skip its import
+
     bits = Philox(key=seed)
     if start:
         bits.advance(start)

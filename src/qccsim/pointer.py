@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, NumericalError, ValidationError
 from .tolerances import MAX_AMPLITUDES, TOL
 
 GRID_HALF_WIDTHS = 8.0
@@ -199,11 +199,12 @@ def evaluate(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
     """Amplitude phi(x) of the superposition at the given points."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
-    for c in p.components:
-        s2 = c.width * c.width
-        norm = (2.0 * math.pi * s2) ** -0.25
-        dx = x - c.center
-        out += c.coeff * norm * np.exp(-dx * dx / (4.0 * s2) + 1.0j * c.momentum_center * dx)
+    with np.errstate(over="ignore"):  # far from a center, dx^2 -> inf and the amplitude -> 0 exactly
+        for c in p.components:
+            s2 = c.width * c.width
+            norm = (2.0 * math.pi * s2) ** -0.25
+            dx = x - c.center
+            out += c.coeff * norm * np.exp(-dx * dx / (4.0 * s2) + 1.0j * c.momentum_center * dx)
     return out
 
 
@@ -269,10 +270,18 @@ def check_grid_points(n_points: int) -> None:
 
 
 def support(p: GaussianPointerState) -> tuple[float, float]:
-    """Domain (lo, hi) holding the superposition: its component span +- GRID_HALF_WIDTHS widths."""
+    """Domain (lo, hi) holding the superposition: its component span +- GRID_HALF_WIDTHS widths.
+
+    Raises ``NumericalError`` when floats near the domain lie more than two
+    widths apart, so that no grid there can resolve the pointer."""
     w = p.width
     centers = [c.center for c in p.components]
-    return min(centers) - GRID_HALF_WIDTHS * w, max(centers) + GRID_HALF_WIDTHS * w
+    lo, hi = min(centers) - GRID_HALF_WIDTHS * w, max(centers) + GRID_HALF_WIDTHS * w
+    if math.ulp(max(abs(lo), abs(hi))) > 2.0 * w:
+        raise NumericalError(
+            f"pointer support [{lo}, {hi}] does not resolve the pointer width {w} in floating point"
+        )
+    return lo, hi
 
 
 def to_grid(p: GaussianPointerState, xmin: float, xmax: float, n_points: int) -> GridPointerState:
@@ -290,6 +299,8 @@ def to_grid(p: GaussianPointerState, xmin: float, xmax: float, n_points: int) ->
             f"domain [{xmin}, {xmax}] too small: need [{lo}, {hi}] "
             f"(component span +- {GRID_HALF_WIDTHS} widths)"
         )
+    if not math.isfinite(xmax - xmin):
+        raise ValidationError(f"grid domain [{xmin}, {xmax}] has no finite width")
     grid = GridPointerState(xmin, xmax, int(n_points), evaluate(p, np.linspace(xmin, xmax, int(n_points))))
     exact = norm_sq(p)
     if abs(grid.trapezoid_norm_sq - exact) > TOL.grid_norm * max(1.0, exact):

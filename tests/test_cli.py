@@ -399,6 +399,24 @@ class TestExitCodes:
         assert code == 5
         assert json.loads(err)["error"]["type"] == "OrthogonalPostselection"
 
+    def test_coupling_beyond_float_resolution_exits_five(self, capsys, tmp_path):
+        # At g = 1e150 the pointer's support collapses in floating point: a limit, not a bad input.
+        code, _, err = run_cli(capsys, "weak-value", "--g", "1e150", "--csv", str(tmp_path / "g.csv"))
+        assert code == 5
+        assert json.loads(err)["error"]["type"] == "NumericalError"
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_grid_domain_without_finite_width_exits_three_with_one_error_object(self, tmp_path):
+        argv = ["weak-value", "--grid-xmin", "-1e308", "--grid-xmax", "1e308", "--csv", str(tmp_path / "g.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qccsim.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "ValidationError",
+            "message": "grid domain [-1e+308, 1e+308] has no finite width",
+        }
+
     def test_seed_beyond_philox_key_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "montecarlo", "--seed", str(2**128), "--n", "10")
         assert code == 3
@@ -531,6 +549,10 @@ def test_table_entry_drives_flag_config_record_and_check(capsys, tmp_path, scena
         violations = json.loads(out)["violations"]
         assert not any("unknown parameter" in v for v in violations)
         assert len([v for v in violations if v.startswith(f"{param.name}:")]) == 1
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_console_entry_point_runs():

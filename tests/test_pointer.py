@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qccsim.errors import CapacityError, ValidationError
+from qccsim.errors import CapacityError, NumericalError, ValidationError
 from qccsim.pointer import (
     GaussianComponent,
     GaussianPointerState,
     GridPointerState,
     density,
+    evaluate,
     make_gaussian,
     mean_momentum,
     mean_position,
@@ -18,6 +19,7 @@ from qccsim.pointer import (
     overlap,
     position_element,
     superpose,
+    support,
     to_grid,
     translate,
 )
@@ -210,6 +212,26 @@ class TestToGrid:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             to_grid(make_gaussian(0.0, 1.0), -8.0, 8.0, 2**21)
+
+    def test_domain_without_finite_width_is_rejected_before_sampling(self):
+        with pytest.raises(ValidationError, match="no finite width"):
+            to_grid(make_gaussian(0.0, 1.0), -1e308, 1e308, 1024)
+
+    def test_far_tails_sample_to_zero_without_warnings(self):
+        # dx^2 overflows at |x| ~ 1e307; the amplitude there is exactly 0.
+        with np.errstate(all="raise"):
+            amps = evaluate(make_gaussian(0.0, 1.0), np.array([-1e307, 1e307]))
+        assert not np.any(amps)
+
+    @pytest.mark.parametrize("center", [1e17, 1e150])
+    def test_support_beyond_float_resolution_is_a_numerical_error(self, center):
+        with pytest.raises(NumericalError, match="does not resolve the pointer width"):
+            support(make_gaussian(center, 1.0))
+
+    def test_support_at_float_resolution_is_kept(self):
+        # Floats near 8e15 are 1 apart: a width-1 pointer still samples to its closed-form norm.
+        p = make_gaussian(8e15, 1.0)
+        assert to_grid(p, *support(p), 1024).trapezoid_norm_sq == pytest.approx(1.0, abs=1e-6)
 
     def test_power_of_two_required(self):
         with pytest.raises(ValidationError):

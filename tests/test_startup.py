@@ -1,0 +1,118 @@
+"""Start-up contract of the package and the CLI process, each case in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qccsim.startup import THREAD_VARIABLES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``src`` with no thread variable set except those in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env={**base, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_package_import_leaves_numpy_unloaded():
+    script = (
+        "import json, sys, qccsim\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('numpy', 'qccsim')))))"
+    )
+    assert json.loads(python("-c", script).stdout) == ["qccsim"]
+
+
+def test_every_export_resolves_and_star_import_matches_all():
+    script = """
+import importlib, json, qccsim
+names = {}
+exec("from qccsim import *", names)
+star = sorted(k for k in names if not k.startswith("__"))
+resolved = all(
+    getattr(qccsim, n) is getattr(importlib.import_module("qccsim." + m), n)
+    for m, ns in qccsim._EXPORTS.items() for n in ns
+)
+try:
+    qccsim.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+report = {"all": qccsim.__all__, "star": star, "dir": dir(qccsim), "resolved": resolved, "missing": missing}
+print(json.dumps(report))
+"""
+    report = json.loads(python("-c", script).stdout)
+    assert report["resolved"]
+    assert report["star"] == sorted(report["all"])
+    assert set(report["all"]) <= set(report["dir"])
+    submodules = {"errors", "montecarlo", "neutron", "pointer", "qcc", "qstate", "tolerances", "weakmeas"}
+    assert {n for n in report["dir"] if not n.startswith("_")} - set(report["all"]) <= submodules
+    assert report["missing"] == "module 'qccsim' has no attribute 'no_such_name'"
+
+
+def test_cli_import_skips_numpy_random():
+    err = python("-X", "importtime", "-c", "import qccsim.cli").stderr
+    modules = [line.split("|")[-1].strip() for line in err.splitlines() if line.startswith("import time:")]
+    assert "qccsim.cli" in modules
+    assert not [m for m in modules if m.startswith("numpy.random")]
+
+
+RUN_AS_MAIN = """
+import json, os, runpy, sys
+sys.argv = ["qccsim", "--version"]
+try:
+    runpy.run_module("qccsim.cli", run_name="__main__")
+except SystemExit:
+    pass
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
+print()
+print(json.dumps({"env": {k: os.environ.get(k) for k in %r}, "threads": threads}))
+""" % (THREAD_VARIABLES,)
+
+
+@pytest.mark.parametrize(
+    "given, expected",
+    [
+        ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}),
+        ({"OPENBLAS_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}),
+        ({"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}),
+    ],
+    ids=["unset", "openblas-set", "omp-set"],
+)
+def test_cli_process_defaults_to_one_blas_thread(given, expected):
+    version, report = python("-c", RUN_AS_MAIN, **given).stdout.split("\n\n")
+    assert version == "qccsim 0.1.0"
+    report = json.loads(report)
+    assert report["env"] == expected
+    if not given:  # set before numpy loaded, so OpenBLAS started no pool
+        assert report["threads"] == 1
+
+
+def test_library_import_leaves_environment_unchanged():
+    script = (
+        "import json, os\n"
+        "before = dict(os.environ)\n"
+        "import qccsim.cli\n"
+        "print(json.dumps(before == dict(os.environ)))"
+    )
+    assert json.loads(python("-c", script).stdout) is True
+
+
+def test_console_script_applies_the_thread_default():
+    script = """
+import json, os, sys
+from qccsim.startup import main
+sys.argv = ["qccsim", "neutron-absorber", "--M", "0.3"]
+code = main()
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+    record, tail = python("-c", script).stdout.rstrip("\n").rsplit("\n", 1)
+    assert json.loads(tail) == [0, "1"]
+    assert json.loads(record)["scenario"] == "neutron-absorber"
