@@ -5,10 +5,12 @@ taking precedence. Every run echoes its resolved config in the JSON
 record it prints, so a record can be re-run bit-exactly. The parser,
 defaults and checks are all generated from ``SCENARIO_TABLE``.
 
-Exit codes: 0 success, 2 config parse error, 3 validation error,
+Exit codes: 0 success, 2 flag or config parse error, 3 validation error,
 4 capacity error, 5 numerical error (orthogonal postselection, a
-negative inference radicand, a float overflow or division by zero, or a
-pointer too far out for floats to resolve its width).
+negative inference radicand, a float overflow or division by zero, a
+pointer width whose powers leave the float range, or a pointer too far
+out for floats to resolve its width). Each of these errors prints one
+JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 if __name__ == "__main__":  # a CLI process: one BLAS thread, set before numpy loads
     from .startup import single_thread_blas
@@ -61,11 +63,7 @@ from .qcc import (
 from .qstate import SIGMA_X, StateVector
 from .serialize import (
     dumps_json,
-    estimator_report_dict,
-    intensity_counts_dict,
-    intensity_report_dict,
     qcc_report_dict,
-    systematic_report_dict,
     weak_measurement_dict,
     write_grid_csv,
     write_sweep_csv,
@@ -292,9 +290,21 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+class ConfigParseError(SimulationError):
+    """The flags or the config file cannot be parsed."""
+
+
+class JsonErrorParser(argparse.ArgumentParser):
+    """Reports a flag error as one JSON error object, still exiting 2; subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        sys.stderr.write(_error_object(ConfigParseError(f"{self.prog}: {message}")))
+        raise SystemExit(2)
+
+
 @functools.cache  # one parser per process: parsing does not change it, and no caller may
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = JsonErrorParser(
         prog="qccsim",
         description="Exact simulator for pre/postselected weak measurements "
         "and intensity-based interferometer experiments.",
@@ -320,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="report precondition violations and exit without computing",
         )
     return parser
-
-
-class ConfigParseError(SimulationError):
-    """The config file is not a flat JSON object."""
 
 
 def load_config_file(path: str) -> dict:
@@ -443,14 +449,14 @@ def run_qcc_scenario(params: dict, joint: bool) -> dict:
 
 
 def run_neutron_absorber(params: dict) -> dict:
-    return intensity_report_dict(intensity_absorber(AbsorberConfig(params["arm"], params["M"])))
+    return asdict(intensity_absorber(AbsorberConfig(params["arm"], params["M"])))
 
 
 def run_neutron_magnetic(params: dict) -> dict:
     report = intensity_magnetic(MagneticConfig(params["arm"], params["alpha"]))
     return {
-        "intensity": intensity_report_dict(report),
-        "systematic": systematic_report_dict(systematic_term_report(params["alpha"])),
+        "intensity": asdict(report),
+        "systematic": asdict(systematic_term_report(params["alpha"])),
     }
 
 
@@ -465,7 +471,7 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
         out = {
             "mode": "pointer",
             "context": params["context"],
-            "estimator": estimator_report_dict(estimate_weak_value(batch, phi0, params["g"])),
+            "estimator": asdict(estimate_weak_value(batch, phi0, params["g"])),
             "exact_weak_value_re": wv.real,
             "exact_postselect_prob": exact.postselect_prob_coupled,
         }
@@ -486,8 +492,8 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
         inferred = math.nan  # sampled ratio below the reachable band; JSON null
     return {
         "mode": params["mode"],
-        "counts": intensity_counts_dict(counts),
-        "exact": intensity_report_dict(exact_report),
+        "counts": asdict(counts),
+        "exact": asdict(exact_report),
         "inferred_from_counts": inferred,
     }
 

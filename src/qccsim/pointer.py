@@ -1,16 +1,16 @@
 """Gaussian quantum pointer states and their exact readouts.
 
 The primary representation is an analytic superposition of shifted
-Gaussian components sharing one width: the coupling translation acts on
-it exactly, so no discretization error enters the shift laws. A sampled
-grid form exists only for export and cross-checks.
+Gaussian components at rest, all of one width: the coupling translation
+acts on it exactly, so no discretization error enters the shift laws. A
+sampled grid form exists only for export and cross-checks.
 
-Component convention, for width sigma, center c, momentum center k:
+Component convention, for width sigma and center c:
 
-    u(x) = (2 pi sigma^2)^(-1/4) exp(-(x - c)^2 / (4 sigma^2) + i k (x - c))
+    u(x) = (2 pi sigma^2)^(-1/4) exp(-(x - c)^2 / (4 sigma^2))
 
-The phase is referenced to the center, so a rigid translation maps a
-component to another component with the same k and no extra phase.
+To first order in g, a coupled pointer's <x> moves by g Re A^w and its
+<P> by g Im A^w / (2 sigma^2).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -28,138 +28,93 @@ from .tolerances import MAX_AMPLITUDES, TOL
 GRID_HALF_WIDTHS = 8.0
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One shifted Gaussian wavepacket inside a pointer superposition."""
+class GaussianComponent(NamedTuple):
+    """One shifted Gaussian wavepacket at rest inside a pointer superposition."""
 
     coeff: complex
     center: float
-    width: float
-    momentum_center: float = 0.0
 
-    def __post_init__(self) -> None:
-        coeff = complex(self.coeff)
-        center = float(self.center)
-        width = float(self.width)
-        momentum = float(self.momentum_center)
-        if not all(
-            math.isfinite(v) for v in (coeff.real, coeff.imag, center, width, momentum)
-        ):
-            raise ValidationError("Gaussian component fields must be finite")
-        if width <= 0.0:
-            raise ValidationError(f"Gaussian width must be positive, got {width}")
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "momentum_center", momentum)
+
+def width_power(width: float, scale: float, power: int, quantity: str) -> float:
+    """``scale * width**power`` for a pointer width; where that is 0 or inf, a
+    ``ZeroDivisionError`` or ``OverflowError`` names the quantity and the width."""
+    try:
+        value = scale * width**power
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        error, verb = (OverflowError, "overflows") if value else (ZeroDivisionError, "underflows to 0")
+        raise error(f"{quantity} {verb}: {scale:g}*pointer_width**{power} at pointer_width={width!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class GaussianPointerState:
-    """Superposition of Gaussian components, all sharing one width."""
+    """Superposition of Gaussian components at rest, all of one ``width``."""
 
+    width: float
     components: tuple[GaussianComponent, ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        widths = {c.width for c in comps}
-        if len(widths) > 1:
-            raise ValidationError(f"components must share one width, got {sorted(widths)}")
+        width = float(self.width)
+        if not (width > 0.0 and math.isfinite(width)):
+            raise ValidationError(f"Gaussian width must be positive and finite, got {width}")
+        width_power(width, 8.0, 2, "Gaussian pointer")  # the overlap exponent's denominator
+        comps = tuple(GaussianComponent(complex(a), float(c)) for a, c in self.components)
+        if not all(cmath.isfinite(a) and math.isfinite(c) for a, c in comps):
+            raise ValidationError("Gaussian component fields must be finite")
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "components", comps)
-
-    @property
-    def width(self) -> float:
-        if not self.components:
-            raise ValidationError("empty pointer state has no width")
-        return self.components[0].width
 
 
 def make_gaussian(center: float, width: float) -> GaussianPointerState:
     """Freshly prepared pointer: one normalized component at rest."""
-    return GaussianPointerState((GaussianComponent(1.0 + 0.0j, center, width, 0.0),))
+    return GaussianPointerState(width, (GaussianComponent(1.0 + 0.0j, center),))
 
 
 def translate(p: GaussianPointerState, shift: float, coeff: complex = 1.0) -> GaussianPointerState:
-    """Shift every component center by ``shift`` and scale all coeffs by ``coeff``.
-
-    Realizes the exact action of exp(-i * shift * P) times a scalar; no
-    discretization is involved.
-    """
-    shift = float(shift)
-    coeff = complex(coeff)
-    if not math.isfinite(shift) or not cmath.isfinite(coeff):
-        raise ValidationError("translation shift and coefficient must be finite")
-    comps = tuple(
-        GaussianComponent(coeff * c.coeff, c.center + shift, c.width, c.momentum_center)
-        for c in p.components
-    )
-    return GaussianPointerState(comps)
+    """Shift every component center by ``shift`` and scale all coeffs by ``coeff``:
+    the exact action of exp(-i * shift * P) times a scalar, with no discretization."""
+    shift, coeff = float(shift), complex(coeff)
+    return GaussianPointerState(p.width, tuple((coeff * a, c + shift) for a, c in p.components))
 
 
 def superpose(states: Iterable[GaussianPointerState]) -> GaussianPointerState:
-    """Sum of pointer states; components with identical (center, momentum) merge."""
-    merged: dict[tuple[float, float], complex] = {}
-    order: list[tuple[float, float]] = []
-    width = None
+    """Sum of pointer states of one width; components with identical centers merge."""
+    merged: dict[float, complex] = {}
+    widths = set()
     for state in states:
-        for c in state.components:
-            if width is None:
-                width = c.width
-            elif c.width != width:
-                raise ValidationError("superposed states must share one component width")
-            key = (c.center, c.momentum_center)
-            if key not in merged:
-                merged[key] = 0.0 + 0.0j
-                order.append(key)
-            merged[key] += c.coeff
-    if width is None:
-        return GaussianPointerState(())
-    comps = tuple(
-        GaussianComponent(merged[key], key[0], width, key[1])
-        for key in order
-        if merged[key] != 0.0
-    )
-    return GaussianPointerState(comps)
+        widths.add(state.width)
+        for a, c in state.components:
+            merged[c] = merged.get(c, 0.0 + 0.0j) + a
+    if len(widths) != 1:
+        raise ValidationError(f"superpose needs states of one width, got widths {sorted(widths)}")
+    return GaussianPointerState(widths.pop(), tuple((a, c) for c, a in merged.items() if a != 0.0))
 
 
-def component_overlap(a: GaussianComponent, b: GaussianComponent) -> complex:
+def component_overlap(a: GaussianComponent, b: GaussianComponent, width: float) -> float:
     """Closed-form <u_a|u_b> between unit-norm components (coefficients ignored)."""
-    _check_same_width(a, b)
-    s2 = a.width * a.width
     dc = a.center - b.center
-    dk = b.momentum_center - a.momentum_center
-    return cmath.exp(
-        -dc * dc / (8.0 * s2)
-        - dk * dk * s2 / 2.0
-        + 1.0j * (a.momentum_center + b.momentum_center) * dc / 2.0
-    )
+    return math.exp(-dc * dc / (8.0 * (width * width)))
 
 
-def component_position_element(a: GaussianComponent, b: GaussianComponent) -> complex:
+def component_position_element(a: GaussianComponent, b: GaussianComponent, width: float) -> float:
     """Closed-form <u_a|x|u_b> between unit-norm components."""
-    s2 = a.width * a.width
-    dk = b.momentum_center - a.momentum_center
-    return component_overlap(a, b) * ((a.center + b.center) / 2.0 + 1.0j * dk * s2)
+    return component_overlap(a, b, width) * ((a.center + b.center) / 2.0)
 
 
-def component_momentum_element(a: GaussianComponent, b: GaussianComponent) -> complex:
+def component_momentum_element(a: GaussianComponent, b: GaussianComponent, width: float) -> complex:
     """Closed-form <u_a|P|u_b> between unit-norm components."""
-    s2 = a.width * a.width
-    ksum = a.momentum_center + b.momentum_center
-    dc = a.center - b.center
-    return component_overlap(a, b) * (ksum / 2.0 + 1.0j * dc / (4.0 * s2))
-
-
-def _check_same_width(a: GaussianComponent, b: GaussianComponent) -> None:
-    if a.width != b.width:
-        raise ValidationError(f"mixed component widths {a.width} and {b.width}")
+    return component_overlap(a, b, width) * (1.0j * (a.center - b.center) / (4.0 * (width * width)))
 
 
 def _pair_sum(p: GaussianPointerState, q: GaussianPointerState, element) -> complex:
+    if p.width != q.width:
+        raise ValidationError(f"mixed pointer widths {p.width} and {q.width}")
     total = 0.0 + 0.0j
     for a in p.components:
         for b in q.components:
-            total += a.coeff.conjugate() * b.coeff * element(a, b)
+            total += a.coeff.conjugate() * b.coeff * element(a, b, p.width)
     return total
 
 
@@ -175,8 +130,7 @@ def position_element(p: GaussianPointerState, q: GaussianPointerState) -> comple
 
 def norm_sq(p: GaussianPointerState) -> float:
     """Closed-form squared norm; exact up to float rounding."""
-    value = overlap(p, p).real
-    return max(value, 0.0)
+    return max(overlap(p, p).real, 0.0)
 
 
 def mean_position(p: GaussianPointerState) -> float:
@@ -188,7 +142,7 @@ def mean_position(p: GaussianPointerState) -> float:
 
 
 def mean_momentum(p: GaussianPointerState) -> float:
-    """<P> of the normalized state; diagnostic readout."""
+    """<P> of the normalized state: the Im A^w readout of a coupled pointer."""
     n2 = norm_sq(p)
     if n2 <= 0.0:
         raise ValidationError("mean_momentum undefined for a zero-norm pointer state")
@@ -199,12 +153,13 @@ def evaluate(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
     """Amplitude phi(x) of the superposition at the given points."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
+    s2 = p.width * p.width
+    norm = (2.0 * math.pi * s2) ** -0.25
     with np.errstate(over="ignore"):  # far from a center, dx^2 -> inf and the amplitude -> 0 exactly
-        for c in p.components:
-            s2 = c.width * c.width
-            norm = (2.0 * math.pi * s2) ** -0.25
-            dx = x - c.center
-            out += c.coeff * norm * np.exp(-dx * dx / (4.0 * s2) + 1.0j * c.momentum_center * dx)
+        for a, c in p.components:
+            dx = x - c
+            # numpy's complex exp: its real counterpart rounds differently, and the goldens pin these bits
+            out += a * norm * np.exp(-dx * dx / (4.0 * s2) + 0j)
     return out
 
 
@@ -237,9 +192,8 @@ class GridPointerState:
             raise ValidationError("grid amplitudes contain non-finite entries")
         dens = (amps.conj() * amps).real
         peak = float(dens.max(initial=0.0))
-        edge = float(max(dens[0], dens[-1])) if n else 0.0
-        # Wrap-around guard on the density, so a minimally compliant
-        # domain of +-8 widths still passes.
+        edge = float(max(dens[0], dens[-1]))
+        # Wrap-around guard on the density, so a minimally compliant domain of +-8 widths still passes.
         if peak > 0.0 and edge >= TOL.grid_boundary_density * peak:
             raise ValidationError(
                 f"boundary density {edge:.3e} exceeds {TOL.grid_boundary_density} of peak {peak:.3e}"

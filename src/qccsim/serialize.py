@@ -11,15 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .montecarlo import EstimatorReport, IntensityCounts, TrialBatch
-from .neutron import IntensityReport, SystematicTermReport
+from .montecarlo import TrialBatch
 from .pointer import GridPointerState
 from .qcc import QccReport
 from .weakmeas import (
@@ -34,14 +32,14 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    """Serialize to JSON with 17-significant-digit floats."""
-    return "".join(_emit(obj, indent, 0)) + "\n"
+def dumps_json(obj) -> str:
+    """Serialize to JSON with 17-significant-digit floats, indented by two spaces."""
+    return "".join(_emit(obj, 0)) + "\n"
 
 
-def _emit(obj, indent: int, depth: int) -> Iterable[str]:
-    pad = " " * (indent * depth)
-    inner = " " * (indent * (depth + 1))
+def _emit(obj, depth: int) -> Iterable[str]:
+    pad = "  " * depth
+    inner = "  " * (depth + 1)
     if obj is None:
         yield "null"
     elif isinstance(obj, (bool, np.bool_)):
@@ -62,7 +60,7 @@ def _emit(obj, indent: int, depth: int) -> Iterable[str]:
             if not isinstance(key, str):
                 raise ValidationError(f"JSON object keys must be strings, got {key!r}")
             yield f"{inner}{json.dumps(key)}: "
-            yield from _emit(value, indent, depth + 1)
+            yield from _emit(value, depth + 1)
             yield ",\n" if i < len(obj) - 1 else "\n"
         yield f"{pad}}}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -73,7 +71,7 @@ def _emit(obj, indent: int, depth: int) -> Iterable[str]:
         yield "[\n"
         for i, value in enumerate(items):
             yield inner
-            yield from _emit(value, indent, depth + 1)
+            yield from _emit(value, depth + 1)
             yield ",\n" if i < len(items) - 1 else "\n"
         yield f"{pad}]"
     else:
@@ -106,22 +104,6 @@ def qcc_report_dict(report: QccReport) -> dict:
     for name, value in vars(report).items():
         out.update(complex_fields(name, value) if isinstance(value, complex) else {name: value})
     return out
-
-
-def intensity_report_dict(report: IntensityReport) -> dict:
-    return asdict(report)
-
-
-def systematic_report_dict(report: SystematicTermReport) -> dict:
-    return asdict(report)
-
-
-def estimator_report_dict(report: EstimatorReport) -> dict:
-    return asdict(report)
-
-
-def intensity_counts_dict(counts: IntensityCounts) -> dict:
-    return asdict(counts)
 
 
 def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

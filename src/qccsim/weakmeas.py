@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import OrthogonalPostselection, ValidationError
-from .pointer import GaussianPointerState, mean_position, superpose, translate
+from .pointer import GaussianPointerState, mean_position, superpose, translate, width_power
 from .qstate import Operator, StateVector, apply, inner
 from .tolerances import TOL
 
@@ -205,6 +205,8 @@ class BranchTable(NamedTuple):
 
     def pointer(self, phi0: GaussianPointerState, g: float) -> GaussianPointerState:
         """The postselected pointer sum_k c_k phi0(x - g a_k), exact at any coupling."""
+        if not self.coeffs:
+            return GaussianPointerState(phi0.width, ())
         return superpose(translate(phi0, g * a, c) for a, c in zip(self.eigvals, self.coeffs))
 
     @np.errstate(all="ignore")
@@ -222,12 +224,10 @@ class BranchTable(NamedTuple):
         if gs.ndim != 1 or not np.all(np.isfinite(gs)):
             raise ValidationError("coupling strength must be finite")
         comps = phi0.components
-        if len(comps) != 1 or comps[0].coeff != 1.0 or comps[0].momentum_center != 0.0:
+        if len(comps) != 1 or comps[0].coeff != 1.0:
             raise ValidationError("the coupled readout needs a freshly prepared pointer")
         s2 = phi0.width * phi0.width
         k_count, rows = len(self.eigvals), np.arange(gs.size)
-        if k_count and 8.0 * s2 == 0.0:
-            raise ZeroDivisionError("float division by zero")
         x = comps[0].center + gs[:, None] * np.array(self.eigvals).reshape(1, k_count)
         if not np.all(np.isfinite(x)):
             raise ValidationError("translation shift and coefficient must be finite")
@@ -241,9 +241,7 @@ class BranchTable(NamedTuple):
             im[rows, first] += c.imag
         pairs = [(p, q) for p in range(k_count) for q in range(p, k_count)]
         dc = np.array([x[:, p] - x[:, q] for p, q in pairs]).reshape(len(pairs), gs.size)
-        # component_overlap's exponent: its momentum terms vanish at rest but
-        # turn NaN with an infinite width or center distance.
-        overlaps = dict(zip(pairs, elementwise(math.exp, (-dc * dc / (8.0 * s2) - 0.0 * s2 / 2.0) + 0.0 * dc)))
+        overlaps = dict(zip(pairs, elementwise(math.exp, -dc * dc / (8.0 * s2))))
         norm, position = np.zeros(gs.size), np.zeros(gs.size)
         for p in range(k_count):
             for q in range(k_count):
@@ -286,10 +284,9 @@ class BranchTable(NamedTuple):
         wv = self.weak_value()
         wv_sq = self.transition_sq / self.overlap
         sigma = phi0.width
-        k0 = phi0.components[0].momentum_center
         p_scale = 1.0 / (2.0 * sigma)
-        # ||P^2 u|| for a normalized Gaussian wavepacket with momentum center k0.
-        p2_norm = math.sqrt(k0**4 + 6.0 * k0**2 / (4.0 * sigma**2) + 3.0 / (16.0 * sigma**4))
+        # ||P^2 u|| for a normalized Gaussian wavepacket at rest.
+        p2_norm = math.sqrt(3.0 / width_power(sigma, 16.0, 4, "validity second order"))
         gs = np.abs(np.atleast_1d(np.asarray(g, dtype=float)))
         margin = gs * p_scale * abs(wv)
         second_order = squared(gs, "validity second order", "|g|") / 2.0 * abs(wv_sq) * p2_norm

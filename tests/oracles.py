@@ -60,16 +60,13 @@ def embed_full_matrix(op: np.ndarray, positions: list[int], dims: list[int]) -> 
     return full
 
 
-def gaussian_amplitude(
-    x: np.ndarray, coeffs, centers, width: float, momenta=None
-) -> np.ndarray:
-    """Superposition amplitude evaluated directly from its definition."""
-    momenta = momenta if momenta is not None else [0.0] * len(coeffs)
+def gaussian_amplitude(x: np.ndarray, coeffs, centers, width: float) -> np.ndarray:
+    """Superposition of Gaussians at rest, evaluated directly from its definition."""
     out = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
     norm = (2.0 * math.pi * width**2) ** -0.25
-    for a, c, k in zip(coeffs, centers, momenta):
+    for a, c in zip(coeffs, centers):
         dx = np.asarray(x, dtype=float) - c
-        out += a * norm * np.exp(-(dx**2) / (4.0 * width**2) + 1.0j * k * dx)
+        out += a * norm * np.exp(-(dx**2) / (4.0 * width**2))
     return out
 
 
@@ -80,18 +77,18 @@ def quadrature_grid(centers, width: float, n: int = 2**16):
     return np.linspace(lo, hi, n)
 
 
-def quadrature_mean_position(coeffs, centers, width: float, momenta=None) -> float:
+def quadrature_mean_position(coeffs, centers, width: float) -> float:
     """<x> by trapezoid quadrature on a dense grid."""
     xs = quadrature_grid(centers, width)
-    f = gaussian_amplitude(xs, coeffs, centers, width, momenta)
+    f = gaussian_amplitude(xs, coeffs, centers, width)
     dens = (f.conj() * f).real
     return float(np.trapezoid(xs * dens, xs) / np.trapezoid(dens, xs))
 
 
-def quadrature_mean_momentum(coeffs, centers, width: float, momenta=None) -> float:
+def quadrature_mean_momentum(coeffs, centers, width: float) -> float:
     """<P> by FFT spectral derivative plus trapezoid quadrature."""
     xs = quadrature_grid(centers, width)
-    f = gaussian_amplitude(xs, coeffs, centers, width, momenta)
+    f = gaussian_amplitude(xs, coeffs, centers, width)
     k = 2.0 * math.pi * np.fft.fftfreq(xs.size, xs[1] - xs[0])
     pf = np.fft.ifft(k * np.fft.fft(f))
     num = np.trapezoid(f.conj() * pf, xs).real
@@ -99,9 +96,9 @@ def quadrature_mean_momentum(coeffs, centers, width: float, momenta=None) -> flo
     return float(num / den)
 
 
-def quadrature_norm_sq(coeffs, centers, width: float, momenta=None) -> float:
+def quadrature_norm_sq(coeffs, centers, width: float) -> float:
     xs = quadrature_grid(centers, width)
-    f = gaussian_amplitude(xs, coeffs, centers, width, momenta)
+    f = gaussian_amplitude(xs, coeffs, centers, width)
     return float(np.trapezoid((f.conj() * f).real, xs))
 
 

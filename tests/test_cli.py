@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qccsim import cli, qcc, weakmeas
+from qccsim import cli, montecarlo, qcc, weakmeas
 from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
 from qccsim.qcc import OBSERVABLE_TAGS
@@ -23,6 +23,24 @@ from qccsim.qstate import StateVector, apply
 from oracles import fit_exponent
 
 DATA = Path(__file__).parent / "data"
+
+OVERFLOW_1E300 = "OverflowError: Gaussian pointer overflows: 8*pointer_width**2 at pointer_width=1e+300"
+UNDERFLOW_1E_100 = (
+    "ZeroDivisionError: validity second order underflows to 0: 16*pointer_width**4 at pointer_width=1e-100"
+)
+# Pointer widths beyond float range: each run exits 5, naming the width, before any sampling.
+EXTREME_WIDTHS = [
+    (("weak-value", "--pointer-width", "1e300"), OVERFLOW_1E300),
+    (("qcc", "--pointer-width", "1e300"), OVERFLOW_1E300),
+    (("montecarlo", "--n", "2000", "--pointer-width", "1e300"), OVERFLOW_1E300),
+    (("qcc", "--pointer-width", "1e-100"), UNDERFLOW_1E_100),
+    (("qcc-joint", "--pointer-width", "1e-100"), UNDERFLOW_1E_100),
+    (("weak-value", "--pointer-width", "1e-100"), UNDERFLOW_1E_100),
+    (
+        ("weak-value", "--pointer-width", "1e-300"),
+        "ZeroDivisionError: Gaussian pointer underflows to 0: 8*pointer_width**2 at pointer_width=1e-300",
+    ),
+]
 
 MANDATED_WEAK_VALUE_FIELDS = (
     "weak_value_re",
@@ -355,6 +373,21 @@ class TestExitCodes:
             main(["qcc", "--coupling", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["qcc", "--g", "abc"], "qccsim qcc: argument --g: invalid float value: 'abc'"),
+            (["qcc", "--bogus", "1"], "qccsim: unrecognized arguments: --bogus 1"),
+        ],
+    )
+    def test_flag_error_is_one_json_object(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"type": "ConfigParseError", "message": message}}
+
     def test_validation_failure_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "neutron-absorber", "--arm", "I", "--M", "-1")
         assert code == 3
@@ -427,13 +460,21 @@ class TestExitCodes:
         [
             (("weak-value", "--g", "1e300"), "OverflowError"),
             (("qcc-joint", "--g", "1e200"), "OverflowError"),
-            (("weak-value", "--pointer-width", "1e-300"), "ZeroDivisionError"),
+            *((argv, message.split(":")[0]) for argv, message in EXTREME_WIDTHS),
         ],
     )
     def test_float_overflow_exits_five(self, capsys, argv, error):
         code, _, err = run_cli(capsys, *argv)
         assert code == 5
         assert json.loads(err)["error"]["type"] == error
+
+    @pytest.mark.parametrize("argv, error", EXTREME_WIDTHS)
+    def test_extreme_width_message_names_quantity_and_width(self, capsys, monkeypatch, argv, error):
+        monkeypatch.setattr(montecarlo, "_trial_uniforms", None)  # a run that samples fails here
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 5
+        kind, message = error.split(": ", 1)
+        assert json.loads(err)["error"] == {"type": kind, "message": message}
 
     def test_overflow_message_names_quantity_and_coupling(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--scenario", "qcc", "--g", "0:1e200:3")

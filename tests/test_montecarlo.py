@@ -1,6 +1,7 @@
 """Trial sampling determinism and statistical agreement with exact results."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qccsim.montecarlo import (
 )
 from qccsim.neutron import AbsorberConfig, intensity_absorber
 from qccsim.pointer import make_gaussian
-from qccsim.serialize import dumps_json, intensity_counts_dict
+from qccsim.serialize import dumps_json
 from qccsim.weakmeas import couple_and_postselect
 
 from oracles import CHI2_999_DF63, gaussian_amplitude
@@ -237,4 +238,4 @@ class TestIntensitySampling:
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 40.0)), 100, 1)
         assert counts.n_perturbed == 0
         assert math.isnan(counts.ratio_std_error)
-        assert '"ratio_std_error": null' in dumps_json(intensity_counts_dict(counts))
+        assert '"ratio_std_error": null' in dumps_json(asdict(counts))

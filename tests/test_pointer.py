@@ -33,13 +33,8 @@ from oracles import (
 )
 
 
-def two_component(coeffs, centers, width=1.0, momenta=(0.0, 0.0)):
-    return GaussianPointerState(
-        tuple(
-            GaussianComponent(a, c, width, k)
-            for a, c, k in zip(coeffs, centers, momenta)
-        )
-    )
+def two_component(coeffs, centers, width=1.0):
+    return GaussianPointerState(width, tuple(GaussianComponent(a, c) for a, c in zip(coeffs, centers)))
 
 
 class TestMakeGaussian:
@@ -57,6 +52,12 @@ class TestMakeGaussian:
             make_gaussian(0.0, 0.0)
         with pytest.raises(ValidationError):
             make_gaussian(0.0, -1.0)
+
+    @pytest.mark.parametrize("width, error", [(1e154, OverflowError), (1e-170, ZeroDivisionError)])
+    def test_width_beyond_float_range_names_the_width(self, width, error):
+        with pytest.raises(error) as exc:
+            make_gaussian(0.0, width)
+        assert str(exc.value).endswith(f": 8*pointer_width**2 at pointer_width={width!r}")
 
 
 class TestTranslate:
@@ -109,15 +110,15 @@ class TestMeanPosition:
         assert value == pytest.approx(0.108, abs=1e-13)
 
     def test_zero_norm_rejected(self):
-        empty = GaussianPointerState(())
+        empty = GaussianPointerState(1.0, ())
         with pytest.raises(ValidationError):
             mean_position(empty)
 
 
 class TestPositionElement:
     def test_cross_element_matches_quadrature(self):
-        p_args = ((0.6, 0.8j), (-0.7, 1.1), 1.0, (0.3, -0.2))
-        q_args = ((1.0 - 0.5j, 0.4), (0.2, 2.0), 1.0, (0.0, 0.5))
+        p_args = ((0.6, 0.8j), (-0.7, 1.1), 1.0)
+        q_args = ((1.0 - 0.5j, 0.4), (0.2, 2.0), 1.0)
         xs = quadrature_grid(p_args[1] + q_args[1], 1.0)
         f_p = gaussian_amplitude(xs, *p_args)
         f_q = gaussian_amplitude(xs, *q_args)
@@ -132,14 +133,10 @@ class TestMeanMomentum:
     def test_real_component_has_zero_momentum(self):
         assert mean_momentum(make_gaussian(1.0, 2.0)) == pytest.approx(0.0, abs=1e-14)
 
-    def test_momentum_center_read_back(self):
-        p = GaussianPointerState((GaussianComponent(1.0, 0.0, 1.0, 0.6),))
-        assert mean_momentum(p) == pytest.approx(0.6, abs=1e-12)
-
     def test_complex_superposition_matches_spectral_oracle(self):
-        coeffs, centers, momenta = (0.6, 0.5 + 0.5j), (0.0, 0.7), (0.2, -0.4)
-        p = two_component(coeffs, centers, 1.0, momenta)
-        oracle = quadrature_mean_momentum(coeffs, centers, 1.0, momenta)
+        coeffs, centers = (0.6, 0.5 + 0.5j), (0.0, 0.7)
+        p = two_component(coeffs, centers, 1.0)
+        oracle = quadrature_mean_momentum(coeffs, centers, 1.0)
         assert mean_momentum(p) == pytest.approx(oracle, abs=1e-10)
 
 
@@ -149,14 +146,9 @@ class TestClosedFormNorm:
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
         centers = rng.uniform(-1.5, 1.5, size=3)
-        momenta = rng.uniform(-1.0, 1.0, size=3)
         width = rng.uniform(0.5, 2.0)
-        p = GaussianPointerState(
-            tuple(GaussianComponent(a, c, width, k) for a, c, k in zip(coeffs, centers, momenta))
-        )
-        assert norm_sq(p) == pytest.approx(
-            quadrature_norm_sq(coeffs, centers, width, momenta), rel=1e-10
-        )
+        p = GaussianPointerState(width, tuple(GaussianComponent(a, c) for a, c in zip(coeffs, centers)))
+        assert norm_sq(p) == pytest.approx(quadrature_norm_sq(coeffs, centers, width), rel=1e-10)
 
     def test_overlap_hermitian(self):
         p = two_component((0.8, 0.6j), (0.0, 0.3))
@@ -164,10 +156,11 @@ class TestClosedFormNorm:
         assert overlap(p, q) == pytest.approx(overlap(q, p).conjugate(), abs=1e-14)
 
     def test_mixed_widths_rejected(self):
+        p, q = make_gaussian(0.0, 1.0), make_gaussian(0.0, 2.0)
         with pytest.raises(ValidationError):
-            GaussianPointerState(
-                (GaussianComponent(1.0, 0.0, 1.0), GaussianComponent(1.0, 0.0, 2.0))
-            )
+            overlap(p, q)
+        with pytest.raises(ValidationError):
+            superpose([p, q])
 
 
 class TestSuperpose:
@@ -176,6 +169,10 @@ class TestSuperpose:
         out = superpose([translate(p, 0.0, 0.25), translate(p, 0.0, 0.25)])
         assert len(out.components) == 1
         assert out.components[0].coeff == 0.5
+
+    def test_empty_sum_rejected(self):
+        with pytest.raises(ValidationError):
+            superpose([])
 
     def test_distinct_centers_kept(self):
         p = make_gaussian(0.0, 1.0)

@@ -194,18 +194,18 @@ def joint_oracle(cfg: QccConfig, reverse: bool, swap: bool = False):
             branches.append(
                 (
                     coeff,
-                    GaussianComponent(1.0, cfg.g_I * a_val, cfg.pointer_width),
-                    GaussianComponent(1.0, cfg.g_II * b_val, cfg.pointer_width),
+                    GaussianComponent(1.0, cfg.g_I * a_val),
+                    GaussianComponent(1.0, cfg.g_II * b_val),
                 )
             )
-    norm2, x_i, x_ii = 0.0, 0.0, 0.0
+    norm2, x_i, x_ii, width = 0.0, 0.0, 0.0, cfg.pointer_width
     for ca, ua, va in branches:
         for cb, ub, vb in branches:
             w = ca.conjugate() * cb
-            o_i, o_ii = component_overlap(ua, ub), component_overlap(va, vb)
+            o_i, o_ii = component_overlap(ua, ub, width), component_overlap(va, vb, width)
             norm2 += (w * o_i * o_ii).real
-            x_i += (w * component_position_element(ua, ub) * o_ii).real
-            x_ii += (w * o_i * component_position_element(va, vb)).real
+            x_i += (w * component_position_element(ua, ub, width) * o_ii).real
+            x_ii += (w * o_i * component_position_element(va, vb, width)).real
     return x_i / norm2, x_ii / norm2, norm2
 
 

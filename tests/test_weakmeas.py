@@ -7,7 +7,7 @@ import pytest
 
 from qccsim.cli import CONTEXT_NAMES, build_context
 from qccsim.errors import OrthogonalPostselection, ValidationError
-from qccsim.pointer import make_gaussian, mean_position, norm_sq, superpose, translate
+from qccsim.pointer import make_gaussian, mean_momentum, mean_position, norm_sq, superpose, translate
 from qccsim.qstate import SIGMA_X, StateVector, inner
 from qccsim.weakmeas import (
     PrePostContext,
@@ -26,6 +26,7 @@ from oracles import (
     anomalous_exact_shift,
     anomalous_postselect_prob,
     fit_exponent,
+    quadrature_mean_momentum,
     quadrature_readout,
     random_hermitian,
     random_state,
@@ -175,6 +176,23 @@ class TestCoupleAndPostselect:
         result = couple_and_postselect(ctx, obs, PHI0, 0.05)
         assert result.weak_value is None
         assert norm_sq(result.pointer_final) > 0.0
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("theta, phi", [(0.3, 0.7), (1.2, -2.0)])
+    def test_mean_momentum_reads_imaginary_weak_value(self, sigma, theta, phi):
+        # <P> of the postselected pointer is g Im(A^w) / (2 sigma^2) to first order in g.
+        ctx = qubit_context([1.0, 0.0], [math.cos(theta), complex(math.cos(phi), math.sin(phi)) * math.sin(theta)])
+        obs = make_observable(SIGMA_X, ("spin",))
+        g = 1e-4
+        pointer = couple_and_postselect(ctx, obs, make_gaussian(0.0, sigma), g).pointer_final
+        wv = weak_value(ctx, obs)
+        assert abs(wv.imag) > 0.1
+        expected = g * wv.imag / (2.0 * sigma**2)
+        assert mean_momentum(pointer) == pytest.approx(expected, rel=1e-4)
+        coeffs, centers = zip(*pointer.components)
+        assert mean_momentum(pointer) == pytest.approx(
+            quadrature_mean_momentum(coeffs, centers, sigma), rel=1e-6
+        )
 
     def test_rejects_non_finite_coupling(self):
         ctx, obs = build_context("anomalous")
