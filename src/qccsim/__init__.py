@@ -71,10 +71,7 @@ _EXPORTS = {
         "Operator",
         "StateVector",
         "apply",
-        "basis_state",
-        "identity_operator",
         "inner",
-        "normalized",
         "partial_project",
         "tensor",
     ),
@@ -91,7 +88,6 @@ _EXPORTS = {
         "expectation_decomposition_check",
         "linear_response_report",
         "make_observable",
-        "transition_element",
         "validity_margin",
         "weak_value",
     ),

@@ -53,6 +53,7 @@ from .neutron import (
 )
 from .pointer import check_grid_points, make_gaussian, support, to_grid
 from .qcc import (
+    ARMS,
     OBSERVABLE_TAGS,
     QccConfig,
     arm_observable,
@@ -96,34 +97,32 @@ def _two_level(label: str, psi: list, chi: list, matrix) -> tuple[PrePostContext
     return PrePostContext(pre, post), make_observable(matrix, (label,))
 
 
-def _anomalous(tan_theta: float, swap_spin_labels: bool) -> tuple[PrePostContext, Observable]:
+def _anomalous(tan_theta: float) -> tuple[PrePostContext, Observable]:
     # chi = (cos theta, sin theta) without atan, which loses precision at large |tan theta|.
     h = math.hypot(1.0, tan_theta)
     return _two_level("spin", [1.0, 0.0], [1.0 / h, tan_theta / h], SIGMA_X)
 
 
 _HALF = 1.0 / math.sqrt(2.0)
-# Context name -> builder(tan_theta, swap_spin_labels), in the CLI's choice order.
+# Context name -> builder(tan_theta), in the CLI's choice order.
 _CONTEXTS = {
-    "spin-trivial": lambda t, swap: _two_level("spin", [1.0, 0.0], [1.0, 0.0], SIGMA_X),
-    "path-null": lambda t, swap: _two_level("path", [_HALF, _HALF], [0.0, 1.0], np.diag([1.0, 0.0])),
-    "orthogonal": lambda t, swap: _two_level("spin", [1.0, 0.0], [0.0, 1.0], SIGMA_X),
+    "spin-trivial": lambda t: _two_level("spin", [1.0, 0.0], [1.0, 0.0], SIGMA_X),
+    "path-null": lambda t: _two_level("path", [_HALF, _HALF], [0.0, 1.0], np.diag([1.0, 0.0])),
+    "orthogonal": lambda t: _two_level("spin", [1.0, 0.0], [0.0, 1.0], SIGMA_X),
     "anomalous": _anomalous,
-    "qcc-pi-I": lambda t, swap: (build_prepost(swap), arm_observable("I", "projector")),
-    "qcc-sigma-I": lambda t, swap: (build_prepost(swap), arm_observable("I", "sigma_x")),
-    "qcc-pi-II": lambda t, swap: (build_prepost(swap), arm_observable("II", "projector")),
-    "qcc-sigma-II": lambda t, swap: (build_prepost(swap), arm_observable("II", "sigma_x")),
+    "qcc-pi-I": lambda t: (build_prepost(), arm_observable("I", "projector")),
+    "qcc-sigma-I": lambda t: (build_prepost(), arm_observable("I", "sigma_x")),
+    "qcc-pi-II": lambda t: (build_prepost(), arm_observable("II", "projector")),
+    "qcc-sigma-II": lambda t: (build_prepost(), arm_observable("II", "sigma_x")),
 }
 CONTEXT_NAMES = tuple(_CONTEXTS)
 
 
-def build_context(
-    name: str, tan_theta: float = 3.0, swap_spin_labels: bool = False
-) -> tuple[PrePostContext, Observable]:
+def build_context(name: str, tan_theta: float = 3.0) -> tuple[PrePostContext, Observable]:
     """Named pre/postselection scenarios used by weak-value and montecarlo runs."""
     if name not in _CONTEXTS:
         raise ValidationError(f"unknown context {name!r}; choose from {CONTEXT_NAMES}")
-    return _CONTEXTS[name](tan_theta, swap_spin_labels)
+    return _CONTEXTS[name](tan_theta)
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -189,7 +188,7 @@ CONTEXT = Param("context", "choice", "qcc-pi-I", "named pre/postselection contex
 TAN_THETA = Param("tan_theta", "float", 3.0, "tan(theta) of the anomalous context")
 POINTER_WIDTH = Param("pointer_width", "float", 1.0, "Gaussian pointer width",
                       check=lambda width: f"must be > 0, got {width}" if width <= 0.0 else None)
-ARM = Param("arm", "choice", "I", "interferometer arm", ("I", "II"))
+ARM = Param("arm", "choice", "I", "interferometer arm", ARMS)
 ABSORBER_M = Param("M", "float", 0.1, "absorber strength, arm attenuation e^(-M)", check=_at_least(0))
 ROTATION_ALPHA = Param(
     "alpha", "float", 0.2, "arm spin-rotation angle",
@@ -576,23 +575,25 @@ def _error_object(exc: Exception) -> str:
     return dumps_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
 
 
+# Error type -> exit code, as the module docstring lists them; the first match wins.
+EXIT_CODES = {
+    ConfigParseError: 2,
+    ValidationError: 3,
+    CapacityError: 4,
+    NumericalError: 5,
+    OverflowError: 5,
+    ZeroDivisionError: 5,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return run(args)
-    except ConfigParseError as exc:
+    except tuple(EXIT_CODES) as exc:
         sys.stderr.write(_error_object(exc))
-        return 2
-    except ValidationError as exc:
-        sys.stderr.write(_error_object(exc))
-        return 3
-    except CapacityError as exc:
-        sys.stderr.write(_error_object(exc))
-        return 4
-    except (NumericalError, OverflowError, ZeroDivisionError) as exc:
-        sys.stderr.write(_error_object(exc))
-        return 5
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,22 +34,21 @@ class TrialBatch:
     """Outcomes of n independent pre/postselected trials.
 
     ``postselected`` is the per-trial success mask; ``positions`` holds
-    the pointer readouts of successful trials, in trial order.
+    the pointer readouts of successful trials, in trial order. The counts
+    ``n_total`` and ``n_postselected`` are read off the mask.
     """
 
-    n_total: int
-    n_postselected: int
     positions: np.ndarray
-    seed: int
     postselected: np.ndarray
+    n_total: int = field(init=False)
+    n_postselected: int = field(init=False)
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
         mask = np.asarray(self.postselected, dtype=bool)
-        if mask.size != self.n_total:
-            raise ValidationError("postselected mask length must equal n_total")
-        if self.n_postselected != int(mask.sum()) or positions.size != self.n_postselected:
-            raise ValidationError("postselection counts are inconsistent")
+        n_postselected = int(mask.sum())
+        if positions.size != n_postselected:
+            raise ValidationError("need one position per postselected trial")
         if positions.size and not np.all(np.isfinite(positions)):
             raise ValidationError("positions contain non-finite entries")
         positions = positions.copy()
@@ -58,6 +57,8 @@ class TrialBatch:
         mask.flags.writeable = False
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "postselected", mask)
+        object.__setattr__(self, "n_total", mask.size)
+        object.__setattr__(self, "n_postselected", n_postselected)
 
 
 @dataclass(frozen=True)
@@ -145,15 +146,7 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
         with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
             parts = list(pool.map(run_chunk, bounds))
 
-    mask = np.concatenate([m for m, _ in parts])
-    positions = np.concatenate([p for _, p in parts])
-    return TrialBatch(
-        n_total=n,
-        n_postselected=int(mask.sum()),
-        positions=positions,
-        seed=int(seed),
-        postselected=mask,
-    )
+    return TrialBatch(np.concatenate([p for _, p in parts]), np.concatenate([m for m, _ in parts]))
 
 
 def estimate_weak_value(batch: TrialBatch, phi0: GaussianPointerState, g: float) -> EstimatorReport:
@@ -165,7 +158,11 @@ def estimate_weak_value(batch: TrialBatch, phi0: GaussianPointerState, g: float)
     if g == 0.0:
         raise ValidationError("weak-value estimation needs a nonzero coupling")
     mean_shift = float(batch.positions.mean()) - mean_position(phi0)
-    spread = float(batch.positions.std(ddof=1))
+    with np.errstate(over="ignore"):
+        spread = float(batch.positions.std(ddof=1))
+    if not math.isfinite(spread):  # squared readouts of a ~1e154-wide pointer overflow: rescale
+        scale = float(np.max(np.abs(batch.positions)))
+        spread = scale * float((batch.positions / scale).std(ddof=1))
     std_error = spread / math.sqrt(batch.n_postselected) / abs(g)
     return EstimatorReport(
         mean_shift=mean_shift,

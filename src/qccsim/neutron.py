@@ -174,27 +174,22 @@ def infer_weak_value(cfg: AbsorberConfig | MagneticConfig, measured_ratio):
     live = param != 0.0
     if np.any(live):
         if isinstance(cfg, AbsorberConfig):
-            inferred[live] = infer_projector_weak_value(cfg.arm, param[live], ratio[live])
+            inferred[live] = infer_projector_weak_value(param[live], ratio[live])
         else:
             pi_w = _projector_weak_value(cfg.arm)
-            inferred[live] = infer_spin_weak_value_modulus(cfg.arm, param[live], ratio[live], pi_w)
+            inferred[live] = infer_spin_weak_value_modulus(param[live], ratio[live], pi_w)
     return inferred.item() if np.ndim(_param(cfg)) == 0 else inferred
 
 
-def infer_projector_weak_value(arm: str, M, measured_ratio):
-    """Invert the first-order absorber law: (1 - ratio) / (2 M).
-
-    ``arm`` only labels which projector the estimate refers to.
-    """
-    if arm not in ARMS:
-        raise ValidationError(f"arm must be one of {ARMS}, got {arm!r}")
+def infer_projector_weak_value(M, measured_ratio):
+    """Invert the first-order absorber law: (1 - ratio) / (2 M)."""
     if not np.all(np.isfinite(M) & (np.asarray(M) > 0.0)):
         raise ValidationError(f"inference needs M > 0, got {M}")
     with np.errstate(all="ignore"):
         return (1.0 - measured_ratio) / (2.0 * M)
 
 
-def infer_spin_weak_value_modulus(arm: str, alpha, measured_ratio, pi_w: float):
+def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
     """Invert the second-order rotation law for |sigma_x weak value|.
 
     ``pi_w`` is the projector weak value the caller wants to correct
@@ -204,8 +199,6 @@ def infer_spin_weak_value_modulus(arm: str, alpha, measured_ratio, pi_w: float):
     amplifies the ratio's float noise) clamp to zero; only genuinely
     unreachable ratios raise. Elementwise over arrays of ``alpha`` and ratios.
     """
-    if arm not in ARMS:
-        raise ValidationError(f"arm must be one of {ARMS}, got {arm!r}")
     if not np.all(np.isfinite(alpha) & (np.asarray(alpha) != 0.0)):
         raise ValidationError(f"inference needs alpha != 0, got {alpha}")
     alpha_sq = squared(np.atleast_1d(np.asarray(alpha, dtype=float)), "spin inference", "alpha")

@@ -171,23 +171,21 @@ def density(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridPointerState:
-    """Sampled pointer amplitudes on a uniform grid, for export only."""
+    """Sampled pointer amplitudes on a uniform grid, for export only; one point per amplitude."""
 
     xmin: float
     xmax: float
-    n_points: int
     amps: np.ndarray
 
     def __post_init__(self) -> None:
         xmin = float(self.xmin)
         xmax = float(self.xmax)
-        n = int(self.n_points)
         if not (math.isfinite(xmin) and math.isfinite(xmax)) or xmax <= xmin:
             raise ValidationError(f"bad grid domain [{xmin}, {xmax}]")
-        check_grid_points(n)
         amps = np.asarray(self.amps, dtype=complex)
-        if amps.ndim != 1 or amps.size != n:
-            raise ValidationError(f"amplitude array length {amps.size} != n_points {n}")
+        if amps.ndim != 1:
+            raise ValidationError(f"grid amplitudes must be one-dimensional, got shape {amps.shape}")
+        check_grid_points(amps.size)
         if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
             raise ValidationError("grid amplitudes contain non-finite entries")
         dens = (amps.conj() * amps).real
@@ -202,12 +200,11 @@ class GridPointerState:
         amps.flags.writeable = False
         object.__setattr__(self, "xmin", xmin)
         object.__setattr__(self, "xmax", xmax)
-        object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "amps", amps)
 
     @property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.xmin, self.xmax, self.n_points)
+        return np.linspace(self.xmin, self.xmax, self.amps.size)
 
     @property
     def trapezoid_norm_sq(self) -> float:
@@ -255,7 +252,7 @@ def to_grid(p: GaussianPointerState, xmin: float, xmax: float, n_points: int) ->
         )
     if not math.isfinite(xmax - xmin):
         raise ValidationError(f"grid domain [{xmin}, {xmax}] has no finite width")
-    grid = GridPointerState(xmin, xmax, int(n_points), evaluate(p, np.linspace(xmin, xmax, int(n_points))))
+    grid = GridPointerState(xmin, xmax, evaluate(p, np.linspace(xmin, xmax, int(n_points))))
     exact = norm_sq(p)
     if abs(grid.trapezoid_norm_sq - exact) > TOL.grid_norm * max(1.0, exact):
         raise ValidationError(

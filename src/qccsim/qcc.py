@@ -139,10 +139,15 @@ class QccReport:
 def _qcc_report(cfg: QccConfig, swap_spin_labels: bool, **measured) -> QccReport:
     """A run's ``measured`` shifts, coupled probabilities and ``joint`` flag, plus
     the four weak values, unperturbed postselection and weak-regime flag."""
+    for arm, g in (("I", cfg.g_I), ("II", cfg.g_II)):
+        bad = ~np.isfinite(np.atleast_1d(measured[f"shift_{arm}"]))
+        if np.any(bad):  # the readout's (x_p + x_q) / 2 overflows once |g a| nears 9e307
+            value = np.broadcast_to(g, bad.shape)[np.argmax(bad)].item()
+            raise OverflowError(f"pointer shift overflows: shift_{arm} at g_{arm}={value!r}")
     table = functools.partial(arm_table, swap_spin_labels=swap_spin_labels)
     phi0 = make_gaussian(0.0, cfg.pointer_width)
-    margin_I = table("I", cfg.observable_I).validity(phi0, cfg.g_I).margin
-    margin_II = table("II", cfg.observable_II).validity(phi0, cfg.g_II).margin
+    margin_I = table("I", cfg.observable_I).margin(phi0, cfg.g_I)
+    margin_II = table("II", cfg.observable_II).margin(phi0, cfg.g_II)
     amp = table("I", "projector").overlap
     return QccReport(
         wv_pi_I=table("I", "projector").weak_value(),

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatch, ValidationError
-from .tolerances import MAX_AMPLITUDES, TOL
+from .tolerances import MAX_AMPLITUDES
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -82,15 +82,10 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense square operator on one or more subsystems.
-
-    ``kind`` tags the operator as ``"hermitian"``, ``"unitary"`` or
-    ``"general"``; the tagged property is verified at construction.
-    """
+    """Dense square operator on one or more subsystems."""
 
     dims: tuple[int, ...]
     entries: np.ndarray
-    kind: str = "general"
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
@@ -100,43 +95,12 @@ class Operator:
             raise DimensionMismatch(
                 f"operator matrix has shape {entries.shape}, expected ({side}, {side})"
             )
-        if self.kind not in ("hermitian", "unitary", "general"):
-            raise ValidationError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "hermitian":
-            defect = np.max(np.abs(entries - entries.conj().T))
-            if defect > TOL.structural:
-                raise ValidationError(f"hermitian defect {defect:.3e} exceeds {TOL.structural}")
-        if self.kind == "unitary":
-            defect = np.max(np.abs(entries @ entries.conj().T - np.eye(side)))
-            if defect > TOL.structural:
-                raise ValidationError(f"unitarity defect {defect:.3e} exceeds {TOL.structural}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
 
     @property
     def side(self) -> int:
         return math.prod(self.dims)
-
-
-def basis_state(dim: int, index: int, label: str) -> StateVector:
-    """Computational basis ket ``|index>`` of a single ``dim``-level subsystem."""
-    if not 0 <= index < dim:
-        raise ValidationError(f"basis index {index} outside [0, {dim})")
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return StateVector((dim,), (label,), amps)
-
-
-def identity_operator(dims: Sequence[int]) -> Operator:
-    side = math.prod(int(d) for d in dims)
-    return Operator(tuple(dims), np.eye(side, dtype=complex), kind="unitary")
-
-
-def normalized(s: StateVector) -> StateVector:
-    n = s.norm
-    if n == 0.0:
-        raise ValidationError("cannot normalize a zero state")
-    return StateVector(s.dims, s.labels, s.amps / n)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -208,11 +172,3 @@ def partial_project(bra: StateVector, targets: Sequence[str] | str, s: StateVect
     rlabels = tuple(lab for _, lab in rest)
     return StateVector(rdims, rlabels, residual.reshape(-1))
 
-
-def state_to_dict(s: StateVector) -> dict:
-    """JSON-ready form: dims, labels, and amplitudes as [re, im] pairs."""
-    return {
-        "dims": list(s.dims),
-        "labels": list(s.labels),
-        "amps": [[float(z.real), float(z.imag)] for z in s.amps],
-    }

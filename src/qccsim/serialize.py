@@ -114,18 +114,6 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
             writer.writerow(row)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    return str(value)
-
-
 def write_grid_csv(grid: GridPointerState, path: str | Path) -> None:
     """Columns: x, re, im, prob_density."""
     xs = grid.xs
@@ -153,5 +141,5 @@ def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:
 
 
 def write_sweep_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Generic sweep table; cells formatted with full float precision."""
-    _write_csv(path, header, ((_cell(v) for v in row) for row in rows))
+    """Sweep table of float cells, each with full float precision."""
+    _write_csv(path, header, ((format_float(v) for v in row) for row in rows))

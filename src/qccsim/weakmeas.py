@@ -40,9 +40,10 @@ class Observable:
 
     def __post_init__(self) -> None:
         targets = tuple(self.targets)
-        if self.op.kind != "hermitian":
-            raise ValidationError("observable operator must be tagged hermitian")
-        side = self.op.side
+        entries, side = self.op.entries, self.op.side
+        defect = np.max(np.abs(entries - entries.conj().T))
+        if defect > TOL.structural:
+            raise ValidationError(f"hermitian defect {defect:.3e} exceeds {TOL.structural}")
         vals = tuple(float(v) for v in self.eigvals)
         vecs = tuple(self.eigvecs)
         if len(vals) != side or len(vecs) != side:
@@ -50,7 +51,7 @@ class Observable:
         for k, vec in enumerate(vecs):
             if vec.dims != self.op.dims or vec.labels != targets:
                 raise ValidationError("eigenvector spaces must match the operator targets")
-            residual = self.op.entries @ vec.amps - vals[k] * vec.amps
+            residual = entries @ vec.amps - vals[k] * vec.amps
             if np.max(np.abs(residual)) > TOL.eigen:
                 raise ValidationError(f"eigenpair {k} residual exceeds {TOL.eigen}")
         gram = np.array([[inner(a, b) for b in vecs] for a in vecs])
@@ -75,7 +76,7 @@ def make_observable(matrix, targets: Sequence[str], dims: Sequence[int] | None =
         if per ** len(targets) != side:
             raise ValidationError("cannot infer subsystem dims; pass dims explicitly")
         dims = (per,) * len(targets)
-    op = Operator(tuple(dims), entries, kind="hermitian")
+    op = Operator(tuple(dims), entries)
     vals, vecs = np.linalg.eigh(op.entries)
     eigvecs = tuple(
         StateVector(op.dims, targets, vecs[:, k]) for k in range(op.side)
@@ -279,16 +280,21 @@ class BranchTable(NamedTuple):
         return LinearResponseReport(exact_shift, predicted_shift, abs_error, ratio)
 
     @np.errstate(all="ignore")
+    def margin(self, phi0: GaussianPointerState, g):
+        """Weak-regime margin |g| |A^w| / (2 sigma) at each coupling in ``g``:
+        a float for a scalar ``g``, an array for an array."""
+        gs = np.abs(np.atleast_1d(np.asarray(g, dtype=float)))
+        margin = gs * (1.0 / (2.0 * phi0.width)) * abs(self.weak_value())
+        return margin.item() if np.ndim(g) == 0 else margin
+
+    @np.errstate(all="ignore")
     def validity(self, phi0: GaussianPointerState, g) -> ValidityReport:
         """Weak-regime margin and second-order dominance at each coupling in ``g``."""
-        wv = self.weak_value()
-        wv_sq = self.transition_sq / self.overlap
-        sigma = phi0.width
-        p_scale = 1.0 / (2.0 * sigma)
-        # ||P^2 u|| for a normalized Gaussian wavepacket at rest.
-        p2_norm = math.sqrt(3.0 / width_power(sigma, 16.0, 4, "validity second order"))
         gs = np.abs(np.atleast_1d(np.asarray(g, dtype=float)))
-        margin = gs * p_scale * abs(wv)
+        margin = self.margin(phi0, gs)
+        wv_sq = self.transition_sq / self.overlap
+        # ||P^2 u|| for a normalized Gaussian wavepacket at rest.
+        p2_norm = math.sqrt(3.0 / width_power(phi0.width, 16.0, 4, "validity second order"))
         second_order = squared(gs, "validity second order", "|g|") / 2.0 * abs(wv_sq) * p2_norm
         dominance = np.where(margin > 0.0, second_order / margin, np.where(second_order > 0.0, math.inf, 0.0))
         return pointwise(g, ValidityReport, margin=margin, first_order=margin,
@@ -314,11 +320,6 @@ def branch_table(ctx: PrePostContext, obs: Observable) -> BranchTable:
         transition=inner(chi, a_psi),
         transition_sq=inner(chi, apply(obs.op, obs.targets, a_psi)),
     )
-
-
-def transition_element(ctx: PrePostContext, obs: Observable) -> complex:
-    """<chi|A|psi>; defined even for orthogonal postselections."""
-    return branch_table(ctx, obs).transition
 
 
 def weak_value(ctx: PrePostContext, obs: Observable) -> complex:

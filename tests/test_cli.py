@@ -33,8 +33,6 @@ EXTREME_WIDTHS = [
     (("weak-value", "--pointer-width", "1e300"), OVERFLOW_1E300),
     (("qcc", "--pointer-width", "1e300"), OVERFLOW_1E300),
     (("montecarlo", "--n", "2000", "--pointer-width", "1e300"), OVERFLOW_1E300),
-    (("qcc", "--pointer-width", "1e-100"), UNDERFLOW_1E_100),
-    (("qcc-joint", "--pointer-width", "1e-100"), UNDERFLOW_1E_100),
     (("weak-value", "--pointer-width", "1e-100"), UNDERFLOW_1E_100),
     (
         ("weak-value", "--pointer-width", "1e-300"),
@@ -368,6 +366,13 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "neutron-magnetic", "--arm", "II", "--alpha", "0.1")
         assert code == 0
 
+    def test_montecarlo_at_a_wide_pointer_reports_a_finite_spread(self, capsys):
+        code, out, _ = run_cli(capsys, "montecarlo", "--n", "2000", "--pointer-width", "1e153", "--g", "1")
+        assert code == 0
+        estimator = json.loads(out)["results"]["estimator"]
+        # The readout density of the qcc-pi-I pointer has standard deviation sigma = 1e153.
+        assert estimator["std_error"] == pytest.approx(1e153 / math.sqrt(estimator["n_postselected"]), rel=0.1)
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["qcc", "--coupling", "0.1"])
@@ -459,7 +464,7 @@ class TestExitCodes:
         "argv, error",
         [
             (("weak-value", "--g", "1e300"), "OverflowError"),
-            (("qcc-joint", "--g", "1e200"), "OverflowError"),
+            (("qcc-joint", "--g", "1e308"), "OverflowError"),
             *((argv, message.split(":")[0]) for argv, message in EXTREME_WIDTHS),
         ],
     )
@@ -476,13 +481,38 @@ class TestExitCodes:
         kind, message = error.split(": ", 1)
         assert json.loads(err)["error"] == {"type": kind, "message": message}
 
-    def test_overflow_message_names_quantity_and_coupling(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "--scenario", "qcc", "--g", "0:1e200:3")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("weak-value", "--g", "5e199"), "validity second order overflows: |g|**2 at |g|=5e+199"),
+            (("sweep", "--scenario", "qcc", "--g", "0:1e308:3"), "pointer shift overflows: shift_I at g_I=1e+308"),
+            (("qcc-joint", "--g", "0", "--g-II", "-1e308"), "pointer shift overflows: shift_II at g_II=-1e+308"),
+        ],
+    )
+    def test_overflow_message_names_quantity_and_coupling(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
         assert code == 5
-        assert json.loads(err)["error"] == {
-            "type": "OverflowError",
-            "message": "validity second order overflows: |g|**2 at |g|=5e+199",
-        }
+        assert json.loads(err)["error"] == {"type": "OverflowError", "message": message}
+
+    # A qcc record prints the weak-regime margin, never the second-order term,
+    # so a width or coupling at which only that term leaves the float range runs.
+    @pytest.mark.parametrize(
+        "argv, warning",
+        [
+            (("qcc", "--pointer-width", "1e-100"), True),  # margin g/(2 sigma) = 1e98
+            (("qcc-joint", "--pointer-width", "1e-100"), True),
+            (("qcc", "--pointer-width", "1e-100", "--g", "0"), False),
+            (("qcc-joint", "--pointer-width", "1e153"), False),  # second-order term 16 sigma^4 overflows
+            (("qcc-joint", "--g", "1e200"), True),
+            (("sweep", "--scenario", "qcc", "--g", "0:1e200:3"), None),
+            (("sweep", "--scenario", "qcc", "--g", "0:0.1:3", "--pointer-width", "1e-100"), None),
+        ],
+    )
+    def test_qcc_runs_need_only_the_margin(self, capsys, argv, warning):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results.get("margin_warning") is warning
 
 
 class TestValidateOnly:

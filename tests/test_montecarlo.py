@@ -173,6 +173,12 @@ class TestEstimator:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_999_DF63
 
+    def test_spread_of_readouts_whose_squares_overflow_is_finite(self):
+        positions = np.array([1e154, -1e154, 3e154])
+        batch = TrialBatch(positions=positions, postselected=np.ones(3, dtype=bool))
+        report = estimate_weak_value(batch, PHI0, 1.0)
+        assert report.std_error == pytest.approx(np.std(positions / 1e154, ddof=1) * 1e154 / math.sqrt(3), rel=1e-15)
+
     def test_insufficient_statistics_rejected(self):
         ctx, obs = build_context("orthogonal")
         batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 100, SEED)
@@ -195,13 +201,7 @@ class TestBatchValidation:
 
     def test_inconsistent_batch_rejected(self):
         with pytest.raises(ValidationError):
-            TrialBatch(
-                n_total=3,
-                n_postselected=2,
-                positions=np.array([0.1]),
-                seed=0,
-                postselected=np.array([True, True, False]),
-            )
+            TrialBatch(positions=np.array([0.1]), postselected=np.array([True, True, False]))
 
     def test_batch_arrays_are_read_only(self):
         ctx, obs = build_context("qcc-pi-I")

@@ -47,7 +47,7 @@ def dense_intensity(cfg) -> float:
         full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (
             math.cos(cfg.alpha / 2.0) * np.eye(2, dtype=complex) + 1.0j * math.sin(cfg.alpha / 2.0) * SIGMA_X
         )
-        psi = apply(Operator((2, 2), full, kind="unitary"), ("path", "spin"), ctx.psi_i)
+        psi = apply(Operator((2, 2), full), ("path", "spin"), ctx.psi_i)
     return abs(inner(ctx.chi_f, psi)) ** 2
 
 
@@ -172,12 +172,12 @@ class TestMagnetic:
 
 class TestInference:
     def test_flat_ratio_means_zero_projector(self):
-        assert infer_projector_weak_value("I", 0.1, 1.0) == 0.0
+        assert infer_projector_weak_value(0.1, 1.0) == 0.0
 
     def test_projector_inversion_round_trip(self):
         for pi_w in (0.0, 0.3, 1.0):
             ratio = 1.0 - 2.0 * 0.05 * pi_w
-            assert infer_projector_weak_value("I", 0.05, ratio) == pytest.approx(
+            assert infer_projector_weak_value(0.05, ratio) == pytest.approx(
                 pi_w, abs=1e-12
             )
 
@@ -185,13 +185,13 @@ class TestInference:
         alpha = 0.2
         for pi_w, sigma_mod in ((0.0, 1.0), (1.0, 0.5), (0.5, 0.0)):
             ratio = 1.0 + (alpha**2 / 4.0) * (sigma_mod**2 - pi_w)
-            assert infer_spin_weak_value_modulus("II", alpha, ratio, pi_w) == pytest.approx(
+            assert infer_spin_weak_value_modulus(alpha, ratio, pi_w) == pytest.approx(
                 sigma_mod, abs=1e-12
             )
 
     def test_unreachable_ratio_raises(self):
         with pytest.raises(NegativeRadicand):
-            infer_spin_weak_value_modulus("II", 0.1, 0.9, 0.0)
+            infer_spin_weak_value_modulus(0.1, 0.9, 0.0)
 
     def test_zero_perturbation_infers_nan(self):
         assert math.isnan(infer_weak_value(AbsorberConfig("I", 0.0), 0.9))
@@ -199,9 +199,9 @@ class TestInference:
 
     def test_zero_perturbation_rejected(self):
         with pytest.raises(ValidationError):
-            infer_projector_weak_value("I", 0.0, 0.9)
+            infer_projector_weak_value(0.0, 0.9)
         with pytest.raises(ValidationError):
-            infer_spin_weak_value_modulus("II", 0.0, 1.0, 0.0)
+            infer_spin_weak_value_modulus(0.0, 1.0, 0.0)
 
 
 class TestValidation:

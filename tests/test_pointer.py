@@ -232,7 +232,7 @@ class TestToGrid:
 
     def test_power_of_two_required(self):
         with pytest.raises(ValidationError):
-            GridPointerState(-8.0, 8.0, 1000, np.zeros(1000))
+            GridPointerState(-8.0, 8.0, np.zeros(1000))
 
     def test_boundary_guard_rejects_wrapped_domain(self):
         # A domain barely covering +-8 widths passes; amplitudes pasted
@@ -240,7 +240,7 @@ class TestToGrid:
         xs = np.linspace(-3.0, 3.0, 256)
         amps = np.exp(-(xs**2) / 4.0)
         with pytest.raises(ValidationError):
-            GridPointerState(-3.0, 3.0, 256, amps)
+            GridPointerState(-3.0, 3.0, amps)
 
     def test_trapezoid_norm_tracks_closed_form(self):
         p = two_component((0.7, 0.55j), (-0.4, 0.9), 0.8)

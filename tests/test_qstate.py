@@ -11,11 +11,8 @@ from qccsim.qstate import (
     Operator,
     StateVector,
     apply,
-    basis_state,
-    identity_operator,
     inner,
     partial_project,
-    state_to_dict,
     tensor,
 )
 
@@ -55,31 +52,16 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amps[0] = 5.0
 
-    def test_state_to_dict_round_trip(self):
-        s = StateVector((2,), ("spin",), [0.6, 0.8j])
-        d = state_to_dict(s)
-        assert d["dims"] == [2]
-        assert d["labels"] == ["spin"]
-        assert d["amps"] == [[0.6, 0.0], [0.0, 0.8]]
-
 
 class TestOperator:
-    def test_hermitian_tag_checked(self):
-        with pytest.raises(ValidationError):
-            Operator((2,), [[0.0, 1.0], [0.0, 0.0]], kind="hermitian")
-
-    def test_unitary_tag_checked(self):
-        with pytest.raises(ValidationError):
-            Operator((2,), [[1.0, 0.0], [0.0, 2.0]], kind="unitary")
-
     def test_square_shape_required(self):
         with pytest.raises(DimensionMismatch):
-            Operator((2,), np.ones((2, 3)), kind="general")
+            Operator((2,), np.ones((2, 3)))
 
 
 class TestTensor:
     def test_basis_kets(self):
-        out = tensor(basis_state(2, 0, "a"), basis_state(2, 1, "b"))
+        out = tensor(spin(KET_PLUS_Z, "a"), spin(KET_MINUS_Z, "b"))
         assert out.dims == (2, 2)
         np.testing.assert_allclose(out.amps, [0, 1, 0, 0])
 
@@ -110,11 +92,11 @@ class TestApply:
     def test_identity_returns_same_amplitudes(self):
         rng = np.random.default_rng(5)
         s = StateVector((2, 3), ("a", "b"), random_state(rng, 6))
-        out = apply(identity_operator((2, 3)), ("a", "b"), s)
+        out = apply(Operator((2, 3), np.eye(6)), ("a", "b"), s)
         np.testing.assert_array_equal(out.amps, s.amps)
 
     def test_sigma_x_flips_spin(self):
-        op = Operator((2,), SIGMA_X, kind="hermitian")
+        op = Operator((2,), SIGMA_X)
         out = apply(op, "spin", spin(KET_PLUS_Z))
         np.testing.assert_allclose(out.amps, KET_MINUS_Z, atol=1e-15)
 
@@ -124,7 +106,7 @@ class TestApply:
         dims, labels = (2, 2, 2), ("a", "b", "c")
         s = StateVector(dims, labels, random_state(rng, 8))
         u = random_unitary(rng, 4)
-        op = Operator((2, 2), u, kind="unitary")
+        op = Operator((2, 2), u)
         out = apply(op, targets, s)
         positions = [labels.index(t) for t in targets]
         full = embed_full_matrix(u, positions, list(dims))
@@ -133,23 +115,23 @@ class TestApply:
     def test_unitary_preserves_norm(self):
         rng = np.random.default_rng(7)
         s = StateVector((2, 2), ("a", "b"), random_state(rng, 4))
-        op = Operator((2,), random_unitary(rng, 2), kind="unitary")
+        op = Operator((2,), random_unitary(rng, 2))
         assert abs(apply(op, "b", s).norm - s.norm) <= 1e-12
 
     def test_unknown_label(self):
         with pytest.raises(DimensionMismatch):
-            apply(identity_operator((2,)), "nope", spin(KET_PLUS_Z))
+            apply(Operator((2,), np.eye(2)), "nope", spin(KET_PLUS_Z))
 
     def test_dim_mismatch(self):
         s = StateVector((3,), ("a",), [1.0, 0.0, 0.0])
         with pytest.raises(DimensionMismatch):
-            apply(identity_operator((2,)), "a", s)
+            apply(Operator((2,), np.eye(2)), "a", s)
 
     def test_tensor_then_apply_commutes_with_apply_then_tensor(self):
         rng = np.random.default_rng(23)
         a = StateVector((2,), ("a",), random_state(rng, 2))
         b = StateVector((3,), ("b",), random_state(rng, 3))
-        op = Operator((2,), random_unitary(rng, 2), kind="unitary")
+        op = Operator((2,), random_unitary(rng, 2))
         left = apply(op, "a", tensor(a, b))
         right = tensor(apply(op, "a", a), b)
         np.testing.assert_allclose(left.amps, right.amps, atol=1e-12)
@@ -192,15 +174,15 @@ class TestPartialProject:
     def test_product_state_passes_through(self):
         rng = np.random.default_rng(17)
         phi = StateVector((5,), ("pointer",), random_state(rng, 5))
-        s = tensor(basis_state(2, 0, "path"), phi)
-        out = partial_project(basis_state(2, 0, "path"), "path", s)
+        s = tensor(spin(KET_PLUS_Z, "path"), phi)
+        out = partial_project(spin(KET_PLUS_Z, "path"), "path", s)
         np.testing.assert_allclose(out.amps, phi.amps, atol=1e-15)
 
     def test_orthogonal_branch_gives_zero(self):
         rng = np.random.default_rng(19)
         phi = StateVector((5,), ("pointer",), random_state(rng, 5))
-        s = tensor(basis_state(2, 0, "path"), phi)
-        out = partial_project(basis_state(2, 1, "path"), "path", s)
+        s = tensor(spin(KET_PLUS_Z, "path"), phi)
+        out = partial_project(spin(KET_MINUS_Z, "path"), "path", s)
         np.testing.assert_array_equal(out.amps, np.zeros(5))
 
     def test_cheshire_postselection_halves_the_pointer(self):

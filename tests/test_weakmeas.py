@@ -8,6 +8,7 @@ import pytest
 from qccsim.cli import CONTEXT_NAMES, build_context
 from qccsim.errors import OrthogonalPostselection, ValidationError
 from qccsim.pointer import make_gaussian, mean_momentum, mean_position, norm_sq, superpose, translate
+from qccsim.qcc import build_prepost
 from qccsim.qstate import SIGMA_X, StateVector, inner
 from qccsim.weakmeas import (
     PrePostContext,
@@ -16,7 +17,6 @@ from qccsim.weakmeas import (
     expectation_decomposition_check,
     linear_response_report,
     make_observable,
-    transition_element,
     validity_margin,
     weak_value,
 )
@@ -77,6 +77,12 @@ class TestContext:
             couple_and_postselect(ctx, obs, PHI0, 0.05)
 
 
+class TestObservable:
+    def test_rejects_non_hermitian_matrix(self):
+        with pytest.raises(ValidationError, match="hermitian defect"):
+            make_observable([[0.0, 1.0], [0.0, 0.0]], ("spin",))
+
+
 class TestWeakValue:
     def test_identical_pre_post_gives_expectation(self):
         ctx, obs = build_context("spin-trivial")
@@ -97,7 +103,7 @@ class TestWeakValue:
         with pytest.raises(OrthogonalPostselection):
             weak_value(ctx, obs)
         # The transition element stays well defined.
-        assert transition_element(ctx, obs) == pytest.approx(1.0, abs=1e-14)
+        assert branch_table(ctx, obs).transition == pytest.approx(1.0, abs=1e-14)
 
     def test_real_linearity_in_the_observable(self):
         rng = np.random.default_rng(7)
@@ -122,7 +128,7 @@ class TestTransitionElement:
         ctx, _ = build_context("anomalous", tan_theta=3.0)
         obs = make_observable(np.eye(2), ("spin",))
         expected = inner(ctx.chi_f, ctx.psi_i)
-        assert transition_element(ctx, obs) == pytest.approx(expected, abs=1e-14)
+        assert branch_table(ctx, obs).transition == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_dense_bra_ket_product(self, seed):
@@ -131,7 +137,7 @@ class TestTransitionElement:
         matrix = random_hermitian(rng, 4)
         obs = make_observable(matrix, ("sys",), (4,))
         dense = np.vdot(ctx.chi_f.amps, matrix @ ctx.psi_i.amps)
-        assert transition_element(ctx, obs) == pytest.approx(dense, abs=1e-12)
+        assert branch_table(ctx, obs).transition == pytest.approx(dense, abs=1e-12)
 
     def test_weak_value_times_overlap_recovers_transition(self):
         rng = np.random.default_rng(11)
@@ -140,7 +146,7 @@ class TestTransitionElement:
             obs = make_observable(random_hermitian(rng, 4), ("sys",), (4,))
             den = inner(ctx.chi_f, ctx.psi_i)
             assert weak_value(ctx, obs) * den == pytest.approx(
-                transition_element(ctx, obs), abs=1e-12
+                branch_table(ctx, obs).transition, abs=1e-12
             )
 
 
@@ -208,7 +214,7 @@ class TestCoupleAndPostselect:
         ctx, obs = build_context(name, tan_theta)
         result = couple_and_postselect(ctx, obs, PHI0, 0.05)
         assert result.weak_value == weak_value(ctx, obs)
-        assert result.transition_element == transition_element(ctx, obs)
+        assert result.transition_element == branch_table(ctx, obs).transition
 
 
 class TestLinearResponse:
@@ -321,8 +327,11 @@ class TestValidityMargin:
 
 
 def table_cases():
-    """Every named context in both spin-label variants, plus random 2- and 4-level ones."""
-    cases = [(f"{name}-{swap}", *build_context(name, 3.0, swap)) for name in CONTEXT_NAMES for swap in (False, True)]
+    """Every named context, the Cheshire Cat ones also with swapped spin labels,
+    plus random 2- and 4-level ones."""
+    named = {name: build_context(name, 3.0) for name in CONTEXT_NAMES}
+    cases = [(f"{name}-False", *pair) for name, pair in named.items()]
+    cases += [(f"{name}-True", build_prepost(True), obs) for name, (_, obs) in named.items() if name.startswith("qcc-")]
     rng = np.random.default_rng(8)
     for i, dim in enumerate((2, 4, 4)):
         ctx = random_context(rng, dim)
@@ -376,6 +385,7 @@ class TestBranchTable:
             assert (report.margin[i], report.second_order[i], report.dominance_ratio[i]) == (
                 single.margin, single.second_order, single.dominance_ratio
             )
+            assert table.margin(PHI0, g) == single.margin
 
     def test_overflowing_second_order_names_the_coupling(self):
         table = branch_table(*build_context("anomalous"))
