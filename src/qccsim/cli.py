@@ -5,12 +5,12 @@ taking precedence. Every run echoes its resolved config in the JSON
 record it prints, so a record can be re-run bit-exactly. The parser,
 defaults and checks are all generated from ``SCENARIO_TABLE``.
 
-Exit codes: 0 success, 2 flag or config parse error, 3 validation error,
-4 capacity error, 5 numerical error (orthogonal postselection, a
-negative inference radicand, a float overflow or division by zero, a
-pointer width whose powers leave the float range, or a pointer too far
-out for floats to resolve its width). Each of these errors prints one
-JSON object to stderr.
+Exit codes: 0 success, 2 flag or config parse error, 3 validation error
+or an output path that cannot be written, 4 capacity error, 5 numerical
+error (orthogonal postselection, a negative inference radicand, a float
+overflow or division by zero, a pointer width whose powers leave the
+float range, or a pointer too far out for floats to resolve its width).
+Each of these errors prints one JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -516,14 +516,14 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
             rep = intensity_absorber(AbsorberConfig(params["arm"], values))
             predicted = rep.first_order_prediction
         columns = [values, rep.ratio, predicted, rep.inferred_weak_value, rep.expansion_error]
-    rows = list(zip(*(np.broadcast_to(column, values.shape).tolist() for column in columns)))
+    columns = [np.broadcast_to(column, values.shape).tolist() for column in columns]
     out = {
         "swept_scenario": scenario,
         "columns": list(header),
-        "rows": [dict(zip(header, row)) for row in rows],
+        "rows": [dict(zip(header, row)) for row in zip(*columns)],
     }
     if csv_path is not None:
-        write_sweep_csv(csv_path, header, rows)
+        write_sweep_csv(csv_path, header, columns)
         out["sweep_csv"] = str(csv_path)
     return out
 
@@ -565,9 +565,9 @@ def run(args: argparse.Namespace) -> int:
         "results": results,
     }
     text = dumps_json(record)
-    sys.stdout.write(text)
-    if json_path is not None:
+    if json_path is not None:  # first, so that a run whose file cannot be written prints no record
         json_path.write_text(text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -579,6 +579,7 @@ def _error_object(exc: Exception) -> str:
 EXIT_CODES = {
     ConfigParseError: 2,
     ValidationError: 3,
+    OSError: 3,
     CapacityError: 4,
     NumericalError: 5,
     OverflowError: 5,

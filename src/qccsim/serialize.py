@@ -2,17 +2,17 @@
 
 Floats are printed with 17 significant digits so that bit-exact
 reproducibility can be checked from the output alone; non-finite values
-serialize as null. CSV files always carry a header row, comma
-separators, and LF line endings.
+are null in JSON and nan, inf or -inf in CSV. CSV files carry a header
+row, comma separators and LF line endings, and no quoting: headers are
+fixed identifiers, and cells are numbers or empty.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
+from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,11 +20,10 @@ from .errors import ValidationError
 from .montecarlo import TrialBatch
 from .pointer import GridPointerState
 from .qcc import QccReport
-from .weakmeas import (
-    LinearResponseReport,
-    ValidityReport,
-    WeakMeasurementResult,
-)
+from .weakmeas import LinearResponseReport, ValidityReport, WeakMeasurementResult
+
+# Rows formatted and written at a time, so a table of any length needs bounded memory.
+BLOCK_ROWS = 2**14
 
 
 def format_float(x: float) -> str:
@@ -32,50 +31,41 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _format_column(values) -> list[str]:
+    """:func:`format_float` of every entry of a float array or sequence."""
+    return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
+
+
 def dumps_json(obj) -> str:
     """Serialize to JSON with 17-significant-digit floats, indented by two spaces."""
-    return "".join(_emit(obj, 0)) + "\n"
+    return _json(obj, "\n") + "\n"
 
 
-def _emit(obj, depth: int) -> Iterable[str]:
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
-    if obj is None:
-        yield "null"
-    elif isinstance(obj, (bool, np.bool_)):
-        yield "true" if obj else "false"
-    elif isinstance(obj, (int, np.integer)):
-        yield str(int(obj))
-    elif isinstance(obj, (float, np.floating)):
+def _json(obj, newline: str) -> str:
+    """``obj`` as JSON text; ``newline`` is LF plus the indent of the line ``obj`` starts on."""
+    if isinstance(obj, (float, np.floating)):  # first: most values in a record are floats
         x = float(obj)
-        yield format_float(x) if math.isfinite(x) else "null"
-    elif isinstance(obj, str):
-        yield json.dumps(obj)
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        yield "{\n"
-        for i, (key, value) in enumerate(obj.items()):
+        return format_float(x) if math.isfinite(x) else "null"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return _json_string(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        members = []
+        for key, value in obj.items():
             if not isinstance(key, str):
                 raise ValidationError(f"JSON object keys must be strings, got {key!r}")
-            yield f"{inner}{json.dumps(key)}: "
-            yield from _emit(value, depth + 1)
-            yield ",\n" if i < len(obj) - 1 else "\n"
-        yield f"{pad}}}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            yield "[]"
-            return
-        yield "[\n"
-        for i, value in enumerate(items):
-            yield inner
-            yield from _emit(value, depth + 1)
-            yield ",\n" if i < len(items) - 1 else "\n"
-        yield f"{pad}]"
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
+            members.append(f"{inner}{_json_string(key)}: {_json(value, inner)}")
+        return "{" + ",".join(members) + newline + "}" if members else "{}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [inner + _json(value, inner) for value in obj]
+        return "[" + ",".join(items) + newline + "]" if items else "[]"
+    raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def complex_fields(prefix: str, z: complex | None) -> dict:
@@ -106,40 +96,43 @@ def qcc_report_dict(report: QccReport) -> dict:
     return out
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_table(path: str | Path, header: Sequence[str], n_rows: int, columns: Callable) -> None:
+    """A header row, then ``n_rows`` rows; ``columns(start, stop)`` returns the
+    formatted cells of rows ``start`` to ``stop - 1``, one sequence per column."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, BLOCK_ROWS):
+            rows = zip(*columns(start, min(start + BLOCK_ROWS, n_rows)))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def _float_table(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
+    """A table of equally long float columns, arrays or lists."""
+    _write_table(path, header, len(columns[0]), lambda a, b: [_format_column(x[a:b]) for x in columns])
 
 
 def write_grid_csv(grid: GridPointerState, path: str | Path) -> None:
     """Columns: x, re, im, prob_density."""
-    xs = grid.xs
-    rows = (
-        (
-            format_float(x),
-            format_float(z.real),
-            format_float(z.imag),
-            format_float((z.conjugate() * z).real),
-        )
-        for x, z in zip(xs, grid.amps)
-    )
-    _write_csv(path, ("x", "re", "im", "prob_density"), rows)
+    re, im = grid.amps.real, grid.amps.imag
+    # |z|^2 as re*re + im*im: bit-equal to the scalar (z.conjugate() * z).real, where
+    # numpy's vectorized complex product can differ in the last bit.
+    _float_table(path, ("x", "re", "im", "prob_density"), (grid.xs, re, im, re * re + im * im))
 
 
 def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:
     """Columns: trial_index, postselected, position (empty when 0)."""
+    mask = batch.postselected
+    trial_of = np.flatnonzero(mask)  # the trial index of each position
 
-    def rows():
-        pos_iter = iter(batch.positions)
-        for i, hit in enumerate(batch.postselected):
-            yield (str(i), "1" if hit else "0", format_float(next(pos_iter)) if hit else "")
+    def columns(start: int, stop: int) -> tuple:
+        lo, hi = np.searchsorted(trial_of, (start, stop))
+        position = np.full(stop - start, "", dtype=object)
+        position[trial_of[lo:hi] - start] = _format_column(batch.positions[lo:hi])
+        return map(str, range(start, stop)), np.where(mask[start:stop], "1", "0").tolist(), position
 
-    _write_csv(path, ("trial_index", "postselected", "position"), rows())
+    _write_table(path, ("trial_index", "postselected", "position"), mask.size, columns)
 
 
-def write_sweep_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Sweep table of float cells, each with full float precision."""
-    _write_csv(path, header, ((format_float(v) for v in row) for row in rows))
+def write_sweep_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
+    """Sweep table of float columns, each cell with full float precision."""
+    _float_table(path, header, columns)

@@ -258,6 +258,8 @@ class BranchTable(NamedTuple):
         """One coupled run: the final pointer and its readout at coupling ``g``."""
         g = float(g)
         shift, prob = self.readout(phi0, g)
+        if prob > 0.0 and not math.isfinite(shift):  # (x_p + x_q) / 2 overflows once |g a| nears 9e307
+            raise OverflowError(f"pointer shift overflows: exact_shift at g={g!r}")
         return WeakMeasurementResult(
             weak_value=None if self.orthogonal else self.weak_value(),
             transition_element=self.transition,

@@ -203,3 +203,22 @@ def quadrature_readout(psi, chi, matrix, gs, width: float):
     shifts = [quadrature_mean_position(coeffs, [g * a for a in vals], width) for g in gs]
     norms = [quadrature_norm_sq(coeffs, [g * a for a in vals], width) for g in gs]
     return np.array(shifts), np.array(norms)
+
+
+def grid_csv_oracle(grid) -> str:
+    """Grid CSV text, one row at a time from Python floats and complex numbers."""
+    lines = ["x,re,im,prob_density"]
+    for x, z in zip(grid.xs.tolist(), grid.amps.tolist()):
+        z = complex(z)
+        cells = (x, z.real, z.imag, (z.conjugate() * z).real)
+        lines.append(",".join(format(float(v), ".17g") for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def trials_csv_oracle(batch) -> str:
+    """Trials CSV text, one trial at a time; rejected trials leave the position empty."""
+    lines = ["trial_index,postselected,position"]
+    positions = iter(batch.positions.tolist())
+    for i, hit in enumerate(batch.postselected.tolist()):
+        lines.append(f"{i},1,{format(next(positions), '.17g')}" if hit else f"{i},0,")
+    return "\n".join(lines) + "\n"

@@ -417,6 +417,27 @@ class TestExitCodes:
         assert [v.split(":")[0] for v in json.loads(out)["violations"]] == ["grid_points"]
         assert not (tmp_path / "grid.csv").exists()
 
+    # {F} is a regular file and {D} a directory; no run may write through either.
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("qcc", "--json", "{F}/x.json"), "FileExistsError"),
+            (("weak-value", "--csv", "{F}/g.csv"), "FileExistsError"),
+            (("qcc", "--out", "{F}", "--json", "r.json"), "FileExistsError"),
+            (("sweep", "--scenario", "qcc", "--g", "0:1:3", "--csv", "{D}"), "IsADirectoryError"),
+            (("montecarlo", "--n", "100", "--csv", "{D}"), "IsADirectoryError"),
+            (("neutron-absorber", "--json", "{D}"), "IsADirectoryError"),
+        ],
+    )
+    def test_unwritable_output_path_exits_three_without_a_record(self, capsys, tmp_path, argv, error):
+        (tmp_path / "F").write_text("")
+        argv = [arg.format(F=tmp_path / "F", D=tmp_path) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert list(json.loads(err)) == ["error"]
+        assert json.loads(err)["error"]["type"] == error
+
     def test_oversized_sweep_range_exits_four(self, capsys):
         # --validate-only parses the range without sweeping it.
         code, _, err = run_cli(
@@ -487,6 +508,8 @@ class TestExitCodes:
             (("weak-value", "--g", "5e199"), "validity second order overflows: |g|**2 at |g|=5e+199"),
             (("sweep", "--scenario", "qcc", "--g", "0:1e308:3"), "pointer shift overflows: shift_I at g_I=1e+308"),
             (("qcc-joint", "--g", "0", "--g-II", "-1e308"), "pointer shift overflows: shift_II at g_II=-1e+308"),
+            (("weak-value", "--g", "1e308"), "pointer shift overflows: exact_shift at g=1e+308"),
+            (("montecarlo", "--g", "1e308", "--n", "100"), "pointer shift overflows: exact_shift at g=1e+308"),
         ],
     )
     def test_overflow_message_names_quantity_and_coupling(self, capsys, argv, message):

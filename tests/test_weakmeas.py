@@ -205,6 +205,20 @@ class TestCoupleAndPostselect:
         with pytest.raises(ValidationError):
             couple_and_postselect(ctx, obs, PHI0, math.inf)
 
+    def test_shift_overflow_names_the_coupling(self):
+        # The readout's (x_p + x_q) / 2 leaves the float range near |g a| = 9e307.
+        ctx, obs = build_context("qcc-pi-I")
+        with pytest.raises(OverflowError, match=r"^pointer shift overflows: exact_shift at g=1e\+308$"):
+            couple_and_postselect(ctx, obs, PHI0, 1e308)
+        result = couple_and_postselect(ctx, obs, PHI0, 5e307)
+        assert result.exact_shift == pytest.approx(5e307, rel=1e-15)
+        assert result.postselect_prob_coupled == pytest.approx(0.25, rel=1e-15)
+
+    def test_zero_probability_keeps_a_nan_shift(self):
+        result = couple_and_postselect(*build_context("orthogonal"), PHI0, 0.0)
+        assert result.postselect_prob_coupled == 0.0
+        assert math.isnan(result.exact_shift)
+
     @pytest.mark.parametrize(
         "name, tan_theta",
         [(name, 3.0) for name in CONTEXT_NAMES if name != "orthogonal"]
