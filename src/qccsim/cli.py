@@ -6,16 +6,20 @@ record it prints, so a record can be re-run bit-exactly. The parser,
 defaults and checks are all generated from ``SCENARIO_TABLE``.
 
 Exit codes: 0 success, 2 flag or config parse error, 3 validation error
-or an output path that cannot be written, 4 capacity error, 5 numerical
-error (orthogonal postselection, a negative inference radicand, a float
-overflow or division by zero, a pointer width whose powers leave the
-float range, or a pointer too far out for floats to resolve its width).
-Each of these errors prints one JSON object to stderr.
+(``--csv`` where the run has no CSV artifact, as in a Monte Carlo
+intensity mode) or an output path that cannot be written, 4 capacity
+error, 5 numerical error (orthogonal postselection, a negative inference
+radicand, a float overflow or division by zero, a pointer width whose
+powers leave the float range, or a pointer too far out for floats to
+resolve its width). Each of these errors prints one JSON object to
+stderr. Output files are renamed into place only once all are written,
+so a failed run leaves none behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -252,14 +256,14 @@ class Scenario(NamedTuple):
     help: str
     params: tuple[Param, ...]
     run: Callable[[dict, Path | None], dict]
-    csv: bool = False  # whether --csv writes an artifact
+    csv: str = ""  # the results key naming the --csv artifact; "" when there is none
 
 
 # Runners are looked up by module attribute at call time, so a wrapper
 # installed on a ``run_*`` function also sees the CLI's calls to it.
 SCENARIO_TABLE = {
     "weak-value": Scenario("single weak measurement on a named context", WEAK_VALUE_PARAMS,
-                           lambda p, csv: run_weak_value(p, csv), csv=True),
+                           lambda p, csv: run_weak_value(p, csv), csv="grid_csv"),
     "qcc": Scenario("Cheshire Cat run (qcc)", QCC_PARAMS, lambda p, csv: run_qcc_scenario(p, False)),
     "qcc-joint": Scenario("Cheshire Cat run (qcc-joint)", QCC_PARAMS,
                           lambda p, csv: run_qcc_scenario(p, True)),
@@ -268,9 +272,9 @@ SCENARIO_TABLE = {
     "neutron-magnetic": Scenario("arm spin-rotation intensity experiment", (ARM, ROTATION_ALPHA),
                                  lambda p, csv: run_neutron_magnetic(p)),
     "montecarlo": Scenario("finite-statistics sampling", MONTECARLO_PARAMS,
-                           lambda p, csv: run_montecarlo(p, csv), csv=True),
+                           lambda p, csv: run_montecarlo(p, csv), csv="trials_csv"),
     "sweep": Scenario("parameter sweep emitting a CSV table", SWEEP_PARAMS,
-                      lambda p, csv: run_sweep(p, csv), csv=True),
+                      lambda p, csv: run_sweep(p, csv), csv="sweep_csv"),
 }
 _FLAG_TYPES = {"float": float, "int": int}
 _VALUE_FLAGS = {p.option for s in SCENARIO_TABLE.values() for p in s.params if p.kind != "switch"}
@@ -436,7 +440,6 @@ def run_weak_value(params: dict, csv_path: Path | None) -> dict:
         xmax = hi if params["grid_xmax"] is None else params["grid_xmax"]
         grid = to_grid(result.pointer_final, xmin, xmax, params["grid_points"])
         write_grid_csv(grid, csv_path)
-        out["grid_csv"] = str(csv_path)
     return out
 
 
@@ -476,7 +479,6 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
         }
         if csv_path is not None:
             write_trials_csv(batch, csv_path)
-            out["trials_csv"] = str(csv_path)
         return out
     if params["mode"] == "intensity-absorber":
         cfg = AbsorberConfig(params["arm"], params["M"])
@@ -524,7 +526,6 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
     }
     if csv_path is not None:
         write_sweep_csv(csv_path, header, columns)
-        out["sweep_csv"] = str(csv_path)
     return out
 
 
@@ -538,12 +539,20 @@ def _resolve_out_path(raw: str | None, out_dir: Path) -> Path | None:
     return path
 
 
+def _temp_beside(path: Path | None, kind: str) -> Path | None:
+    """The name ``path``'s artifact is written under until the run succeeds."""
+    return None if path is None else path.parent / f".{path.name}.{kind}.{os.getpid()}.tmp"
+
+
 def run(args: argparse.Namespace) -> int:
     scenario = args.scenario
     params, violations = resolve_params(scenario, args)
     violations += validate_params(scenario, params)
-    if args.csv_path is not None and not SCENARIO_TABLE[scenario].csv:
+    csv_key = SCENARIO_TABLE[scenario].csv
+    if args.csv_path is not None and not csv_key:
         violations.append(f"csv: no CSV artifact defined for scenario {scenario}")
+    elif args.csv_path is not None and params.get("mode") in MC_MODES[1:]:
+        violations.append(f"csv: no CSV artifact defined for montecarlo mode {params['mode']}")
     if args.validate_only:
         sys.stdout.write(dumps_json({"scenario": scenario, "violations": violations}))
         return 0 if not violations else 3
@@ -553,21 +562,26 @@ def run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or os.environ.get(OUTDIR_ENV) or ".")
     csv_path = _resolve_out_path(args.csv_path, out_dir)
     json_path = _resolve_out_path(args.json_path, out_dir)
-
-    results = SCENARIO_TABLE[scenario].run(params, csv_path)
-
-    record = {
-        "artifact": "qccsim",
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "scenario": scenario,
-        "config": params,
-        "results": results,
-    }
-    text = dumps_json(record)
-    if json_path is not None:  # first, so that a run whose file cannot be written prints no record
-        json_path.write_text(text)
-    sys.stdout.write(text)
+    csv_temp, json_temp = _temp_beside(csv_path, "csv"), _temp_beside(json_path, "json")
+    staged = [(temp, path) for temp, path in ((csv_temp, csv_path), (json_temp, json_path)) if path]
+    try:
+        results = SCENARIO_TABLE[scenario].run(params, csv_temp)
+        if csv_path is not None:
+            results[csv_key] = str(csv_path)
+        text = dumps_json({"artifact": "qccsim", "version": __version__,
+                           "timestamp": datetime.now(timezone.utc).isoformat(),
+                           "scenario": scenario, "config": params, "results": results})
+        if json_temp is not None:
+            json_temp.write_text(text)
+        for _, path in staged:  # renaming onto a directory fails: fail before the first rename
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for temp, path in staged:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
+    sys.stdout.write(text)  # after the renames, so that a run whose file cannot be written prints no record
     return 0
 
 

@@ -163,10 +163,16 @@ def evaluate(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def abs_sq(amps: np.ndarray) -> np.ndarray:
+    """|z|^2 as re*re + im*im: bit-equal to the scalar (z.conjugate() * z).real, where
+    numpy's vectorized complex product can differ in the last bit."""
+    re, im = amps.real, amps.imag
+    return re * re + im * im
+
+
 def density(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
     """Probability density |phi(x)|^2 (unnormalized)."""
-    amp = evaluate(p, x)
-    return (amp.conj() * amp).real
+    return abs_sq(evaluate(p, x))
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,7 @@ class GridPointerState:
         check_grid_points(amps.size)
         if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
             raise ValidationError("grid amplitudes contain non-finite entries")
-        dens = (amps.conj() * amps).real
+        dens = abs_sq(amps)
         peak = float(dens.max(initial=0.0))
         edge = float(max(dens[0], dens[-1]))
         # Wrap-around guard on the density, so a minimally compliant domain of +-8 widths still passes.
@@ -207,9 +213,12 @@ class GridPointerState:
         return np.linspace(self.xmin, self.xmax, self.amps.size)
 
     @property
+    def density(self) -> np.ndarray:
+        return abs_sq(self.amps)
+
+    @property
     def trapezoid_norm_sq(self) -> float:
-        dens = (self.amps.conj() * self.amps).real
-        return float(np.trapezoid(dens, self.xs))
+        return float(np.trapezoid(self.density, self.xs))
 
 
 def check_grid_points(n_points: int) -> None:

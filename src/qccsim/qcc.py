@@ -46,7 +46,7 @@ def _arm_observable(arm: str, tag: str) -> Observable:
     proj = np.zeros((2, 2), dtype=complex)
     proj[ARMS.index(arm), ARMS.index(arm)] = 1.0
     spin_part = SIGMA_X if tag == "sigma_x" else np.eye(2, dtype=complex)
-    return make_observable(np.kron(proj, spin_part), SYSTEM_LABELS, dims=(2, 2))
+    return make_observable(np.kron(proj, spin_part), SYSTEM_LABELS)
 
 
 def build_prepost(swap_spin_labels: bool = False) -> PrePostContext:

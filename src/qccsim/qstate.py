@@ -1,16 +1,16 @@
 """Dense complex linear algebra over labeled tensor-product Hilbert spaces.
 
 States and operators are immutable; every operation is a pure function.
-Subsystems are addressed by string labels rather than positional indices
-so that path/spin/pointer ordering bugs cannot arise. All spaces here are
-tiny, so a dense representation is used throughout.
+Labels name a state's subsystems, and two states meet only on the same
+labeled space. An operator acts on a state's whole space, so applying
+it is one matrix-vector product. All spaces here are tiny, so a dense
+representation is used throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -73,16 +73,10 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def _position(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DimensionMismatch(f"unknown subsystem label {label!r}; have {self.labels}") from None
-
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense square operator on one or more subsystems."""
+    """Dense square operator on a whole space of subsystems ``dims``."""
 
     dims: tuple[int, ...]
     entries: np.ndarray
@@ -106,37 +100,18 @@ class Operator:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product ``a (x) b`` with concatenated subsystem labels."""
     if set(a.labels) & set(b.labels):
-        raise ValidationError(
-            f"tensor factors share labels {sorted(set(a.labels) & set(b.labels))}"
-        )
+        raise ValidationError(f"tensor factors share labels {sorted(set(a.labels) & set(b.labels))}")
     size = a.amps.size * b.amps.size
     if size > MAX_AMPLITUDES:
         raise CapacityError(f"tensor product needs {size} amplitudes, limit is {MAX_AMPLITUDES}")
     return StateVector(a.dims + b.dims, a.labels + b.labels, np.kron(a.amps, b.amps))
 
 
-def _target_positions(s: StateVector, targets: Sequence[str] | str) -> tuple[int, ...]:
-    if isinstance(targets, str):
-        targets = (targets,)
-    positions = tuple(s._position(t) for t in targets)
-    if len(set(positions)) != len(positions):
-        raise ValidationError(f"duplicate target labels {tuple(targets)}")
-    return positions
-
-
-def apply(op: Operator, targets: Sequence[str] | str, s: StateVector) -> StateVector:
-    """Apply ``op`` to the targeted subsystems, identity on the rest."""
-    positions = _target_positions(s, targets)
-    tdims = tuple(s.dims[p] for p in positions)
-    if tdims != op.dims:
-        raise DimensionMismatch(f"operator dims {op.dims} do not match target dims {tdims}")
-    tensor_form = s.amps.reshape(s.dims)
-    front = np.moveaxis(tensor_form, positions, range(len(positions)))
-    mat = front.reshape(op.side, -1)
-    mat = op.entries @ mat
-    front = mat.reshape(tdims + tuple(d for i, d in enumerate(s.dims) if i not in positions))
-    tensor_form = np.moveaxis(front, range(len(positions)), positions)
-    return StateVector(s.dims, s.labels, tensor_form.reshape(-1))
+def apply(op: Operator, s: StateVector) -> StateVector:
+    """``op`` acting on the whole space of ``s``: one matrix-vector product."""
+    if op.dims != s.dims:
+        raise DimensionMismatch(f"operator dims {op.dims} do not match state dims {s.dims}")
+    return StateVector(s.dims, s.labels, op.entries @ s.amps)
 
 
 def inner(bra: StateVector, ket: StateVector) -> complex:
@@ -149,26 +124,20 @@ def inner(bra: StateVector, ket: StateVector) -> complex:
     return complex(np.vdot(bra.amps, ket.amps))
 
 
-def partial_project(bra: StateVector, targets: Sequence[str] | str, s: StateVector) -> StateVector:
-    """Contract ``<bra|`` against the targeted subsystems of ``s``.
+def partial_project(bra: StateVector, s: StateVector) -> StateVector:
+    """Contract ``<bra|`` against the leading subsystems of ``s``: the inverse of :func:`tensor`.
 
     Returns the unnormalized residual state on the remaining subsystems;
     its squared norm is the probability of the postselection outcome.
     Projecting away every subsystem yields a dim-1 state holding the
     scalar amplitude.
     """
-    positions = _target_positions(s, targets)
-    tdims = tuple(s.dims[p] for p in positions)
-    if tdims != bra.dims:
-        raise DimensionMismatch(f"bra dims {bra.dims} do not match target dims {tdims}")
-    tensor_form = s.amps.reshape(s.dims)
-    front = np.moveaxis(tensor_form, positions, range(len(positions)))
-    mat = front.reshape(bra.amps.size, -1)
-    residual = bra.amps.conj() @ mat
-    rest = [(d, lab) for i, (d, lab) in enumerate(zip(s.dims, s.labels)) if i not in positions]
-    if not rest:
-        return StateVector((1,), ("scalar",), residual.reshape(1))
-    rdims = tuple(d for d, _ in rest)
-    rlabels = tuple(lab for _, lab in rest)
-    return StateVector(rdims, rlabels, residual.reshape(-1))
-
+    lead = len(bra.dims)
+    if bra.dims != s.dims[:lead] or bra.labels != s.labels[:lead]:
+        raise DimensionMismatch(
+            f"bra space {bra.dims}/{bra.labels} is not the leading factor of {s.dims}/{s.labels}"
+        )
+    residual = bra.amps.conj() @ s.amps.reshape(bra.amps.size, -1)
+    if lead == len(s.dims):
+        return StateVector((1,), ("scalar",), residual)
+    return StateVector(s.dims[lead:], s.labels[lead:], residual)

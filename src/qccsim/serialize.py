@@ -113,10 +113,8 @@ def _float_table(path: str | Path, header: Sequence[str], columns: Sequence[Sequ
 
 def write_grid_csv(grid: GridPointerState, path: str | Path) -> None:
     """Columns: x, re, im, prob_density."""
-    re, im = grid.amps.real, grid.amps.imag
-    # |z|^2 as re*re + im*im: bit-equal to the scalar (z.conjugate() * z).real, where
-    # numpy's vectorized complex product can differ in the last bit.
-    _float_table(path, ("x", "re", "im", "prob_density"), (grid.xs, re, im, re * re + im * im))
+    columns = (grid.xs, grid.amps.real, grid.amps.imag, grid.density)
+    _float_table(path, ("x", "re", "im", "prob_density"), columns)
 
 
 def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:

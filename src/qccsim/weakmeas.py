@@ -26,11 +26,11 @@ from .tolerances import TOL
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian observable with its spectral data and target subsystems.
+    """Hermitian observable with its spectral data and labeled space.
 
-    ``targets`` names the subsystems the operator acts on; eigenvectors
-    live on exactly those subsystems. Use :func:`make_observable` to
-    build one from a matrix.
+    ``targets`` labels the subsystems of the whole space the operator acts
+    on, and its eigenvectors live on that space. Use :func:`make_observable`
+    to build one from a matrix.
     """
 
     op: Operator
@@ -62,21 +62,16 @@ class Observable:
         object.__setattr__(self, "eigvecs", vecs)
 
 
-def make_observable(matrix, targets: Sequence[str], dims: Sequence[int] | None = None) -> Observable:
-    """Build an :class:`Observable` from a hermitian matrix.
-
-    ``dims`` defaults to one subsystem per target of equal dimension;
-    pass it explicitly for unequal subsystem sizes.
-    """
+def make_observable(matrix, targets: Sequence[str]) -> Observable:
+    """Build an :class:`Observable` from a hermitian matrix on the space
+    labeled ``targets``: one subsystem per label, all of equal dimension."""
     targets = tuple(targets)
     entries = np.asarray(matrix, dtype=complex)
-    if dims is None:
-        side = entries.shape[0]
-        per = round(side ** (1.0 / len(targets)))
-        if per ** len(targets) != side:
-            raise ValidationError("cannot infer subsystem dims; pass dims explicitly")
-        dims = (per,) * len(targets)
-    op = Operator(tuple(dims), entries)
+    side = entries.shape[0] if entries.ndim else 0
+    per = round(side ** (1.0 / len(targets))) if targets else 0
+    if per < 1 or per ** len(targets) != side:
+        raise ValidationError(f"a {side}-row matrix does not split into {len(targets)} equal subsystems")
+    op = Operator((per,) * len(targets), entries)
     vals, vecs = np.linalg.eigh(op.entries)
     eigvecs = tuple(
         StateVector(op.dims, targets, vecs[:, k]) for k in range(op.side)
@@ -89,7 +84,7 @@ class PrePostContext:
     """Preselected state and postselection state, both at the coupling time.
 
     Any evolution before or after the coupling is folded into the states
-    with :func:`~qccsim.qstate.apply`: ``psi_i`` is U_wi|psi>, ``chi_f``
+    with ``apply(U, psi)``: ``psi_i`` is U_wi|psi>, ``chi_f``
     is U_fw^dagger|chi>. The postselection bra is the adjoint of ``chi_f``.
     """
 
@@ -314,13 +309,13 @@ def branch_table(ctx: PrePostContext, obs: Observable) -> BranchTable:
     for a, vec in zip(obs.eigvals, obs.eigvecs):
         merged[a] = merged.get(a, 0.0 + 0.0j) + inner(chi, vec) * inner(vec, psi)
     branches = [(a, c) for a, c in merged.items() if c != 0.0]
-    a_psi = apply(obs.op, obs.targets, psi)
+    a_psi = apply(obs.op, psi)
     return BranchTable(
         eigvals=tuple(a for a, _ in branches),
         coeffs=tuple(c for _, c in branches),
         overlap=inner(chi, psi),
         transition=inner(chi, a_psi),
-        transition_sq=inner(chi, apply(obs.op, obs.targets, a_psi)),
+        transition_sq=inner(chi, apply(obs.op, a_psi)),
     )
 
 
@@ -377,12 +372,12 @@ def expectation_decomposition_check(
     transition-element form conj(<b_f|psi>) <b_f|A|psi>, which equals
     the probability-weighted weak value without the 0 * inf ambiguity.
     """
-    if basis.targets != psi.labels:
-        raise ValidationError(
-            "postselection basis must span the full state space: "
-            f"targets {basis.targets} vs labels {psi.labels}"
-        )
-    a_psi = apply(obs.op, obs.targets, psi)
+    for name, o in (("observable", obs), ("postselection basis", basis)):
+        if o.targets != psi.labels:
+            raise ValidationError(
+                f"{name} must span the full state space: targets {o.targets} vs labels {psi.labels}"
+            )
+    a_psi = apply(obs.op, psi)
     lhs = inner(psi, a_psi)
     rhs = 0.0 + 0.0j
     for vec in basis.eigvecs:

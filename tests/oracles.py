@@ -1,8 +1,7 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately brute force: double loops instead of
-np.kron, dense full-space matrices instead of axis tricks, quadrature
-instead of closed forms. Agreement between these and the package is the
+np.kron, quadrature instead of closed forms. Agreement between these and the package is the
 evidence the fast paths are right.
 """
 
@@ -36,28 +35,6 @@ def inner_sum_oracle(bra: np.ndarray, ket: np.ndarray) -> complex:
     for x, y in zip(bra, ket):
         total += x.conjugate() * y
     return total
-
-
-def embed_full_matrix(op: np.ndarray, positions: list[int], dims: list[int]) -> np.ndarray:
-    """Build the full-space matrix acting with ``op`` on the given subsystems.
-
-    Matrix elements are assembled index by index: rows/columns are
-    multi-indices over ``dims``; the operator couples the targeted
-    positions and requires identity on the rest.
-    """
-    side = math.prod(dims)
-    tdims = [dims[p] for p in positions]
-    full = np.zeros((side, side), dtype=complex)
-    for row in range(side):
-        ri = np.unravel_index(row, dims)
-        for col in range(side):
-            ci = np.unravel_index(col, dims)
-            if any(ri[k] != ci[k] for k in range(len(dims)) if k not in positions):
-                continue
-            r_sub = np.ravel_multi_index([ri[p] for p in positions], tdims)
-            c_sub = np.ravel_multi_index([ci[p] for p in positions], tdims)
-            full[row, col] = op[r_sub, c_sub]
-    return full
 
 
 def gaussian_amplitude(x: np.ndarray, coeffs, centers, width: float) -> np.ndarray:

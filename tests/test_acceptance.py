@@ -104,8 +104,8 @@ def test_criterion_4_expectation_decomposition():
             rng = np.random.default_rng(42 + dim)
             for _ in range(100):
                 psi = StateVector((dim,), ("sys",), random_state(rng, dim))
-                obs = make_observable(random_hermitian(rng, dim), ("sys",), (dim,))
-                basis = make_observable(random_hermitian(rng, dim), ("sys",), (dim,))
+                obs = make_observable(random_hermitian(rng, dim), ("sys",))
+                basis = make_observable(random_hermitian(rng, dim), ("sys",))
                 assert expectation_decomposition_check(psi, obs, basis).abs_diff <= 1e-10
         assert time.perf_counter() - start < 1.0
 

@@ -176,6 +176,50 @@ class TestCsvArtifacts:
         assert code == 0
         assert (tmp_path / "table.csv").exists()
 
+    @pytest.mark.parametrize("mode", MC_MODES[1:])
+    def test_csv_rejected_for_intensity_montecarlo(self, capsys, tmp_path, mode):
+        argv = ("montecarlo", "--mode", mode, "--n", "100", "--csv", "t.csv", "--out", str(tmp_path))
+        message = f"csv: no CSV artifact defined for montecarlo mode {mode}"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["message"] == message
+        code, out, _ = run_cli(capsys, *argv, "--validate-only")
+        assert code == 3
+        assert json.loads(out)["violations"] == [message]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--scenario", "qcc", "--g", "0:1:3", "--csv", "s.csv"),
+            ("weak-value", "--csv", "g.csv"),
+            ("montecarlo", "--n", "100", "--csv", "t.csv"),
+        ],
+        ids=["sweep", "grid", "trials"],
+    )
+    def test_failed_json_write_leaves_no_csv(self, capsys, tmp_path, argv):
+        (tmp_path / "d").mkdir()
+        code, out, err = run_cli(capsys, *argv, "--json", "d", "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+        assert [f.name for f in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_csv_onto_the_output_directory_leaves_no_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "qcc", "--g", "0:1:3", "--csv", ".",
+                                 "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_artifacts_land_under_their_final_names(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "montecarlo", "--n", "100", "--csv", "t.csv", "--json", "r.json",
+                               "--out", str(tmp_path))
+        assert code == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["r.json", "t.csv"]
+        assert json.loads(out)["results"]["trials_csv"] == str(tmp_path / "t.csv")
+        assert (tmp_path / "r.json").read_text() == out
+
 
 class TestSweeps:
     def test_qcc_sweep_header_and_signature(self, capsys, tmp_path):

@@ -41,13 +41,13 @@ def dense_intensity(cfg) -> float:
     if isinstance(cfg, AbsorberConfig):
         factors = [1.0, 1.0]
         factors[j] = math.exp(-cfg.M)
-        psi = apply(Operator((2,), np.diag(factors).astype(complex)), "path", ctx.psi_i)
+        psi = apply(Operator((2, 2), np.kron(np.diag(factors), np.eye(2)).astype(complex)), ctx.psi_i)
     else:
         full = np.eye(4, dtype=complex)
         full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (
             math.cos(cfg.alpha / 2.0) * np.eye(2, dtype=complex) + 1.0j * math.sin(cfg.alpha / 2.0) * SIGMA_X
         )
-        psi = apply(Operator((2, 2), full), ("path", "spin"), ctx.psi_i)
+        psi = apply(Operator((2, 2), full), ctx.psi_i)
     return abs(inner(ctx.chi_f, psi)) ** 2
 
 

@@ -8,7 +8,7 @@ import pytest
 from qccsim.cli import main
 from qccsim.errors import ValidationError
 from qccsim.montecarlo import TrialBatch
-from qccsim.pointer import make_gaussian, superpose, support, to_grid, translate
+from qccsim.pointer import density, make_gaussian, superpose, support, to_grid, translate
 from qccsim.serialize import dumps_json, write_grid_csv, write_trials_csv
 
 from oracles import grid_csv_oracle, trials_csv_oracle
@@ -84,16 +84,33 @@ class TestJson:
         assert '"inferred_wv": null,' in capsys.readouterr().out
 
 
+def complex_pointer():
+    phi0 = make_gaussian(0.0, 1.0)
+    return superpose([translate(phi0, 0.3, 0.6 + 0.8j), translate(phi0, -0.2, -0.5j)])
+
+
+def complex_grid():
+    pointer = complex_pointer()
+    grid = to_grid(pointer, *support(pointer), 256)
+    assert np.any(grid.amps.imag != 0.0)
+    return grid
+
+
 class TestCsvAgainstRowOracle:
     def test_grid_with_complex_coefficients(self, tmp_path):
-        phi0 = make_gaussian(0.0, 1.0)
-        pointer = superpose([translate(phi0, 0.3, 0.6 + 0.8j), translate(phi0, -0.2, -0.5j)])
-        lo, hi = support(pointer)
-        grid = to_grid(pointer, lo, hi, 256)
-        assert np.any(grid.amps.imag != 0.0)
+        grid = complex_grid()
         target = tmp_path / "grid.csv"
         write_grid_csv(grid, target)
         assert target.read_bytes() == grid_csv_oracle(grid).encode()
+
+    def test_grid_density_column_is_the_density_the_norm_check_integrates(self, tmp_path):
+        grid = complex_grid()
+        target = tmp_path / "grid.csv"
+        write_grid_csv(grid, target)
+        column = np.array([float(line.split(",")[3]) for line in target.read_text().splitlines()[1:]])
+        assert column.tobytes() == grid.density.tobytes()
+        assert column.tobytes() == density(complex_pointer(), grid.xs).tobytes()
+        assert float(np.trapezoid(column, grid.xs)) == grid.trapezoid_norm_sq
 
     def test_trials_longer_than_one_block(self, tmp_path):
         n = 2 * 2**14 + 123

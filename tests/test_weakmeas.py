@@ -82,6 +82,15 @@ class TestObservable:
         with pytest.raises(ValidationError, match="hermitian defect"):
             make_observable([[0.0, 1.0], [0.0, 0.0]], ("spin",))
 
+    def test_dims_are_one_equal_subsystem_per_label(self):
+        assert make_observable(np.eye(8), ("a", "b", "c")).op.dims == (2, 2, 2)
+        assert make_observable(np.eye(3), ("sys",)).op.dims == (3,)
+
+    @pytest.mark.parametrize("side, targets", [(3, ("path", "spin")), (6, ("path", "spin")), (2, ())])
+    def test_matrix_that_does_not_split_rejected(self, side, targets):
+        with pytest.raises(ValidationError, match="does not split"):
+            make_observable(np.eye(side), targets)
+
 
 class TestWeakValue:
     def test_identical_pre_post_gives_expectation(self):
@@ -112,9 +121,9 @@ class TestWeakValue:
             a = random_hermitian(rng, 3)
             b = random_hermitian(rng, 3)
             alpha, beta = rng.normal(size=2)
-            combined = weak_value(ctx, make_observable(alpha * a + beta * b, ("sys",), (3,)))
-            separate = alpha * weak_value(ctx, make_observable(a, ("sys",), (3,))) + beta * weak_value(
-                ctx, make_observable(b, ("sys",), (3,))
+            combined = weak_value(ctx, make_observable(alpha * a + beta * b, ("sys",)))
+            separate = alpha * weak_value(ctx, make_observable(a, ("sys",))) + beta * weak_value(
+                ctx, make_observable(b, ("sys",))
             )
             assert combined == pytest.approx(separate, abs=1e-12)
 
@@ -135,7 +144,7 @@ class TestTransitionElement:
         rng = np.random.default_rng(seed)
         ctx = random_context(rng, 4)
         matrix = random_hermitian(rng, 4)
-        obs = make_observable(matrix, ("sys",), (4,))
+        obs = make_observable(matrix, ("sys",))
         dense = np.vdot(ctx.chi_f.amps, matrix @ ctx.psi_i.amps)
         assert branch_table(ctx, obs).transition == pytest.approx(dense, abs=1e-12)
 
@@ -143,7 +152,7 @@ class TestTransitionElement:
         rng = np.random.default_rng(11)
         for _ in range(20):
             ctx = random_context(rng, 4)
-            obs = make_observable(random_hermitian(rng, 4), ("sys",), (4,))
+            obs = make_observable(random_hermitian(rng, 4), ("sys",))
             den = inner(ctx.chi_f, ctx.psi_i)
             assert weak_value(ctx, obs) * den == pytest.approx(
                 branch_table(ctx, obs).transition, abs=1e-12
@@ -285,7 +294,7 @@ class TestExpectationDecomposition:
     def test_basis_equal_observable_is_exact(self):
         rng = np.random.default_rng(3)
         psi = StateVector((4,), ("sys",), random_state(rng, 4))
-        obs = make_observable(random_hermitian(rng, 4), ("sys",), (4,))
+        obs = make_observable(random_hermitian(rng, 4), ("sys",))
         check = expectation_decomposition_check(psi, obs, obs)
         assert check.abs_diff <= 1e-12
         assert check.n_outcomes == 4
@@ -304,8 +313,8 @@ class TestExpectationDecomposition:
         rng = np.random.default_rng(dim)
         for _ in range(100):
             psi = StateVector((dim,), ("sys",), random_state(rng, dim))
-            obs = make_observable(random_hermitian(rng, dim), ("sys",), (dim,))
-            basis = make_observable(random_hermitian(rng, dim), ("sys",), (dim,))
+            obs = make_observable(random_hermitian(rng, dim), ("sys",))
+            basis = make_observable(random_hermitian(rng, dim), ("sys",))
             check = expectation_decomposition_check(psi, obs, basis)
             assert check.abs_diff <= 1e-10
 
@@ -316,6 +325,15 @@ class TestExpectationDecomposition:
         obs = make_observable(SIGMA_X, ("spin",))
         with pytest.raises(ValidationError):
             expectation_decomposition_check(psi, obs, obs)
+
+    @pytest.mark.parametrize("targets", [("spin", "path"), ("path", "pointer")])
+    def test_observable_on_other_labels_rejected(self, targets):
+        rng = np.random.default_rng(6)
+        psi = StateVector((2, 2), ("path", "spin"), random_state(rng, 4))
+        basis = make_observable(random_hermitian(rng, 4), ("path", "spin"))
+        obs = make_observable(random_hermitian(rng, 4), targets)
+        with pytest.raises(ValidationError, match="observable must span the full state space"):
+            expectation_decomposition_check(psi, obs, basis)
 
 
 class TestValidityMargin:
@@ -349,7 +367,7 @@ def table_cases():
     rng = np.random.default_rng(8)
     for i, dim in enumerate((2, 4, 4)):
         ctx = random_context(rng, dim)
-        cases.append((f"random-{dim}-{i}", ctx, make_observable(random_hermitian(rng, dim), ("sys",), (dim,))))
+        cases.append((f"random-{dim}-{i}", ctx, make_observable(random_hermitian(rng, dim), ("sys",))))
     return cases
 
 
