@@ -7,13 +7,18 @@ defaults and checks are all generated from ``SCENARIO_TABLE``.
 
 Exit codes: 0 success, 2 flag or config parse error, 3 validation error
 (``--csv`` where the run has no CSV artifact, as in a Monte Carlo
-intensity mode) or an output path that cannot be written, 4 capacity
-error, 5 numerical error (orthogonal postselection, a negative inference
-radicand, a float overflow or division by zero, a pointer width whose
-powers leave the float range, or a pointer too far out for floats to
-resolve its width). Each of these errors prints one JSON object to
-stderr. Output files are renamed into place only once all are written,
-so a failed run leaves none behind.
+intensity mode, or ``--csv`` and ``--json`` naming one file) or an
+output path that cannot be written, 4 capacity error, 5 numerical error
+(orthogonal postselection, a negative inference radicand, a float
+overflow or division by zero, a pointer width whose powers leave the
+float range, or a pointer too far out for floats to resolve its width).
+Each of these errors prints one JSON object to stderr. Output files are
+renamed into place only once all are written, so a failed run leaves
+none behind, nor any directory it created for them.
+
+numpy loads only where a run builds an array: ``sweep``, ``montecarlo``
+and the ``weak-value --csv`` grid. ``qcc``, ``qcc-joint``, ``weak-value``
+and the neutron scenarios run on Python floats without it.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ if __name__ == "__main__":  # a CLI process: one BLAS thread, set before numpy l
     from .startup import single_thread_blas
 
     single_thread_blas()
-
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -61,11 +64,12 @@ from .qcc import (
     OBSERVABLE_TAGS,
     QccConfig,
     arm_observable,
+    arm_table,
     build_prepost,
     run_ideal_qcc,
     run_joint_pointers,
 )
-from .qstate import SIGMA_X, StateVector
+from .qstate import SIGMA_X_ROWS, StateVector
 from .serialize import (
     dumps_json,
     qcc_report_dict,
@@ -75,7 +79,7 @@ from .serialize import (
     write_trials_csv,
 )
 from .tolerances import MAX_AMPLITUDES
-from .weakmeas import Observable, PrePostContext, branch_table, make_observable
+from .weakmeas import BranchTable, Observable, PrePostContext, Spectrum, reduce_table
 
 OUTDIR_ENV = "QCCSIM_OUTDIR"
 
@@ -95,38 +99,48 @@ QCC_SWEEP_HEADER = (
 NEUTRON_SWEEP_HEADER = ("param", "ratio_exact", "ratio_predicted", "inferred_wv", "expansion_error")
 
 
-def _two_level(label: str, psi: list, chi: list, matrix) -> tuple[PrePostContext, Observable]:
-    pre = StateVector((2,), (label,), psi)
-    post = StateVector((2,), (label,), chi)
-    return PrePostContext(pre, post), make_observable(matrix, (label,))
-
-
-def _anomalous(tan_theta: float) -> tuple[PrePostContext, Observable]:
-    # chi = (cos theta, sin theta) without atan, which loses precision at large |tan theta|.
-    h = math.hypot(1.0, tan_theta)
-    return _two_level("spin", [1.0, 0.0], [1.0 / h, tan_theta / h], SIGMA_X)
-
-
 _HALF = 1.0 / math.sqrt(2.0)
-# Context name -> builder(tan_theta), in the CLI's choice order.
-_CONTEXTS = {
-    "spin-trivial": lambda t: _two_level("spin", [1.0, 0.0], [1.0, 0.0], SIGMA_X),
-    "path-null": lambda t: _two_level("path", [_HALF, _HALF], [0.0, 1.0], np.diag([1.0, 0.0])),
-    "orthogonal": lambda t: _two_level("spin", [1.0, 0.0], [0.0, 1.0], SIGMA_X),
-    "anomalous": _anomalous,
-    "qcc-pi-I": lambda t: (build_prepost(), arm_observable("I", "projector")),
-    "qcc-sigma-I": lambda t: (build_prepost(), arm_observable("I", "sigma_x")),
-    "qcc-pi-II": lambda t: (build_prepost(), arm_observable("II", "projector")),
-    "qcc-sigma-II": lambda t: (build_prepost(), arm_observable("II", "sigma_x")),
+# Spectra of sigma_x and of |path 0><path 0|, written out exactly as np.linalg.eigh returns them.
+SIGMA_X_SPECTRUM = Spectrum(SIGMA_X_ROWS, (-1.0, 1.0), ((-_HALF, _HALF), (_HALF, _HALF)))
+PROJECTOR_SPECTRUM = Spectrum(((1.0, 0.0), (0.0, 0.0)), (0.0, 1.0), ((0.0, 1.0), (1.0, 0.0)))
+# Two-level context name -> (label, psi, chi, observable spectrum). "anomalous"
+# is the sigma_x one whose chi = (cos theta, sin theta) follows tan_theta, taken
+# without atan, which loses precision at large |tan theta|.
+_TWO_LEVEL = {
+    "spin-trivial": ("spin", (1.0, 0.0), (1.0, 0.0), SIGMA_X_SPECTRUM),
+    "path-null": ("path", (_HALF, _HALF), (0.0, 1.0), PROJECTOR_SPECTRUM),
+    "orthogonal": ("spin", (1.0, 0.0), (0.0, 1.0), SIGMA_X_SPECTRUM),
 }
-CONTEXT_NAMES = tuple(_CONTEXTS)
+# Cheshire Cat context name -> (arm, observable tag), on the states of build_prepost().
+_ARM_CONTEXTS = {
+    f"qcc-{short}-{arm}": (arm, tag) for arm in ARMS for tag, short in zip(OBSERVABLE_TAGS, ("pi", "sigma"))
+}
+CONTEXT_NAMES = (*_TWO_LEVEL, "anomalous", *_ARM_CONTEXTS)
+
+
+def _two_level(name: str, tan_theta: float) -> tuple:
+    if name == "anomalous":
+        h = math.hypot(1.0, tan_theta)
+        return "spin", (1.0, 0.0), (1.0 / h, tan_theta / h), SIGMA_X_SPECTRUM
+    if name not in _TWO_LEVEL:
+        raise ValidationError(f"unknown context {name!r}; choose from {CONTEXT_NAMES}")
+    return _TWO_LEVEL[name]
 
 
 def build_context(name: str, tan_theta: float = 3.0) -> tuple[PrePostContext, Observable]:
     """Named pre/postselection scenarios used by weak-value and montecarlo runs."""
-    if name not in _CONTEXTS:
-        raise ValidationError(f"unknown context {name!r}; choose from {CONTEXT_NAMES}")
-    return _CONTEXTS[name](tan_theta)
+    if name in _ARM_CONTEXTS:
+        return build_prepost(), arm_observable(*_ARM_CONTEXTS[name])
+    label, psi, chi, spectrum = _two_level(name, tan_theta)
+    pre_post = PrePostContext(StateVector((2,), (label,), psi), StateVector((2,), (label,), chi))
+    return pre_post, spectrum.observable((label,))
+
+
+def context_table(name: str, tan_theta: float = 3.0) -> BranchTable:
+    """``branch_table(*build_context(name, tan_theta))``, reduced from the same data without numpy."""
+    if name in _ARM_CONTEXTS:
+        return arm_table(*_ARM_CONTEXTS[name])
+    return reduce_table(*_two_level(name, tan_theta)[1:])
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -145,6 +159,9 @@ def parse_range(text: str) -> np.ndarray:
         raise CapacityError(f"range count {count} exceeds limit {MAX_AMPLITUDES}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValidationError(f"range endpoints must be finite, got {text!r}")
+    if not math.isfinite(stop - start):  # np.linspace would warn and return NaN
+        raise ValidationError(f"range {text!r} has no finite width")
+    import numpy as np
     return np.linspace(start, stop, count)
 
 
@@ -239,10 +256,10 @@ SWEEP_PARAMS = (
     Param("sweep_scenario", "choice", None, "scenario to sweep", SWEEP_SCENARIOS, flag="--scenario"),
     _sweep_range("g", "qcc"),
     _sweep_range("M", "neutron-absorber",
-                 lambda values: "sweep values must be >= 0" if np.any(values < 0.0) else None),
+                 lambda values: "sweep values must be >= 0" if (values < 0.0).any() else None),
     _sweep_range(
         "alpha", "neutron-magnetic",
-        lambda v: "sweep values must satisfy |alpha| <= pi" if np.any(np.abs(v) > math.pi) else None,
+        lambda v: "sweep values must satisfy |alpha| <= pi" if (abs(v) > math.pi).any() else None,
     ),
     ARM,
     *OBSERVABLES,
@@ -428,7 +445,7 @@ def _qcc_config(params: dict) -> QccConfig:
 
 
 def run_weak_value(params: dict, csv_path: Path | None) -> dict:
-    table = branch_table(*build_context(params["context"], params["tan_theta"]))
+    table = context_table(params["context"], params["tan_theta"])
     table.weak_value()  # an orthogonal postselection raises before coupling
     phi0 = make_gaussian(0.0, params["pointer_width"])
     result = table.couple(phi0, params["g"])
@@ -465,7 +482,7 @@ def run_neutron_magnetic(params: dict) -> dict:
 def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
     n, seed = params["n"], params["seed"]
     if params["mode"] == "pointer":
-        table = branch_table(*build_context(params["context"], params["tan_theta"]))
+        table = context_table(params["context"], params["tan_theta"])
         wv = table.weak_value()  # an orthogonal postselection raises before sampling
         phi0 = make_gaussian(0.0, params["pointer_width"])
         exact = table.couple(phi0, params["g"])
@@ -518,6 +535,7 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
             rep = intensity_absorber(AbsorberConfig(params["arm"], values))
             predicted = rep.first_order_prediction
         columns = [values, rep.ratio, predicted, rep.inferred_weak_value, rep.expansion_error]
+    import numpy as np
     columns = [np.broadcast_to(column, values.shape).tolist() for column in columns]
     out = {
         "swept_scenario": scenario,
@@ -527,16 +545,6 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
     if csv_path is not None:
         write_sweep_csv(csv_path, header, columns)
     return out
-
-
-def _resolve_out_path(raw: str | None, out_dir: Path) -> Path | None:
-    if raw is None:
-        return None
-    path = Path(raw)
-    if not path.is_absolute():
-        path = out_dir / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _temp_beside(path: Path | None, kind: str) -> Path | None:
@@ -553,18 +561,24 @@ def run(args: argparse.Namespace) -> int:
         violations.append(f"csv: no CSV artifact defined for scenario {scenario}")
     elif args.csv_path is not None and params.get("mode") in MC_MODES[1:]:
         violations.append(f"csv: no CSV artifact defined for montecarlo mode {params['mode']}")
+    out_dir = Path(args.out or os.environ.get(OUTDIR_ENV) or ".")
+    csv_path, json_path = (None if raw is None else out_dir / raw for raw in (args.csv_path, args.json_path))
+    if csv_path is not None and json_path is not None and csv_path.resolve() == json_path.resolve():
+        violations.append(f"json: --json and --csv name the same file {str(json_path)!r}")
     if args.validate_only:
         sys.stdout.write(dumps_json({"scenario": scenario, "violations": violations}))
         return 0 if not violations else 3
     if violations:
         raise ValidationError("; ".join(violations))
 
-    out_dir = Path(args.out or os.environ.get(OUTDIR_ENV) or ".")
-    csv_path = _resolve_out_path(args.csv_path, out_dir)
-    json_path = _resolve_out_path(args.json_path, out_dir)
+    created: list[Path] = []  # directories this run made, removed again if it fails
     csv_temp, json_temp = _temp_beside(csv_path, "csv"), _temp_beside(json_path, "json")
     staged = [(temp, path) for temp, path in ((csv_temp, csv_path), (json_temp, json_path)) if path]
     try:
+        for path in (csv_path, json_path):  # each missing directory is listed before the attempt
+            if path is not None:
+                created += reversed([parent for parent in path.parents if not parent.exists()])
+                path.parent.mkdir(parents=True, exist_ok=True)
         results = SCENARIO_TABLE[scenario].run(params, csv_temp)
         if csv_path is not None:
             results[csv_key] = str(csv_path)
@@ -578,9 +592,14 @@ def run(args: argparse.Namespace) -> int:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for temp, path in staged:
             os.replace(temp, path)
+        created.clear()
     finally:
         for temp, _ in staged:
-            temp.unlink(missing_ok=True)
+            if temp.parent.is_dir():  # else the temp was never written
+                temp.unlink(missing_ok=True)
+        for directory in reversed(created):  # deepest first
+            if directory.is_dir():
+                directory.rmdir()
     sys.stdout.write(text)  # after the renames, so that a run whose file cannot be written prints no record
     return 0
 

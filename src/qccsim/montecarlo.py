@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .neutron import IntensityReport
@@ -44,6 +41,7 @@ class TrialBatch:
     n_postselected: int = field(init=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
         positions = np.asarray(self.positions, dtype=float)
         mask = np.asarray(self.postselected, dtype=bool)
         n_postselected = int(mask.sum())
@@ -81,6 +79,7 @@ class EstimatorReport:
 
 def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
     """Inverse CDF of the normalized |phi_f(x)|^2 on a dense grid."""
+    import numpy as np
     xs = np.linspace(*support(pointer_final), DENSITY_POINTS)
     dens = density(pointer_final, xs)
     segments = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)
@@ -120,6 +119,7 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
     for any value because trial i derives all its randomness from
     counter block i of the seeded generator.
     """
+    import numpy as np
     check_trial_count(n)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -143,6 +143,8 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
     if len(bounds) == 1:
         parts = [run_chunk(bounds[0])]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so that one-chunk runs skip importing logging
+
         with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
             parts = list(pool.map(run_chunk, bounds))
 
@@ -157,6 +159,7 @@ def estimate_weak_value(batch: TrialBatch, phi0: GaussianPointerState, g: float)
         )
     if g == 0.0:
         raise ValidationError("weak-value estimation needs a nonzero coupling")
+    import numpy as np
     mean_shift = float(batch.positions.mean()) - mean_position(phi0)
     with np.errstate(over="ignore"):
         spread = float(batch.positions.std(ddof=1))
@@ -202,8 +205,8 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
     p_ref = exact.i0
     p_pert = exact.i_perturbed
     u = _trial_uniforms(seed, 0, n)
-    n_ref = int(np.sum(u[:, 0] < p_ref))
-    n_pert = int(np.sum(u[:, 1] < p_pert))
+    n_ref = int((u[:, 0] < p_ref).sum())
+    n_pert = int((u[:, 1] < p_pert).sum())
     if n_ref == 0:
         raise ValidationError("no reference detections; increase n")
     r_ref = n_ref / n

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NegativeRadicand, ValidationError
-from .qcc import ARMS, arm_table, build_prepost
+from .qcc import ARMS, CHI, PSI, arm_table
+from .qstate import vdot
 from .tolerances import TOL
-from .weakmeas import elementwise, pointwise, squared
+from .weakmeas import elementwise, finite, first_failure, one_number, run_on, squared
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class AbsorberConfig:
     def __post_init__(self) -> None:
         if self.arm not in ARMS:
             raise ValidationError(f"arm must be one of {ARMS}, got {self.arm!r}")
-        if not np.all(np.isfinite(self.M) & (np.asarray(self.M) >= 0.0)):
+        if not finite(self.M, lambda M: M >= 0.0):
             raise ValidationError(f"absorption coefficient must be >= 0, got {self.M}")
 
 
@@ -43,7 +42,7 @@ class MagneticConfig:
     def __post_init__(self) -> None:
         if self.arm not in ARMS:
             raise ValidationError(f"arm must be one of {ARMS}, got {self.arm!r}")
-        if not np.all(np.isfinite(self.alpha) & (np.abs(self.alpha) <= math.pi)):
+        if not finite(self.alpha, lambda alpha: abs(alpha) <= math.pi):
             raise ValidationError(
                 f"precession angle must satisfy |alpha| <= pi, got {self.alpha}"
             )
@@ -80,7 +79,7 @@ class IntensityReport:
     def __post_init__(self) -> None:
         if self.i0 <= 0.0:
             raise ValidationError(f"reference intensity must be positive, got {self.i0}")
-        if np.any(np.abs(self.ratio - self.i_perturbed / self.i0) > TOL.arithmetic):
+        if first_failure(lambda d: abs(d) <= TOL.arithmetic, self.ratio - self.i_perturbed / self.i0):
             raise ValidationError("ratio field is inconsistent with the intensities")
 
 
@@ -99,64 +98,67 @@ def perturbed_intensity(cfg: AbsorberConfig | MagneticConfig):
 
     The perturbation acts on the arm's spin block of psi: e^(-M) times
     it, or cos(alpha/2) + i sin(alpha/2) sigma_x on it. The amplitude
-    <chi|psi'> is that block's overlap with chi plus the other arm's,
-    which matches the dense apply-and-vdot evaluation bit for bit. The
-    perturbed state is never renormalized: the detected intensity is the
-    unnormalized squared postselection amplitude. An array for a sweep.
+    <chi|psi'> is a vdot over the whole space, which matches the dense
+    apply-and-vdot evaluation bit for bit. The perturbed state is never
+    renormalized: the detected intensity is the unnormalized squared
+    postselection amplitude. A float for one value, an array for a sweep.
     """
-    values = np.atleast_1d(np.asarray(_param(cfg), dtype=float))
-    ctx = build_prepost()
-    psi = ctx.psi_i.amps.reshape(2, 2)  # [path, spin]
-    chi = ctx.chi_f.amps.reshape(2, 2).conj()
-    j = ARMS.index(cfg.arm)
-    if isinstance(cfg, AbsorberConfig):
-        block = elementwise(math.exp, -values)[:, None] * psi[j]
-    else:
-        cos = elementwise(math.cos, values / 2.0)
-        i_sin = 1.0j * elementwise(math.sin, values / 2.0)
-        up, down = psi[j]
-        block = np.stack([cos * up + i_sin * down, i_sin * up + cos * down], axis=1)
-    intensity = elementwise(lambda z: abs(z) ** 2, block @ chi[j] + chi[1 - j] @ psi[1 - j])
-    return intensity.item() if np.ndim(_param(cfg)) == 0 else intensity
+
+    def intensity(values):
+        psi, j = list(PSI), 2 * ARMS.index(cfg.arm)  # the arm's spin block is psi[j:j + 2]
+        if isinstance(cfg, AbsorberConfig):
+            attenuation = elementwise(math.exp, -values)
+            psi[j : j + 2] = attenuation * psi[j], attenuation * psi[j + 1]
+        else:
+            cos = elementwise(math.cos, values / 2.0)
+            i_sin = 1.0j * elementwise(math.sin, values / 2.0)
+            up, down = psi[j : j + 2]
+            psi[j : j + 2] = cos * up + i_sin * down, i_sin * up + cos * down
+        return elementwise(lambda z: abs(z) ** 2, vdot(CHI[False], psi))
+
+    return run_on(_param(cfg), intensity)
 
 
-@np.errstate(all="ignore")
 def intensity_absorber(cfg: AbsorberConfig) -> IntensityReport:
     """Exact absorber run against the first-order law 1 - 2 M Pi_w."""
     pi_w = _projector_weak_value(cfg.arm)
-    M = np.atleast_1d(np.asarray(cfg.M, dtype=float))
-    first = 1.0 - 2.0 * M * pi_w
-    second = first + squared(M, "second-order absorber prediction", "M") * (pi_w + pi_w**2)
-    return _report(cfg, first, second, analysed=first)
+
+    def report(M) -> IntensityReport:
+        first = 1.0 - 2.0 * M * pi_w
+        second = first + squared(M, "second-order absorber prediction", "M") * (pi_w + pi_w**2)
+        return _report(cfg, first, second, analysed=first)
+
+    return run_on(cfg.M, report)
 
 
-@np.errstate(all="ignore")
 def intensity_magnetic(cfg: MagneticConfig) -> IntensityReport:
     """Exact rotation run against 1 + (alpha^2/4)(|sigma_w|^2 - Pi_w)."""
     pi_w = _projector_weak_value(cfg.arm)
     sigma_w = arm_table(cfg.arm, "sigma_x").weak_value()
-    alpha = np.atleast_1d(np.asarray(cfg.alpha, dtype=float))
-    first = 1.0 - alpha * sigma_w.imag
-    alpha_sq = squared(alpha, "second-order rotation prediction", "alpha")
-    second = 1.0 + (alpha_sq / 4.0) * (abs(sigma_w) ** 2 - pi_w)
-    return _report(cfg, first, second, analysed=second)
+
+    def report(alpha) -> IntensityReport:
+        first = 1.0 - alpha * sigma_w.imag
+        alpha_sq = squared(alpha, "second-order rotation prediction", "alpha")
+        second = 1.0 + (alpha_sq / 4.0) * (abs(sigma_w) ** 2 - pi_w)
+        return _report(cfg, first, second, analysed=second)
+
+    return run_on(cfg.alpha, report)
 
 
-def _report(cfg, first: np.ndarray, second: np.ndarray, analysed: np.ndarray) -> IntensityReport:
+def _report(cfg, first, second, analysed) -> IntensityReport:
     """A run's intensities, ratio and inference around its two expansions;
     ``analysed`` is the one the experiment's analysis uses."""
     i0 = reference_intensity()
-    i_pert = np.atleast_1d(perturbed_intensity(cfg))
+    i_pert = perturbed_intensity(cfg)
     ratio = i_pert / i0
-    return pointwise(
-        _param(cfg), IntensityReport,
+    return IntensityReport(
         i0=i0,
         i_perturbed=i_pert,
         ratio=ratio,
         first_order_prediction=first,
         second_order_prediction=second,
-        inferred_weak_value=np.atleast_1d(infer_weak_value(cfg, ratio)),
-        expansion_error=np.abs(ratio - analysed),
+        inferred_weak_value=infer_weak_value(cfg, ratio),
+        expansion_error=abs(ratio - analysed),
     )
 
 
@@ -168,25 +170,30 @@ def infer_weak_value(cfg: AbsorberConfig | MagneticConfig, measured_ratio):
     and the result is NaN. Raises :class:`NegativeRadicand` for a
     rotation ratio no spin weak value can reach. Elementwise for a sweep.
     """
-    param = np.atleast_1d(np.asarray(_param(cfg), dtype=float))
+    param = _param(cfg)
+
+    def infer(param, ratio):
+        if isinstance(cfg, AbsorberConfig):
+            return infer_projector_weak_value(param, ratio)
+        return infer_spin_weak_value_modulus(param, ratio, _projector_weak_value(cfg.arm))
+
+    if one_number(param):
+        return math.nan if param == 0.0 else infer(float(param), float(measured_ratio))
+    import numpy as np
+    param = np.asarray(param, dtype=float)
     ratio = np.broadcast_to(np.asarray(measured_ratio, dtype=float), param.shape)
     inferred = np.full(param.shape, math.nan)
     live = param != 0.0
     if np.any(live):
-        if isinstance(cfg, AbsorberConfig):
-            inferred[live] = infer_projector_weak_value(param[live], ratio[live])
-        else:
-            pi_w = _projector_weak_value(cfg.arm)
-            inferred[live] = infer_spin_weak_value_modulus(param[live], ratio[live], pi_w)
-    return inferred.item() if np.ndim(_param(cfg)) == 0 else inferred
+        inferred[live] = infer(param[live], ratio[live])
+    return inferred
 
 
 def infer_projector_weak_value(M, measured_ratio):
     """Invert the first-order absorber law: (1 - ratio) / (2 M)."""
-    if not np.all(np.isfinite(M) & (np.asarray(M) > 0.0)):
+    if not finite(M, lambda M: M > 0.0):
         raise ValidationError(f"inference needs M > 0, got {M}")
-    with np.errstate(all="ignore"):
-        return (1.0 - measured_ratio) / (2.0 * M)
+    return run_on(M, lambda M: (1.0 - measured_ratio) / (2.0 * M))
 
 
 def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
@@ -199,24 +206,25 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
     amplifies the ratio's float noise) clamp to zero; only genuinely
     unreachable ratios raise. Elementwise over arrays of ``alpha`` and ratios.
     """
-    if not np.all(np.isfinite(alpha) & (np.asarray(alpha) != 0.0)):
+    if not finite(alpha, lambda alpha: alpha != 0.0):
         raise ValidationError(f"inference needs alpha != 0, got {alpha}")
-    alpha_sq = squared(np.atleast_1d(np.asarray(alpha, dtype=float)), "spin inference", "alpha")
-    if np.any(alpha_sq == 0.0):
-        raise ZeroDivisionError("float division by zero")
-    ratio = np.broadcast_to(np.asarray(measured_ratio, dtype=float), alpha_sq.shape)
-    with np.errstate(all="ignore"):
-        radicand = (ratio - 1.0) * 4.0 / alpha_sq + pi_w
+
+    def modulus(alpha):
+        alpha_sq = squared(alpha, "spin inference", "alpha")
+        if first_failure(lambda a2: a2 != 0.0, alpha_sq):
+            raise ZeroDivisionError("float division by zero")
+        radicand = (measured_ratio - 1.0) * 4.0 / alpha_sq + pi_w
         noise_floor = TOL.structural * (4.0 / alpha_sq + abs(pi_w) + 1.0)
-    unreachable = radicand < -noise_floor
-    if np.any(unreachable):
-        i = int(np.argmax(unreachable))
-        raise NegativeRadicand(
-            f"radicand {radicand[i].item()!r} < 0: ratio {ratio[i].item()!r} with pi_w {pi_w!r} "
-            "is not reachable by any spin weak value"
-        )
-    modulus = np.sqrt(np.maximum(radicand, 0.0))
-    return modulus.item() if np.ndim(alpha) == 0 else modulus
+        # NaN is no evidence of an unreachable ratio: it passes, as a NaN modulus.
+        bad = first_failure(lambda r: (r >= -noise_floor) | (r != r), radicand, measured_ratio)
+        if bad is not None:
+            raise NegativeRadicand(
+                f"radicand {bad[0]!r} < 0: ratio {bad[1]!r} with pi_w {pi_w!r} "
+                "is not reachable by any spin weak value"
+            )
+        return elementwise(lambda r: math.sqrt(max(r, 0.0)), radicand)
+
+    return run_on(alpha, modulus)
 
 
 @dataclass(frozen=True)
@@ -243,7 +251,7 @@ class SystematicTermReport:
 
 def systematic_term_report(alpha: float) -> SystematicTermReport:
     """Quantify the second-order systematic term on arm I."""
-    ratio, alternate = intensity_magnetic(MagneticConfig("I", np.array([alpha, -alpha]))).ratio.tolist()
+    ratio, alternate = (intensity_magnetic(MagneticConfig("I", a)).ratio for a in (alpha, -alpha))
     deviation = ratio - 1.0
     quadratic = -(alpha**2) / 4.0
     sigma_trans = arm_table("I", "sigma_x").transition

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .errors import CapacityError, NumericalError, ValidationError
 from .tolerances import MAX_AMPLITUDES, TOL
 
@@ -151,6 +149,7 @@ def mean_momentum(p: GaussianPointerState) -> float:
 
 def evaluate(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
     """Amplitude phi(x) of the superposition at the given points."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
     s2 = p.width * p.width
@@ -184,6 +183,7 @@ class GridPointerState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         xmin = float(self.xmin)
         xmax = float(self.xmax)
         if not (math.isfinite(xmin) and math.isfinite(xmax)) or xmax <= xmin:
@@ -210,6 +210,7 @@ class GridPointerState:
 
     @property
     def xs(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(self.xmin, self.xmax, self.amps.size)
 
     @property
@@ -218,6 +219,7 @@ class GridPointerState:
 
     @property
     def trapezoid_norm_sq(self) -> float:
+        import numpy as np
         return float(np.trapezoid(self.density, self.xs))
 
 
@@ -261,6 +263,7 @@ def to_grid(p: GaussianPointerState, xmin: float, xmax: float, n_points: int) ->
         )
     if not math.isfinite(xmax - xmin):
         raise ValidationError(f"grid domain [{xmin}, {xmax}] has no finite width")
+    import numpy as np
     grid = GridPointerState(xmin, xmax, evaluate(p, np.linspace(xmin, xmax, int(n_points))))
     exact = norm_sq(p)
     if abs(grid.trapezoid_norm_sq - exact) > TOL.grid_norm * max(1.0, exact):

@@ -13,16 +13,50 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 from .pointer import make_gaussian, overlap, position_element, translate
-from .qstate import SIGMA_X, StateVector
-from .weakmeas import BranchTable, Observable, PrePostContext, branch_table, make_observable
+from .qstate import SIGMA_X_ROWS, StateVector
+from .weakmeas import (
+    BranchTable,
+    Observable,
+    PrePostContext,
+    Spectrum,
+    finite,
+    first_failure,
+    one_number,
+    reduce_table,
+)
 
 SYSTEM_LABELS = ("path", "spin")
 ARMS = ("I", "II")
 OBSERVABLE_TAGS = ("projector", "sigma_x")
+
+# Amplitudes over |I, +z>, |I, -z>, |II, +z>, |II, -z>: the preselection and,
+# by swap_spin_labels, the postselection.
+_H = 1.0 / math.sqrt(2.0)
+PSI = (_H, 0.0, _H, 0.0)
+CHI = {False: (_H, 0.0, 0.0, _H), True: (0.0, _H, _H, 0.0)}
+
+# (arm, tag) -> eigenvalues and eigenvectors, written out exactly as
+# np.linalg.eigh returns them for |arm><arm| (x) 1 and |arm><arm| (x) sigma_x.
+_ARM_EIGENPAIRS = {
+    ("I", "projector"): ((0.0, 0.0, 1.0, 1.0), ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))),
+    ("I", "sigma_x"): ((-1.0, 0.0, 0.0, 1.0), ((-_H, _H, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (_H, _H, 0, 0))),
+    ("II", "projector"): ((0.0, 0.0, 1.0, 1.0), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ("II", "sigma_x"): ((-1.0, 0.0, 0.0, 1.0), ((0, 0, -_H, _H), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, _H, _H))),
+}
+
+
+def arm_spectrum(arm: str, tag: str) -> Spectrum:
+    """The written-out spectrum of the arm observable on path (x) spin."""
+    if arm not in ARMS:
+        raise ValidationError(f"arm must be one of {ARMS}, got {arm!r}")
+    if tag not in OBSERVABLE_TAGS:
+        raise ValidationError(f"observable must be one of {OBSERVABLE_TAGS}, got {tag!r}")
+    spin = SIGMA_X_ROWS if tag == "sigma_x" else ((1.0, 0.0), (0.0, 1.0))
+    j = ARMS.index(arm)
+    rows = tuple(tuple(float(r // 2 == c // 2 == j) * spin[r % 2][c % 2] for c in range(4)) for r in range(4))
+    return Spectrum(rows, *_ARM_EIGENPAIRS[arm, tag])
 
 # Margin above which a report is flagged as outside the weak regime.
 WEAK_MARGIN_WARN = 0.2
@@ -34,19 +68,12 @@ def arm_observable(arm: str, tag: str) -> Observable:
     ``projector`` is |arm><arm| (x) 1, ``sigma_x`` is |arm><arm| (x) sigma_x.
     Built once per (arm, tag): every call returns the same immutable object.
     """
-    if arm not in ARMS:
-        raise ValidationError(f"arm must be one of {ARMS}, got {arm!r}")
-    if tag not in OBSERVABLE_TAGS:
-        raise ValidationError(f"observable must be one of {OBSERVABLE_TAGS}, got {tag!r}")
     return _arm_observable(arm, tag)
 
 
 @functools.cache
 def _arm_observable(arm: str, tag: str) -> Observable:
-    proj = np.zeros((2, 2), dtype=complex)
-    proj[ARMS.index(arm), ARMS.index(arm)] = 1.0
-    spin_part = SIGMA_X if tag == "sigma_x" else np.eye(2, dtype=complex)
-    return make_observable(np.kron(proj, spin_part), SYSTEM_LABELS)
+    return arm_spectrum(arm, tag).observable(SYSTEM_LABELS)
 
 
 def build_prepost(swap_spin_labels: bool = False) -> PrePostContext:
@@ -63,14 +90,9 @@ def build_prepost(swap_spin_labels: bool = False) -> PrePostContext:
 
 @functools.cache
 def _prepost(swap_spin_labels: bool) -> PrePostContext:
-    # Basis order |I, +z>, |I, -z>, |II, +z>, |II, -z>.
-    psi = np.zeros(4, dtype=complex)
-    psi[[0, 2]] = 1.0 / math.sqrt(2.0)
-    chi = np.zeros(4, dtype=complex)
-    chi[[1, 2] if swap_spin_labels else [0, 3]] = 1.0 / math.sqrt(2.0)
     return PrePostContext(
-        psi_i=StateVector((2, 2), SYSTEM_LABELS, psi),
-        chi_f=StateVector((2, 2), SYSTEM_LABELS, chi),
+        psi_i=StateVector((2, 2), SYSTEM_LABELS, PSI),
+        chi_f=StateVector((2, 2), SYSTEM_LABELS, CHI[swap_spin_labels]),
     )
 
 
@@ -84,7 +106,7 @@ def arm_table(arm: str, tag: str, swap_spin_labels: bool = False) -> BranchTable
 
 @functools.cache
 def _arm_table(arm: str, tag: str, swap_spin_labels: bool) -> BranchTable:
-    return branch_table(build_prepost(swap_spin_labels), arm_observable(arm, tag))
+    return reduce_table(PSI, CHI[swap_spin_labels], arm_spectrum(arm, tag))
 
 
 @dataclass(frozen=True)
@@ -104,7 +126,7 @@ class QccConfig:
     def __post_init__(self) -> None:
         if self.observable_I not in OBSERVABLE_TAGS or self.observable_II not in OBSERVABLE_TAGS:
             raise ValidationError(f"observable tags must be in {OBSERVABLE_TAGS}")
-        if not (np.all(np.isfinite(self.g_I)) and np.all(np.isfinite(self.g_II))):
+        if not (finite(self.g_I) and finite(self.g_II)):
             raise ValidationError("couplings must be finite")
         if not (math.isfinite(self.pointer_width) and self.pointer_width > 0.0):
             raise ValidationError(f"pointer_width must be positive, got {self.pointer_width}")
@@ -140,10 +162,9 @@ def _qcc_report(cfg: QccConfig, swap_spin_labels: bool, **measured) -> QccReport
     """A run's ``measured`` shifts, coupled probabilities and ``joint`` flag, plus
     the four weak values, unperturbed postselection and weak-regime flag."""
     for arm, g in (("I", cfg.g_I), ("II", cfg.g_II)):
-        bad = ~np.isfinite(np.atleast_1d(measured[f"shift_{arm}"]))
-        if np.any(bad):  # the readout's (x_p + x_q) / 2 overflows once |g a| nears 9e307
-            value = np.broadcast_to(g, bad.shape)[np.argmax(bad)].item()
-            raise OverflowError(f"pointer shift overflows: shift_{arm} at g_{arm}={value!r}")
+        bad = first_failure(lambda shift: abs(shift) < math.inf, measured[f"shift_{arm}"], g)
+        if bad is not None:  # the readout's (x_p + x_q) / 2 overflows once |g a| nears 9e307
+            raise OverflowError(f"pointer shift overflows: shift_{arm} at g_{arm}={bad[1]!r}")
     table = functools.partial(arm_table, swap_spin_labels=swap_spin_labels)
     phi0 = make_gaussian(0.0, cfg.pointer_width)
     margin_I = table("I", cfg.observable_I).margin(phi0, cfg.g_I)
@@ -192,7 +213,7 @@ def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccRep
     from the ideal run's two couplings. Marginal shifts agree with the
     separate runs up to terms of order g_I * g_II.
     """
-    if np.ndim(cfg.g_I) or np.ndim(cfg.g_II):
+    if not (one_number(cfg.g_I) and one_number(cfg.g_II)):
         raise ValidationError("a joint run takes scalar couplings")
     swap = bool(swap_spin_labels)
     phi0 = make_gaussian(0.0, cfg.pointer_width)

@@ -4,7 +4,8 @@ States and operators are immutable; every operation is a pure function.
 Labels name a state's subsystems, and two states meet only on the same
 labeled space. An operator acts on a state's whole space, so applying
 it is one matrix-vector product. All spaces here are tiny, so a dense
-representation is used throughout.
+representation is used throughout. numpy loads on first use, so code
+that never builds a state runs without it.
 """
 
 from __future__ import annotations
@@ -12,15 +13,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapacityError, DimensionMismatch, ValidationError
 from .tolerances import MAX_AMPLITUDES
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_X_ROWS = ((0.0, 1.0), (1.0, 0.0))
+
+
+def __getattr__(name: str):  # PEP 562: SIGMA_X, a read-only complex array, loads numpy on use
+    if name != "SIGMA_X":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _frozen_array(SIGMA_X_ROWS, "sigma_x")
+
+
+def vdot(bra, ket) -> complex:
+    """<bra|ket> of two amplitude sequences, summed in order in Python complex
+    arithmetic: one rounding on every platform, where a BLAS dot may fuse products."""
+    total = 0j
+    for b, k in zip(bra, ket):
+        total += b.conjugate() * k
+    return total
 
 
 def _frozen_array(values, shape_hint: str) -> np.ndarray:
+    import numpy as np
     arr = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValidationError(f"{shape_hint} contains non-finite entries")
@@ -71,6 +86,7 @@ class StateVector:
 
     @property
     def norm(self) -> float:
+        import numpy as np
         return float(np.linalg.norm(self.amps))
 
 
@@ -104,6 +120,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     size = a.amps.size * b.amps.size
     if size > MAX_AMPLITUDES:
         raise CapacityError(f"tensor product needs {size} amplitudes, limit is {MAX_AMPLITUDES}")
+    import numpy as np
     return StateVector(a.dims + b.dims, a.labels + b.labels, np.kron(a.amps, b.amps))
 
 
@@ -121,7 +138,7 @@ def inner(bra: StateVector, ket: StateVector) -> complex:
             f"inner product needs identical spaces, got {bra.dims}/{bra.labels} "
             f"vs {ket.dims}/{ket.labels}"
         )
-    return complex(np.vdot(bra.amps, ket.amps))
+    return vdot(bra.amps.tolist(), ket.amps.tolist())
 
 
 def partial_project(bra: StateVector, s: StateVector) -> StateVector:

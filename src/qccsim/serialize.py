@@ -14,8 +14,6 @@ from json.encoder import encode_basestring_ascii as _json_string  # json.dumps o
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
 from .montecarlo import TrialBatch
 from .pointer import GridPointerState
@@ -33,6 +31,7 @@ def format_float(x: float) -> str:
 
 def _format_column(values) -> list[str]:
     """:func:`format_float` of every entry of a float array or sequence."""
+    import numpy as np
     return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
 
 
@@ -43,14 +42,14 @@ def dumps_json(obj) -> str:
 
 def _json(obj, newline: str) -> str:
     """``obj`` as JSON text; ``newline`` is LF plus the indent of the line ``obj`` starts on."""
-    if isinstance(obj, (float, np.floating)):  # first: most values in a record are floats
+    if isinstance(obj, float):  # first: most values in a record are floats
         x = float(obj)
         return format_float(x) if math.isfinite(x) else "null"
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
     if isinstance(obj, str):
         return _json_string(obj)
@@ -62,9 +61,11 @@ def _json(obj, newline: str) -> str:
                 raise ValidationError(f"JSON object keys must be strings, got {key!r}")
             members.append(f"{inner}{_json_string(key)}: {_json(value, inner)}")
         return "{" + ",".join(members) + newline + "}" if members else "{}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         items = [inner + _json(value, inner) for value in obj]
         return "[" + ",".join(items) + newline + "]" if items else "[]"
+    if hasattr(obj, "tolist"):  # a numpy scalar or array: checked without importing numpy
+        return _json(obj.tolist(), newline)
     raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
@@ -119,6 +120,7 @@ def write_grid_csv(grid: GridPointerState, path: str | Path) -> None:
 
 def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:
     """Columns: trial_index, postselected, position (empty when 0)."""
+    import numpy as np
     mask = batch.postselected
     trial_of = np.flatnonzero(mask)  # the trial index of each position
 

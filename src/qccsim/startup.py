@@ -3,7 +3,9 @@
 numpy starts an OpenBLAS thread pool at import, and a CLI run never
 uses it: its matrices are at most 4x4. Unless the user chose a thread
 count, the process asks for one BLAS thread. Importing qccsim as a
-library leaves the environment alone.
+library leaves the environment alone. Only ``sweep``, ``montecarlo``
+and a ``weak-value --csv`` grid import numpy at all; ``qcc``,
+``qcc-joint``, ``weak-value`` and the two neutron scenarios never do.
 """
 
 import os

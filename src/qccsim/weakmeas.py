@@ -6,8 +6,8 @@ each eigenbranch translates the pointer exactly and results carry no
 weak-coupling or discretization approximation.
 
 A (context, observable) pair reduces to one :class:`BranchTable`. Its
-readouts are closed forms in g, evaluated over a whole array of
-couplings at once; a single run is the same kernel at one point.
+readouts are closed forms in g, over one coupling as Python floats or
+over a whole array of couplings at once; numpy loads only for the array.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import OrthogonalPostselection, ValidationError
-from .pointer import GaussianPointerState, mean_position, superpose, translate, width_power
-from .qstate import Operator, StateVector, apply, inner
+from .pointer import GaussianPointerState, mean_position, norm_sq, superpose, translate, width_power
+from .qstate import Operator, StateVector, apply, inner, vdot
 from .tolerances import TOL
 
 
@@ -39,6 +37,7 @@ class Observable:
     eigvecs: tuple[StateVector, ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
         targets = tuple(self.targets)
         entries, side = self.op.entries, self.op.side
         defect = np.max(np.abs(entries - entries.conj().T))
@@ -62,21 +61,40 @@ class Observable:
         object.__setattr__(self, "eigvecs", vecs)
 
 
-def make_observable(matrix, targets: Sequence[str]) -> Observable:
-    """Build an :class:`Observable` from a hermitian matrix on the space
-    labeled ``targets``: one subsystem per label, all of equal dimension."""
-    targets = tuple(targets)
+def _operator(matrix, targets: tuple[str, ...]) -> Operator:
+    """``matrix`` on the space labeled ``targets``: one subsystem per label, all of equal dimension."""
+    import numpy as np
     entries = np.asarray(matrix, dtype=complex)
     side = entries.shape[0] if entries.ndim else 0
     per = round(side ** (1.0 / len(targets))) if targets else 0
     if per < 1 or per ** len(targets) != side:
         raise ValidationError(f"a {side}-row matrix does not split into {len(targets)} equal subsystems")
-    op = Operator((per,) * len(targets), entries)
-    vals, vecs = np.linalg.eigh(op.entries)
-    eigvecs = tuple(
-        StateVector(op.dims, targets, vecs[:, k]) for k in range(op.side)
-    )
-    return Observable(op, targets, tuple(float(v) for v in vals), eigvecs)
+    return Operator((per,) * len(targets), entries)
+
+
+class Spectrum(NamedTuple):
+    """A hermitian matrix written out with its eigenpairs: the ``rows`` of
+    the matrix, its ``eigvals`` and one amplitude sequence per eigenvector."""
+
+    rows: Sequence
+    eigvals: Sequence[float]
+    eigvecs: Sequence
+
+    def observable(self, targets: Sequence[str]) -> Observable:
+        """The :class:`Observable` on the space labeled ``targets``, checked as any other."""
+        targets = tuple(targets)
+        op = _operator(self.rows, targets)
+        vecs = tuple(StateVector(op.dims, targets, v) for v in self.eigvecs)
+        return Observable(op, targets, tuple(float(v) for v in self.eigvals), vecs)
+
+
+def make_observable(matrix, targets: Sequence[str]) -> Observable:
+    """Build an :class:`Observable` from a hermitian matrix on the space
+    labeled ``targets``: one subsystem per label, all of equal dimension."""
+    import numpy as np
+    entries = _operator(matrix, tuple(targets)).entries
+    vals, vecs = np.linalg.eigh(entries)
+    return Spectrum(entries, vals.tolist(), vecs.T).observable(targets)
 
 
 @dataclass(frozen=True)
@@ -99,13 +117,31 @@ class PrePostContext:
             raise ValidationError("psi_i and chi_f must live on the same labeled space")
 
 
-def elementwise(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """``fn`` entry by entry, e.g. ``math.exp``: it rounds as scalar code does,
-    where numpy's vectorized exp, cos and pow can differ in the last bit."""
+def one_number(values) -> bool:
+    """Whether ``values`` is one number (a single run) rather than an array (a sweep)."""
+    return isinstance(values, (int, float)) or getattr(values, "ndim", None) == 0
+
+
+def run_on(values, formula: Callable):
+    """``formula(values)`` on a Python float for one number, else on a float64 array with
+    numpy's float warnings off. Formulas here guard where a float raises and an array does not."""
+    if one_number(values):
+        return formula(float(values))
+    import numpy as np
+    with np.errstate(all="ignore"):
+        return formula(np.asarray(values, dtype=float))
+
+
+def elementwise(fn: Callable[[float], float], values):
+    """``fn`` of one number, or entry by entry of an array, e.g. ``math.exp``: it rounds as
+    scalar code does, where numpy's vectorized exp, cos and pow can differ in the last bit."""
+    if isinstance(values, (int, float, complex)):
+        return fn(values)
+    import numpy as np
     return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
 
 
-def squared(values: np.ndarray, quantity: str, name: str) -> np.ndarray:
+def squared(values, quantity: str, name: str):
     """``values**2`` entry by entry; an overflow names the quantity and the value."""
 
     def square(v: float) -> float:
@@ -117,12 +153,29 @@ def squared(values: np.ndarray, quantity: str, name: str) -> np.ndarray:
     return elementwise(square, values)
 
 
-def pointwise(param, cls, **fields):
-    """``cls(**fields)``: array fields over the entries of ``param``, or Python
-    scalars when ``param`` is a scalar (one run, not a sweep)."""
-    if np.ndim(param) == 0:
-        fields = {k: v.item() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
-    return cls(**fields)
+def select(cond, then: Callable, otherwise: Callable):
+    """``then()`` where ``cond`` holds, else ``otherwise()``; for one bool only the chosen side runs."""
+    if isinstance(cond, bool):
+        return then() if cond else otherwise()
+    import numpy as np
+    return np.where(cond, then(), otherwise())
+
+
+def first_failure(ok: Callable, values, *beside):
+    """None where ``ok(values)`` holds at every entry; else, as Python numbers, the
+    first entry where it fails and the entries of same-shaped ``beside`` there."""
+    holds = ok(values)
+    if isinstance(holds, bool):
+        return None if holds else (values, *beside)
+    i = holds.ravel().argmin()
+    if holds.flat[i]:
+        return None
+    return tuple(v.flat[i].item() if hasattr(v, "flat") else v for v in (values, *beside))
+
+
+def finite(values, test: Callable = lambda v: True) -> bool:
+    """Whether ``values``, one number or an array, is finite and passes ``test`` everywhere."""
+    return first_failure(lambda v: (abs(v) < math.inf) & test(v), run_on(values, lambda v: v)) is None
 
 
 @dataclass(frozen=True)
@@ -205,26 +258,35 @@ class BranchTable(NamedTuple):
             return GaussianPointerState(phi0.width, ())
         return superpose(translate(phi0, g * a, c) for a, c in zip(self.eigvals, self.coeffs))
 
-    @np.errstate(all="ignore")
     def readout(self, phi0: GaussianPointerState, g):
         """Exact pointer shift and coupled postselection probability at each coupling in ``g``.
 
-        For a freshly prepared ``phi0`` (one unit component at rest), norm^2
-        and <x> of :meth:`pointer` are pair sums of c_j^* c_k times the overlap
-        e^{-g^2 (a_j - a_k)^2 / 8 sigma^2} (and g (a_j + a_k) / 2 for <x>), taken
-        in the order and rounding of ``norm_sq`` and ``mean_position``, so both
-        agree bit for bit. Floats for a scalar ``g``, arrays for an array; the
-        shift is NaN where the probability is 0.
+        For a freshly prepared ``phi0`` (one unit component at rest), one
+        coupling reads norm^2 and <x> of :meth:`pointer` with ``norm_sq`` and
+        ``mean_position``. An array of couplings takes the same pair sums of
+        c_j^* c_k times the overlap e^{-g^2 (a_j - a_k)^2 / 8 sigma^2} (and
+        g (a_j + a_k) / 2 for <x>) in their order and rounding, so both agree
+        bit for bit. Floats for one coupling, arrays for an array; the shift
+        is NaN where the probability is 0.
         """
-        gs = np.atleast_1d(np.asarray(g, dtype=float))
-        if gs.ndim != 1 or not np.all(np.isfinite(gs)):
-            raise ValidationError("coupling strength must be finite")
         comps = phi0.components
         if len(comps) != 1 or comps[0].coeff != 1.0:
             raise ValidationError("the coupled readout needs a freshly prepared pointer")
+        if not finite(g):
+            raise ValidationError("coupling strength must be finite")
+        if one_number(g):
+            pointer = self.pointer(phi0, float(g))
+            prob = norm_sq(pointer)
+            return (mean_position(pointer) - mean_position(phi0) if prob > 0.0 else math.nan), prob
+        return run_on(g, lambda gs: self._pair_sums(phi0, gs))
+
+    def _pair_sums(self, phi0: GaussianPointerState, gs):
+        import numpy as np
+        if gs.ndim != 1:
+            raise ValidationError("coupling strength must be finite")
         s2 = phi0.width * phi0.width
         k_count, rows = len(self.eigvals), np.arange(gs.size)
-        x = comps[0].center + gs[:, None] * np.array(self.eigvals).reshape(1, k_count)
+        x = phi0.components[0].center + gs[:, None] * np.array(self.eigvals).reshape(1, k_count)
         if not np.all(np.isfinite(x)):
             raise ValidationError("translation shift and coefficient must be finite")
         # Branches landing on one center merge into the first, as in superpose (all at g = 0).
@@ -247,7 +309,7 @@ class BranchTable(NamedTuple):
                 position = position + weight * (e * ((x[:, p] + x[:, q]) / 2.0))
         prob = np.maximum(norm, 0.0)
         shift = np.where(prob > 0.0, position / prob, np.nan) - mean_position(phi0)
-        return (shift.item(), prob.item()) if np.ndim(g) == 0 else (shift, prob)
+        return shift, prob
 
     def couple(self, phi0: GaussianPointerState, g: float) -> WeakMeasurementResult:
         """One coupled run: the final pointer and its readout at coupling ``g``."""
@@ -276,26 +338,47 @@ class BranchTable(NamedTuple):
         ratio = exact_shift / predicted_shift if predicted_shift != 0.0 else math.nan
         return LinearResponseReport(exact_shift, predicted_shift, abs_error, ratio)
 
-    @np.errstate(all="ignore")
     def margin(self, phi0: GaussianPointerState, g):
         """Weak-regime margin |g| |A^w| / (2 sigma) at each coupling in ``g``:
-        a float for a scalar ``g``, an array for an array."""
-        gs = np.abs(np.atleast_1d(np.asarray(g, dtype=float)))
-        margin = gs * (1.0 / (2.0 * phi0.width)) * abs(self.weak_value())
-        return margin.item() if np.ndim(g) == 0 else margin
+        a float for one coupling, an array for an array."""
+        return run_on(g, lambda gs: abs(gs) * (1.0 / (2.0 * phi0.width)) * abs(self.weak_value()))
 
-    @np.errstate(all="ignore")
     def validity(self, phi0: GaussianPointerState, g) -> ValidityReport:
         """Weak-regime margin and second-order dominance at each coupling in ``g``."""
-        gs = np.abs(np.atleast_1d(np.asarray(g, dtype=float)))
-        margin = self.margin(phi0, gs)
-        wv_sq = self.transition_sq / self.overlap
-        # ||P^2 u|| for a normalized Gaussian wavepacket at rest.
-        p2_norm = math.sqrt(3.0 / width_power(phi0.width, 16.0, 4, "validity second order"))
-        second_order = squared(gs, "validity second order", "|g|") / 2.0 * abs(wv_sq) * p2_norm
-        dominance = np.where(margin > 0.0, second_order / margin, np.where(second_order > 0.0, math.inf, 0.0))
-        return pointwise(g, ValidityReport, margin=margin, first_order=margin,
-                         second_order=second_order, dominance_ratio=dominance)
+
+        def report(gs) -> ValidityReport:
+            gs = abs(gs)
+            margin = self.margin(phi0, gs)
+            wv_sq = self.transition_sq / self.overlap
+            # ||P^2 u|| for a normalized Gaussian wavepacket at rest.
+            p2_norm = math.sqrt(3.0 / width_power(phi0.width, 16.0, 4, "validity second order"))
+            second_order = squared(gs, "validity second order", "|g|") / 2.0 * abs(wv_sq) * p2_norm
+            dominance = select(margin > 0.0, lambda: second_order / margin,
+                               lambda: select(second_order > 0.0, lambda: math.inf, lambda: 0.0))
+            return ValidityReport(margin, margin, second_order, dominance)
+
+        return run_on(g, report)
+
+
+def reduce_table(psi: Sequence, chi: Sequence, spectrum: Spectrum) -> BranchTable:
+    """The :class:`BranchTable` of amplitudes ``psi`` and ``chi`` and an observable's
+    written-out spectrum: the one reduction behind every table, in Python complex
+    arithmetic, so a table is the same whether or not numpy built its inputs."""
+    psi, chi = [complex(x) for x in psi], [complex(x) for x in chi]
+    rows = [[complex(x) for x in row] for row in spectrum.rows]
+    merged: dict[float, complex] = {}
+    for a, vec in zip(spectrum.eigvals, spectrum.eigvecs):
+        vec = [complex(x) for x in vec]
+        merged[a] = merged.get(a, 0.0 + 0.0j) + vdot(chi, vec) * vdot(vec, psi)
+    branches = [(a, c) for a, c in merged.items() if c != 0.0]
+    a_psi = [sum((r * x for r, x in zip(row, psi)), 0j) for row in rows]
+    return BranchTable(
+        eigvals=tuple(a for a, _ in branches),
+        coeffs=tuple(c for _, c in branches),
+        overlap=vdot(chi, psi),
+        transition=vdot(chi, a_psi),
+        transition_sq=vdot(chi, [sum((r * x for r, x in zip(row, a_psi)), 0j) for row in rows]),
+    )
 
 
 def branch_table(ctx: PrePostContext, obs: Observable) -> BranchTable:
@@ -305,18 +388,8 @@ def branch_table(ctx: PrePostContext, obs: Observable) -> BranchTable:
         raise ValidationError(
             f"observable targets {obs.targets} must equal the context labels {psi.labels}"
         )
-    merged: dict[float, complex] = {}
-    for a, vec in zip(obs.eigvals, obs.eigvecs):
-        merged[a] = merged.get(a, 0.0 + 0.0j) + inner(chi, vec) * inner(vec, psi)
-    branches = [(a, c) for a, c in merged.items() if c != 0.0]
-    a_psi = apply(obs.op, psi)
-    return BranchTable(
-        eigvals=tuple(a for a, _ in branches),
-        coeffs=tuple(c for _, c in branches),
-        overlap=inner(chi, psi),
-        transition=inner(chi, a_psi),
-        transition_sq=inner(chi, apply(obs.op, a_psi)),
-    )
+    vecs = [vec.amps.tolist() for vec in obs.eigvecs]
+    return reduce_table(psi.amps.tolist(), chi.amps.tolist(), Spectrum(obs.op.entries.tolist(), obs.eigvals, vecs))
 
 
 def weak_value(ctx: PrePostContext, obs: Observable) -> complex:

@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import math
+import random
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -210,6 +212,26 @@ class TestCsvArtifacts:
                                  "--out", str(tmp_path))
         assert (code, out) == (3, "")
         assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_removes_only_the_directories_it_created(self, capsys, tmp_path):
+        (tmp_path / "old").mkdir()
+        code, out, err = run_cli(capsys, "weak-value", "--context", "orthogonal", "--csv", "new/sub/g.csv",
+                                 "--json", "old/new/r.json", "--out", str(tmp_path))
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"]["type"] == "OrthogonalPostselection"
+        assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["old"]
+
+    @pytest.mark.parametrize("json_path", ["x", "./x"])
+    def test_csv_and_json_naming_one_file_is_a_violation(self, capsys, tmp_path, json_path):
+        argv = ("weak-value", "--csv", "x", "--json", json_path, "--out", str(tmp_path))
+        message = f"json: --json and --csv name the same file {str(tmp_path / 'x')!r}"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["message"] == message
+        code, out, _ = run_cli(capsys, *argv, "--validate-only")
+        assert code == 3
+        assert json.loads(out)["violations"] == [message]
         assert list(tmp_path.iterdir()) == []
 
     def test_artifacts_land_under_their_final_names(self, capsys, tmp_path):
@@ -701,3 +723,63 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["shift_I"] == 0.02
+
+
+def fuzzed_value(rng: random.Random, param):
+    """A config value for ``param``: well-typed, at a float or int extreme, or of another JSON type."""
+    if rng.random() < 0.2:
+        return rng.choice([None, True, False, "abc", "0.5", "", [], [0.1, 2], {"g": 1}])
+    if param.kind == "float":
+        return rng.choice([
+            math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0,
+            rng.uniform(-5.0, 5.0), math.copysign(10.0 ** rng.uniform(-320.0, 308.0), rng.random() - 0.5),
+            rng.randrange(-(2**70), 2**70 + 1),
+        ])
+    if param.kind == "int":
+        return rng.choice([
+            rng.randrange(-(2**70), 2**70 + 1), 2**70, -(2**70), rng.randrange(-3, 40),
+            float(rng.randrange(1, 40)), 2**20 + 1, 2**24 + 1, 2**128, 0.5, math.nan,
+        ])
+    if param.kind == "choice":
+        return rng.choice([*param.choices, "nope"])
+    if param.kind == "switch":
+        return rng.choice([True, False])
+    count = rng.choice([-1, 0, 1, 2, 17, 2**20 + 1, 2**70])
+    return rng.choice([
+        f"{rng.uniform(-4.0, 4.0)!r}:{rng.uniform(-4.0, 4.0)!r}:{count}", f"0:1e308:{count}",
+        f"-1e308:1e308:{count}", "nan:1:3", "0:inf:3", "0:1", "a:b:3", f"0:1:{2**70}",
+    ])
+
+
+def fuzzed_configs(seed: int = 20240501, per_param: int = 12):
+    """Seeded configs, ``per_param`` for every parameter of every scenario: that
+    parameter fuzzed, each other one fuzzed with probability 0.3."""
+    rng = random.Random(seed)
+    for scenario, spec in SCENARIO_TABLE.items():
+        for param in spec.params:
+            for _ in range(per_param):
+                config = {p.name: fuzzed_value(rng, p) for p in spec.params if p is param or rng.random() < 0.3}
+                if param.when is not None and rng.random() < 0.7:
+                    config[param.when[0]] = rng.choice(param.when[1])
+                yield scenario, config
+
+
+def test_fuzzed_configs_end_in_a_documented_exit(capsys, tmp_path):
+    """Every fuzzed config exits 0, 2, 3, 4 or 5, and a failure prints exactly
+    one JSON error object to stderr and nothing to stdout, warnings as errors."""
+    path = tmp_path / "run.json"
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scenario, config in fuzzed_configs():
+            path.write_text(json.dumps(config))
+            code, out, err = run_cli(capsys, scenario, "--config", str(path))
+            where = f"{scenario} {json.dumps(config)}"
+            assert code in (0, 2, 3, 4, 5), where
+            if code:
+                assert out == "", where
+                assert list(json.loads(err)) == ["error"], where
+            else:
+                assert err == "" and json.loads(out)["scenario"] == scenario, where
+            seen.add((scenario, code))
+    assert {code for _, code in seen} >= {0, 3, 4, 5}

@@ -1,5 +1,6 @@
 """Trial sampling determinism and statistical agreement with exact results."""
 
+import concurrent.futures
 import math
 from dataclasses import asdict
 
@@ -77,7 +78,7 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         ctx, obs = build_context("qcc-pi-I")
         batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10, SEED, workers=10**6)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qccsim.cli import CONTEXT_NAMES
 from qccsim.startup import THREAD_VARIABLES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,6 +56,41 @@ print(json.dumps(report))
     submodules = {"errors", "montecarlo", "neutron", "pointer", "qcc", "qstate", "tolerances", "weakmeas"}
     assert {n for n in report["dir"] if not n.startswith("_")} - set(report["all"]) <= submodules
     assert report["missing"] == "module 'qccsim' has no attribute 'no_such_name'"
+
+
+def test_cli_import_loads_no_numpy():
+    script = (
+        "import json, sys, qccsim.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy'))))"
+    )
+    assert json.loads(python("-c", script).stdout) == []
+
+
+# The one-shot runs that build no array, with their exit codes: every weak-value
+# context, each scalar scenario and its --validate-only run, one exit 3 and one exit 5.
+SCALAR_RUNS = [
+    *((["weak-value", "--context", name], 5 if name == "orthogonal" else 0) for name in CONTEXT_NAMES),
+    *(([name], 0) for name in ("qcc", "qcc-joint", "neutron-absorber", "neutron-magnetic")),
+    *(([name, "--validate-only"], 0) for name in ("qcc", "qcc-joint", "weak-value", "neutron-absorber",
+                                                   "neutron-magnetic")),
+    (["qcc", "--g", "nan"], 3),
+]
+
+RUN_SCALAR = """
+import contextlib, io, json, sys
+from qccsim.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    report.append([code, sorted(m for m in sys.modules if m.startswith("numpy"))])
+print(json.dumps(report))
+"""
+
+
+def test_scalar_scenarios_run_without_numpy():
+    report = json.loads(python("-c", RUN_SCALAR, json.dumps([argv for argv, _ in SCALAR_RUNS])).stdout)
+    assert report == [[code, []] for _, code in SCALAR_RUNS]
 
 
 def test_cli_import_skips_numpy_random():

@@ -1,14 +1,17 @@
 """Weak values, exact pointer coupling, and the linear-response law."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from qccsim.cli import CONTEXT_NAMES, build_context
+from qccsim import qstate
+from qccsim.cli import CONTEXT_NAMES, PROJECTOR_SPECTRUM, SIGMA_X_SPECTRUM, build_context, context_table
 from qccsim.errors import OrthogonalPostselection, ValidationError
 from qccsim.pointer import make_gaussian, mean_momentum, mean_position, norm_sq, superpose, translate
-from qccsim.qcc import build_prepost
+from qccsim.qcc import ARMS, OBSERVABLE_TAGS, arm_observable, arm_spectrum, arm_table, build_prepost
 from qccsim.qstate import SIGMA_X, StateVector, inner
 from qccsim.weakmeas import (
     PrePostContext,
@@ -436,3 +439,39 @@ class TestBranchTable:
         for phi0 in (translate(PHI0, 0.0, 2.0), superpose([PHI0, translate(PHI0, 1.0)])):
             with pytest.raises(ValidationError):
                 table.readout(phi0, 0.1)
+
+
+ARM_OBSERVABLES = list(itertools.product(ARMS, OBSERVABLE_TAGS))
+
+
+class TestWrittenOutData:
+    def test_sigma_x_is_a_read_only_complex_array(self):
+        assert isinstance(qstate.SIGMA_X, np.ndarray)
+        assert SIGMA_X.dtype == complex and not SIGMA_X.flags.writeable
+        assert SIGMA_X.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("name", ["sigma_x", "path-projector", *(" ".join(k) for k in ARM_OBSERVABLES)])
+    def test_spectrum_equals_eigh_bit_for_bit(self, name):
+        if name == "sigma_x":
+            spectrum, matrix = SIGMA_X_SPECTRUM, SIGMA_X
+        elif name == "path-projector":
+            spectrum, matrix = PROJECTOR_SPECTRUM, np.diag([1.0, 0.0])
+        else:
+            arm, tag = name.split()
+            spin = SIGMA_X if tag == "sigma_x" else np.eye(2)
+            spectrum, matrix = arm_spectrum(arm, tag), np.kron(np.diag([arm == "I", arm == "II"]), spin)
+        matrix = np.asarray(matrix, dtype=complex)
+        vals, vecs = np.linalg.eigh(matrix)
+        assert np.asarray(spectrum.rows, dtype=complex).tobytes() == matrix.tobytes()
+        assert np.asarray(spectrum.eigvals, dtype=float).tobytes() == vals.tobytes()
+        assert np.asarray(spectrum.eigvecs, dtype=complex).T.tobytes() == vecs.tobytes()
+
+    def test_tables_from_data_equal_branch_tables_bit_for_bit(self):
+        rng = random.Random(1703)
+        tans = [rng.uniform(-10.0, 10.0) for _ in range(1000)] + [0.0, -0.0, 5e-324, 1e-300, 1e200, -1e308]
+        cases = [(name, 3.0) for name in CONTEXT_NAMES] + [("anomalous", t) for t in tans]
+        for name, tan_theta in cases:
+            assert repr(context_table(name, tan_theta)) == repr(branch_table(*build_context(name, tan_theta)))
+        for (arm, tag), swap in itertools.product(ARM_OBSERVABLES, (False, True)):
+            expected = branch_table(build_prepost(swap), arm_observable(arm, tag))
+            assert repr(arm_table(arm, tag, swap)) == repr(expected)
