@@ -31,7 +31,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
@@ -42,6 +41,7 @@ if __name__ == "__main__":  # a CLI process: one BLAS thread, set before numpy l
     single_thread_blas()
 
 from . import __version__
+from ._record import Record
 from .errors import (
     CapacityError,
     NegativeRadicand,
@@ -165,8 +165,7 @@ def parse_range(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     """One scenario parameter: its flag, default, type check and extra check.
 
     ``kind`` is "float", "int", "choice", "switch" or "range" (a
@@ -197,7 +196,7 @@ def _at_least(low: int) -> Callable[[float], str | None]:
 
 
 def _when(key: str, values: tuple, *params: Param) -> tuple[Param, ...]:
-    return tuple(replace(p, when=(key, values)) for p in params)
+    return tuple(p._replace(when=(key, values)) for p in params)
 
 
 def _sweep_range(name: str, scenario: str, check=None) -> Param:
@@ -468,14 +467,14 @@ def run_qcc_scenario(params: dict, joint: bool) -> dict:
 
 
 def run_neutron_absorber(params: dict) -> dict:
-    return asdict(intensity_absorber(AbsorberConfig(params["arm"], params["M"])))
+    return intensity_absorber(AbsorberConfig(params["arm"], params["M"]))._asdict()
 
 
 def run_neutron_magnetic(params: dict) -> dict:
     report = intensity_magnetic(MagneticConfig(params["arm"], params["alpha"]))
     return {
-        "intensity": asdict(report),
-        "systematic": asdict(systematic_term_report(params["alpha"])),
+        "intensity": report._asdict(),
+        "systematic": systematic_term_report(params["alpha"])._asdict(),
     }
 
 
@@ -490,7 +489,7 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
         out = {
             "mode": "pointer",
             "context": params["context"],
-            "estimator": asdict(estimate_weak_value(batch, phi0, params["g"])),
+            "estimator": estimate_weak_value(batch, phi0, params["g"])._asdict(),
             "exact_weak_value_re": wv.real,
             "exact_postselect_prob": exact.postselect_prob_coupled,
         }
@@ -510,8 +509,8 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
         inferred = math.nan  # sampled ratio below the reachable band; JSON null
     return {
         "mode": params["mode"],
-        "counts": asdict(counts),
-        "exact": asdict(exact_report),
+        "counts": counts._asdict(),
+        "exact": exact_report._asdict(),
         "inferred_from_counts": inferred,
     }
 

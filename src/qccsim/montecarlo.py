@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import CapacityError, ValidationError
 from .neutron import IntensityReport
 from .pointer import GaussianPointerState, density, mean_position, support
@@ -26,19 +26,16 @@ DENSITY_POINTS = 4096
 DRAWS_PER_TRIAL = 4
 
 
-@dataclass(frozen=True)
-class TrialBatch:
+class TrialBatch(Record):
     """Outcomes of n independent pre/postselected trials.
 
     ``postselected`` is the per-trial success mask; ``positions`` holds
     the pointer readouts of successful trials, in trial order. The counts
-    ``n_total`` and ``n_postselected`` are read off the mask.
+    ``n_total`` and ``n_postselected`` are attributes read off the mask, not fields.
     """
 
     positions: np.ndarray
     postselected: np.ndarray
-    n_total: int = field(init=False)
-    n_postselected: int = field(init=False)
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -59,8 +56,7 @@ class TrialBatch:
         object.__setattr__(self, "n_postselected", n_postselected)
 
 
-@dataclass(frozen=True)
-class EstimatorReport:
+class EstimatorReport(Record):
     """Weak-value estimate from a trial batch."""
 
     mean_shift: float
@@ -177,8 +173,7 @@ def estimate_weak_value(batch: TrialBatch, phi0: GaussianPointerState, g: float)
     )
 
 
-@dataclass(frozen=True)
-class IntensityCounts:
+class IntensityCounts(Record):
     """Detection counts for a reference/perturbed intensity experiment."""
 
     n_trials: int

@@ -9,8 +9,8 @@ replace the pointer readout by intensity ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import NegativeRadicand, ValidationError
 from .qcc import ARMS, CHI, PSI, arm_table
 from .qstate import vdot
@@ -18,8 +18,7 @@ from .tolerances import TOL
 from .weakmeas import elementwise, finite, first_failure, one_number, run_on, squared
 
 
-@dataclass(frozen=True)
-class AbsorberConfig:
+class AbsorberConfig(Record):
     """Amplitude attenuation e^(-M) on one arm; an array ``M`` is a sweep."""
 
     arm: str
@@ -32,8 +31,7 @@ class AbsorberConfig:
             raise ValidationError(f"absorption coefficient must be >= 0, got {self.M}")
 
 
-@dataclass(frozen=True)
-class MagneticConfig:
+class MagneticConfig(Record):
     """Spin rotation exp(i alpha sigma_x / 2) on one arm; an array ``alpha`` is a sweep."""
 
     arm: str
@@ -55,8 +53,7 @@ def _param(cfg: AbsorberConfig | MagneticConfig):
     raise ValidationError(f"unsupported perturbation config {type(cfg).__name__}")
 
 
-@dataclass(frozen=True)
-class IntensityReport:
+class IntensityReport(Record):
     """Reference and perturbed intensities with inference diagnostics.
 
     ``first_order_prediction`` and ``second_order_prediction`` are the
@@ -211,8 +208,9 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
 
     def modulus(alpha):
         alpha_sq = squared(alpha, "spin inference", "alpha")
-        if first_failure(lambda a2: a2 != 0.0, alpha_sq):
-            raise ZeroDivisionError("float division by zero")
+        zero = first_failure(lambda a2: a2 != 0.0, alpha_sq, alpha)
+        if zero is not None:
+            raise ZeroDivisionError(f"spin inference underflows to 0: alpha**2 at alpha={zero[1]!r}")
         radicand = (measured_ratio - 1.0) * 4.0 / alpha_sq + pi_w
         noise_floor = TOL.structural * (4.0 / alpha_sq + abs(pi_w) + 1.0)
         # NaN is no evidence of an unreachable ratio: it passes, as a NaN modulus.
@@ -227,8 +225,7 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
     return run_on(alpha, modulus)
 
 
-@dataclass(frozen=True)
-class SystematicTermReport:
+class SystematicTermReport(Record):
     """Quadratic arm-I intensity deficit despite a zero spin weak value.
 
     The arm-I rotation reduces the ratio to cos^2(alpha/2) even though
@@ -254,6 +251,8 @@ def systematic_term_report(alpha: float) -> SystematicTermReport:
     ratio, alternate = (intensity_magnetic(MagneticConfig("I", a)).ratio for a in (alpha, -alpha))
     deviation = ratio - 1.0
     quadratic = -(alpha**2) / 4.0
+    if alpha != 0.0 and quadratic == 0.0:
+        raise ZeroDivisionError(f"systematic term underflows to 0: alpha**2/4 at alpha={alpha!r}")
     sigma_trans = arm_table("I", "sigma_x").transition
     return SystematicTermReport(
         alpha=alpha,

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from ._record import Record
 from .errors import CapacityError, NumericalError, ValidationError
 from .tolerances import MAX_AMPLITUDES, TOL
 
@@ -46,8 +46,7 @@ def width_power(width: float, scale: float, power: int, quantity: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class GaussianPointerState:
+class GaussianPointerState(Record):
     """Superposition of Gaussian components at rest, all of one ``width``."""
 
     width: float
@@ -174,8 +173,7 @@ def density(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
     return abs_sq(evaluate(p, x))
 
 
-@dataclass(frozen=True)
-class GridPointerState:
+class GridPointerState(Record):
     """Sampled pointer amplitudes on a uniform grid, for export only; one point per amplitude."""
 
     xmin: float

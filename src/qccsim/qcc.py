@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ValidationError
 from .pointer import make_gaussian, overlap, position_element, translate
 from .qstate import SIGMA_X_ROWS, StateVector
@@ -109,8 +109,7 @@ def _arm_table(arm: str, tag: str, swap_spin_labels: bool) -> BranchTable:
     return reduce_table(PSI, CHI[swap_spin_labels], arm_spectrum(arm, tag))
 
 
-@dataclass(frozen=True)
-class QccConfig:
+class QccConfig(Record):
     """Couplings and observables for one Cheshire Cat run.
 
     ``g_I`` and ``g_II`` may also be arrays of one shape: the config then
@@ -132,8 +131,7 @@ class QccConfig:
             raise ValidationError(f"pointer_width must be positive, got {self.pointer_width}")
 
 
-@dataclass(frozen=True)
-class QccReport:
+class QccReport(Record):
     """The four defining weak values plus exact pointer shifts.
 
     ``postselect_amp``/``postselect_prob`` describe the unperturbed

@@ -11,8 +11,8 @@ that never builds a state runs without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import CapacityError, DimensionMismatch, ValidationError
 from .tolerances import MAX_AMPLITUDES
 
@@ -44,8 +44,7 @@ def _frozen_array(values, shape_hint: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Complex amplitudes over an ordered, labeled tensor-product basis.
 
     Parameters
@@ -90,8 +89,7 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(Record):
     """Dense square operator on a whole space of subsystems ``dims``."""
 
     dims: tuple[int, ...]

@@ -6,11 +6,10 @@ test expectations and runtime checks cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Record):
     """Numeric thresholds shared across the simulator.
 
     Attributes

@@ -13,17 +13,16 @@ over a whole array of couplings at once; numpy loads only for the array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+from ._record import Record
 from .errors import OrthogonalPostselection, ValidationError
 from .pointer import GaussianPointerState, mean_position, norm_sq, superpose, translate, width_power
 from .qstate import Operator, StateVector, apply, inner, vdot
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(Record):
     """Hermitian observable with its spectral data and labeled space.
 
     ``targets`` labels the subsystems of the whole space the operator acts
@@ -97,8 +96,7 @@ def make_observable(matrix, targets: Sequence[str]) -> Observable:
     return Spectrum(entries, vals.tolist(), vecs.T).observable(targets)
 
 
-@dataclass(frozen=True)
-class PrePostContext:
+class PrePostContext(Record):
     """Preselected state and postselection state, both at the coupling time.
 
     Any evolution before or after the coupling is folded into the states
@@ -178,8 +176,7 @@ def finite(values, test: Callable = lambda v: True) -> bool:
     return first_failure(lambda v: (abs(v) < math.inf) & test(v), run_on(values, lambda v: v)) is None
 
 
-@dataclass(frozen=True)
-class WeakMeasurementResult:
+class WeakMeasurementResult(Record):
     """Outcome of one coupled pre/postselected run.
 
     ``weak_value`` is None when the postselection overlap is numerically
@@ -198,8 +195,7 @@ class WeakMeasurementResult:
     exact_shift: float
 
 
-@dataclass(frozen=True)
-class LinearResponseReport:
+class LinearResponseReport(Record):
     """Exact pointer shift against the first-order law g * Re(A^w)."""
 
     exact_shift: float
@@ -208,8 +204,7 @@ class LinearResponseReport:
     ratio: float
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     """How deep a coupling sits in the linear-response regime.
 
     ``margin`` is |g| * |A^w| / (2 sigma), using the Gaussian momentum
@@ -424,8 +419,7 @@ def linear_response_report(
     return table.linear_response(table.couple(phi0, g))
 
 
-@dataclass(frozen=True)
-class ExpectationDecomposition:
+class ExpectationDecomposition(Record):
     """<psi|A|psi> against its postselection-resolved weak-value sum."""
 
     lhs: float

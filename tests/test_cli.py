@@ -583,6 +583,30 @@ class TestExitCodes:
         assert code == 5
         assert json.loads(err)["error"] == {"type": "OverflowError", "message": message}
 
+    # A rotation angle whose square underflows to 0 leaves the second-order inversion undefined.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("neutron-magnetic", "--alpha", "1e-170"), "spin inference underflows to 0: alpha**2 at alpha=1e-170"),
+            (
+                ("sweep", "--scenario", "neutron-magnetic", "--alpha", "0:1e-320:3"),
+                "spin inference underflows to 0: alpha**2 at alpha=5e-321",
+            ),
+            (
+                ("montecarlo", "--mode", "intensity-magnetic", "--alpha", "1e-320", "--n", "100"),
+                "spin inference underflows to 0: alpha**2 at alpha=1e-320",
+            ),
+            (
+                ("neutron-magnetic", "--alpha", "-3e-162"),
+                "systematic term underflows to 0: alpha**2/4 at alpha=-3e-162",
+            ),
+        ],
+    )
+    def test_underflow_message_names_quantity_and_angle(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 5
+        assert json.loads(err)["error"] == {"type": "ZeroDivisionError", "message": message}
+
     # A qcc record prints the weak-regime margin, never the second-order term,
     # so a width or coupling at which only that term leaves the float range runs.
     @pytest.mark.parametrize(

@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -239,4 +238,4 @@ class TestIntensitySampling:
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 40.0)), 100, 1)
         assert counts.n_perturbed == 0
         assert math.isnan(counts.ratio_std_error)
-        assert '"ratio_std_error": null' in dumps_json(asdict(counts))
+        assert '"ratio_std_error": null' in dumps_json(counts._asdict())

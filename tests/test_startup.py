@@ -66,6 +66,16 @@ def test_cli_import_loads_no_numpy():
     assert json.loads(python("-c", script).stdout) == []
 
 
+# Stdlib modules no one-shot scalar run needs: ``dataclasses`` pulls in ``inspect``,
+# which pulls in ``ast``, ``dis`` and ``tokenize``.
+INTROSPECTION = ("dataclasses", "inspect")
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    script = f"import json, sys, qccsim.cli\nprint(json.dumps([m for m in {INTROSPECTION!r} if m in sys.modules]))"
+    assert json.loads(python("-c", script).stdout) == []
+
+
 # The one-shot runs that build no array, with their exit codes: every weak-value
 # context, each scalar scenario and its --validate-only run, one exit 3 and one exit 5.
 SCALAR_RUNS = [
@@ -84,13 +94,16 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     report.append([code, sorted(m for m in sys.modules if m.startswith("numpy"))])
-print(json.dumps(report))
-"""
+print(json.dumps([report, [m for m in %r if m in sys.modules]]))
+""" % (INTROSPECTION,)
 
 
 def test_scalar_scenarios_run_without_numpy():
-    report = json.loads(python("-c", RUN_SCALAR, json.dumps([argv for argv, _ in SCALAR_RUNS])).stdout)
+    report, introspection = json.loads(
+        python("-c", RUN_SCALAR, json.dumps([argv for argv, _ in SCALAR_RUNS])).stdout
+    )
     assert report == [[code, []] for _, code in SCALAR_RUNS]
+    assert introspection == []  # loaded by none of the runs: modules stay in sys.modules
 
 
 def test_cli_import_skips_numpy_random():
