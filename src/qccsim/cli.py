@@ -71,6 +71,7 @@ from .qcc import (
 )
 from .qstate import SIGMA_X_ROWS, StateVector
 from .serialize import (
+    Table,
     dumps_json,
     qcc_report_dict,
     weak_measurement_dict,
@@ -535,14 +536,10 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
             predicted = rep.first_order_prediction
         columns = [values, rep.ratio, predicted, rep.inferred_weak_value, rep.expansion_error]
     import numpy as np
-    columns = [np.broadcast_to(column, values.shape).tolist() for column in columns]
-    out = {
-        "swept_scenario": scenario,
-        "columns": list(header),
-        "rows": [dict(zip(header, row)) for row in zip(*columns)],
-    }
+    table = Table(header, [np.broadcast_to(column, values.shape) for column in columns])
+    out = {"swept_scenario": scenario, "columns": list(header), "rows": table}
     if csv_path is not None:
-        write_sweep_csv(csv_path, header, columns)
+        write_sweep_csv(csv_path, header, table)
     return out
 
 

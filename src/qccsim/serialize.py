@@ -35,6 +35,19 @@ def _format_column(values) -> list[str]:
     return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
 
 
+class Table:
+    """Equally long float columns under ``header``, each cell formatted once by
+    :func:`format_float`: a record renders it as one object per row (non-finite
+    cells null), :func:`write_sweep_csv` as CSV rows (nan, inf, -inf)."""
+
+    def __init__(self, header: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
+        self.header = tuple(header)
+        self.cells = [_format_column(column) for column in columns]
+
+
+_NULL = {"nan": "null", "inf": "null", "-inf": "null"}  # a CSV cell that is null in JSON
+
+
 def dumps_json(obj) -> str:
     """Serialize to JSON with 17-significant-digit floats, indented by two spaces."""
     return _json(obj, "\n") + "\n"
@@ -64,6 +77,11 @@ def _json(obj, newline: str) -> str:
     if isinstance(obj, (list, tuple)):
         items = [inner + _json(value, inner) for value in obj]
         return "[" + ",".join(items) + newline + "]" if items else "[]"
+    if isinstance(obj, Table):  # keys encoded once, into a per-row template
+        fields = (f"{inner}  {_json_string(key).replace('%', '%%')}: %s" for key in obj.header)
+        template = inner + "{" + ",".join(fields) + inner + "}"
+        rows = ",".join(map(template.__mod__, zip(*(map(_NULL.get, x, x) for x in obj.cells))))
+        return "[" + rows + newline + "]" if rows else "[]"
     if hasattr(obj, "tolist"):  # a numpy scalar or array: checked without importing numpy
         return _json(obj.tolist(), newline)
     raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
@@ -107,15 +125,11 @@ def _write_table(path: str | Path, header: Sequence[str], n_rows: int, columns: 
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def _float_table(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
-    """A table of equally long float columns, arrays or lists."""
-    _write_table(path, header, len(columns[0]), lambda a, b: [_format_column(x[a:b]) for x in columns])
-
-
 def write_grid_csv(grid: GridPointerState, path: str | Path) -> None:
     """Columns: x, re, im, prob_density."""
     columns = (grid.xs, grid.amps.real, grid.amps.imag, grid.density)
-    _float_table(path, ("x", "re", "im", "prob_density"), columns)
+    _write_table(path, ("x", "re", "im", "prob_density"), grid.xs.size,
+                 lambda a, b: [_format_column(x[a:b]) for x in columns])
 
 
 def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:
@@ -133,6 +147,6 @@ def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:
     _write_table(path, ("trial_index", "postselected", "position"), mask.size, columns)
 
 
-def write_sweep_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
-    """Sweep table of float columns, each cell with full float precision."""
-    _float_table(path, header, columns)
+def write_sweep_csv(path: str | Path, header: Sequence[str], table: Table) -> None:
+    """A sweep's table, from the cells its record's rows are rendered from."""
+    _write_table(path, header, len(table.cells[0]), lambda a, b: [x[a:b] for x in table.cells])

@@ -199,3 +199,8 @@ def trials_csv_oracle(batch) -> str:
     for i, hit in enumerate(batch.postselected.tolist()):
         lines.append(f"{i},1,{format(next(positions), '.17g')}" if hit else f"{i},0,")
     return "\n".join(lines) + "\n"
+
+
+def rows_as_dicts(header, columns) -> list[dict]:
+    """A sweep record's rows, one dict of Python floats per row."""
+    return [dict(zip(header, map(float, row))) for row in zip(*columns)]

@@ -1,6 +1,9 @@
 """Serialization: the JSON record text and the CSV tables, byte for byte."""
 
+import csv
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,9 +12,9 @@ from qccsim.cli import main
 from qccsim.errors import ValidationError
 from qccsim.montecarlo import TrialBatch
 from qccsim.pointer import density, make_gaussian, superpose, support, to_grid, translate
-from qccsim.serialize import dumps_json, write_grid_csv, write_trials_csv
+from qccsim.serialize import Table, dumps_json, write_grid_csv, write_trials_csv
 
-from oracles import grid_csv_oracle, trials_csv_oracle
+from oracles import grid_csv_oracle, rows_as_dicts, trials_csv_oracle
 
 # One object through every branch of the JSON writer.
 EVERY_BRANCH = {
@@ -82,6 +85,61 @@ class TestJson:
             "0,1,1,nan,0",
         ]
         assert '"inferred_wv": null,' in capsys.readouterr().out
+
+
+# Cells a table must render exactly: non-finite, signed zero, the smallest subnormal, the largest float.
+EDGE_CELLS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)
+
+
+def random_columns(rng: random.Random, n_columns: int, n_rows: int) -> list[list[float]]:
+    def cell() -> float:
+        return rng.choice(EDGE_CELLS) if rng.random() < 0.3 else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+    return [[cell() for _ in range(n_rows)] for _ in range(n_columns)]
+
+
+class TestTableAgainstRowOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_rows", [1, 300])
+    @pytest.mark.parametrize("nest", [lambda rows: {"rows": rows}, lambda rows: {"results": {"runs": [{"rows": rows}]}}],
+                             ids=["depth1", "depth3"])
+    def test_record_text_equals_rows_of_dicts(self, seed, n_rows, nest):
+        rng = random.Random(seed)
+        header = [f"c{k}" for k in range(rng.randint(1, 8))]
+        columns = random_columns(rng, len(header), n_rows)
+        assert dumps_json(nest(Table(header, columns))) == dumps_json(nest(rows_as_dicts(header, columns)))
+
+    def test_keys_are_json_strings_not_template_text(self):
+        header = ["100%s", 'say "Ψ"', "%d%%"]
+        columns = random_columns(random.Random(7), len(header), 5)
+        assert dumps_json({"rows": Table(header, columns)}) == dumps_json({"rows": rows_as_dicts(header, columns)})
+
+    def test_no_rows_is_an_empty_list(self):
+        assert dumps_json({"rows": Table(["g"], [[]])}) == dumps_json({"rows": []})
+
+
+@pytest.mark.parametrize(
+    "flag, spec",
+    [
+        ("--scenario=neutron-absorber", "--M=0:1:3"),  # M = 0: no inference, a nan cell
+        ("--scenario=neutron-magnetic", "--alpha=-3:3:11"),
+        ("--scenario=qcc", f"--g=0:0.3:{2**14 + 3}"),  # the CSV spans two blocks
+    ],
+)
+def test_sweep_csv_cells_are_the_record_cells(tmp_path, capsys, flag, spec):
+    csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "record.json"
+    assert main(["sweep", flag, spec, "--csv", str(csv_path), "--json", str(json_path)]) == 0
+    capsys.readouterr()
+    # Numbers are kept as their text, so cells compare digit for digit.
+    results = json.loads(json_path.read_text(), parse_float=str, parse_int=str)["results"]
+    with open(csv_path, newline="") as fh:
+        header, *lines = csv.reader(fh)
+    assert header == results["columns"]
+    assert len(lines) == len(results["rows"]) == int(spec.rsplit(":", 1)[1])
+    for line, row in zip(lines, results["rows"]):
+        assert list(row) == header
+        assert [None if cell in ("nan", "inf", "-inf") else cell for cell in line] == list(row.values())
+    if flag.endswith("absorber"):
+        assert lines[0][header.index("inferred_wv")] == "nan"
 
 
 def complex_pointer():
