@@ -544,8 +544,8 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
 
 
 def _temp_beside(path: Path | None, kind: str) -> Path | None:
-    """The name ``path``'s artifact is written under until the run succeeds."""
-    return None if path is None else path.parent / f".{path.name}.{kind}.{os.getpid()}.tmp"
+    """The short, fixed name ``path``'s artifact is written under until the run succeeds."""
+    return None if path is None else path.parent / f".qccsim-{kind}-{os.getpid()}.tmp"
 
 
 def run(args: argparse.Namespace) -> int:
@@ -589,6 +589,11 @@ def run(args: argparse.Namespace) -> int:
         for temp, path in staged:
             os.replace(temp, path)
         created.clear()
+    except OSError as exc:  # name the file the user gave, not its staging name
+        final = {str(temp): str(path) for temp, path in staged}.get(str(exc.filename))
+        if final is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, final) from None
     finally:
         for temp, _ in staged:
             if temp.parent.is_dir():  # else the temp was never written

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from ._record import Record
 from .errors import OrthogonalPostselection, ValidationError
-from .pointer import GaussianPointerState, mean_position, norm_sq, superpose, translate, width_power
+from .pointer import GaussianPointerState, mean_position, superpose, translate, width_power
 from .qstate import Operator, StateVector, apply, inner, vdot
 from .tolerances import TOL
 
@@ -256,55 +256,45 @@ class BranchTable(NamedTuple):
     def readout(self, phi0: GaussianPointerState, g):
         """Exact pointer shift and coupled postselection probability at each coupling in ``g``.
 
-        For a freshly prepared ``phi0`` (one unit component at rest), one
-        coupling reads norm^2 and <x> of :meth:`pointer` with ``norm_sq`` and
-        ``mean_position``. An array of couplings takes the same pair sums of
-        c_j^* c_k times the overlap e^{-g^2 (a_j - a_k)^2 / 8 sigma^2} (and
-        g (a_j + a_k) / 2 for <x>) in their order and rounding, so both agree
-        bit for bit. Floats for one coupling, arrays for an array; the shift
-        is NaN where the probability is 0.
+        For a freshly prepared ``phi0`` (one unit component at rest), these are
+        ``norm_sq`` and ``mean_position`` of :meth:`pointer`, in their order and
+        rounding: pair sums of c_j^* c_k times the overlap e^{-(x_j - x_k)^2 / 8 sigma^2}
+        (and (x_j + x_k) / 2 for <x>) over the branch centers x_k = x_0 + g a_k. Floats
+        for one coupling, arrays for an array; the shift is NaN where the probability is 0.
         """
         comps = phi0.components
         if len(comps) != 1 or comps[0].coeff != 1.0:
             raise ValidationError("the coupled readout needs a freshly prepared pointer")
         if not finite(g):
             raise ValidationError("coupling strength must be finite")
-        if one_number(g):
-            pointer = self.pointer(phi0, float(g))
-            prob = norm_sq(pointer)
-            return (mean_position(pointer) - mean_position(phi0) if prob > 0.0 else math.nan), prob
-        return run_on(g, lambda gs: self._pair_sums(phi0, gs))
 
-    def _pair_sums(self, phi0: GaussianPointerState, gs):
-        import numpy as np
-        if gs.ndim != 1:
-            raise ValidationError("coupling strength must be finite")
-        s2 = phi0.width * phi0.width
-        k_count, rows = len(self.eigvals), np.arange(gs.size)
-        x = phi0.components[0].center + gs[:, None] * np.array(self.eigvals).reshape(1, k_count)
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("translation shift and coefficient must be finite")
-        # Branches landing on one center merge into the first, as in superpose (all at g = 0).
-        re, im = np.zeros(x.shape), np.zeros(x.shape)
-        for k, c in enumerate(self.coeffs):
-            first = np.full(gs.size, k)
-            for j in range(k - 1, -1, -1):
-                first[x[:, j] == x[:, k]] = j
-            re[rows, first] += c.real
-            im[rows, first] += c.imag
-        pairs = [(p, q) for p in range(k_count) for q in range(p, k_count)]
-        dc = np.array([x[:, p] - x[:, q] for p, q in pairs]).reshape(len(pairs), gs.size)
-        overlaps = dict(zip(pairs, elementwise(math.exp, -dc * dc / (8.0 * s2))))
-        norm, position = np.zeros(gs.size), np.zeros(gs.size)
-        for p in range(k_count):
-            for q in range(k_count):
-                e = overlaps[min(p, q), max(p, q)]
-                weight = re[:, p] * re[:, q] - (-im[:, p]) * im[:, q]
+        def pair_sums(gs):
+            if getattr(gs, "ndim", 0) > 1:
+                raise ValidationError(f"couplings must be one number or a 1-D array, got shape {gs.shape}")
+            x = [comps[0].center + gs * a for a in self.eigvals]
+            if not all(finite(xk) for xk in x):
+                raise ValidationError("translation shift and coefficient must be finite")
+            # Branches landing on one center merge into the first, as in superpose (all at g = 0).
+            re, im = [], []
+            for k, c in enumerate(self.coeffs):
+                own = 1.0  # 0 once branch k has merged into an earlier one
+                for j in range(k):
+                    hit = (x[j] == x[k]) * own
+                    re[j], im[j], own = re[j] + hit * c.real, im[j] + hit * c.imag, own - hit
+                re.append(own * c.real)
+                im.append(own * c.imag)
+            s2, pairs = phi0.width * phi0.width, [(p, q) for p in range(len(x)) for q in range(len(x))]
+            overlaps = {(p, q): elementwise(math.exp, -(x[p] - x[q]) * (x[p] - x[q]) / (8.0 * s2))
+                        for p, q in pairs if p <= q}
+            norm = position = 0.0 * abs(gs)  # shaped like gs also for a table with no branches
+            for p, q in pairs:
+                weight, e = re[p] * re[q] - (-im[p]) * im[q], overlaps[min(p, q), max(p, q)]
                 norm = norm + weight * e
-                position = position + weight * (e * ((x[:, p] + x[:, q]) / 2.0))
-        prob = np.maximum(norm, 0.0)
-        shift = np.where(prob > 0.0, position / prob, np.nan) - mean_position(phi0)
-        return shift, prob
+                position = position + weight * (e * ((x[p] + x[q]) / 2.0))
+            prob = select(norm < 0.0, lambda: 0.0, lambda: norm)
+            return select(prob > 0.0, lambda: position / prob, lambda: math.nan) - mean_position(phi0), prob
+
+        return run_on(g, pair_sums)
 
     def couple(self, phi0: GaussianPointerState, g: float) -> WeakMeasurementResult:
         """One coupled run: the final pointer and its readout at coupling ``g``."""

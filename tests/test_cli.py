@@ -2,9 +2,11 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -241,6 +243,31 @@ class TestCsvArtifacts:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["r.json", "t.csv"]
         assert json.loads(out)["results"]["trials_csv"] == str(tmp_path / "t.csv")
         assert (tmp_path / "r.json").read_text() == out
+
+    # A 245-character name is a valid file name; it is staged under a short one.
+    @pytest.mark.parametrize("argv, name", [
+        (("qcc", "--json"), "a" * 240 + ".json"),
+        (("sweep", "--scenario", "qcc", "--g", "0:1:3", "--csv"), "a" * 241 + ".csv"),
+    ], ids=["json", "csv"])
+    def test_a_long_file_name_is_written(self, capsys, tmp_path, argv, name):
+        code, out, err = run_cli(capsys, *argv, name, "--out", str(tmp_path))
+        assert (code, err, len(name)) == (0, "", 245)
+        assert [f.name for f in tmp_path.iterdir()] == [name]
+        if name.endswith(".json"):
+            assert (tmp_path / name).read_text() == out
+
+    def test_a_write_error_names_the_path_the_user_gave(self, capsys, tmp_path, monkeypatch):
+        def disk_full(path, header, table):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(cli, "write_sweep_csv", disk_full)
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "qcc", "--g", "0:1:3", "--csv", "s.csv",
+                                 "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        message = json.loads(err)["error"]["message"]
+        assert message == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {str(tmp_path / 's.csv')!r}"
+        assert ".tmp" not in message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweeps:

@@ -176,6 +176,11 @@ class TestIdealRun:
         with pytest.raises(ValidationError):
             QccConfig(pointer_width=0.0)
 
+    def test_a_coupling_array_of_two_dimensions_names_its_shape(self):
+        cfg = QccConfig(g_I=np.zeros((2, 2)), g_II=np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match=r"^couplings must be one number or a 1-D array, got shape \(2, 2\)$"):
+            run_ideal_qcc(cfg)
+
 
 def joint_oracle(cfg: QccConfig, reverse: bool, swap: bool = False):
     """Joint two-pointer marginals with the couplings factored in either

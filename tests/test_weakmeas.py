@@ -15,6 +15,7 @@ from qccsim.qcc import ARMS, OBSERVABLE_TAGS, arm_observable, arm_spectrum, arm_
 from qccsim.qstate import SIGMA_X, StateVector, inner
 from qccsim.weakmeas import (
     PrePostContext,
+    Spectrum,
     branch_table,
     couple_and_postselect,
     expectation_decomposition_check,
@@ -33,6 +34,7 @@ from oracles import (
     quadrature_readout,
     random_hermitian,
     random_state,
+    random_unitary,
 )
 
 PHI0 = make_gaussian(0.0, 1.0)
@@ -361,9 +363,16 @@ class TestValidityMargin:
         assert all(b > a for a, b in zip(errors, errors[1:]))
 
 
+def degenerate_observable(rng, dim):
+    """A random observable on ``dim`` levels whose two lowest eigenvalues are exactly equal."""
+    vecs, vals = random_unitary(rng, dim), np.sort(rng.normal(size=dim))
+    vals[1] = vals[0]
+    return Spectrum(((vecs * vals) @ vecs.conj().T).tolist(), vals.tolist(), vecs.T.tolist()).observable(("sys",))
+
+
 def table_cases():
     """Every named context, the Cheshire Cat ones also with swapped spin labels,
-    plus random 2- and 4-level ones."""
+    plus random 2- and 4-level ones, one of them degenerate."""
     named = {name: build_context(name, 3.0) for name in CONTEXT_NAMES}
     cases = [(f"{name}-False", *pair) for name, pair in named.items()]
     cases += [(f"{name}-True", build_prepost(True), obs) for name, (_, obs) in named.items() if name.startswith("qcc-")]
@@ -371,6 +380,7 @@ def table_cases():
     for i, dim in enumerate((2, 4, 4)):
         ctx = random_context(rng, dim)
         cases.append((f"random-{dim}-{i}", ctx, make_observable(random_hermitian(rng, dim), ("sys",))))
+    cases.append(("random-4-degenerate", random_context(rng, 4), degenerate_observable(rng, 4)))
     return cases
 
 
@@ -378,12 +388,12 @@ TABLE_CASES = table_cases()
 
 
 # Zero, signs, subnormal and huge couplings: centers coincide at g = 0 and may overflow their distance.
-G_ARRAY = np.array([0.0, 0.02, -0.02, 0.3, -1.7, 4.0, 1e-320, 1e100, 1e154])
+G_ARRAY = np.array([0.0, -0.0, 0.02, -0.02, 0.3, -1.7, 4.0, 1e-320, 5e-324, 1e100, 1e154, 1e307, -1e307])
 
 
 class TestBranchTable:
     @pytest.mark.parametrize("name, ctx, obs", TABLE_CASES, ids=[case[0] for case in TABLE_CASES])
-    @pytest.mark.parametrize("width", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("width", [1e-100, 0.3, 1.0, 3.0, 1e100])
     def test_readout_equals_the_pointer_readouts_bit_for_bit(self, name, ctx, obs, width):
         phi0 = make_gaussian(0.0, width)
         table = branch_table(ctx, obs)
@@ -397,7 +407,19 @@ class TestBranchTable:
             assert table.pointer(phi0, g) == raw
             assert prob == norm_sq(raw)
             assert math.isnan(shift) if prob <= 0.0 else shift == mean_position(raw) - mean_position(phi0)
-            assert table.readout(phi0, g) == (shift, prob) or math.isnan(shift)
+            # One coupling and an array agree in every bit; float.hex reads every NaN as "nan".
+            assert [v.hex() for v in table.readout(phi0, g)] == [shift.hex(), prob.hex()]
+
+    @pytest.mark.parametrize("center", [1e308, -1e308])
+    def test_readout_far_out_subtracts_the_prepared_mean(self, center):
+        # (x_j + x_k) / 2 overflows here, and so does mean_position(phi0), which is not the center.
+        phi0 = make_gaussian(center, 1.0)
+        for _, ctx, obs in TABLE_CASES:
+            table = branch_table(ctx, obs)
+            for g in (0.0, 0.3, -1.7):
+                raw, (shift, prob) = table.pointer(phi0, g), table.readout(phi0, g)
+                want = mean_position(raw) - mean_position(phi0) if prob > 0.0 else math.nan
+                assert [shift.hex(), prob.hex()] == [want.hex(), norm_sq(raw).hex()]
 
     @pytest.mark.parametrize("name", ["anomalous", "qcc-sigma-I", "qcc-sigma-II", "path-null"])
     def test_readout_matches_quadrature_over_a_coupling_array(self, name):
@@ -433,6 +455,11 @@ class TestBranchTable:
         assert len(table.coeffs) == 3
         table = branch_table(*build_context("qcc-pi-I"))
         assert table.eigvals == (1.0,)
+
+    @pytest.mark.parametrize("g", [np.zeros((2, 2)), [[0.0, 0.1], [0.2, 0.3]]], ids=["array", "nested-list"])
+    def test_a_coupling_array_of_two_dimensions_names_its_shape(self, g):
+        with pytest.raises(ValidationError, match=r"^couplings must be one number or a 1-D array, got shape \(2, 2\)$"):
+            arm_table("I", "projector").readout(PHI0, g)
 
     def test_readout_needs_a_freshly_prepared_pointer(self):
         table = branch_table(*build_context("anomalous"))
