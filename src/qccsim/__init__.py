@@ -50,7 +50,6 @@ _EXPORTS = {
         "GaussianPointerState",
         "GridPointerState",
         "make_gaussian",
-        "mean_momentum",
         "mean_position",
         "norm_sq",
         "overlap",
@@ -77,7 +76,6 @@ _EXPORTS = {
     ),
     "weakmeas": (
         "BranchTable",
-        "ExpectationDecomposition",
         "LinearResponseReport",
         "Observable",
         "PrePostContext",
@@ -85,7 +83,6 @@ _EXPORTS = {
         "WeakMeasurementResult",
         "branch_table",
         "couple_and_postselect",
-        "expectation_decomposition_check",
         "linear_response_report",
         "make_observable",
         "validity_margin",

@@ -49,7 +49,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .montecarlo import check_trial_count, estimate_weak_value, sample_intensity_experiment, sample_trials
+from .montecarlo import check_seed, check_trial_count, estimate_weak_value, sample_intensity_experiment, sample_trials
 from .neutron import (
     AbsorberConfig,
     MagneticConfig,
@@ -248,8 +248,7 @@ MONTECARLO_PARAMS = (
     *_when("mode", ("intensity-absorber",), ABSORBER_M),
     *_when("mode", ("intensity-magnetic",), ROTATION_ALPHA),
     Param("n", "int", 100000, "number of trials", check=check_trial_count),
-    Param("seed", "int", 12345, "Philox key of the trial stream, below 2**128",
-          check=lambda seed: _at_least(0)(seed) or ("must be < 2**128" if seed >= 2**128 else None)),
+    Param("seed", "int", 12345, "Philox key of the trial stream, below 2**128", check=check_seed),
     Param("workers", "int", 1, "worker threads", check=_at_least(1)),
 )
 SWEEP_PARAMS = (
@@ -393,6 +392,8 @@ def _problem(param: Param, params: dict) -> str | None:
             return None
         try:
             value = float(raw)
+        except OverflowError:  # a JSON integer beyond the float range; math.copysign would convert it too
+            value = math.inf if raw > 0 else -math.inf
         except (TypeError, ValueError):
             value = None
         if value is None or isinstance(raw, (bool, str)):  # float(True), float("0.5") succeed

@@ -96,6 +96,12 @@ def check_trial_count(n: int) -> None:
         raise CapacityError(f"trial count {n} exceeds limit {MAX_TRIALS}")
 
 
+def check_seed(seed: int) -> None:
+    """The seed rule: a Philox key, at least 0 and below 2**128."""
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"Philox key must be >= 0 and < 2**128, got {seed}")
+
+
 def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     from numpy.random import Generator, Philox  # here, so runs that never sample skip its import
 
@@ -117,6 +123,7 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
     """
     import numpy as np
     check_trial_count(n)
+    check_seed(seed)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     p_post = min(max(coupled.postselect_prob_coupled, 0.0), 1.0)
@@ -197,6 +204,7 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
     ratio with a delta-method standard error.
     """
     check_trial_count(n)
+    check_seed(seed)
     p_ref = exact.i0
     p_pert = exact.i_perturbed
     u = _trial_uniforms(seed, 0, n)

@@ -10,7 +10,8 @@ Component convention, for width sigma and center c:
     u(x) = (2 pi sigma^2)^(-1/4) exp(-(x - c)^2 / (4 sigma^2))
 
 To first order in g, a coupled pointer's <x> moves by g Re A^w and its
-<P> by g Im A^w / (2 sigma^2).
+<P> by g Im A^w / (2 sigma^2); the tests check the <P> law against a
+quadrature of the final pointer's components.
 """
 
 from __future__ import annotations
@@ -100,11 +101,6 @@ def component_position_element(a: GaussianComponent, b: GaussianComponent, width
     return component_overlap(a, b, width) * ((a.center + b.center) / 2.0)
 
 
-def component_momentum_element(a: GaussianComponent, b: GaussianComponent, width: float) -> complex:
-    """Closed-form <u_a|P|u_b> between unit-norm components."""
-    return component_overlap(a, b, width) * (1.0j * (a.center - b.center) / (4.0 * (width * width)))
-
-
 def _pair_sum(p: GaussianPointerState, q: GaussianPointerState, element) -> complex:
     if p.width != q.width:
         raise ValidationError(f"mixed pointer widths {p.width} and {q.width}")
@@ -136,14 +132,6 @@ def mean_position(p: GaussianPointerState) -> float:
     if n2 <= 0.0:
         raise ValidationError("mean_position undefined for a zero-norm pointer state")
     return position_element(p, p).real / n2
-
-
-def mean_momentum(p: GaussianPointerState) -> float:
-    """<P> of the normalized state: the Im A^w readout of a coupled pointer."""
-    n2 = norm_sq(p)
-    if n2 <= 0.0:
-        raise ValidationError("mean_momentum undefined for a zero-norm pointer state")
-    return _pair_sum(p, p, component_momentum_element).real / n2
 
 
 def evaluate(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:

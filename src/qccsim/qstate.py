@@ -19,12 +19,6 @@ from .tolerances import MAX_AMPLITUDES
 SIGMA_X_ROWS = ((0.0, 1.0), (1.0, 0.0))
 
 
-def __getattr__(name: str):  # PEP 562: SIGMA_X, a read-only complex array, loads numpy on use
-    if name != "SIGMA_X":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _frozen_array(SIGMA_X_ROWS, "sigma_x")
-
-
 def vdot(bra, ket) -> complex:
     """<bra|ket> of two amplitude sequences, summed in order in Python complex
     arithmetic: one rounding on every platform, where a BLAS dot may fuse products."""

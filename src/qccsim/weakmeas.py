@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 from ._record import Record
 from .errors import OrthogonalPostselection, ValidationError
 from .pointer import GaussianPointerState, mean_position, superpose, translate, width_power
-from .qstate import Operator, StateVector, apply, inner, vdot
+from .qstate import Operator, StateVector, inner, vdot
 from .tolerances import TOL
 
 
@@ -407,49 +407,6 @@ def linear_response_report(
     table = branch_table(ctx, obs)
     table.weak_value()  # an orthogonal postselection raises before coupling
     return table.linear_response(table.couple(phi0, g))
-
-
-class ExpectationDecomposition(Record):
-    """<psi|A|psi> against its postselection-resolved weak-value sum."""
-
-    lhs: float
-    rhs: complex
-    abs_diff: float
-    n_outcomes: int
-
-
-def expectation_decomposition_check(
-    psi: StateVector,
-    obs: Observable,
-    basis: Observable,
-) -> ExpectationDecomposition:
-    """Verify <psi|A|psi> = sum_f |<b_f|psi>|^2 A^w_f over the eigenbasis of B.
-
-    Outcomes with numerically orthogonal overlap contribute through the
-    transition-element form conj(<b_f|psi>) <b_f|A|psi>, which equals
-    the probability-weighted weak value without the 0 * inf ambiguity.
-    """
-    for name, o in (("observable", obs), ("postselection basis", basis)):
-        if o.targets != psi.labels:
-            raise ValidationError(
-                f"{name} must span the full state space: targets {o.targets} vs labels {psi.labels}"
-            )
-    a_psi = apply(obs.op, psi)
-    lhs = inner(psi, a_psi)
-    rhs = 0.0 + 0.0j
-    for vec in basis.eigvecs:
-        amp = inner(vec, psi)
-        trans = inner(vec, a_psi)
-        if abs(amp) > TOL.orthogonal_overlap:
-            rhs += abs(amp) ** 2 * (trans / amp)
-        else:
-            rhs += amp.conjugate() * trans
-    return ExpectationDecomposition(
-        lhs=lhs.real,
-        rhs=complex(rhs),
-        abs_diff=abs(lhs - rhs),
-        n_outcomes=len(basis.eigvecs),
-    )
 
 
 def validity_margin(

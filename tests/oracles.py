@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from qccsim.weakmeas import Spectrum, reduce_table
+
 # 0.999 quantile of the chi-square distribution with 63 degrees of
 # freedom, for the 64-bin histogram test.
 CHI2_999_DF63 = 103.4424
@@ -18,6 +20,9 @@ CHI2_999_DF63 = 103.4424
 # Errors at or below this are float noise around an exactly satisfied
 # identity; exponent fits skip such series.
 EXACT_FLOOR = 5e-14
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_X.flags.writeable = False
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,6 +185,49 @@ def quadrature_readout(psi, chi, matrix, gs, width: float):
     shifts = [quadrature_mean_position(coeffs, [g * a for a in vals], width) for g in gs]
     norms = [quadrature_norm_sq(coeffs, [g * a for a in vals], width) for g in gs]
     return np.array(shifts), np.array(norms)
+
+
+def branch_oracle(psi, chi, matrix):
+    """What a branch table holds, by a dense ``eigh`` of ``matrix``.
+
+    Returns the distinct eigenvalues a_k with c_k = sum <chi|v><v|psi> over the
+    eigenvectors v of a_k (eigenvalues within 1e-9 of the first one of a group
+    count as one), then <chi|psi>, <chi|A|psi> and <chi|A^2|psi>.
+    """
+    a = np.asarray(matrix, dtype=complex)
+    psi, chi = np.asarray(psi, dtype=complex), np.asarray(chi, dtype=complex)
+    vals, vecs = np.linalg.eigh(a)
+    branches: list[list] = []
+    for val, vec in zip(vals.tolist(), vecs.T):
+        c = np.vdot(chi, vec) * np.vdot(vec, psi)
+        if branches and abs(val - branches[-1][0]) <= 1e-9:  # eigh sorts, so a group is a run
+            branches[-1][1] += c
+        else:
+            branches.append([val, c])
+    a_psi = a @ psi
+    return [tuple(b) for b in branches], np.vdot(chi, psi), np.vdot(chi, a_psi), np.vdot(chi, a @ a_psi)
+
+
+def sum_rule_gap(psi, a_matrix, basis_matrix) -> tuple[float, float]:
+    """<psi|A|psi> by numpy, and its gap to sum_f |<b_f|psi>|^2 A^w_f over the eigenbasis b_f of B.
+
+    Each A^w_f is the package's weak value, read off ``reduce_table`` with the
+    postselection b_f. A numerically orthogonal outcome contributes
+    conj(<b_f|psi>) <b_f|A|psi>, the same product without the 0 * inf ambiguity.
+    """
+    a = np.asarray(a_matrix, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    vals, vecs = np.linalg.eigh(a)
+    spectrum = Spectrum(a.tolist(), vals.tolist(), vecs.T.tolist())
+    lhs = np.vdot(psi, a @ psi)
+    rhs = 0.0 + 0.0j
+    for b in np.linalg.eigh(np.asarray(basis_matrix, dtype=complex))[1].T:
+        table = reduce_table(psi.tolist(), b.tolist(), spectrum)
+        if table.orthogonal:
+            rhs += table.overlap.conjugate() * table.transition
+        else:
+            rhs += abs(table.overlap) ** 2 * table.weak_value()
+    return float(lhs.real), float(abs(lhs - rhs))
 
 
 def grid_csv_oracle(grid) -> str:

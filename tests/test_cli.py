@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qccsim import cli, montecarlo, qcc, weakmeas
+from qccsim import cli, montecarlo, qcc, qstate
 from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
 from qccsim.qcc import OBSERVABLE_TAGS
@@ -385,7 +385,7 @@ class TestSweeps:
                 post_init(state)
 
             with monkeypatch.context() as patch:
-                patch.setattr(weakmeas, "apply", counting_apply)
+                patch.setattr(qstate, "apply", counting_apply)
                 patch.setattr(StateVector, "__post_init__", counting_post_init)
                 code, _, _ = run_cli(capsys, "sweep", "--scenario", scenario, flag, f"0:1:{points}")
             assert code == 0
@@ -422,6 +422,19 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "weak-value", "--config", str(cfg))
         assert (code, out) == (3, "")
         assert json.loads(err)["error"]["message"] == "g: must be a number, got '0.5'"
+
+    @pytest.mark.parametrize("scenario, key", [("qcc", "g"), ("weak-value", "tan_theta")])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_beyond_the_float_range_is_not_finite(self, capsys, tmp_path, scenario, key, sign):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(f'{{"{key}": {sign * 10**400}}}')
+        message = f"{key}: must be finite, got {sign * math.inf!r}"
+        code, out, err = run_cli(capsys, scenario, "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["message"] == message
+        code, out, _ = run_cli(capsys, scenario, "--config", str(cfg), "--validate-only")
+        assert code == 3
+        assert json.loads(out)["violations"] == [message]
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -572,7 +585,7 @@ class TestExitCodes:
     def test_seed_beyond_philox_key_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "montecarlo", "--seed", str(2**128), "--n", "10")
         assert code == 3
-        assert json.loads(err)["error"]["message"] == "seed: must be < 2**128"
+        assert json.loads(err)["error"]["message"] == f"seed: Philox key must be >= 0 and < 2**128, got {2**128}"
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -784,7 +797,7 @@ def fuzzed_value(rng: random.Random, param):
         return rng.choice([
             math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0,
             rng.uniform(-5.0, 5.0), math.copysign(10.0 ** rng.uniform(-320.0, 308.0), rng.random() - 0.5),
-            rng.randrange(-(2**70), 2**70 + 1),
+            rng.randrange(-(2**70), 2**70 + 1), 10**400, -(10**400),
         ])
     if param.kind == "int":
         return rng.choice([

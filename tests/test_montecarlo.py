@@ -210,6 +210,21 @@ class TestBatchValidation:
             batch.postselected[0] = False
 
 
+class TestSeedRule:
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_philox_key_range_is_rejected(self, seed):
+        message = rf"^Philox key must be >= 0 and < 2\*\*128, got {seed}$"
+        with pytest.raises(ValidationError, match=message):
+            sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 10, seed)
+        with pytest.raises(ValidationError, match=message):
+            sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 10, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_at_the_philox_key_bounds_samples(self, seed):
+        assert sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 10, seed).n_total == 10
+        assert sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 10, seed).seed == seed
+
+
 class TestIntensitySampling:
     def test_empty_arm_ratio_is_flat(self):
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("II", 0.3)), 100_000, SEED)

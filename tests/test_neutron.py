@@ -8,7 +8,7 @@ import pytest
 import qccsim.neutron
 from qccsim.errors import NegativeRadicand, ValidationError
 from qccsim.qcc import ARMS, build_prepost
-from qccsim.qstate import SIGMA_X, Operator, apply, inner
+from qccsim.qstate import Operator, apply, inner
 from qccsim.neutron import (
     AbsorberConfig,
     IntensityReport,
@@ -24,6 +24,7 @@ from qccsim.neutron import (
 )
 
 from oracles import (
+    SIGMA_X,
     absorber_ratio_arm_I,
     fit_exponent,
     magnetic_ratio_arm_I,

@@ -13,7 +13,6 @@ from qccsim.pointer import (
     density,
     evaluate,
     make_gaussian,
-    mean_momentum,
     mean_position,
     norm_sq,
     overlap,
@@ -27,7 +26,6 @@ from qccsim.pointer import (
 from oracles import (
     gaussian_amplitude,
     quadrature_grid,
-    quadrature_mean_momentum,
     quadrature_mean_position,
     quadrature_norm_sq,
 )
@@ -127,17 +125,6 @@ class TestPositionElement:
         assert abs(expected) > 0.1
         assert position_element(p, q) == pytest.approx(expected, abs=1e-10)
         assert position_element(q, p) == pytest.approx(expected.conjugate(), abs=1e-10)
-
-
-class TestMeanMomentum:
-    def test_real_component_has_zero_momentum(self):
-        assert mean_momentum(make_gaussian(1.0, 2.0)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_complex_superposition_matches_spectral_oracle(self):
-        coeffs, centers = (0.6, 0.5 + 0.5j), (0.0, 0.7)
-        p = two_component(coeffs, centers, 1.0)
-        oracle = quadrature_mean_momentum(coeffs, centers, 1.0)
-        assert mean_momentum(p) == pytest.approx(oracle, abs=1e-10)
 
 
 class TestClosedFormNorm:

@@ -7,7 +7,6 @@ import pytest
 
 from qccsim.errors import CapacityError, DimensionMismatch, ValidationError
 from qccsim.qstate import (
-    SIGMA_X,
     Operator,
     StateVector,
     apply,
@@ -17,6 +16,7 @@ from qccsim.qstate import (
 )
 
 from oracles import (
+    SIGMA_X,
     inner_sum_oracle,
     kron_oracle,
     random_state,

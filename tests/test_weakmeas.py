@@ -7,34 +7,36 @@ import random
 import numpy as np
 import pytest
 
-from qccsim import qstate
 from qccsim.cli import CONTEXT_NAMES, PROJECTOR_SPECTRUM, SIGMA_X_SPECTRUM, build_context, context_table
 from qccsim.errors import OrthogonalPostselection, ValidationError
-from qccsim.pointer import make_gaussian, mean_momentum, mean_position, norm_sq, superpose, translate
+from qccsim.pointer import make_gaussian, mean_position, norm_sq, superpose, translate
 from qccsim.qcc import ARMS, OBSERVABLE_TAGS, arm_observable, arm_spectrum, arm_table, build_prepost
-from qccsim.qstate import SIGMA_X, StateVector, inner
+from qccsim.qstate import StateVector, inner
 from qccsim.weakmeas import (
     PrePostContext,
     Spectrum,
     branch_table,
     couple_and_postselect,
-    expectation_decomposition_check,
     linear_response_report,
     make_observable,
+    reduce_table,
     validity_margin,
     weak_value,
 )
 
 from oracles import (
     EXACT_FLOOR,
+    SIGMA_X,
     anomalous_exact_shift,
     anomalous_postselect_prob,
+    branch_oracle,
     fit_exponent,
     quadrature_mean_momentum,
     quadrature_readout,
     random_hermitian,
     random_state,
     random_unitary,
+    sum_rule_gap,
 )
 
 PHI0 = make_gaussian(0.0, 1.0)
@@ -208,11 +210,8 @@ class TestCoupleAndPostselect:
         wv = weak_value(ctx, obs)
         assert abs(wv.imag) > 0.1
         expected = g * wv.imag / (2.0 * sigma**2)
-        assert mean_momentum(pointer) == pytest.approx(expected, rel=1e-4)
         coeffs, centers = zip(*pointer.components)
-        assert mean_momentum(pointer) == pytest.approx(
-            quadrature_mean_momentum(coeffs, centers, sigma), rel=1e-6
-        )
+        assert quadrature_mean_momentum(coeffs, centers, sigma) == pytest.approx(expected, rel=1e-4)
 
     def test_rejects_non_finite_coupling(self):
         ctx, obs = build_context("anomalous")
@@ -298,47 +297,24 @@ class TestLinearResponse:
 class TestExpectationDecomposition:
     def test_basis_equal_observable_is_exact(self):
         rng = np.random.default_rng(3)
-        psi = StateVector((4,), ("sys",), random_state(rng, 4))
-        obs = make_observable(random_hermitian(rng, 4), ("sys",))
-        check = expectation_decomposition_check(psi, obs, obs)
-        assert check.abs_diff <= 1e-12
-        assert check.n_outcomes == 4
+        psi = random_state(rng, 4)
+        a = random_hermitian(rng, 4)
+        assert sum_rule_gap(psi, a, a)[1] <= 1e-12
 
     def test_identity_observable_sums_to_one(self):
         rng = np.random.default_rng(4)
-        psi = StateVector((2,), ("sys",), random_state(rng, 2))
-        ident = make_observable(np.eye(2), ("sys",))
-        basis = make_observable(random_hermitian(rng, 2), ("sys",))
-        check = expectation_decomposition_check(psi, ident, basis)
-        assert check.lhs == pytest.approx(1.0, abs=1e-12)
-        assert check.abs_diff <= 1e-12
+        psi = random_state(rng, 2)
+        lhs, gap = sum_rule_gap(psi, np.eye(2), random_hermitian(rng, 2))
+        assert lhs == pytest.approx(1.0, abs=1e-12)
+        assert gap <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_random_triples(self, dim):
         rng = np.random.default_rng(dim)
         for _ in range(100):
-            psi = StateVector((dim,), ("sys",), random_state(rng, dim))
-            obs = make_observable(random_hermitian(rng, dim), ("sys",))
-            basis = make_observable(random_hermitian(rng, dim), ("sys",))
-            check = expectation_decomposition_check(psi, obs, basis)
-            assert check.abs_diff <= 1e-10
-
-    def test_partial_basis_rejected(self):
-        rng = np.random.default_rng(5)
-        amps = np.kron(random_state(rng, 2), random_state(rng, 2))
-        psi = StateVector((2, 2), ("path", "spin"), amps)
-        obs = make_observable(SIGMA_X, ("spin",))
-        with pytest.raises(ValidationError):
-            expectation_decomposition_check(psi, obs, obs)
-
-    @pytest.mark.parametrize("targets", [("spin", "path"), ("path", "pointer")])
-    def test_observable_on_other_labels_rejected(self, targets):
-        rng = np.random.default_rng(6)
-        psi = StateVector((2, 2), ("path", "spin"), random_state(rng, 4))
-        basis = make_observable(random_hermitian(rng, 4), ("path", "spin"))
-        obs = make_observable(random_hermitian(rng, 4), targets)
-        with pytest.raises(ValidationError, match="observable must span the full state space"):
-            expectation_decomposition_check(psi, obs, basis)
+            psi = random_state(rng, dim)
+            a = random_hermitian(rng, dim)
+            assert sum_rule_gap(psi, a, random_hermitian(rng, dim))[1] <= 1e-10
 
 
 class TestValidityMargin:
@@ -363,11 +339,13 @@ class TestValidityMargin:
         assert all(b > a for a, b in zip(errors, errors[1:]))
 
 
-def degenerate_observable(rng, dim):
-    """A random observable on ``dim`` levels whose two lowest eigenvalues are exactly equal."""
+def random_spectrum(rng, dim, degenerate=False):
+    """The written-out spectrum of a random observable on ``dim`` levels; with
+    ``degenerate`` its two lowest eigenvalues are exactly equal."""
     vecs, vals = random_unitary(rng, dim), np.sort(rng.normal(size=dim))
-    vals[1] = vals[0]
-    return Spectrum(((vecs * vals) @ vecs.conj().T).tolist(), vals.tolist(), vecs.T.tolist()).observable(("sys",))
+    if degenerate:
+        vals[1] = vals[0]
+    return Spectrum(((vecs * vals) @ vecs.conj().T).tolist(), vals.tolist(), vecs.T.tolist())
 
 
 def table_cases():
@@ -380,7 +358,7 @@ def table_cases():
     for i, dim in enumerate((2, 4, 4)):
         ctx = random_context(rng, dim)
         cases.append((f"random-{dim}-{i}", ctx, make_observable(random_hermitian(rng, dim), ("sys",))))
-    cases.append(("random-4-degenerate", random_context(rng, 4), degenerate_observable(rng, 4)))
+    cases.append(("random-4-degenerate", random_context(rng, 4), random_spectrum(rng, 4, True).observable(("sys",))))
     return cases
 
 
@@ -471,12 +449,12 @@ class TestBranchTable:
 ARM_OBSERVABLES = list(itertools.product(ARMS, OBSERVABLE_TAGS))
 
 
-class TestWrittenOutData:
-    def test_sigma_x_is_a_read_only_complex_array(self):
-        assert isinstance(qstate.SIGMA_X, np.ndarray)
-        assert SIGMA_X.dtype == complex and not SIGMA_X.flags.writeable
-        assert SIGMA_X.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+def arm_matrix(arm, tag):
+    """|arm><arm| (x) 1 or |arm><arm| (x) sigma_x on path (x) spin, as a dense matrix."""
+    return np.kron(np.diag([arm == "I", arm == "II"]), SIGMA_X if tag == "sigma_x" else np.eye(2))
 
+
+class TestWrittenOutData:
     @pytest.mark.parametrize("name", ["sigma_x", "path-projector", *(" ".join(k) for k in ARM_OBSERVABLES)])
     def test_spectrum_equals_eigh_bit_for_bit(self, name):
         if name == "sigma_x":
@@ -485,8 +463,7 @@ class TestWrittenOutData:
             spectrum, matrix = PROJECTOR_SPECTRUM, np.diag([1.0, 0.0])
         else:
             arm, tag = name.split()
-            spin = SIGMA_X if tag == "sigma_x" else np.eye(2)
-            spectrum, matrix = arm_spectrum(arm, tag), np.kron(np.diag([arm == "I", arm == "II"]), spin)
+            spectrum, matrix = arm_spectrum(arm, tag), arm_matrix(arm, tag)
         matrix = np.asarray(matrix, dtype=complex)
         vals, vecs = np.linalg.eigh(matrix)
         assert np.asarray(spectrum.rows, dtype=complex).tobytes() == matrix.tobytes()
@@ -502,3 +479,62 @@ class TestWrittenOutData:
         for (arm, tag), swap in itertools.product(ARM_OBSERVABLES, (False, True)):
             expected = branch_table(build_prepost(swap), arm_observable(arm, tag))
             assert repr(arm_table(arm, tag, swap)) == repr(expected)
+
+
+_H = 1.0 / math.sqrt(2.0)
+# Over |I,+z>, |I,-z>, |II,+z>, |II,-z>: pre (|I> + |II>)|+z>, post |I>|+z> + |II>|-z>, or with spins swapped.
+QCC_PSI = (_H, 0.0, _H, 0.0)
+QCC_CHI = {False: (_H, 0.0, 0.0, _H), True: (0.0, _H, _H, 0.0)}
+
+
+def dense_context(name, tan_theta):
+    """(psi, chi, matrix) of a named context, written out from its definition."""
+    if name.startswith("qcc-"):
+        _, short, arm = name.split("-")
+        return QCC_PSI, QCC_CHI[False], arm_matrix(arm, "projector" if short == "pi" else "sigma_x")
+    theta = math.atan(tan_theta)
+    return {
+        "spin-trivial": ((1.0, 0.0), (1.0, 0.0), SIGMA_X),
+        "path-null": ((_H, _H), (0.0, 1.0), np.diag([1.0, 0.0])),
+        "orthogonal": ((1.0, 0.0), (0.0, 1.0), SIGMA_X),
+        "anomalous": ((1.0, 0.0), (math.cos(theta), math.sin(theta)), SIGMA_X),
+    }[name]
+
+
+def assert_table_matches_oracle(table, psi, chi, matrix):
+    """Every branch of ``table`` is one oracle branch within 1e-12, the oracle branches
+    it lacks are 0 within 1e-12, and so are the gaps of the three matrix elements."""
+    branches, overlap, transition, transition_sq = branch_oracle(psi, chi, matrix)
+    for got, want in ((table.overlap, overlap), (table.transition, transition), (table.transition_sq, transition_sq)):
+        assert abs(got - want) <= 1e-12
+    assert len(set(table.eigvals)) == len(table.eigvals)
+    for a, c in zip(table.eigvals, table.coeffs):
+        (match,) = [branch for branch in branches if abs(branch[0] - a) <= 1e-9]
+        assert abs(match[0] - a) <= 1e-12 and abs(match[1] - c) <= 1e-12
+        branches.remove(match)
+    assert all(abs(c) <= 1e-12 for _, c in branches)
+
+
+class TestReduceTableAgainstDenseOracle:
+    @pytest.mark.parametrize(
+        "name, tan_theta",
+        [(name, 3.0) for name in CONTEXT_NAMES] + [("anomalous", t) for t in (0.0, -12.3, 49.7, 1e-300, 1e11)],
+    )
+    def test_named_contexts(self, name, tan_theta):
+        assert_table_matches_oracle(context_table(name, tan_theta), *dense_context(name, tan_theta))
+
+    @pytest.mark.parametrize("arm, tag", ARM_OBSERVABLES)
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_arm_tables(self, arm, tag, swap):
+        assert_table_matches_oracle(arm_table(arm, tag, swap), QCC_PSI, QCC_CHI[swap], arm_matrix(arm, tag))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_random_tables(self, dim, degenerate):
+        rng = np.random.default_rng(1703 + dim)
+        for _ in range(50):
+            psi, chi = random_state(rng, dim), random_state(rng, dim)
+            spectrum = random_spectrum(rng, dim, degenerate)
+            table = reduce_table(psi.tolist(), chi.tolist(), spectrum)
+            assert len(table.eigvals) == dim - degenerate
+            assert_table_matches_oracle(table, psi, chi, spectrum.rows)
