@@ -5,9 +5,8 @@ Gaussian pointer, the Quantum Cheshire Cat interferometer scenario, the
 intensity-based absorber/rotation experiments that emulate it, and
 seeded Monte Carlo detection statistics.
 
-Exports load lazily (PEP 562): ``import qccsim`` imports no submodule
-and no numpy, so ``python -m qccsim.cli`` can set its thread default
-before numpy starts.
+Exports load lazily (PEP 562), so that ``import qccsim`` stays light:
+it imports no submodule and no numpy until a name is first used.
 """
 
 from importlib import import_module as _import_module
@@ -90,7 +89,7 @@ _EXPORTS = {
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "serialize", "startup", "tolerances"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "serialize", "tolerances"}
 
 __all__ = sorted(_SUBMODULE)
 

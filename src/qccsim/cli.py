@@ -35,11 +35,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
 
-if __name__ == "__main__":  # a CLI process: one BLAS thread, set before numpy loads
-    from .startup import single_thread_blas
-
-    single_thread_blas()
-
 from . import __version__
 from ._record import Record
 from .errors import (
@@ -80,9 +75,11 @@ from .serialize import (
     write_trials_csv,
 )
 from .tolerances import MAX_AMPLITUDES
-from .weakmeas import BranchTable, Observable, PrePostContext, Spectrum, reduce_table
+from .weakmeas import PrePostContext, Spectrum, reduce_table
 
 OUTDIR_ENV = "QCCSIM_OUTDIR"
+# A user's BLAS thread count; without one, a CLI process asks for one thread.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 SWEEP_SCENARIOS = ("qcc", "neutron-absorber", "neutron-magnetic")
 MC_MODES = ("pointer", "intensity-absorber", "intensity-magnetic")
@@ -632,5 +629,14 @@ def main(argv: list[str] | None = None) -> int:
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
+def console_main() -> int:
+    """A ``qccsim`` process, as the console script or ``python -m qccsim.cli``: :func:`main`
+    with ``OPENBLAS_NUM_THREADS=1`` unless a thread variable is set. numpy starts its BLAS
+    thread pool when it loads, and a run's matrices are at most 4x4."""
+    if not any(name in os.environ for name in THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -14,10 +14,8 @@ import os
 
 from ._record import Record
 from .errors import CapacityError, ValidationError
-from .neutron import IntensityReport
-from .pointer import GaussianPointerState, density, mean_position, support
+from .pointer import density, mean_position, support
 from .tolerances import MAX_TRIALS
-from .weakmeas import WeakMeasurementResult
 
 DENSITY_POINTS = 4096
 
@@ -207,6 +205,8 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
     check_seed(seed)
     p_ref = exact.i0
     p_pert = exact.i_perturbed
+    if getattr(p_pert, "ndim", 0):
+        raise ValidationError(f"one run's report expected, got a sweep's: i_perturbed has shape {p_pert.shape}")
     u = _trial_uniforms(seed, 0, n)
     n_ref = int((u[:, 0] < p_ref).sum())
     n_pert = int((u[:, 1] < p_pert).sum())

@@ -14,7 +14,7 @@ from ._record import Record
 from .errors import NegativeRadicand, ValidationError
 from .qcc import ARMS, CHI, PSI, arm_table
 from .qstate import vdot
-from .tolerances import TOL
+from .tolerances import ARITHMETIC, STRUCTURAL
 from .weakmeas import elementwise, finite, first_failure, one_number, run_on, squared
 
 
@@ -76,7 +76,7 @@ class IntensityReport(Record):
     def __post_init__(self) -> None:
         if self.i0 <= 0.0:
             raise ValidationError(f"reference intensity must be positive, got {self.i0}")
-        if first_failure(lambda d: abs(d) <= TOL.arithmetic, self.ratio - self.i_perturbed / self.i0):
+        if first_failure(lambda d: abs(d) <= ARITHMETIC, self.ratio - self.i_perturbed / self.i0):
             raise ValidationError("ratio field is inconsistent with the intensities")
 
 
@@ -212,7 +212,7 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
         if zero is not None:
             raise ZeroDivisionError(f"spin inference underflows to 0: alpha**2 at alpha={zero[1]!r}")
         radicand = (measured_ratio - 1.0) * 4.0 / alpha_sq + pi_w
-        noise_floor = TOL.structural * (4.0 / alpha_sq + abs(pi_w) + 1.0)
+        noise_floor = STRUCTURAL * (4.0 / alpha_sq + abs(pi_w) + 1.0)
         # NaN is no evidence of an unreachable ratio: it passes, as a NaN modulus.
         bad = first_failure(lambda r: (r >= -noise_floor) | (r != r), radicand, measured_ratio)
         if bad is not None:

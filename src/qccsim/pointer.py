@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from ._record import Record
 from .errors import CapacityError, NumericalError, ValidationError
-from .tolerances import MAX_AMPLITUDES, TOL
+from .tolerances import GRID_BOUNDARY_DENSITY, GRID_NORM, MAX_AMPLITUDES
 
 GRID_HALF_WIDTHS = 8.0
 
@@ -184,9 +184,9 @@ class GridPointerState(Record):
         peak = float(dens.max(initial=0.0))
         edge = float(max(dens[0], dens[-1]))
         # Wrap-around guard on the density, so a minimally compliant domain of +-8 widths still passes.
-        if peak > 0.0 and edge >= TOL.grid_boundary_density * peak:
+        if peak > 0.0 and edge >= GRID_BOUNDARY_DENSITY * peak:
             raise ValidationError(
-                f"boundary density {edge:.3e} exceeds {TOL.grid_boundary_density} of peak {peak:.3e}"
+                f"boundary density {edge:.3e} exceeds {GRID_BOUNDARY_DENSITY} of peak {peak:.3e}"
             )
         amps = amps.copy()
         amps.flags.writeable = False
@@ -252,9 +252,9 @@ def to_grid(p: GaussianPointerState, xmin: float, xmax: float, n_points: int) ->
     import numpy as np
     grid = GridPointerState(xmin, xmax, evaluate(p, np.linspace(xmin, xmax, int(n_points))))
     exact = norm_sq(p)
-    if abs(grid.trapezoid_norm_sq - exact) > TOL.grid_norm * max(1.0, exact):
+    if abs(grid.trapezoid_norm_sq - exact) > GRID_NORM * max(1.0, exact):
         raise ValidationError(
             f"grid norm {grid.trapezoid_norm_sq!r} deviates from closed form {exact!r} "
-            f"beyond {TOL.grid_norm}"
+            f"beyond {GRID_NORM}"
         )
     return grid

@@ -17,8 +17,6 @@ from .errors import ValidationError
 from .pointer import make_gaussian, overlap, position_element, translate
 from .qstate import SIGMA_X_ROWS, StateVector
 from .weakmeas import (
-    BranchTable,
-    Observable,
     PrePostContext,
     Spectrum,
     finite,

@@ -15,10 +15,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import ValidationError
-from .montecarlo import TrialBatch
-from .pointer import GridPointerState
-from .qcc import QccReport
-from .weakmeas import LinearResponseReport, ValidityReport, WeakMeasurementResult
 
 # Rows formatted and written at a time, so a table of any length needs bounded memory.
 BLOCK_ROWS = 2**14

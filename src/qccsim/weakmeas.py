@@ -19,7 +19,7 @@ from ._record import Record
 from .errors import OrthogonalPostselection, ValidationError
 from .pointer import GaussianPointerState, mean_position, superpose, translate, width_power
 from .qstate import Operator, StateVector, inner, vdot
-from .tolerances import TOL
+from .tolerances import EIGEN, ORTHOGONAL_OVERLAP, STRUCTURAL
 
 
 class Observable(Record):
@@ -40,8 +40,8 @@ class Observable(Record):
         targets = tuple(self.targets)
         entries, side = self.op.entries, self.op.side
         defect = np.max(np.abs(entries - entries.conj().T))
-        if defect > TOL.structural:
-            raise ValidationError(f"hermitian defect {defect:.3e} exceeds {TOL.structural}")
+        if defect > STRUCTURAL:
+            raise ValidationError(f"hermitian defect {defect:.3e} exceeds {STRUCTURAL}")
         vals = tuple(float(v) for v in self.eigvals)
         vecs = tuple(self.eigvecs)
         if len(vals) != side or len(vecs) != side:
@@ -50,10 +50,10 @@ class Observable(Record):
             if vec.dims != self.op.dims or vec.labels != targets:
                 raise ValidationError("eigenvector spaces must match the operator targets")
             residual = entries @ vec.amps - vals[k] * vec.amps
-            if np.max(np.abs(residual)) > TOL.eigen:
-                raise ValidationError(f"eigenpair {k} residual exceeds {TOL.eigen}")
+            if np.max(np.abs(residual)) > EIGEN:
+                raise ValidationError(f"eigenpair {k} residual exceeds {EIGEN}")
         gram = np.array([[inner(a, b) for b in vecs] for a in vecs])
-        if np.max(np.abs(gram - np.eye(side))) > TOL.eigen:
+        if np.max(np.abs(gram - np.eye(side))) > EIGEN:
             raise ValidationError("eigenvectors are not orthonormal")
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "eigvals", vals)
@@ -109,7 +109,7 @@ class PrePostContext(Record):
 
     def __post_init__(self) -> None:
         for name, state in (("psi_i", self.psi_i), ("chi_f", self.chi_f)):
-            if abs(state.norm - 1.0) > TOL.structural:
+            if abs(state.norm - 1.0) > STRUCTURAL:
                 raise ValidationError(f"{name} must be normalized, norm {state.norm!r}")
         if self.psi_i.dims != self.chi_f.dims or self.psi_i.labels != self.chi_f.labels:
             raise ValidationError("psi_i and chi_f must live on the same labeled space")
@@ -237,13 +237,13 @@ class BranchTable(NamedTuple):
 
     @property
     def orthogonal(self) -> bool:
-        return abs(self.overlap) <= TOL.orthogonal_overlap
+        return abs(self.overlap) <= ORTHOGONAL_OVERLAP
 
     def weak_value(self) -> complex:
         if self.orthogonal:
             raise OrthogonalPostselection(
                 f"postselection overlap modulus {abs(self.overlap):.3e} is below "
-                f"{TOL.orthogonal_overlap}; weak value undefined"
+                f"{ORTHOGONAL_OVERLAP}; weak value undefined"
             )
         return self.transition / self.overlap
 

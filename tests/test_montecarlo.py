@@ -249,6 +249,18 @@ class TestIntensitySampling:
         with pytest.raises(ValidationError):
             sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 0, SEED)
 
+    @pytest.mark.parametrize("n", [1000, 999])
+    def test_a_sweeps_report_is_rejected(self, n):
+        # n equal to the point count once drew trial i against the i-th swept intensity.
+        report = intensity_absorber(AbsorberConfig("I", np.linspace(0.0, 1.0, 1000)))
+        with pytest.raises(ValidationError, match=r"i_perturbed has shape \(1000,\)"):
+            sample_intensity_experiment(report, n, 1)
+
+    @pytest.mark.parametrize("m", [np.float64(0.2), np.array(0.2)], ids=["float64", "0-d array"])
+    def test_one_number_of_numpy_type_samples_as_a_float(self, m):
+        counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", m)), 1000, SEED)
+        assert counts == sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.2)), 1000, SEED)
+
     def test_no_perturbed_detections_leave_the_error_undefined(self):
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 40.0)), 100, 1)
         assert counts.n_perturbed == 0

@@ -2,16 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qccsim.cli import CONTEXT_NAMES
-from qccsim.startup import THREAD_VARIABLES
+from qccsim.cli import CONTEXT_NAMES, THREAD_VARIABLES
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def python(*args: str, **env: str) -> subprocess.CompletedProcess:
@@ -56,6 +57,20 @@ print(json.dumps(report))
     submodules = {"errors", "montecarlo", "neutron", "pointer", "qcc", "qstate", "tolerances", "weakmeas"}
     assert {n for n in report["dir"] if not n.startswith("_")} - set(report["all"]) <= submodules
     assert report["missing"] == "module 'qccsim' has no attribute 'no_such_name'"
+
+
+LOADED_QCCSIM_MODULES = "import json, sys, {}\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('qccsim'))))"
+
+
+def test_serialize_import_loads_no_physics_module():
+    loaded = json.loads(python("-c", LOADED_QCCSIM_MODULES.format("qccsim.serialize")).stdout)
+    assert loaded == ["qccsim", "qccsim.errors", "qccsim.serialize"]
+
+
+def test_montecarlo_import_loads_no_scenario_or_state_algebra():
+    loaded = json.loads(python("-c", LOADED_QCCSIM_MODULES.format("qccsim.montecarlo")).stdout)
+    assert "qccsim.montecarlo" in loaded
+    assert not {"qccsim.neutron", "qccsim.qcc", "qccsim.weakmeas", "qccsim.qstate"} & set(loaded)
 
 
 def test_cli_import_loads_no_numpy():
@@ -154,10 +169,26 @@ def test_library_import_leaves_environment_unchanged():
     assert json.loads(python("-c", script).stdout) is True
 
 
-def test_console_script_applies_the_thread_default():
+def test_in_process_main_leaves_the_environment_alone():
     script = """
+import contextlib, io, json, os
+from qccsim.cli import main
+before = dict(os.environ)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["neutron-absorber"])
+print(json.dumps([code, before == dict(os.environ)]))
+"""
+    assert json.loads(python("-c", script).stdout) == [0, True]
+
+
+def test_console_script_applies_the_thread_default():
+    # The target pyproject.toml declares, read with a regex: Python 3.10 has no tomllib.
+    module, function = re.search(
+        r'^qccsim = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.MULTILINE
+    ).groups()
+    script = f"""
 import json, os, sys
-from qccsim.startup import main
+from {module} import {function} as main
 sys.argv = ["qccsim", "neutron-absorber", "--M", "0.3"]
 code = main()
 print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS")]))
