@@ -2,9 +2,11 @@
 
 Each trial owns one counter block of a counter-based generator, so a
 batch is a pure function of (seed, n): any chunking or thread layout
-reproduces it bit for bit. Postselection is Bernoulli with the exact
-coupled probability; accepted trials draw a pointer position from the
-exact final density by inverse-CDF on a dense tabulation.
+reproduces it bit for bit. Trials are drawn 2**20 at a time, keeping only
+the acceptance mask and readouts (two counts for an intensity run).
+Postselection is Bernoulli with the exact coupled probability; accepted
+trials draw a pointer position from the exact final density by inverse-CDF
+on a dense tabulation, looked up in sorted blocks with unchanged bits.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ DENSITY_POINTS = 4096
 # Uniform draws consumed per trial; one full Philox counter block, so
 # trial i always starts at counter offset i.
 DRAWS_PER_TRIAL = 4
+# Trials drawn at a time (a 32 MB table of uniforms), so memory stays bounded at any n.
+COUNTER_BLOCK = 2**20
+# Draws sorted at a time, so np.interp finds each bin from the last one; a larger sort leaves the cache.
+LOOKUP_BLOCK = 2**14
 
 
 class TrialBatch(Record):
@@ -37,16 +43,14 @@ class TrialBatch(Record):
 
     def __post_init__(self) -> None:
         import numpy as np
-        positions = np.asarray(self.positions, dtype=float)
-        mask = np.asarray(self.postselected, dtype=bool)
+        positions = np.array(self.positions, dtype=float)  # copies, frozen below
+        mask = np.array(self.postselected, dtype=bool)
         n_postselected = int(mask.sum())
         if positions.size != n_postselected:
             raise ValidationError("need one position per postselected trial")
         if positions.size and not np.all(np.isfinite(positions)):
             raise ValidationError("positions contain non-finite entries")
-        positions = positions.copy()
         positions.flags.writeable = False
-        mask = mask.copy()
         mask.flags.writeable = False
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "postselected", mask)
@@ -80,8 +84,11 @@ def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
     cdf = np.concatenate(([0.0], np.cumsum(segments)))
     cdf /= cdf[-1]
 
-    def draw(u: np.ndarray) -> np.ndarray:
-        return np.interp(u, cdf, xs)
+    def draw(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for s in range(0, u.size, LOOKUP_BLOCK):
+            order = u[s:s + LOOKUP_BLOCK].argsort()
+            out[s:s + LOOKUP_BLOCK][order] = np.interp(u[s:s + LOOKUP_BLOCK][order], cdf, xs)
+        return out
 
     return draw
 
@@ -104,9 +111,13 @@ def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     from numpy.random import Generator, Philox  # here, so runs that never sample skip its import
 
     bits = Philox(key=seed)
-    if start:
-        bits.advance(start)
+    bits.advance(start)
     return Generator(bits).random((count, DRAWS_PER_TRIAL))
+
+
+def _blocks(start: int, count: int, size: int) -> list[tuple[int, int]]:
+    """``(start, count)`` of each run of ``size`` trials in a range of trials, in order."""
+    return [(s, min(size, start + count - s)) for s in range(start, start + count, size)]
 
 
 def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: int = 1) -> TrialBatch:
@@ -125,22 +136,23 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     p_post = min(max(coupled.postselect_prob_coupled, 0.0), 1.0)
-    draw = (
-        _tabulated_inverse_cdf(coupled.pointer_final)
-        if p_post > 0.0 and coupled.pointer_final.components
-        else None
-    )
+    final = coupled.pointer_final
+    draw = _tabulated_inverse_cdf(final) if p_post > 0.0 and final.components else None
+    # Each chunk writes its mask and its readouts from its first trial on; unwritten pages cost no memory.
+    mask, readouts = np.empty(n, dtype=bool), np.empty(n)
 
-    def run_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        start, count = bounds
-        u = _trial_uniforms(seed, start, count)
-        mask = u[:, 0] < p_post
-        pos = draw(u[mask, 1]) if draw is not None else np.empty(0)
-        return mask, pos
+    def run_chunk(bounds: tuple[int, int]) -> np.ndarray:
+        filled = bounds[0]
+        for start, count in _blocks(*bounds, COUNTER_BLOCK):
+            u = _trial_uniforms(seed, start, count)
+            accepted = u[np.less(u[:, 0], p_post, out=mask[start:start + count]), 1]
+            del u  # freed before the lookup allocates
+            if draw is not None:
+                filled += draw(accepted, readouts[filled:filled + accepted.size]).size
+        return readouts[bounds[0]:filled]
 
     # One chunk per thread, never more than trials or CPUs; the output does not depend on it.
-    chunk_size = -(-n // min(workers, n, os.cpu_count() or 1))
-    bounds = [(s, min(chunk_size, n - s)) for s in range(0, n, chunk_size)]
+    bounds = _blocks(0, n, -(-n // min(workers, n, os.cpu_count() or 1)))
     if len(bounds) == 1:
         parts = [run_chunk(bounds[0])]
     else:
@@ -148,8 +160,9 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
 
         with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
             parts = list(pool.map(run_chunk, bounds))
-
-    return TrialBatch(np.concatenate([p for _, p in parts]), np.concatenate([m for m, _ in parts]))
+    positions = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    del parts, readouts  # once concatenated, the buffer is freed before the batch copies the positions
+    return TrialBatch(positions, mask)
 
 
 def estimate_weak_value(batch: TrialBatch, phi0: GaussianPointerState, g: float) -> EstimatorReport:
@@ -207,9 +220,12 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
     p_pert = exact.i_perturbed
     if getattr(p_pert, "ndim", 0):
         raise ValidationError(f"one run's report expected, got a sweep's: i_perturbed has shape {p_pert.shape}")
-    u = _trial_uniforms(seed, 0, n)
-    n_ref = int((u[:, 0] < p_ref).sum())
-    n_pert = int((u[:, 1] < p_pert).sum())
+    n_ref = n_pert = 0
+    for block in _blocks(0, n, COUNTER_BLOCK):
+        u = _trial_uniforms(seed, *block)
+        n_ref += int((u[:, 0] < p_ref).sum())
+        n_pert += int((u[:, 1] < p_pert).sum())
+        del u  # freed before the next block is drawn
     if n_ref == 0:
         raise ValidationError("no reference detections; increase n")
     r_ref = n_ref / n

@@ -96,9 +96,18 @@ def component_overlap(a: GaussianComponent, b: GaussianComponent, width: float) 
     return math.exp(-dc * dc / (8.0 * (width * width)))
 
 
+def midpoint(a, b):
+    """(a + b) / 2 of finite floats or arrays; a / 2 + b / 2 only where a + b overflows."""
+    total = a + b
+    if isinstance(total, float):
+        return total / 2.0 if abs(total) < math.inf else a / 2.0 + b / 2.0
+    import numpy as np
+    return np.where(abs(total) < math.inf, total / 2.0, a / 2.0 + b / 2.0)
+
+
 def component_position_element(a: GaussianComponent, b: GaussianComponent, width: float) -> float:
     """Closed-form <u_a|x|u_b> between unit-norm components."""
-    return component_overlap(a, b, width) * ((a.center + b.center) / 2.0)
+    return component_overlap(a, b, width) * midpoint(a.center, b.center)
 
 
 def _pair_sum(p: GaussianPointerState, q: GaussianPointerState, element) -> complex:

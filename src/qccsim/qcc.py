@@ -159,7 +159,7 @@ def _qcc_report(cfg: QccConfig, swap_spin_labels: bool, **measured) -> QccReport
     the four weak values, unperturbed postselection and weak-regime flag."""
     for arm, g in (("I", cfg.g_I), ("II", cfg.g_II)):
         bad = first_failure(lambda shift: abs(shift) < math.inf, measured[f"shift_{arm}"], g)
-        if bad is not None:  # the readout's (x_p + x_q) / 2 overflows once |g a| nears 9e307
+        if bad is not None:  # a record holds finite shifts only
             raise OverflowError(f"pointer shift overflows: shift_{arm} at g_{arm}={bad[1]!r}")
     table = functools.partial(arm_table, swap_spin_labels=swap_spin_labels)
     phi0 = make_gaussian(0.0, cfg.pointer_width)

@@ -111,21 +111,25 @@ def qcc_report_dict(report: QccReport) -> dict:
     return out
 
 
-def _write_table(path: str | Path, header: Sequence[str], n_rows: int, columns: Callable) -> None:
-    """A header row, then ``n_rows`` rows; ``columns(start, stop)`` returns the
-    formatted cells of rows ``start`` to ``stop - 1``, one sequence per column."""
+def _write_table(path: str | Path, header: Sequence[str], n_rows: int, rows: Callable) -> None:
+    """A header row, then ``n_rows`` rows; ``rows(start, stop)`` returns the text of
+    rows ``start`` to ``stop - 1``, each ending in LF."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, BLOCK_ROWS):
-            rows = zip(*columns(start, min(start + BLOCK_ROWS, n_rows)))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+            fh.write(rows(start, min(start + BLOCK_ROWS, n_rows)))
+
+
+def _lines(columns) -> str:
+    """CSV rows of formatted cells, one sequence per column."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def write_grid_csv(grid: GridPointerState, path: str | Path) -> None:
     """Columns: x, re, im, prob_density."""
     columns = (grid.xs, grid.amps.real, grid.amps.imag, grid.density)
     _write_table(path, ("x", "re", "im", "prob_density"), grid.xs.size,
-                 lambda a, b: [_format_column(x[a:b]) for x in columns])
+                 lambda a, b: _lines(_format_column(x[a:b]) for x in columns))
 
 
 def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:
@@ -134,15 +138,16 @@ def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:
     mask = batch.postselected
     trial_of = np.flatnonzero(mask)  # the trial index of each position
 
-    def columns(start: int, stop: int) -> tuple:
+    def rows(start: int, stop: int) -> str:
+        # A row template per trial, from its flag byte: the first % fills in the positions
+        # ("%.17g" % x is format_float(x), and has no "%"), the second the trial indices.
         lo, hi = np.searchsorted(trial_of, (start, stop))
-        position = np.full(stop - start, "", dtype=object)
-        position[trial_of[lo:hi] - start] = _format_column(batch.positions[lo:hi])
-        return map(str, range(start, stop)), np.where(mask[start:stop], "1", "0").tolist(), position
+        template = mask[start:stop].tobytes().decode().replace("\x00", "%%d,0,\n").replace("\x01", "%%d,1,%.17g\n")
+        return template % tuple(batch.positions[lo:hi].tolist()) % tuple(range(start, stop))
 
-    _write_table(path, ("trial_index", "postselected", "position"), mask.size, columns)
+    _write_table(path, ("trial_index", "postselected", "position"), mask.size, rows)
 
 
 def write_sweep_csv(path: str | Path, header: Sequence[str], table: Table) -> None:
     """A sweep's table, from the cells its record's rows are rendered from."""
-    _write_table(path, header, len(table.cells[0]), lambda a, b: [x[a:b] for x in table.cells])
+    _write_table(path, header, len(table.cells[0]), lambda a, b: _lines(x[a:b] for x in table.cells))

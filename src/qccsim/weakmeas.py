@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from ._record import Record
 from .errors import OrthogonalPostselection, ValidationError
-from .pointer import GaussianPointerState, mean_position, superpose, translate, width_power
+from .pointer import GaussianPointerState, mean_position, midpoint, superpose, translate, width_power
 from .qstate import Operator, StateVector, inner, vdot
 from .tolerances import EIGEN, ORTHOGONAL_OVERLAP, STRUCTURAL
 
@@ -259,7 +259,7 @@ class BranchTable(NamedTuple):
         For a freshly prepared ``phi0`` (one unit component at rest), these are
         ``norm_sq`` and ``mean_position`` of :meth:`pointer`, in their order and
         rounding: pair sums of c_j^* c_k times the overlap e^{-(x_j - x_k)^2 / 8 sigma^2}
-        (and (x_j + x_k) / 2 for <x>) over the branch centers x_k = x_0 + g a_k. Floats
+        (and their ``midpoint`` for <x>) over the branch centers x_k = x_0 + g a_k. Floats
         for one coupling, arrays for an array; the shift is NaN where the probability is 0.
         """
         comps = phi0.components
@@ -290,7 +290,7 @@ class BranchTable(NamedTuple):
             for p, q in pairs:
                 weight, e = re[p] * re[q] - (-im[p]) * im[q], overlaps[min(p, q), max(p, q)]
                 norm = norm + weight * e
-                position = position + weight * (e * ((x[p] + x[q]) / 2.0))
+                position = position + weight * (e * midpoint(x[p], x[q]))
             prob = select(norm < 0.0, lambda: 0.0, lambda: norm)
             return select(prob > 0.0, lambda: position / prob, lambda: math.nan) - mean_position(phi0), prob
 
@@ -300,7 +300,7 @@ class BranchTable(NamedTuple):
         """One coupled run: the final pointer and its readout at coupling ``g``."""
         g = float(g)
         shift, prob = self.readout(phi0, g)
-        if prob > 0.0 and not math.isfinite(shift):  # (x_p + x_q) / 2 overflows once |g a| nears 9e307
+        if prob > 0.0 and not math.isfinite(shift):  # a postselected run has a finite shift
             raise OverflowError(f"pointer shift overflows: exact_shift at g={g!r}")
         return WeakMeasurementResult(
             weak_value=None if self.orthogonal else self.weak_value(),

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from qccsim.montecarlo import DENSITY_POINTS
+from qccsim.pointer import density, support
 from qccsim.weakmeas import Spectrum, reduce_table
 
 # 0.999 quantile of the chi-square distribution with 63 degrees of
@@ -247,6 +249,16 @@ def trials_csv_oracle(batch) -> str:
     for i, hit in enumerate(batch.postselected.tolist()):
         lines.append(f"{i},1,{format(next(positions), '.17g')}" if hit else f"{i},0,")
     return "\n".join(lines) + "\n"
+
+
+def inverse_cdf_oracle(pointer_final, u) -> np.ndarray:
+    """The sampler's inverse-CDF readouts of uniforms ``u``: one plain ``np.interp`` over the
+    unsorted draws, on the sampler's trapezoid CDF over its ``DENSITY_POINTS`` knots."""
+    xs = np.linspace(*support(pointer_final), DENSITY_POINTS)
+    dens = density(pointer_final, xs)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))))
+    cdf /= cdf[-1]
+    return np.interp(u, cdf, xs), cdf
 
 
 def rows_as_dicts(header, columns) -> list[dict]:

@@ -591,7 +591,7 @@ class TestExitCodes:
         "argv, error",
         [
             (("weak-value", "--g", "1e300"), "OverflowError"),
-            (("qcc-joint", "--g", "1e308"), "OverflowError"),
+            (("qcc-joint", "--pointer-width", "1e300"), "OverflowError"),
             *((argv, message.split(":")[0]) for argv, message in EXTREME_WIDTHS),
         ],
     )
@@ -612,16 +612,44 @@ class TestExitCodes:
         "argv, message",
         [
             (("weak-value", "--g", "5e199"), "validity second order overflows: |g|**2 at |g|=5e+199"),
-            (("sweep", "--scenario", "qcc", "--g", "0:1e308:3"), "pointer shift overflows: shift_I at g_I=1e+308"),
-            (("qcc-joint", "--g", "0", "--g-II", "-1e308"), "pointer shift overflows: shift_II at g_II=-1e+308"),
-            (("weak-value", "--g", "1e308"), "pointer shift overflows: exact_shift at g=1e+308"),
-            (("montecarlo", "--g", "1e308", "--n", "100"), "pointer shift overflows: exact_shift at g=1e+308"),
+            (("weak-value", "--g", "1e308"), "validity second order overflows: |g|**2 at |g|=1e+308"),
         ],
     )
     def test_overflow_message_names_quantity_and_coupling(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
         assert code == 5
         assert json.loads(err)["error"] == {"type": "OverflowError", "message": message}
+
+    # Branch centers at the float limit: x_p + x_q overflows, so the readout halves each
+    # center first. Arm I's projector has one branch, amplitude 1/2 at g. Arm II's sigma_x
+    # branches at -g and g have amplitudes -1/4 and 1/4, and its branch at 0 cancels the
+    # joint state's -<chi|psi> phi0 (x) phi0 term, so the x_I marginal weighs 1/4 at g
+    # against 1/8 at 0.
+    @pytest.mark.parametrize(
+        "argv, field, shift",
+        [
+            (("qcc", "--g", "1e308"), "shift_I", 1e308),
+            (("qcc-joint", "--g", "0", "--g-II", "-1e308"), "shift_II", 0.0),
+            (("qcc-joint", "--g", "1e308"), "shift_I", pytest.approx(1e308 / 3.0 * 2.0, rel=1e-15)),
+        ],
+    )
+    def test_shift_at_the_float_limit_is_exact(self, capsys, argv, field, shift):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["results"][field] == shift
+
+    def test_sweep_to_the_float_limit_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--scenario", "qcc", "--g", "0:1e308:3")
+        assert code == 0
+        assert [row["shift_I"] for row in json.loads(out)["results"]["rows"]] == [0.0, 5e307, 1e308]
+
+    def test_sampling_at_the_float_limit_is_a_numerical_error(self, capsys):
+        code, _, err = run_cli(capsys, "montecarlo", "--g", "1e308", "--n", "100")
+        assert code == 5
+        assert json.loads(err)["error"] == {
+            "type": "NumericalError",
+            "message": "pointer support [1e+308, 1e+308] does not resolve the pointer width 1.0 in floating point",
+        }
 
     # A rotation angle whose square underflows to 0 leaves the second-order inversion undefined.
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from qccsim.cli import build_context
 from qccsim.errors import ValidationError
 import qccsim.montecarlo as montecarlo
 from qccsim.montecarlo import (
+    COUNTER_BLOCK,
+    LOOKUP_BLOCK,
     TrialBatch,
+    _tabulated_inverse_cdf,
     _trial_uniforms,
     estimate_weak_value,
     sample_intensity_experiment,
@@ -18,10 +22,10 @@ from qccsim.montecarlo import (
 )
 from qccsim.neutron import AbsorberConfig, intensity_absorber
 from qccsim.pointer import make_gaussian
-from qccsim.serialize import dumps_json
+from qccsim.serialize import dumps_json, write_trials_csv
 from qccsim.weakmeas import couple_and_postselect
 
-from oracles import CHI2_999_DF63, gaussian_amplitude
+from oracles import CHI2_999_DF63, gaussian_amplitude, inverse_cdf_oracle
 
 PHI0 = make_gaussian(0.0, 1.0)
 SEED = 12345
@@ -98,10 +102,68 @@ class TestDeterminism:
         assert sorted(chunks) == [10_000, 10_000]
         assert batches_equal(batch, sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 20_000, SEED))
 
+    def test_two_workers_equal_one_across_counter_blocks(self, monkeypatch, tmp_path):
+        # One worker draws blocks of 2**20 and 17 trials, two draw one block of 524297 each.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        coupled = couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.05)
+        n = COUNTER_BLOCK + 17
+        one, two = (sample_trials(coupled, n, SEED, workers=w) for w in (1, 2))
+        assert batches_equal(one, two)
+        write_trials_csv(one, tmp_path / "one.csv")
+        write_trials_csv(two, tmp_path / "two.csv")
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+    def test_threads_beyond_the_cpus_fill_the_shared_mask(self, monkeypatch):
+        # Eight chunk threads on fewer cores, switching often, each write their own mask slice.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        coupled = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, 0.1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = sample_trials(coupled, 80_003, SEED, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert batches_equal(batch, sample_trials(coupled, 80_003, SEED))
+
     def test_chunked_stream_matches_contiguous_stream(self):
         whole = _trial_uniforms(SEED, 0, 300)
         assert np.array_equal(_trial_uniforms(SEED, 100, 120), whole[100:220])
         assert np.array_equal(_trial_uniforms(SEED, 0, 100), whole[:100])
+
+
+class TestSortedLookup:
+    """The inverse-CDF lookup sorts its draws in blocks; every readout keeps plain np.interp's bits."""
+
+    @staticmethod
+    def bits(values: np.ndarray) -> list[str]:
+        return [v.hex() for v in values.tolist()]
+
+    @pytest.mark.parametrize("size", [LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 3 * LOOKUP_BLOCK + 5])
+    def test_block_edges(self, size):
+        pointer = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, 0.1).pointer_final
+        u = np.random.default_rng(size).random(size)
+        readouts = _tabulated_inverse_cdf(pointer)(u, np.empty_like(u))
+        assert self.bits(readouts) == self.bits(inverse_cdf_oracle(pointer, u)[0])
+
+    def test_knots_flat_segments_and_the_unit_interval_ends(self):
+        # Branches 200 widths apart: the density between them underflows to 0, so the CDF has tied knots.
+        pointer = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, 100.0).pointer_final
+        cdf = inverse_cdf_oracle(pointer, np.empty(0))[1]
+        assert np.count_nonzero(np.diff(cdf) == 0.0) > 100
+        flat = cdf[1:][np.diff(cdf) == 0.0]
+        u = np.concatenate((cdf, flat, np.nextafter(flat, 0.0), [0.0, 1.0 - 2.0**-53], cdf[::-1]))
+        u = np.random.default_rng(3).permutation(u)
+        readouts = _tabulated_inverse_cdf(pointer)(u, np.empty_like(u))
+        assert self.bits(readouts) == self.bits(inverse_cdf_oracle(pointer, u)[0])
+
+    def test_spin_trivial_accepts_nearly_every_trial(self):
+        coupled = couple_and_postselect(*build_context("spin-trivial"), PHI0, 0.1)
+        assert coupled.postselect_prob_coupled > 0.99
+        n = 3 * LOOKUP_BLOCK + 5
+        u = _trial_uniforms(SEED, 0, n)
+        accepted = u[u[:, 0] < coupled.postselect_prob_coupled, 1]
+        batch = sample_trials(coupled, n, SEED)
+        assert self.bits(batch.positions) == self.bits(inverse_cdf_oracle(coupled.pointer_final, accepted)[0])
 
 
 class TestPostselectionStatistics:

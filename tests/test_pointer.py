@@ -14,6 +14,7 @@ from qccsim.pointer import (
     evaluate,
     make_gaussian,
     mean_position,
+    midpoint,
     norm_sq,
     overlap,
     position_element,
@@ -111,6 +112,22 @@ class TestMeanPosition:
         empty = GaussianPointerState(1.0, ())
         with pytest.raises(ValidationError):
             mean_position(empty)
+
+    @pytest.mark.parametrize("center", [1e308, -1e308, 1.7976931348623157e308])
+    def test_far_out_center_is_its_own_mean(self, center):
+        assert mean_position(make_gaussian(center, 1.0)) == center
+
+
+class TestMidpoint:
+    A = [1e308, -1e308, 1e308, 1.7976931348623157e308, 0.3, 5e-324, -0.0, 1e308]
+    B = [1e308, -1e308, -1e308, 1.7976931348623157e308, 0.7, 5e-324, -0.0, 8e307]
+
+    def test_halves_first_only_where_the_sum_overflows(self):
+        want = [(a + b) / 2.0 if math.isfinite(a + b) else a / 2.0 + b / 2.0 for a, b in zip(self.A, self.B)]
+        assert want[5] == 5e-324 and want[0] == 1e308 and math.copysign(1.0, want[6]) == -1.0
+        assert [midpoint(a, b).hex() for a, b in zip(self.A, self.B)] == [w.hex() for w in want]
+        with np.errstate(over="ignore"):
+            assert [m.hex() for m in midpoint(np.array(self.A), np.array(self.B)).tolist()] == [w.hex() for w in want]
 
 
 class TestPositionElement:

@@ -12,7 +12,7 @@ from qccsim.cli import main
 from qccsim.errors import ValidationError
 from qccsim.montecarlo import TrialBatch
 from qccsim.pointer import density, make_gaussian, superpose, support, to_grid, translate
-from qccsim.serialize import Table, dumps_json, write_grid_csv, write_trials_csv
+from qccsim.serialize import BLOCK_ROWS, Table, dumps_json, write_grid_csv, write_trials_csv
 
 from oracles import grid_csv_oracle, rows_as_dicts, trials_csv_oracle
 
@@ -180,3 +180,24 @@ class TestCsvAgainstRowOracle:
         target = tmp_path / "trials.csv"
         write_trials_csv(batch, target)
         assert target.read_bytes() == trials_csv_oracle(batch).encode()
+
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0], ids=["none accepted", "some accepted", "all accepted"])
+    def test_trials_at_block_edges(self, tmp_path, n, rate):
+        rng = np.random.default_rng(n)
+        mask = rng.random(n) < rate
+        batch = TrialBatch(rng.normal(0.0, 1e3, int(mask.sum())), mask)
+        target = tmp_path / "trials.csv"
+        write_trials_csv(batch, target)
+        assert target.read_bytes() == trials_csv_oracle(batch).encode()
+
+    def test_trials_with_extreme_positions(self, tmp_path):
+        positions = np.array([-0.0, 5e-324, -1e-300, 1e308, -1e308, 0.0, 0.1])
+        mask = np.zeros(BLOCK_ROWS + 3, dtype=bool)
+        mask[[0, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2]] = True
+        batch = TrialBatch(positions, mask)
+        target = tmp_path / "trials.csv"
+        write_trials_csv(batch, target)
+        text = target.read_text()
+        assert text == trials_csv_oracle(batch)
+        assert "\n0,1,-0\n" in text and f"\n{BLOCK_ROWS},1,-1e+308\n" in text

@@ -218,13 +218,17 @@ class TestCoupleAndPostselect:
         with pytest.raises(ValidationError):
             couple_and_postselect(ctx, obs, PHI0, math.inf)
 
-    def test_shift_overflow_names_the_coupling(self):
-        # The readout's (x_p + x_q) / 2 leaves the float range near |g a| = 9e307.
-        ctx, obs = build_context("qcc-pi-I")
-        with pytest.raises(OverflowError, match=r"^pointer shift overflows: exact_shift at g=1e\+308$"):
-            couple_and_postselect(ctx, obs, PHI0, 1e308)
-        result = couple_and_postselect(ctx, obs, PHI0, 5e307)
-        assert result.exact_shift == pytest.approx(5e307, rel=1e-15)
+    @pytest.mark.parametrize("g", [5e307, 1e308, -1e308])
+    def test_shift_at_the_float_limit_is_the_coupling(self, g):
+        # x_p + x_q leaves the float range at |g| = 1e308; the midpoint halves each center first there.
+        result = couple_and_postselect(*build_context("qcc-pi-I"), PHI0, g)
+        assert result.exact_shift == pytest.approx(g, rel=1e-15)
+        assert result.postselect_prob_coupled == pytest.approx(0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("center", [1e308, -1e308])
+    def test_far_out_pointer_at_zero_coupling_stays_put(self, center):
+        result = arm_table("I", "projector").couple(make_gaussian(center, 1.0), 0.0)
+        assert result.exact_shift == 0.0
         assert result.postselect_prob_coupled == pytest.approx(0.25, rel=1e-15)
 
     def test_zero_probability_keeps_a_nan_shift(self):
@@ -390,7 +394,7 @@ class TestBranchTable:
 
     @pytest.mark.parametrize("center", [1e308, -1e308])
     def test_readout_far_out_subtracts_the_prepared_mean(self, center):
-        # (x_j + x_k) / 2 overflows here, and so does mean_position(phi0), which is not the center.
+        # x_j + x_k overflows here, so the midpoint and mean_position(phi0) halve each center first.
         phi0 = make_gaussian(center, 1.0)
         for _, ctx, obs in TABLE_CASES:
             table = branch_table(ctx, obs)
