@@ -44,16 +44,19 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .montecarlo import check_seed, check_trial_count, estimate_weak_value, sample_intensity_experiment, sample_trials
+from .montecarlo import (check_estimation_coupling, check_seed, check_trial_count, check_workers,
+                         estimate_weak_value, sample_intensity_experiment, sample_trials)
 from .neutron import (
     AbsorberConfig,
     MagneticConfig,
+    check_absorption,
+    check_rotation,
     infer_weak_value,
     intensity_absorber,
     intensity_magnetic,
     systematic_term_report,
 )
-from .pointer import check_grid_points, make_gaussian, support, to_grid
+from .pointer import check_grid_points, check_width, make_gaussian, support, to_grid
 from .qcc import (
     ARMS,
     OBSERVABLE_TAGS,
@@ -164,13 +167,13 @@ def parse_range(text: str) -> np.ndarray:
 
 
 class Param(Record):
-    """One scenario parameter: its flag, default, type check and extra check.
+    """One scenario parameter: its flag, default, type check and value rule.
 
     ``kind`` is "float", "int", "choice", "switch" or "range" (a
     start:stop:count string). A float whose default is None is optional.
-    ``check`` turns a well-typed value into a violation message or None.
-    It may also be a library rule: its ``ValidationError`` becomes the
-    violation and its ``CapacityError`` propagates, as in the run.
+    ``check`` is the library's rule for a well-typed value, the one the run
+    applies: its ``ValidationError`` becomes the violation and its
+    ``CapacityError`` propagates, as in the run.
     With ``when = (key, values)`` the parameter is checked only while
     ``params[key]`` is one of ``values``.
     """
@@ -180,17 +183,13 @@ class Param(Record):
     default: object = None
     help: str = ""
     choices: tuple = ()
-    check: Callable[[object], str | None] | None = None
+    check: Callable[[object], None] | None = None
     when: tuple[str, tuple] | None = None
     flag: str = ""
 
     @property
     def option(self) -> str:
         return self.flag or "--" + self.name.replace("_", "-")
-
-
-def _at_least(low: int) -> Callable[[float], str | None]:
-    return lambda value: f"must be >= {low}, got {value}" if value < low else None
 
 
 def _when(key: str, values: tuple, *params: Param) -> tuple[Param, ...]:
@@ -204,13 +203,10 @@ def _sweep_range(name: str, scenario: str, check=None) -> Param:
 
 CONTEXT = Param("context", "choice", "qcc-pi-I", "named pre/postselection context", CONTEXT_NAMES)
 TAN_THETA = Param("tan_theta", "float", 3.0, "tan(theta) of the anomalous context")
-POINTER_WIDTH = Param("pointer_width", "float", 1.0, "Gaussian pointer width",
-                      check=lambda width: f"must be > 0, got {width}" if width <= 0.0 else None)
+POINTER_WIDTH = Param("pointer_width", "float", 1.0, "Gaussian pointer width", check=check_width)
 ARM = Param("arm", "choice", "I", "interferometer arm", ARMS)
-ABSORBER_M = Param("M", "float", 0.1, "absorber strength, arm attenuation e^(-M)", check=_at_least(0))
-ROTATION_ALPHA = Param(
-    "alpha", "float", 0.2, "arm spin-rotation angle",
-    check=lambda alpha: f"must satisfy |alpha| <= pi, got {alpha}" if abs(alpha) > math.pi else None)
+ABSORBER_M = Param("M", "float", 0.1, "absorber strength, arm attenuation e^(-M)", check=check_absorption)
+ROTATION_ALPHA = Param("alpha", "float", 0.2, "arm spin-rotation angle", check=check_rotation)
 OBSERVABLES = (
     Param("observable_I", "choice", "projector", "observable coupled in arm I", OBSERVABLE_TAGS),
     Param("observable_II", "choice", "sigma_x", "observable coupled in arm II", OBSERVABLE_TAGS),
@@ -237,8 +233,7 @@ MONTECARLO_PARAMS = (
     Param("mode", "choice", "pointer", "what to sample", MC_MODES),
     *_when(
         "mode", ("pointer",), CONTEXT, TAN_THETA,
-        Param("g", "float", 0.05, "coupling strength",
-              check=lambda g: "weak-value estimation needs a nonzero coupling" if g == 0.0 else None),
+        Param("g", "float", 0.05, "coupling strength", check=check_estimation_coupling),
         POINTER_WIDTH,
     ),
     *_when("mode", MC_MODES[1:], ARM),
@@ -246,17 +241,13 @@ MONTECARLO_PARAMS = (
     *_when("mode", ("intensity-magnetic",), ROTATION_ALPHA),
     Param("n", "int", 100000, "number of trials", check=check_trial_count),
     Param("seed", "int", 12345, "Philox key of the trial stream, below 2**128", check=check_seed),
-    Param("workers", "int", 1, "worker threads", check=_at_least(1)),
+    Param("workers", "int", 1, "worker threads", check=check_workers),
 )
 SWEEP_PARAMS = (
     Param("sweep_scenario", "choice", None, "scenario to sweep", SWEEP_SCENARIOS, flag="--scenario"),
     _sweep_range("g", "qcc"),
-    _sweep_range("M", "neutron-absorber",
-                 lambda values: "sweep values must be >= 0" if (values < 0.0).any() else None),
-    _sweep_range(
-        "alpha", "neutron-magnetic",
-        lambda v: "sweep values must satisfy |alpha| <= pi" if (abs(v) > math.pi).any() else None,
-    ),
+    _sweep_range("M", "neutron-absorber", check_absorption),
+    _sweep_range("alpha", "neutron-magnetic", check_rotation),
     ARM,
     *OBSERVABLES,
     POINTER_WIDTH,
@@ -380,7 +371,7 @@ def resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, list[
 
 
 def _problem(param: Param, params: dict) -> str | None:
-    """Why ``params[param.name]`` is invalid, or None; stores coerced numbers back.
+    """Why ``params[param.name]`` is not of its kind, or None; stores coerced numbers back.
 
     Raises ``ValidationError`` for a malformed range or a failed library rule."""
     raw = value = params.get(param.name)
@@ -412,7 +403,9 @@ def _problem(param: Param, params: dict) -> str | None:
         if raw is None:
             return f"sweep over {params[param.when[0]]} needs {param.option} start:stop:count"
         value = parse_range(raw)
-    return param.check(value) if param.check is not None else None
+    if param.check is not None:
+        param.check(value)
+    return None
 
 
 def validate_params(scenario: str, params: dict) -> list[str]:

@@ -68,12 +68,6 @@ class EstimatorReport(Record):
     n_total: int
     n_postselected: int
 
-    def __post_init__(self) -> None:
-        if self.std_error < 0.0:
-            raise ValidationError("standard error cannot be negative")
-        if abs(self.postselect_rate - self.n_postselected / self.n_total) > 1e-12:
-            raise ValidationError("postselect_rate inconsistent with counts")
-
 
 def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
     """Inverse CDF of the normalized |phi_f(x)|^2 on a dense grid."""
@@ -107,6 +101,18 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"Philox key must be >= 0 and < 2**128, got {seed}")
 
 
+def check_workers(workers: int) -> None:
+    """The worker rule: at least one thread."""
+    if workers < 1:
+        raise ValidationError(f"worker count must be >= 1, got {workers!r}")
+
+
+def check_estimation_coupling(g: float) -> None:
+    """The estimation rule: (mean readout - initial mean) / g needs g != 0."""
+    if g == 0.0:
+        raise ValidationError(f"weak-value estimation needs a nonzero coupling, got {g!r}")
+
+
 def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     from numpy.random import Generator, Philox  # here, so runs that never sample skip its import
 
@@ -133,8 +139,7 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
     import numpy as np
     check_trial_count(n)
     check_seed(seed)
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     p_post = min(max(coupled.postselect_prob_coupled, 0.0), 1.0)
     final = coupled.pointer_final
     draw = _tabulated_inverse_cdf(final) if p_post > 0.0 and final.components else None
@@ -171,8 +176,7 @@ def estimate_weak_value(batch: TrialBatch, phi0: GaussianPointerState, g: float)
         raise ValidationError(
             f"insufficient statistics: {batch.n_postselected} postselected trials"
         )
-    if g == 0.0:
-        raise ValidationError("weak-value estimation needs a nonzero coupling")
+    check_estimation_coupling(g)
     import numpy as np
     mean_shift = float(batch.positions.mean()) - mean_position(phi0)
     with np.errstate(over="ignore"):

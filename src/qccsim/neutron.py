@@ -15,7 +15,17 @@ from .errors import NegativeRadicand, ValidationError
 from .qcc import ARMS, CHI, PSI, arm_table
 from .qstate import vdot
 from .tolerances import ARITHMETIC, STRUCTURAL
-from .weakmeas import elementwise, finite, first_failure, one_number, run_on, squared
+from .weakmeas import elementwise, first_failure, one_number, require, run_on, squared
+
+
+def check_absorption(M) -> None:
+    """The absorption rule, for one M or a sweep's array: finite and >= 0."""
+    require(M, "absorption coefficient must be >= 0", lambda M: M >= 0.0)
+
+
+def check_rotation(alpha) -> None:
+    """The rotation rule, for one alpha or a sweep's array: finite and |alpha| <= pi."""
+    require(alpha, "precession angle must satisfy |alpha| <= pi", lambda alpha: abs(alpha) <= math.pi)
 
 
 class AbsorberConfig(Record):
@@ -27,8 +37,7 @@ class AbsorberConfig(Record):
     def __post_init__(self) -> None:
         if self.arm not in ARMS:
             raise ValidationError(f"arm must be one of {ARMS}, got {self.arm!r}")
-        if not finite(self.M, lambda M: M >= 0.0):
-            raise ValidationError(f"absorption coefficient must be >= 0, got {self.M}")
+        check_absorption(self.M)
 
 
 class MagneticConfig(Record):
@@ -40,10 +49,7 @@ class MagneticConfig(Record):
     def __post_init__(self) -> None:
         if self.arm not in ARMS:
             raise ValidationError(f"arm must be one of {ARMS}, got {self.arm!r}")
-        if not finite(self.alpha, lambda alpha: abs(alpha) <= math.pi):
-            raise ValidationError(
-                f"precession angle must satisfy |alpha| <= pi, got {self.alpha}"
-            )
+        check_rotation(self.alpha)
 
 
 def _param(cfg: AbsorberConfig | MagneticConfig):
@@ -188,8 +194,7 @@ def infer_weak_value(cfg: AbsorberConfig | MagneticConfig, measured_ratio):
 
 def infer_projector_weak_value(M, measured_ratio):
     """Invert the first-order absorber law: (1 - ratio) / (2 M)."""
-    if not finite(M, lambda M: M > 0.0):
-        raise ValidationError(f"inference needs M > 0, got {M}")
+    require(M, "inference needs M > 0", lambda M: M > 0.0)
     return run_on(M, lambda M: (1.0 - measured_ratio) / (2.0 * M))
 
 
@@ -203,8 +208,7 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
     amplifies the ratio's float noise) clamp to zero; only genuinely
     unreachable ratios raise. Elementwise over arrays of ``alpha`` and ratios.
     """
-    if not finite(alpha, lambda alpha: alpha != 0.0):
-        raise ValidationError(f"inference needs alpha != 0, got {alpha}")
+    require(alpha, "inference needs alpha != 0", lambda alpha: alpha != 0.0)
 
     def modulus(alpha):
         alpha_sq = squared(alpha, "spin inference", "alpha")

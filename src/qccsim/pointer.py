@@ -47,6 +47,12 @@ def width_power(width: float, scale: float, power: int, quantity: str) -> float:
     return value
 
 
+def check_width(width: float) -> None:
+    """The pointer width rule: positive and finite."""
+    if not 0.0 < width < math.inf:
+        raise ValidationError(f"Gaussian width must be positive and finite, got {width!r}")
+
+
 class GaussianPointerState(Record):
     """Superposition of Gaussian components at rest, all of one ``width``."""
 
@@ -55,8 +61,7 @@ class GaussianPointerState(Record):
 
     def __post_init__(self) -> None:
         width = float(self.width)
-        if not (width > 0.0 and math.isfinite(width)):
-            raise ValidationError(f"Gaussian width must be positive and finite, got {width}")
+        check_width(width)
         width_power(width, 8.0, 2, "Gaussian pointer")  # the overlap exponent's denominator
         comps = tuple(GaussianComponent(complex(a), float(c)) for a, c in self.components)
         if not all(cmath.isfinite(a) and math.isfinite(c) for a, c in comps):

@@ -14,16 +14,9 @@ import math
 
 from ._record import Record
 from .errors import ValidationError
-from .pointer import make_gaussian, overlap, position_element, translate
+from .pointer import check_width, make_gaussian, overlap, position_element, translate
 from .qstate import SIGMA_X_ROWS, StateVector
-from .weakmeas import (
-    PrePostContext,
-    Spectrum,
-    finite,
-    first_failure,
-    one_number,
-    reduce_table,
-)
+from .weakmeas import PrePostContext, Spectrum, first_failure, one_number, reduce_table, require
 
 SYSTEM_LABELS = ("path", "spin")
 ARMS = ("I", "II")
@@ -60,17 +53,13 @@ def arm_spectrum(arm: str, tag: str) -> Spectrum:
 WEAK_MARGIN_WARN = 0.2
 
 
+@functools.cache
 def arm_observable(arm: str, tag: str) -> Observable:
     """Arm-local observable on path (x) spin.
 
     ``projector`` is |arm><arm| (x) 1, ``sigma_x`` is |arm><arm| (x) sigma_x.
     Built once per (arm, tag): every call returns the same immutable object.
     """
-    return _arm_observable(arm, tag)
-
-
-@functools.cache
-def _arm_observable(arm: str, tag: str) -> Observable:
     return arm_spectrum(arm, tag).observable(SYSTEM_LABELS)
 
 
@@ -123,10 +112,9 @@ class QccConfig(Record):
     def __post_init__(self) -> None:
         if self.observable_I not in OBSERVABLE_TAGS or self.observable_II not in OBSERVABLE_TAGS:
             raise ValidationError(f"observable tags must be in {OBSERVABLE_TAGS}")
-        if not (finite(self.g_I) and finite(self.g_II)):
-            raise ValidationError("couplings must be finite")
-        if not (math.isfinite(self.pointer_width) and self.pointer_width > 0.0):
-            raise ValidationError(f"pointer_width must be positive, got {self.pointer_width}")
+        require(self.g_I, "coupling g_I must be finite")
+        require(self.g_II, "coupling g_II must be finite")
+        check_width(self.pointer_width)
 
 
 class QccReport(Record):

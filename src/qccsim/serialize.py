@@ -83,9 +83,7 @@ def _json(obj, newline: str) -> str:
     raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def complex_fields(prefix: str, z: complex | None) -> dict:
-    if z is None:
-        return {f"{prefix}_re": None, f"{prefix}_im": None}
+def complex_fields(prefix: str, z: complex) -> dict:
     return {f"{prefix}_re": float(z.real), f"{prefix}_im": float(z.imag)}
 
 

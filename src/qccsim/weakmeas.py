@@ -171,9 +171,12 @@ def first_failure(ok: Callable, values, *beside):
     return tuple(v.flat[i].item() if hasattr(v, "flat") else v for v in (values, *beside))
 
 
-def finite(values, test: Callable = lambda v: True) -> bool:
-    """Whether ``values``, one number or an array, is finite and passes ``test`` everywhere."""
-    return first_failure(lambda v: (abs(v) < math.inf) & test(v), run_on(values, lambda v: v)) is None
+def require(values, rule: str, test: Callable = lambda v: True) -> None:
+    """State an input rule: ``ValidationError("<rule>, got <value>")`` at the first entry of
+    ``values``, one number or an array, that is not finite or fails ``test``."""
+    bad = first_failure(lambda v: (abs(v) < math.inf) & test(v), run_on(values, lambda v: v))
+    if bad is not None:
+        raise ValidationError(f"{rule}, got {bad[0]!r}")
 
 
 class WeakMeasurementResult(Record):
@@ -265,15 +268,14 @@ class BranchTable(NamedTuple):
         comps = phi0.components
         if len(comps) != 1 or comps[0].coeff != 1.0:
             raise ValidationError("the coupled readout needs a freshly prepared pointer")
-        if not finite(g):
-            raise ValidationError("coupling strength must be finite")
+        require(g, "coupling strength must be finite")
 
         def pair_sums(gs):
             if getattr(gs, "ndim", 0) > 1:
                 raise ValidationError(f"couplings must be one number or a 1-D array, got shape {gs.shape}")
             x = [comps[0].center + gs * a for a in self.eigvals]
-            if not all(finite(xk) for xk in x):
-                raise ValidationError("translation shift and coefficient must be finite")
+            for xk in x:
+                require(xk, "branch center x_0 + g a_k must be finite")
             # Branches landing on one center merge into the first, as in superpose (all at g = 0).
             re, im = [], []
             for k, c in enumerate(self.coeffs):

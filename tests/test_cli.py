@@ -21,7 +21,10 @@ import pytest
 from qccsim import cli, montecarlo, qcc, qstate
 from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
-from qccsim.qcc import OBSERVABLE_TAGS
+from qccsim.montecarlo import TrialBatch, estimate_weak_value, sample_trials
+from qccsim.neutron import AbsorberConfig, MagneticConfig
+from qccsim.pointer import make_gaussian
+from qccsim.qcc import OBSERVABLE_TAGS, QccConfig
 from qccsim.qstate import StateVector, apply
 
 from oracles import fit_exponent
@@ -102,7 +105,7 @@ class TestRunRecord:
         _, second, _ = run_cli(capsys, "qcc-joint", "--g", "0.03")
         assert record_without_timestamp(first) == record_without_timestamp(second)
 
-    def test_orthogonal_context_reports_null_weak_value(self, capsys):
+    def test_pointer_montecarlo_reports_the_exact_weak_value(self, capsys):
         code, out, _ = run_cli(
             capsys, "montecarlo", "--mode", "pointer", "--context", "qcc-pi-I",
             "--g", "0.1", "--n", "200", "--seed", "3",
@@ -372,7 +375,7 @@ class TestSweeps:
     )
     def test_state_algebra_does_not_grow_with_the_point_count(self, capsys, monkeypatch, scenario, flag):
         def counted_calls(points: int) -> tuple[int, int]:
-            for cached in (qcc._prepost, qcc._arm_observable, qcc._arm_table):
+            for cached in (qcc._prepost, qcc.arm_observable, qcc._arm_table):
                 cached.cache_clear()
             calls = {"apply": 0, "states": 0}
 
@@ -564,6 +567,13 @@ class TestExitCodes:
         assert code == 5
         assert json.loads(err)["error"]["type"] == "OrthogonalPostselection"
 
+    def test_grid_too_coarse_for_the_pointer_exits_three(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "weak-value", "--grid-points", "4", "--csv", str(tmp_path / "g.csv"))
+        assert (code, out) == (3, "")
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith("grid norm ") and " deviates from closed form " in message
+        assert not (tmp_path / "g.csv").exists()
+
     def test_coupling_beyond_float_resolution_exits_five(self, capsys, tmp_path):
         # At g = 1e150 the pointer's support collapses in floating point: a limit, not a bad input.
         code, _, err = run_cli(capsys, "weak-value", "--g", "1e150", "--csv", str(tmp_path / "g.csv"))
@@ -712,6 +722,52 @@ class TestValidateOnly:
         assert json.loads(out)["violations"] == []
 
 
+PI_UP = math.nextafter(math.pi, 4)
+PHI0 = make_gaussian(0.0, 1.0)
+TWO_TRIALS = TrialBatch([0.0, 0.0], [True, True])
+EXACT_RUN = qcc.arm_table("I", "projector").couple(PHI0, 0.05)
+# Each value rule at its boundaries: (argv, parameter, the library call that applies the rule,
+# the rule's message where the value is rejected or None where it is accepted). --validate-only
+# reports "<parameter>: <message>", and the library raises "<message>", from the one definition.
+RULE_CASES = [
+    (("neutron-absorber", "--M", "-0.0"), "M", lambda: AbsorberConfig("I", -0.0), None),
+    (("neutron-absorber", "--M", "-5e-324"), "M", lambda: AbsorberConfig("I", -5e-324),
+     "absorption coefficient must be >= 0, got -5e-324"),
+    (("sweep", "--scenario", "neutron-absorber", "--M=-1:1:5"), "M",
+     lambda: AbsorberConfig("I", np.linspace(-1, 1, 5)), "absorption coefficient must be >= 0, got -1.0"),
+    (("neutron-magnetic", "--alpha", repr(math.pi)), "alpha", lambda: MagneticConfig("I", math.pi), None),
+    (("neutron-magnetic", "--alpha", repr(-math.pi)), "alpha", lambda: MagneticConfig("I", -math.pi), None),
+    (("neutron-magnetic", "--alpha", repr(PI_UP)), "alpha", lambda: MagneticConfig("I", PI_UP),
+     f"precession angle must satisfy |alpha| <= pi, got {PI_UP!r}"),
+    (("sweep", "--scenario", "neutron-magnetic", "--alpha=-4:4:3000"), "alpha",
+     lambda: MagneticConfig("I", np.linspace(-4, 4, 3000)), "precession angle must satisfy |alpha| <= pi, got -4.0"),
+    (("qcc", "--pointer-width", "5e-324"), "pointer_width", lambda: QccConfig(pointer_width=5e-324), None),
+    (("qcc", "--pointer-width", "0.0"), "pointer_width", lambda: QccConfig(pointer_width=0.0),
+     "Gaussian width must be positive and finite, got 0.0"),
+    (("weak-value", "--pointer-width", "-0.0"), "pointer_width", lambda: make_gaussian(0.0, -0.0),
+     "Gaussian width must be positive and finite, got -0.0"),
+    (("montecarlo", "--g", "5e-324"), "g", lambda: estimate_weak_value(TWO_TRIALS, PHI0, 5e-324), None),
+    (("montecarlo", "--g", "-0.0"), "g", lambda: estimate_weak_value(TWO_TRIALS, PHI0, -0.0),
+     "weak-value estimation needs a nonzero coupling, got -0.0"),
+    (("montecarlo", "--workers", "1"), "workers", lambda: sample_trials(EXACT_RUN, 10, 1, workers=1), None),
+    (("montecarlo", "--workers", "0"), "workers", lambda: sample_trials(EXACT_RUN, 10, 1, workers=0),
+     "worker count must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, name, library, rule", RULE_CASES, ids=[" ".join(c[0]) for c in RULE_CASES])
+def test_each_value_rule_is_the_librarys(capsys, argv, name, library, rule):
+    code, out, _ = run_cli(capsys, *argv, "--validate-only")
+    assert json.loads(out)["violations"] == ([] if rule is None else [f"{name}: {rule}"])
+    assert code == (0 if rule is None else 3)
+    if rule is None:
+        library()
+    else:
+        with pytest.raises(ValidationError) as info:
+            library()
+        assert str(info.value) == rule
+
+
 class TestMonteCarloCli:
     def test_worker_count_does_not_change_results(self, capsys):
         args = ("montecarlo", "--mode", "pointer", "--context", "anomalous",
@@ -750,6 +806,17 @@ class TestMonteCarloCli:
             assert code == 5
             assert json.loads(err)["error"]["type"] == "OrthogonalPostselection"
         assert sampled == []
+
+    def test_count_ratio_below_the_reachable_band_infers_null(self, capsys):
+        code, out, _ = run_cli(capsys, "montecarlo", "--mode", "intensity-magnetic", "--arm", "I",
+                               "--alpha", "0.05", "--n", "50", "--seed", "2")
+        assert code == 0
+        assert json.loads(out)["results"]["inferred_from_counts"] is None
+
+    def test_no_reference_detections_exits_three(self, capsys):
+        code, _, err = run_cli(capsys, "montecarlo", "--mode", "intensity-absorber", "--n", "1", "--seed", "1")
+        assert code == 3
+        assert json.loads(err)["error"] == {"type": "ValidationError", "message": "no reference detections; increase n"}
 
     def test_intensity_absorber_mode(self, capsys):
         code, out, _ = run_cli(

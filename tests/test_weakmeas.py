@@ -13,6 +13,7 @@ from qccsim.pointer import make_gaussian, mean_position, norm_sq, superpose, tra
 from qccsim.qcc import ARMS, OBSERVABLE_TAGS, arm_observable, arm_spectrum, arm_table, build_prepost
 from qccsim.qstate import StateVector, inner
 from qccsim.weakmeas import (
+    BranchTable,
     PrePostContext,
     Spectrum,
     branch_table,
@@ -224,6 +225,13 @@ class TestCoupleAndPostselect:
         result = couple_and_postselect(*build_context("qcc-pi-I"), PHI0, g)
         assert result.exact_shift == pytest.approx(g, rel=1e-15)
         assert result.postselect_prob_coupled == pytest.approx(0.25, rel=1e-15)
+
+    def test_position_pair_sum_beyond_the_float_range_overflows(self):
+        # Centers 8e307 and 1.6e308 are finite, but the branch weights sum the position past the float range.
+        table = BranchTable(eigvals=(1.0, 2.0), coeffs=(0.9 + 0j, 0.9 + 0j), overlap=1.8 + 0j,
+                            transition=2.7 + 0j, transition_sq=4.5 + 0j)
+        with pytest.raises(OverflowError, match=r"^pointer shift overflows: exact_shift at g=8e\+307$"):
+            table.couple(PHI0, 8e307)
 
     @pytest.mark.parametrize("center", [1e308, -1e308])
     def test_far_out_pointer_at_zero_coupling_stays_put(self, center):
