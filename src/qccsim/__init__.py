@@ -76,8 +76,8 @@ _EXPORTS = {
     "weakmeas": (
         "BranchTable",
         "LinearResponseReport",
-        "Observable",
         "PrePostContext",
+        "Spectrum",
         "ValidityReport",
         "WeakMeasurementResult",
         "branch_table",

@@ -60,6 +60,7 @@ from .pointer import check_grid_points, check_width, make_gaussian, support, to_
 from .qcc import (
     ARMS,
     OBSERVABLE_TAGS,
+    SIGMA_X_ROWS,
     QccConfig,
     arm_observable,
     arm_table,
@@ -67,7 +68,6 @@ from .qcc import (
     run_ideal_qcc,
     run_joint_pointers,
 )
-from .qstate import SIGMA_X_ROWS, StateVector
 from .serialize import (
     Table,
     dumps_json,
@@ -104,13 +104,13 @@ _HALF = 1.0 / math.sqrt(2.0)
 # Spectra of sigma_x and of |path 0><path 0|, written out exactly as np.linalg.eigh returns them.
 SIGMA_X_SPECTRUM = Spectrum(SIGMA_X_ROWS, (-1.0, 1.0), ((-_HALF, _HALF), (_HALF, _HALF)))
 PROJECTOR_SPECTRUM = Spectrum(((1.0, 0.0), (0.0, 0.0)), (0.0, 1.0), ((0.0, 1.0), (1.0, 0.0)))
-# Two-level context name -> (label, psi, chi, observable spectrum). "anomalous"
-# is the sigma_x one whose chi = (cos theta, sin theta) follows tan_theta, taken
+# Two-level context name -> (psi, chi, observable spectrum). "anomalous" is the
+# sigma_x one whose chi = (cos theta, sin theta) follows tan_theta, taken
 # without atan, which loses precision at large |tan theta|.
 _TWO_LEVEL = {
-    "spin-trivial": ("spin", (1.0, 0.0), (1.0, 0.0), SIGMA_X_SPECTRUM),
-    "path-null": ("path", (_HALF, _HALF), (0.0, 1.0), PROJECTOR_SPECTRUM),
-    "orthogonal": ("spin", (1.0, 0.0), (0.0, 1.0), SIGMA_X_SPECTRUM),
+    "spin-trivial": ((1.0, 0.0), (1.0, 0.0), SIGMA_X_SPECTRUM),
+    "path-null": ((_HALF, _HALF), (0.0, 1.0), PROJECTOR_SPECTRUM),
+    "orthogonal": ((1.0, 0.0), (0.0, 1.0), SIGMA_X_SPECTRUM),
 }
 # Cheshire Cat context name -> (arm, observable tag), on the states of build_prepost().
 _ARM_CONTEXTS = {
@@ -122,26 +122,25 @@ CONTEXT_NAMES = (*_TWO_LEVEL, "anomalous", *_ARM_CONTEXTS)
 def _two_level(name: str, tan_theta: float) -> tuple:
     if name == "anomalous":
         h = math.hypot(1.0, tan_theta)
-        return "spin", (1.0, 0.0), (1.0 / h, tan_theta / h), SIGMA_X_SPECTRUM
+        return (1.0, 0.0), (1.0 / h, tan_theta / h), SIGMA_X_SPECTRUM
     if name not in _TWO_LEVEL:
         raise ValidationError(f"unknown context {name!r}; choose from {CONTEXT_NAMES}")
     return _TWO_LEVEL[name]
 
 
-def build_context(name: str, tan_theta: float = 3.0) -> tuple[PrePostContext, Observable]:
+def build_context(name: str, tan_theta: float = 3.0) -> tuple[PrePostContext, Spectrum]:
     """Named pre/postselection scenarios used by weak-value and montecarlo runs."""
     if name in _ARM_CONTEXTS:
         return build_prepost(), arm_observable(*_ARM_CONTEXTS[name])
-    label, psi, chi, spectrum = _two_level(name, tan_theta)
-    pre_post = PrePostContext(StateVector((2,), (label,), psi), StateVector((2,), (label,), chi))
-    return pre_post, spectrum.observable((label,))
+    psi, chi, spectrum = _two_level(name, tan_theta)
+    return PrePostContext(psi, chi), spectrum
 
 
 def context_table(name: str, tan_theta: float = 3.0) -> BranchTable:
     """``branch_table(*build_context(name, tan_theta))``, reduced from the same data without numpy."""
     if name in _ARM_CONTEXTS:
         return arm_table(*_ARM_CONTEXTS[name])
-    return reduce_table(*_two_level(name, tan_theta)[1:])
+    return reduce_table(*_two_level(name, tan_theta))
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -530,7 +529,7 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
     table = Table(header, [np.broadcast_to(column, values.shape) for column in columns])
     out = {"swept_scenario": scenario, "columns": list(header), "rows": table}
     if csv_path is not None:
-        write_sweep_csv(csv_path, header, table)
+        write_sweep_csv(csv_path, table)
     return out
 
 

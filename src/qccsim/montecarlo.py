@@ -185,10 +185,14 @@ def estimate_weak_value(batch: TrialBatch, phi0: GaussianPointerState, g: float)
         scale = float(np.max(np.abs(batch.positions)))
         spread = scale * float((batch.positions / scale).std(ddof=1))
     std_error = spread / math.sqrt(batch.n_postselected) / abs(g)
+    estimate = mean_shift / g
+    for field, value in (("estimated_wv_re", estimate), ("std_error", std_error)):
+        if not math.isfinite(value):  # a tiny coupling divides a finite shift past the float range
+            raise OverflowError(f"weak-value estimate overflows: {field} at g={g!r}")
     return EstimatorReport(
         mean_shift=mean_shift,
         std_error=std_error,
-        estimated_wv_re=mean_shift / g,
+        estimated_wv_re=estimate,
         postselect_rate=batch.n_postselected / batch.n_total,
         n_total=batch.n_total,
         n_postselected=batch.n_postselected,

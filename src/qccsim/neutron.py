@@ -13,9 +13,8 @@ import math
 from ._record import Record
 from .errors import NegativeRadicand, ValidationError
 from .qcc import ARMS, CHI, PSI, arm_table
-from .qstate import vdot
 from .tolerances import ARITHMETIC, STRUCTURAL
-from .weakmeas import elementwise, first_failure, one_number, require, run_on, squared
+from .weakmeas import elementwise, first_failure, one_number, require, run_on, squared, vdot
 
 
 def check_absorption(M) -> None:

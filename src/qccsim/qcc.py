@@ -15,10 +15,9 @@ import math
 from ._record import Record
 from .errors import ValidationError
 from .pointer import check_width, make_gaussian, overlap, position_element, translate
-from .qstate import SIGMA_X_ROWS, StateVector
 from .weakmeas import PrePostContext, Spectrum, first_failure, one_number, reduce_table, require
 
-SYSTEM_LABELS = ("path", "spin")
+SIGMA_X_ROWS = ((0.0, 1.0), (1.0, 0.0))
 ARMS = ("I", "II")
 OBSERVABLE_TAGS = ("projector", "sigma_x")
 
@@ -37,9 +36,17 @@ _ARM_EIGENPAIRS = {
     ("II", "sigma_x"): ((-1.0, 0.0, 0.0, 1.0), ((0, 0, -_H, _H), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, _H, _H))),
 }
 
+# Margin above which a report is flagged as outside the weak regime.
+WEAK_MARGIN_WARN = 0.2
 
-def arm_spectrum(arm: str, tag: str) -> Spectrum:
-    """The written-out spectrum of the arm observable on path (x) spin."""
+
+@functools.cache
+def arm_observable(arm: str, tag: str) -> Spectrum:
+    """Arm-local observable on path (x) spin, written out and checked.
+
+    ``projector`` is |arm><arm| (x) 1, ``sigma_x`` is |arm><arm| (x) sigma_x.
+    Built once per (arm, tag): every call returns the same immutable object.
+    """
     if arm not in ARMS:
         raise ValidationError(f"arm must be one of {ARMS}, got {arm!r}")
     if tag not in OBSERVABLE_TAGS:
@@ -48,19 +55,6 @@ def arm_spectrum(arm: str, tag: str) -> Spectrum:
     j = ARMS.index(arm)
     rows = tuple(tuple(float(r // 2 == c // 2 == j) * spin[r % 2][c % 2] for c in range(4)) for r in range(4))
     return Spectrum(rows, *_ARM_EIGENPAIRS[arm, tag])
-
-# Margin above which a report is flagged as outside the weak regime.
-WEAK_MARGIN_WARN = 0.2
-
-
-@functools.cache
-def arm_observable(arm: str, tag: str) -> Observable:
-    """Arm-local observable on path (x) spin.
-
-    ``projector`` is |arm><arm| (x) 1, ``sigma_x`` is |arm><arm| (x) sigma_x.
-    Built once per (arm, tag): every call returns the same immutable object.
-    """
-    return arm_spectrum(arm, tag).observable(SYSTEM_LABELS)
 
 
 def build_prepost(swap_spin_labels: bool = False) -> PrePostContext:
@@ -77,10 +71,7 @@ def build_prepost(swap_spin_labels: bool = False) -> PrePostContext:
 
 @functools.cache
 def _prepost(swap_spin_labels: bool) -> PrePostContext:
-    return PrePostContext(
-        psi_i=StateVector((2, 2), SYSTEM_LABELS, PSI),
-        chi_f=StateVector((2, 2), SYSTEM_LABELS, CHI[swap_spin_labels]),
-    )
+    return PrePostContext(PSI, CHI[swap_spin_labels])
 
 
 def arm_table(arm: str, tag: str, swap_spin_labels: bool = False) -> BranchTable:
@@ -93,7 +84,7 @@ def arm_table(arm: str, tag: str, swap_spin_labels: bool = False) -> BranchTable
 
 @functools.cache
 def _arm_table(arm: str, tag: str, swap_spin_labels: bool) -> BranchTable:
-    return reduce_table(PSI, CHI[swap_spin_labels], arm_spectrum(arm, tag))
+    return reduce_table(PSI, CHI[swap_spin_labels], arm_observable(arm, tag))
 
 
 class QccConfig(Record):

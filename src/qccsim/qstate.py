@@ -1,5 +1,8 @@
 """Dense complex linear algebra over labeled tensor-product Hilbert spaces.
 
+A standalone algebra that no other module imports: weak measurements take
+amplitude sequences and a :class:`~qccsim.weakmeas.Spectrum` instead.
+
 States and operators are immutable; every operation is a pure function.
 Labels name a state's subsystems, and two states meet only on the same
 labeled space. An operator acts on a state's whole space, so applying
@@ -15,17 +18,7 @@ import math
 from ._record import Record
 from .errors import CapacityError, DimensionMismatch, ValidationError
 from .tolerances import MAX_AMPLITUDES
-
-SIGMA_X_ROWS = ((0.0, 1.0), (1.0, 0.0))
-
-
-def vdot(bra, ket) -> complex:
-    """<bra|ket> of two amplitude sequences, summed in order in Python complex
-    arithmetic: one rounding on every platform, where a BLAS dot may fuse products."""
-    total = 0j
-    for b, k in zip(bra, ket):
-        total += b.conjugate() * k
-    return total
+from .weakmeas import vdot
 
 
 def _frozen_array(values, shape_hint: str) -> np.ndarray:

@@ -146,6 +146,6 @@ def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:
     _write_table(path, ("trial_index", "postselected", "position"), mask.size, rows)
 
 
-def write_sweep_csv(path: str | Path, header: Sequence[str], table: Table) -> None:
-    """A sweep's table, from the cells its record's rows are rendered from."""
-    _write_table(path, header, len(table.cells[0]), lambda a, b: _lines(x[a:b] for x in table.cells))
+def write_sweep_csv(path: str | Path, table: Table) -> None:
+    """A sweep's table under its header, from the cells its record's rows are rendered from."""
+    _write_table(path, table.header, len(table.cells[0]), lambda a, b: _lines(x[a:b] for x in table.cells))

@@ -5,114 +5,116 @@ It is applied through the spectral decomposition of the observable, so
 each eigenbranch translates the pointer exactly and results carry no
 weak-coupling or discretization approximation.
 
-A (context, observable) pair reduces to one :class:`BranchTable`. Its
-readouts are closed forms in g, over one coupling as Python floats or
+A context is two amplitude sequences and an observable a checked
+:class:`Spectrum`, both Python numbers; a pair reduces to one :class:`BranchTable`.
+Its readouts are closed forms in g, over one coupling as Python floats or
 over a whole array of couplings at once; numpy loads only for the array.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, NamedTuple, Sequence
 
 from ._record import Record
-from .errors import OrthogonalPostselection, ValidationError
+from .errors import DimensionMismatch, OrthogonalPostselection, ValidationError
 from .pointer import GaussianPointerState, mean_position, midpoint, superpose, translate, width_power
-from .qstate import Operator, StateVector, inner, vdot
 from .tolerances import EIGEN, ORTHOGONAL_OVERLAP, STRUCTURAL
 
 
-class Observable(Record):
-    """Hermitian observable with its spectral data and labeled space.
+def vdot(bra, ket) -> complex:
+    """<bra|ket> of two amplitude sequences, summed in order in Python complex
+    arithmetic: one rounding on every platform, where a BLAS dot may fuse products."""
+    total = 0j
+    for b, k in zip(bra, ket):
+        total += b.conjugate() * k
+    return total
 
-    ``targets`` labels the subsystems of the whole space the operator acts
-    on, and its eigenvectors live on that space. Use :func:`make_observable`
-    to build one from a matrix.
-    """
 
-    op: Operator
-    targets: tuple[str, ...]
+def matvec(rows, vec) -> list[complex]:
+    """A|vec> of a matrix's rows and an amplitude sequence, each entry summed in order."""
+    return [sum((r * x for r, x in zip(row, vec)), 0j) for row in rows]
+
+
+def amplitudes(values, what: str) -> tuple[complex, ...]:
+    """``values`` as Python complex numbers, each of them finite."""
+    amps = tuple(map(complex, values))
+    if not all(map(cmath.isfinite, amps)):
+        raise ValidationError(f"{what} contains non-finite entries")
+    return amps
+
+
+def hermitian_rows(matrix) -> tuple[tuple[complex, ...], ...]:
+    """The rows of a finite, square, hermitian matrix, as Python complex numbers."""
+    side = len(matrix)
+    shape = (side, *sorted({len(row) for row in matrix if hasattr(row, "__len__")}))
+    if shape != (side, side):
+        raise DimensionMismatch(f"operator matrix has shape {shape}, expected ({side}, {side})")
+    rows = tuple(amplitudes(row, "operator matrix") for row in matrix)
+    defect = max(abs(rows[r][c] - rows[c][r].conjugate()) for r in range(side) for c in range(side))
+    if defect > STRUCTURAL:
+        raise ValidationError(f"hermitian defect {defect:.3e} exceeds {STRUCTURAL}")
+    return rows
+
+
+class Spectrum(Record):
+    """A hermitian observable written out: the ``rows`` of its matrix, its ``eigvals``
+    and one amplitude sequence per eigenvector, in Python numbers. Building one checks
+    it, without numpy: finite entries, hermitian rows, one eigenpair per row, each
+    within ``EIGEN`` of A v = a v, and orthonormal eigenvectors."""
+
+    rows: tuple[tuple[complex, ...], ...]
     eigvals: tuple[float, ...]
-    eigvecs: tuple[StateVector, ...]
+    eigvecs: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self) -> None:
-        import numpy as np
-        targets = tuple(self.targets)
-        entries, side = self.op.entries, self.op.side
-        defect = np.max(np.abs(entries - entries.conj().T))
-        if defect > STRUCTURAL:
-            raise ValidationError(f"hermitian defect {defect:.3e} exceeds {STRUCTURAL}")
+        rows = hermitian_rows(self.rows)
+        side = len(rows)
         vals = tuple(float(v) for v in self.eigvals)
-        vecs = tuple(self.eigvecs)
-        if len(vals) != side or len(vecs) != side:
-            raise ValidationError(f"need {side} eigenpairs, got {len(vals)}/{len(vecs)}")
-        for k, vec in enumerate(vecs):
-            if vec.dims != self.op.dims or vec.labels != targets:
-                raise ValidationError("eigenvector spaces must match the operator targets")
-            residual = entries @ vec.amps - vals[k] * vec.amps
-            if np.max(np.abs(residual)) > EIGEN:
+        if len(vals) != side or len(self.eigvecs) != side:
+            raise ValidationError(f"need {side} eigenpairs, got {len(vals)}/{len(self.eigvecs)}")
+        vecs = tuple(amplitudes(vec, "amplitude vector") for vec in self.eigvecs)
+        for k, (a, vec) in enumerate(zip(vals, vecs)):
+            if len(vec) != side:
+                raise DimensionMismatch(f"amplitude vector has length {len(vec)}, expected {side}")
+            if max(abs(av - a * v) for av, v in zip(matvec(rows, vec), vec)) > EIGEN:
                 raise ValidationError(f"eigenpair {k} residual exceeds {EIGEN}")
-        gram = np.array([[inner(a, b) for b in vecs] for a in vecs])
-        if np.max(np.abs(gram - np.eye(side))) > EIGEN:
+        if max(abs(vdot(u, v) - (i == j)) for i, u in enumerate(vecs) for j, v in enumerate(vecs)) > EIGEN:
             raise ValidationError("eigenvectors are not orthonormal")
-        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "eigvals", vals)
         object.__setattr__(self, "eigvecs", vecs)
 
 
-def _operator(matrix, targets: tuple[str, ...]) -> Operator:
-    """``matrix`` on the space labeled ``targets``: one subsystem per label, all of equal dimension."""
+def make_observable(matrix) -> Spectrum:
+    """The checked :class:`Spectrum` of a hermitian matrix, from ``np.linalg.eigh``."""
     import numpy as np
-    entries = np.asarray(matrix, dtype=complex)
-    side = entries.shape[0] if entries.ndim else 0
-    per = round(side ** (1.0 / len(targets))) if targets else 0
-    if per < 1 or per ** len(targets) != side:
-        raise ValidationError(f"a {side}-row matrix does not split into {len(targets)} equal subsystems")
-    return Operator((per,) * len(targets), entries)
-
-
-class Spectrum(NamedTuple):
-    """A hermitian matrix written out with its eigenpairs: the ``rows`` of
-    the matrix, its ``eigvals`` and one amplitude sequence per eigenvector."""
-
-    rows: Sequence
-    eigvals: Sequence[float]
-    eigvecs: Sequence
-
-    def observable(self, targets: Sequence[str]) -> Observable:
-        """The :class:`Observable` on the space labeled ``targets``, checked as any other."""
-        targets = tuple(targets)
-        op = _operator(self.rows, targets)
-        vecs = tuple(StateVector(op.dims, targets, v) for v in self.eigvecs)
-        return Observable(op, targets, tuple(float(v) for v in self.eigvals), vecs)
-
-
-def make_observable(matrix, targets: Sequence[str]) -> Observable:
-    """Build an :class:`Observable` from a hermitian matrix on the space
-    labeled ``targets``: one subsystem per label, all of equal dimension."""
-    import numpy as np
-    entries = _operator(matrix, tuple(targets)).entries
-    vals, vecs = np.linalg.eigh(entries)
-    return Spectrum(entries, vals.tolist(), vecs.T).observable(targets)
+    rows = hermitian_rows(np.array(matrix, dtype=complex, ndmin=1).tolist())
+    vals, vecs = np.linalg.eigh(np.array(rows))
+    return Spectrum(rows, vals.tolist(), vecs.T.tolist())
 
 
 class PrePostContext(Record):
-    """Preselected state and postselection state, both at the coupling time.
+    """Preselected and postselected amplitudes over one basis, both at the coupling time.
 
-    Any evolution before or after the coupling is folded into the states
-    with ``apply(U, psi)``: ``psi_i`` is U_wi|psi>, ``chi_f``
-    is U_fw^dagger|chi>. The postselection bra is the adjoint of ``chi_f``.
+    Any evolution before or after the coupling is folded into them: ``psi_i``
+    is U_wi|psi>, ``chi_f`` is U_fw^dagger|chi>. The postselection bra is the
+    adjoint of ``chi_f``.
     """
 
-    psi_i: StateVector
-    chi_f: StateVector
+    psi_i: tuple[complex, ...]
+    chi_f: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        for name, state in (("psi_i", self.psi_i), ("chi_f", self.chi_f)):
-            if abs(state.norm - 1.0) > STRUCTURAL:
-                raise ValidationError(f"{name} must be normalized, norm {state.norm!r}")
-        if self.psi_i.dims != self.chi_f.dims or self.psi_i.labels != self.chi_f.labels:
-            raise ValidationError("psi_i and chi_f must live on the same labeled space")
+        for name in ("psi_i", "chi_f"):
+            amps = amplitudes(getattr(self, name), "amplitude vector")
+            norm = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in amps))
+            if abs(norm - 1.0) > STRUCTURAL:
+                raise ValidationError(f"{name} must be normalized, norm {norm!r}")
+            object.__setattr__(self, name, amps)
+        if len(self.psi_i) != len(self.chi_f):
+            raise DimensionMismatch(f"psi_i and chi_f differ in length: {len(self.psi_i)} and {len(self.chi_f)}")
 
 
 def one_number(values) -> bool:
@@ -352,44 +354,34 @@ def reduce_table(psi: Sequence, chi: Sequence, spectrum: Spectrum) -> BranchTabl
     written-out spectrum: the one reduction behind every table, in Python complex
     arithmetic, so a table is the same whether or not numpy built its inputs."""
     psi, chi = [complex(x) for x in psi], [complex(x) for x in chi]
-    rows = [[complex(x) for x in row] for row in spectrum.rows]
     merged: dict[float, complex] = {}
     for a, vec in zip(spectrum.eigvals, spectrum.eigvecs):
-        vec = [complex(x) for x in vec]
         merged[a] = merged.get(a, 0.0 + 0.0j) + vdot(chi, vec) * vdot(vec, psi)
     branches = [(a, c) for a, c in merged.items() if c != 0.0]
-    a_psi = [sum((r * x for r, x in zip(row, psi)), 0j) for row in rows]
+    a_psi = matvec(spectrum.rows, psi)
     return BranchTable(
         eigvals=tuple(a for a, _ in branches),
         coeffs=tuple(c for _, c in branches),
         overlap=vdot(chi, psi),
         transition=vdot(chi, a_psi),
-        transition_sq=vdot(chi, [sum((r * x for r, x in zip(row, a_psi)), 0j) for row in rows]),
+        transition_sq=vdot(chi, matvec(spectrum.rows, a_psi)),
     )
 
 
-def branch_table(ctx: PrePostContext, obs: Observable) -> BranchTable:
+def branch_table(ctx: PrePostContext, spectrum: Spectrum) -> BranchTable:
     """Reduce a (context, observable) pair to its :class:`BranchTable`."""
-    psi, chi = ctx.psi_i, ctx.chi_f
-    if obs.targets != psi.labels:
-        raise ValidationError(
-            f"observable targets {obs.targets} must equal the context labels {psi.labels}"
-        )
-    vecs = [vec.amps.tolist() for vec in obs.eigvecs]
-    return reduce_table(psi.amps.tolist(), chi.amps.tolist(), Spectrum(obs.op.entries.tolist(), obs.eigvals, vecs))
+    if len(spectrum.rows) != len(ctx.psi_i):
+        raise DimensionMismatch(f"observable has {len(spectrum.rows)} rows for a {len(ctx.psi_i)}-level context")
+    return reduce_table(ctx.psi_i, ctx.chi_f, spectrum)
 
 
-def weak_value(ctx: PrePostContext, obs: Observable) -> complex:
+def weak_value(ctx: PrePostContext, obs: Spectrum) -> complex:
     """A^w = <chi|A|psi> / <chi|psi>."""
     return branch_table(ctx, obs).weak_value()
 
 
-def couple_and_postselect(
-    ctx: PrePostContext,
-    obs: Observable,
-    phi0: GaussianPointerState,
-    g: float,
-) -> WeakMeasurementResult:
+def couple_and_postselect(ctx: PrePostContext, obs: Spectrum, phi0: GaussianPointerState,
+                          g: float) -> WeakMeasurementResult:
     """Run the full protocol and return the exact postselected pointer.
 
     The final pointer is the superposition over eigenbranches of the
@@ -399,23 +391,14 @@ def couple_and_postselect(
     return branch_table(ctx, obs).couple(phi0, g)
 
 
-def linear_response_report(
-    ctx: PrePostContext,
-    obs: Observable,
-    phi0: GaussianPointerState,
-    g: float,
-) -> LinearResponseReport:
+def linear_response_report(ctx: PrePostContext, obs: Spectrum, phi0: GaussianPointerState,
+                           g: float) -> LinearResponseReport:
     """Compare the exact mean-position shift with the linear weak-value law."""
     table = branch_table(ctx, obs)
     table.weak_value()  # an orthogonal postselection raises before coupling
     return table.linear_response(table.couple(phi0, g))
 
 
-def validity_margin(
-    ctx: PrePostContext,
-    obs: Observable,
-    phi0: GaussianPointerState,
-    g: float,
-) -> ValidityReport:
+def validity_margin(ctx: PrePostContext, obs: Spectrum, phi0: GaussianPointerState, g: float) -> ValidityReport:
     """Weak-regime margin and second-order dominance check."""
     return branch_table(ctx, obs).validity(phi0, g)

@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qccsim import cli, montecarlo, qcc, qstate
+from qccsim import cli, montecarlo, qcc
 from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
 from qccsim.montecarlo import TrialBatch, estimate_weak_value, sample_trials
 from qccsim.neutron import AbsorberConfig, MagneticConfig
 from qccsim.pointer import make_gaussian
 from qccsim.qcc import OBSERVABLE_TAGS, QccConfig
-from qccsim.qstate import StateVector, apply
+from qccsim.weakmeas import Spectrum
 
 from oracles import fit_exponent
 
@@ -260,7 +260,7 @@ class TestCsvArtifacts:
             assert (tmp_path / name).read_text() == out
 
     def test_a_write_error_names_the_path_the_user_gave(self, capsys, tmp_path, monkeypatch):
-        def disk_full(path, header, table):
+        def disk_full(path, table):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
 
         monkeypatch.setattr(cli, "write_sweep_csv", disk_full)
@@ -377,24 +377,24 @@ class TestSweeps:
         def counted_calls(points: int) -> tuple[int, int]:
             for cached in (qcc._prepost, qcc.arm_observable, qcc._arm_table):
                 cached.cache_clear()
-            calls = {"apply": 0, "states": 0}
+            calls = {"tables": 0, "spectra": 0}
 
-            def counting_apply(*args):
-                calls["apply"] += 1
-                return apply(*args)
+            def counting_reduce_table(*args):
+                calls["tables"] += 1
+                return reduce_table(*args)
 
-            def counting_post_init(state):
-                calls["states"] += 1
-                post_init(state)
+            def counting_post_init(spectrum):
+                calls["spectra"] += 1
+                post_init(spectrum)
 
             with monkeypatch.context() as patch:
-                patch.setattr(qstate, "apply", counting_apply)
-                patch.setattr(StateVector, "__post_init__", counting_post_init)
+                patch.setattr(qcc, "reduce_table", counting_reduce_table)
+                patch.setattr(Spectrum, "__post_init__", counting_post_init)
                 code, _, _ = run_cli(capsys, "sweep", "--scenario", scenario, flag, f"0:1:{points}")
             assert code == 0
-            return calls["apply"], calls["states"]
+            return calls["tables"], calls["spectra"]
 
-        post_init = StateVector.__post_init__
+        reduce_table, post_init = qcc.reduce_table, Spectrum.__post_init__
         assert counted_calls(3) == counted_calls(300)
 
     def test_range_parsing(self):
@@ -617,6 +617,18 @@ class TestExitCodes:
         assert code == 5
         kind, message = error.split(": ", 1)
         assert json.loads(err)["error"] == {"type": kind, "message": message}
+
+    def test_a_subnormal_monte_carlo_coupling_overflows_the_estimate(self, capsys):
+        code, out, err = run_cli(capsys, "montecarlo", "--g", "5e-324", "--n", "2000")
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"] == {
+            "type": "OverflowError",
+            "message": "weak-value estimate overflows: estimated_wv_re at g=5e-324",
+        }
+        code, out, _ = run_cli(capsys, "montecarlo", "--g", "1e-300", "--n", "2000")
+        estimator = json.loads(out)["results"]["estimator"]
+        assert code == 0
+        assert math.isfinite(estimator["estimated_wv_re"]) and math.isfinite(estimator["std_error"])
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -253,6 +253,17 @@ class TestEstimator:
         with pytest.raises(ValidationError):
             estimate_weak_value(batch, PHI0, 0.0)
 
+    @pytest.mark.parametrize(
+        "positions, field", [([1.0, 1.0], "estimated_wv_re"), ([-1.0, 1.0], "std_error")], ids=["mean", "spread"]
+    )
+    def test_an_estimate_beyond_the_float_range_overflows(self, positions, field):
+        # A finite shift or spread divided by a subnormal coupling leaves the float range.
+        batch = TrialBatch(positions, [True, True])
+        with pytest.raises(OverflowError, match=rf"^weak-value estimate overflows: {field} at g=5e-324$"):
+            estimate_weak_value(batch, PHI0, 5e-324)
+        report = estimate_weak_value(batch, PHI0, 1e-300)
+        assert math.isfinite(report.estimated_wv_re) and math.isfinite(report.std_error)
+
 
 class TestBatchValidation:
     def test_bad_trial_counts(self):
@@ -260,6 +271,10 @@ class TestBatchValidation:
             sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 0, SEED)
         with pytest.raises(ValidationError):
             sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 10, SEED, workers=0)
+
+    def test_non_finite_positions_rejected(self):
+        with pytest.raises(ValidationError, match="^positions contain non-finite entries$"):
+            TrialBatch([math.nan], [True])
 
     def test_inconsistent_batch_rejected(self):
         with pytest.raises(ValidationError):
@@ -322,6 +337,12 @@ class TestIntensitySampling:
     def test_one_number_of_numpy_type_samples_as_a_float(self, m):
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", m)), 1000, SEED)
         assert counts == sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.2)), 1000, SEED)
+
+    def test_equal_certain_detections_have_a_zero_z_score(self):
+        # Every trial detects in both runs: the pooled rate is 1, so the z-score's spread is 0.
+        exact = intensity_absorber(AbsorberConfig("I", 0.1))._replace(i0=1.0, i_perturbed=1.0, ratio=1.0)
+        counts = sample_intensity_experiment(exact, 100, SEED)
+        assert (counts.n_reference, counts.n_perturbed, counts.ratio, counts.two_proportion_z) == (100, 100, 1.0, 0.0)
 
     def test_no_perturbed_detections_leave_the_error_undefined(self):
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 40.0)), 100, 1)

@@ -7,8 +7,7 @@ import pytest
 
 import qccsim.neutron
 from qccsim.errors import NegativeRadicand, ValidationError
-from qccsim.qcc import ARMS, build_prepost
-from qccsim.qstate import Operator, apply, inner
+from qccsim.qcc import ARMS, QccConfig, build_prepost
 from qccsim.neutron import (
     AbsorberConfig,
     IntensityReport,
@@ -22,6 +21,7 @@ from qccsim.neutron import (
     reference_intensity,
     systematic_term_report,
 )
+from qccsim.weakmeas import vdot
 
 from oracles import (
     SIGMA_X,
@@ -42,14 +42,14 @@ def dense_intensity(cfg) -> float:
     if isinstance(cfg, AbsorberConfig):
         factors = [1.0, 1.0]
         factors[j] = math.exp(-cfg.M)
-        psi = apply(Operator((2, 2), np.kron(np.diag(factors), np.eye(2)).astype(complex)), ctx.psi_i)
+        full = np.kron(np.diag(factors), np.eye(2)).astype(complex)
     else:
         full = np.eye(4, dtype=complex)
         full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (
             math.cos(cfg.alpha / 2.0) * np.eye(2, dtype=complex) + 1.0j * math.sin(cfg.alpha / 2.0) * SIGMA_X
         )
-        psi = apply(Operator((2, 2), full), ctx.psi_i)
-    return abs(inner(ctx.chi_f, psi)) ** 2
+    psi = full @ np.array(ctx.psi_i)
+    return abs(vdot(ctx.chi_f, psi.tolist())) ** 2
 
 
 class TestClosedForm:
@@ -217,6 +217,15 @@ class TestValidation:
             AbsorberConfig("I", -0.1)
         with pytest.raises(ValidationError):
             MagneticConfig("I", 3.5)
+
+    def test_reference_intensity_must_be_positive(self):
+        with pytest.raises(ValidationError, match="^reference intensity must be positive, got 0.0$"):
+            IntensityReport(i0=0.0, i_perturbed=0.0, ratio=0.0, first_order_prediction=0.0,
+                            second_order_prediction=0.0, inferred_weak_value=0.0, expansion_error=0.0)
+
+    def test_a_config_of_another_kind_is_unsupported(self):
+        with pytest.raises(ValidationError, match="^unsupported perturbation config QccConfig$"):
+            perturbed_intensity(QccConfig())
 
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ValidationError):

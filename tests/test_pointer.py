@@ -52,6 +52,11 @@ class TestMakeGaussian:
         with pytest.raises(ValidationError):
             make_gaussian(0.0, -1.0)
 
+    @pytest.mark.parametrize("component", [(math.inf, 0.0), (1.0, math.nan), (complex(0.0, -math.inf), 1.0)])
+    def test_rejects_non_finite_component(self, component):
+        with pytest.raises(ValidationError, match="^Gaussian component fields must be finite$"):
+            GaussianPointerState(1.0, [component])
+
     @pytest.mark.parametrize("width, error", [(1e154, OverflowError), (1e-170, ZeroDivisionError)])
     def test_width_beyond_float_range_names_the_width(self, width, error):
         with pytest.raises(error) as exc:
@@ -233,6 +238,24 @@ class TestToGrid:
         # Floats near 8e15 are 1 apart: a width-1 pointer still samples to its closed-form norm.
         p = make_gaussian(8e15, 1.0)
         assert to_grid(p, *support(p), 1024).trapezoid_norm_sq == pytest.approx(1.0, abs=1e-6)
+
+    def test_an_empty_pointer_is_not_sampled(self):
+        with pytest.raises(ValidationError, match="^cannot grid-sample an empty pointer state$"):
+            to_grid(GaussianPointerState(1.0, ()), -8.0, 8.0, 1024)
+
+    @pytest.mark.parametrize(
+        "xmin, xmax, amps, message",
+        [
+            (1.0, 1.0, np.zeros(4), r"^bad grid domain \[1.0, 1.0\]$"),
+            (2.0, -2.0, np.zeros(4), r"^bad grid domain \[2.0, -2.0\]$"),
+            (-1.0, 1.0, np.zeros((2, 2)), r"^grid amplitudes must be one-dimensional, got shape \(2, 2\)$"),
+            (-1.0, 1.0, [0.0, math.nan, 0.0, 0.0], "^grid amplitudes contain non-finite entries$"),
+        ],
+        ids=["empty-domain", "reversed-domain", "two-dimensional", "nan"],
+    )
+    def test_bad_grids_rejected(self, xmin, xmax, amps, message):
+        with pytest.raises(ValidationError, match=message):
+            GridPointerState(xmin, xmax, amps)
 
     def test_power_of_two_required(self):
         with pytest.raises(ValidationError):

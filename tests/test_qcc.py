@@ -17,7 +17,7 @@ from qccsim.qcc import (
     run_ideal_qcc,
     run_joint_pointers,
 )
-from qccsim.qstate import inner
+from qccsim.weakmeas import vdot
 
 from oracles import fit_exponent, quadrature_mean_position
 
@@ -28,20 +28,20 @@ class TestBuildPrepost:
     @pytest.mark.parametrize("swap", [False, True])
     def test_overlap_is_one_half(self, swap):
         ctx = build_prepost(swap)
-        assert inner(ctx.chi_f, ctx.psi_i) == pytest.approx(0.5, abs=1e-14)
+        assert vdot(ctx.chi_f, ctx.psi_i) == pytest.approx(0.5, abs=1e-14)
 
     def test_states_are_normalized(self):
         ctx = build_prepost()
-        assert ctx.psi_i.norm == pytest.approx(1.0, abs=1e-14)
-        assert ctx.chi_f.norm == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(ctx.psi_i) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(ctx.chi_f) == pytest.approx(1.0, abs=1e-14)
 
     def test_constants_are_built_once(self):
         assert build_prepost() is build_prepost(False)
         assert build_prepost(True) is build_prepost(swap_spin_labels=True)
         assert arm_observable("I", "projector") is arm_observable("I", "projector")
         assert arm_table("II", "sigma_x") is arm_table("II", "sigma_x", False)
-        with pytest.raises(ValueError):
-            build_prepost().psi_i.amps[0] = 0.0
+        with pytest.raises(TypeError):
+            build_prepost().psi_i[0] = 0.0
         with pytest.raises(ValidationError):
             arm_observable("III", "projector")
         with pytest.raises(ValidationError):
@@ -57,8 +57,8 @@ class TestBuildPrepost:
     def test_arm_observables_annihilate_each_other(self):
         # The joint run's U_I U_II = U_I + U_II - 1 rests on A_I A_II = 0.
         for tag_I, tag_II in itertools.product(OBSERVABLE_TAGS, repeat=2):
-            a_I = arm_observable("I", tag_I).op.entries
-            a_II = arm_observable("II", tag_II).op.entries
+            a_I = np.array(arm_observable("I", tag_I).rows)
+            a_II = np.array(arm_observable("II", tag_II).rows)
             assert not np.any(a_I @ a_II)
             assert not np.any(a_II @ a_I)
 
@@ -193,9 +193,9 @@ def joint_oracle(cfg: QccConfig, reverse: bool, swap: bool = False):
     for a_val, a_vec in zip(obs_I.eigvals, obs_I.eigvecs):
         for b_val, b_vec in zip(obs_II.eigvals, obs_II.eigvecs):
             if reverse:
-                coeff = inner(chi_w, b_vec) * inner(b_vec, a_vec) * inner(a_vec, psi_w)
+                coeff = vdot(chi_w, b_vec) * vdot(b_vec, a_vec) * vdot(a_vec, psi_w)
             else:
-                coeff = inner(chi_w, a_vec) * inner(a_vec, b_vec) * inner(b_vec, psi_w)
+                coeff = vdot(chi_w, a_vec) * vdot(a_vec, b_vec) * vdot(b_vec, psi_w)
             branches.append(
                 (
                     coeff,

@@ -73,6 +73,13 @@ def test_montecarlo_import_loads_no_scenario_or_state_algebra():
     assert not {"qccsim.neutron", "qccsim.qcc", "qccsim.weakmeas", "qccsim.qstate"} & set(loaded)
 
 
+def test_cli_import_loads_no_state_algebra():
+    # Weak measurements are amplitude tuples and written-out spectra: qstate is a leaf nothing imports.
+    loaded = json.loads(python("-c", LOADED_QCCSIM_MODULES.format("qccsim.cli")).stdout)
+    assert "qccsim.weakmeas" in loaded
+    assert "qccsim.qstate" not in loaded
+
+
 def test_cli_import_loads_no_numpy():
     script = (
         "import json, sys, qccsim.cli\n"

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from qccsim.cli import CONTEXT_NAMES, PROJECTOR_SPECTRUM, SIGMA_X_SPECTRUM, build_context, context_table
-from qccsim.errors import OrthogonalPostselection, ValidationError
-from qccsim.pointer import make_gaussian, mean_position, norm_sq, superpose, translate
-from qccsim.qcc import ARMS, OBSERVABLE_TAGS, arm_observable, arm_spectrum, arm_table, build_prepost
-from qccsim.qstate import StateVector, inner
+from qccsim.errors import DimensionMismatch, OrthogonalPostselection, ValidationError
+from qccsim.pointer import GaussianPointerState, make_gaussian, mean_position, norm_sq, superpose, translate
+from qccsim.qcc import ARMS, OBSERVABLE_TAGS, SIGMA_X_ROWS, arm_observable, arm_table, build_prepost
 from qccsim.weakmeas import (
     BranchTable,
     PrePostContext,
@@ -22,6 +21,7 @@ from qccsim.weakmeas import (
     make_observable,
     reduce_table,
     validity_margin,
+    vdot,
     weak_value,
 )
 
@@ -43,61 +43,114 @@ from oracles import (
 PHI0 = make_gaussian(0.0, 1.0)
 
 
-def qubit_context(psi_amps, chi_amps, label="spin"):
-    return PrePostContext(
-        StateVector((2,), (label,), psi_amps),
-        StateVector((2,), (label,), chi_amps),
-    )
-
-
 def random_context(rng, dim):
-    return PrePostContext(
-        StateVector((dim,), ("sys",), random_state(rng, dim)),
-        StateVector((dim,), ("sys",), random_state(rng, dim)),
-    )
+    return PrePostContext(random_state(rng, dim), random_state(rng, dim))
 
 
 class TestContext:
     def test_rejects_unnormalized_states(self):
         with pytest.raises(ValidationError, match="psi_i must be normalized"):
-            qubit_context([1.0, 1.0], [1.0, 0.0])
+            PrePostContext([1.0, 1.0], [1.0, 0.0])
         with pytest.raises(ValidationError, match="chi_f must be normalized"):
-            qubit_context([1.0, 0.0], [0.0, 2.0])
+            PrePostContext([1.0, 0.0], [0.0, 2.0])
 
-    @pytest.mark.parametrize(
-        "chi", [StateVector((2,), ("path",), [1.0, 0.0]), StateVector((3,), ("spin",), [1.0, 0.0, 0.0])]
-    )
-    def test_rejects_mismatched_spaces(self, chi):
-        with pytest.raises(ValidationError, match="same labeled space"):
-            PrePostContext(StateVector((2,), ("spin",), [1.0, 0.0]), chi)
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(DimensionMismatch, match=r"^psi_i and chi_f differ in length: 2 and 3$"):
+            PrePostContext([1.0, 0.0], [1.0, 0.0, 0.0])
 
-    @pytest.mark.parametrize(
-        "matrix, targets",
-        [(np.diag([1.0, 0.0]), ("path",)), (np.kron(np.diag([1.0, 0.0]), SIGMA_X), ("spin", "path"))],
-        ids=["subset", "reordered"],
-    )
-    def test_observable_targets_must_equal_context_labels(self, matrix, targets):
+    def test_observable_must_act_on_the_context_dimension(self):
         ctx, _ = build_context("qcc-pi-I")
-        obs = make_observable(matrix, targets)
-        with pytest.raises(ValidationError, match="must equal the context labels"):
+        obs = make_observable(np.diag([1.0, 0.0]))
+        message = r"^observable has 2 rows for a 4-level context$"
+        with pytest.raises(DimensionMismatch, match=message):
             weak_value(ctx, obs)
-        with pytest.raises(ValidationError, match="must equal the context labels"):
+        with pytest.raises(DimensionMismatch, match=message):
             couple_and_postselect(ctx, obs, PHI0, 0.05)
+
+    def test_amplitudes_are_kept_as_python_complex_numbers(self):
+        ctx = PrePostContext(np.array([1.0, 0.0]), [0.6, 0.8j])
+        assert ctx.psi_i == (1 + 0j, 0j) and ctx.chi_f == (0.6 + 0j, 0.8j)
+        assert all(type(x) is complex for x in ctx.psi_i + ctx.chi_f)
+
+
+_H = 1.0 / math.sqrt(2.0)
+SIGMA_X_PAIRS = ((-_H, _H), (_H, _H))
+
+# Each check a context or an observable runs, with the exact message it raises: the
+# messages the labeled PrePostContext, make_observable and Observable raised for these inputs.
+CHECKS = {
+    "psi-unnormalized": (lambda: PrePostContext((1.0, 1.0), (1.0, 0.0)),
+                         ValidationError, "psi_i must be normalized, norm 1.4142135623730951"),
+    "chi-unnormalized": (lambda: PrePostContext((1.0, 0.0), (0.0, 2.0)),
+                         ValidationError, "chi_f must be normalized, norm 2.0"),
+    "psi-nan": (lambda: PrePostContext((math.nan, 0.0), (1.0, 0.0)),
+                ValidationError, "amplitude vector contains non-finite entries"),
+    "chi-inf": (lambda: PrePostContext((1.0, 0.0), (complex(0.0, math.inf), 1.0)),
+                ValidationError, "amplitude vector contains non-finite entries"),
+    "matrix-nan": (lambda: make_observable([[math.nan, 0.0], [0.0, 1.0]]),
+                   ValidationError, "operator matrix contains non-finite entries"),
+    "matrix-2x3": (lambda: make_observable([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                   DimensionMismatch, "operator matrix has shape (2, 3), expected (2, 2)"),
+    "matrix-1d": (lambda: make_observable([1.0, 0.0]),
+                  DimensionMismatch, "operator matrix has shape (2,), expected (2, 2)"),
+    "non-hermitian": (lambda: make_observable([[0.0, 1.0], [0.0, 0.0]]),
+                      ValidationError, "hermitian defect 1.000e+00 exceeds 1e-12"),
+    "complex-non-hermitian": (lambda: make_observable([[1.0, 1j], [1j, 0.0]]),
+                              ValidationError, "hermitian defect 2.000e+00 exceeds 1e-12"),
+    "spectrum-rows-inf": (lambda: Spectrum(((math.inf, 0.0), (0.0, 1.0)), (0.0, 1.0), ((1.0, 0.0), (0.0, 1.0))),
+                          ValidationError, "operator matrix contains non-finite entries"),
+    "spectrum-non-hermitian": (lambda: Spectrum(((0.0, 2.0), (0.0, 0.0)), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))),
+                               ValidationError, "hermitian defect 2.000e+00 exceeds 1e-12"),
+    "one-eigenvalue": (lambda: Spectrum(SIGMA_X_ROWS, (-1.0,), SIGMA_X_PAIRS),
+                       ValidationError, "need 2 eigenpairs, got 1/2"),
+    "one-eigenvector": (lambda: Spectrum(SIGMA_X_ROWS, (-1.0, 1.0), SIGMA_X_PAIRS[:1]),
+                        ValidationError, "need 2 eigenpairs, got 2/1"),
+    "eigenvector-length": (lambda: Spectrum(SIGMA_X_ROWS, (-1.0, 1.0), ((-_H, _H, 0.0), (_H, _H, 0.0))),
+                           DimensionMismatch, "amplitude vector has length 3, expected 2"),
+    "eigenvector-nan": (lambda: Spectrum(SIGMA_X_ROWS, (-1.0, 1.0), ((-_H, math.nan), (_H, _H))),
+                        ValidationError, "amplitude vector contains non-finite entries"),
+    "residual": (lambda: Spectrum(SIGMA_X_ROWS, (1.0, -1.0), SIGMA_X_PAIRS),
+                 ValidationError, "eigenpair 0 residual exceeds 1e-10"),
+    "residual-second": (lambda: Spectrum(SIGMA_X_ROWS, (-1.0, 1.0 + 1e-9), SIGMA_X_PAIRS),
+                        ValidationError, "eigenpair 1 residual exceeds 1e-10"),
+    "not-orthogonal": (lambda: Spectrum(((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0), ((1.0, 0.0), (1.0, 0.0))),
+                       ValidationError, "eigenvectors are not orthonormal"),
+    "not-normalized": (lambda: Spectrum(((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0), ((2.0, 0.0), (0.0, 1.0))),
+                       ValidationError, "eigenvectors are not orthonormal"),
+}
 
 
 class TestObservable:
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_each_check_keeps_its_message(self, name):
+        build, error, message = CHECKS[name]
+        with pytest.raises(error) as caught:
+            build()
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
+    @pytest.mark.parametrize("matrix", [[], 5.0], ids=["empty", "scalar"])
+    def test_a_matrix_without_rows_names_its_shape(self, matrix):
+        with pytest.raises(DimensionMismatch, match=r"^operator matrix has shape \((0|1),\), expected"):
+            make_observable(matrix)
+
     def test_rejects_non_hermitian_matrix(self):
         with pytest.raises(ValidationError, match="hermitian defect"):
-            make_observable([[0.0, 1.0], [0.0, 0.0]], ("spin",))
+            make_observable([[0.0, 1.0], [0.0, 0.0]])
 
-    def test_dims_are_one_equal_subsystem_per_label(self):
-        assert make_observable(np.eye(8), ("a", "b", "c")).op.dims == (2, 2, 2)
-        assert make_observable(np.eye(3), ("sys",)).op.dims == (3,)
+    @pytest.mark.parametrize("side", [3, 6, 8])
+    def test_any_square_hermitian_matrix_is_an_observable(self, side):
+        rng = np.random.default_rng(side)
+        ctx, matrix = random_context(rng, side), random_hermitian(rng, side)
+        obs = make_observable(matrix)
+        assert np.asarray(obs.rows).tobytes() == matrix.astype(complex).tobytes()
+        dense = np.vdot(ctx.chi_f, matrix @ np.array(ctx.psi_i)) / np.vdot(ctx.chi_f, ctx.psi_i)
+        assert weak_value(ctx, obs) == pytest.approx(dense, abs=1e-12)
 
-    @pytest.mark.parametrize("side, targets", [(3, ("path", "spin")), (6, ("path", "spin")), (2, ())])
-    def test_matrix_that_does_not_split_rejected(self, side, targets):
-        with pytest.raises(ValidationError, match="does not split"):
-            make_observable(np.eye(side), targets)
+    def test_written_out_spectra_are_python_numbers(self):
+        obs = make_observable(SIGMA_X)
+        assert obs == Spectrum(SIGMA_X_ROWS, (-1.0, 1.0), SIGMA_X_PAIRS)
+        assert all(type(x) is complex for row in obs.rows + obs.eigvecs for x in row)
+        assert all(type(a) is float for a in obs.eigvals)
 
 
 class TestWeakValue:
@@ -129,10 +182,8 @@ class TestWeakValue:
             a = random_hermitian(rng, 3)
             b = random_hermitian(rng, 3)
             alpha, beta = rng.normal(size=2)
-            combined = weak_value(ctx, make_observable(alpha * a + beta * b, ("sys",)))
-            separate = alpha * weak_value(ctx, make_observable(a, ("sys",))) + beta * weak_value(
-                ctx, make_observable(b, ("sys",))
-            )
+            combined = weak_value(ctx, make_observable(alpha * a + beta * b))
+            separate = alpha * weak_value(ctx, make_observable(a)) + beta * weak_value(ctx, make_observable(b))
             assert combined == pytest.approx(separate, abs=1e-12)
 
     def test_anomalous_weak_value_is_tan_theta_at_large_tan_theta(self):
@@ -143,8 +194,8 @@ class TestWeakValue:
 class TestTransitionElement:
     def test_identity_observable_gives_overlap(self):
         ctx, _ = build_context("anomalous", tan_theta=3.0)
-        obs = make_observable(np.eye(2), ("spin",))
-        expected = inner(ctx.chi_f, ctx.psi_i)
+        obs = make_observable(np.eye(2))
+        expected = vdot(ctx.chi_f, ctx.psi_i)
         assert branch_table(ctx, obs).transition == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -152,16 +203,16 @@ class TestTransitionElement:
         rng = np.random.default_rng(seed)
         ctx = random_context(rng, 4)
         matrix = random_hermitian(rng, 4)
-        obs = make_observable(matrix, ("sys",))
-        dense = np.vdot(ctx.chi_f.amps, matrix @ ctx.psi_i.amps)
+        obs = make_observable(matrix)
+        dense = np.vdot(ctx.chi_f, matrix @ np.array(ctx.psi_i))
         assert branch_table(ctx, obs).transition == pytest.approx(dense, abs=1e-12)
 
     def test_weak_value_times_overlap_recovers_transition(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             ctx = random_context(rng, 4)
-            obs = make_observable(random_hermitian(rng, 4), ("sys",))
-            den = inner(ctx.chi_f, ctx.psi_i)
+            obs = make_observable(random_hermitian(rng, 4))
+            den = vdot(ctx.chi_f, ctx.psi_i)
             assert weak_value(ctx, obs) * den == pytest.approx(
                 branch_table(ctx, obs).transition, abs=1e-12
             )
@@ -171,7 +222,7 @@ class TestCoupleAndPostselect:
     def test_zero_coupling_leaves_scaled_initial_pointer(self):
         ctx, obs = build_context("anomalous", tan_theta=3.0)
         result = couple_and_postselect(ctx, obs, PHI0, 0.0)
-        den = inner(ctx.chi_f, ctx.psi_i)
+        den = vdot(ctx.chi_f, ctx.psi_i)
         assert result.postselect_prob_coupled == pytest.approx(abs(den) ** 2, abs=1e-14)
         assert mean_position(result.pointer_final) == pytest.approx(0.0, abs=1e-14)
         assert len(result.pointer_final.components) == 1
@@ -204,8 +255,8 @@ class TestCoupleAndPostselect:
     @pytest.mark.parametrize("theta, phi", [(0.3, 0.7), (1.2, -2.0)])
     def test_mean_momentum_reads_imaginary_weak_value(self, sigma, theta, phi):
         # <P> of the postselected pointer is g Im(A^w) / (2 sigma^2) to first order in g.
-        ctx = qubit_context([1.0, 0.0], [math.cos(theta), complex(math.cos(phi), math.sin(phi)) * math.sin(theta)])
-        obs = make_observable(SIGMA_X, ("spin",))
+        ctx = PrePostContext([1.0, 0.0], [math.cos(theta), complex(math.cos(phi), math.sin(phi)) * math.sin(theta)])
+        obs = make_observable(SIGMA_X)
         g = 1e-4
         pointer = couple_and_postselect(ctx, obs, make_gaussian(0.0, sigma), g).pointer_final
         wv = weak_value(ctx, obs)
@@ -259,7 +310,7 @@ class TestCoupleAndPostselect:
 class TestLinearResponse:
     def test_identity_observable_is_exactly_linear(self):
         ctx, _ = build_context("spin-trivial")
-        obs = make_observable(np.eye(2), ("spin",))
+        obs = make_observable(np.eye(2))
         report = linear_response_report(ctx, obs, PHI0, 0.3)
         assert report.exact_shift == pytest.approx(0.3, abs=1e-12)
         assert report.abs_error <= 1e-12
@@ -288,8 +339,8 @@ class TestLinearResponse:
         assert 8.0 / 1.5 <= coarse / fine <= 8.0 * 1.5
 
     def test_purely_imaginary_weak_value_keeps_mean_still(self):
-        ctx = qubit_context([1.0, 0.0], [1.0 / math.sqrt(2), 1.0j / math.sqrt(2)])
-        obs = make_observable(SIGMA_X, ("spin",))
+        ctx = PrePostContext([1.0, 0.0], [1.0 / math.sqrt(2), 1.0j / math.sqrt(2)])
+        obs = make_observable(SIGMA_X)
         assert weak_value(ctx, obs) == pytest.approx(-1.0j, abs=1e-14)
         gs = np.geomspace(0.005, 0.04, 4)
         errors = [linear_response_report(ctx, obs, PHI0, g).abs_error for g in gs]
@@ -297,7 +348,7 @@ class TestLinearResponse:
 
     def test_perturbed_probability_deviates_quadratically(self):
         ctx, obs = build_context("anomalous", tan_theta=3.0)
-        p0 = abs(inner(ctx.chi_f, ctx.psi_i)) ** 2
+        p0 = abs(vdot(ctx.chi_f, ctx.psi_i)) ** 2
         gs = np.geomspace(0.002, 0.02, 5)
         deltas = [
             abs(couple_and_postselect(ctx, obs, PHI0, g).postselect_prob_coupled - p0)
@@ -369,8 +420,8 @@ def table_cases():
     rng = np.random.default_rng(8)
     for i, dim in enumerate((2, 4, 4)):
         ctx = random_context(rng, dim)
-        cases.append((f"random-{dim}-{i}", ctx, make_observable(random_hermitian(rng, dim), ("sys",))))
-    cases.append(("random-4-degenerate", random_context(rng, 4), random_spectrum(rng, 4, True).observable(("sys",))))
+        cases.append((f"random-{dim}-{i}", ctx, make_observable(random_hermitian(rng, dim))))
+    cases.append(("random-4-degenerate", random_context(rng, 4), random_spectrum(rng, 4, True)))
     return cases
 
 
@@ -391,7 +442,7 @@ class TestBranchTable:
         for g, shift, prob in zip(G_ARRAY.tolist(), shifts.tolist(), probs.tolist()):
             # Reference: one branch per eigenvector, merged only by superpose.
             raw = superpose(
-                translate(phi0, g * a, inner(ctx.chi_f, vec) * inner(vec, ctx.psi_i))
+                translate(phi0, g * a, vdot(ctx.chi_f, vec) * vdot(vec, ctx.psi_i))
                 for a, vec in zip(obs.eigvals, obs.eigvecs)
             )
             assert table.pointer(phi0, g) == raw
@@ -417,7 +468,7 @@ class TestBranchTable:
         gs = np.linspace(-1.5, 2.5, 9)
         shifts, probs = branch_table(ctx, obs).readout(make_gaussian(0.0, 0.7), gs)
         want_shifts, want_probs = quadrature_readout(
-            ctx.psi_i.amps, ctx.chi_f.amps, obs.op.entries, gs, 0.7
+            np.array(ctx.psi_i), np.array(ctx.chi_f), np.array(obs.rows), gs, 0.7
         )
         assert np.max(np.abs(probs - want_probs)) <= 1e-10
         assert np.max(np.abs(shifts - want_shifts)) <= 1e-9
@@ -451,6 +502,19 @@ class TestBranchTable:
         with pytest.raises(ValidationError, match=r"^couplings must be one number or a 1-D array, got shape \(2, 2\)$"):
             arm_table("I", "projector").readout(PHI0, g)
 
+    def test_a_table_with_no_branches_couples_to_nothing(self):
+        # chi = |1> is orthogonal to every branch of |0><0| on psi = |0>: no amplitude survives.
+        table = reduce_table((1.0, 0.0), (0.0, 1.0), PROJECTOR_SPECTRUM)
+        assert (table.eigvals, table.coeffs, table.overlap, table.transition) == ((), (), 0j, 0j)
+        assert table.pointer(PHI0, 0.1) == GaussianPointerState(1.0, ())
+        result = table.couple(PHI0, 0.1)
+        assert (result.weak_value, result.postselect_prob_coupled) == (None, 0.0)
+        assert math.isnan(result.exact_shift)
+
+    def test_unknown_context_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown context 'nope'; choose from "):
+            context_table("nope")
+
     def test_readout_needs_a_freshly_prepared_pointer(self):
         table = branch_table(*build_context("anomalous"))
         for phi0 in (translate(PHI0, 0.0, 2.0), superpose([PHI0, translate(PHI0, 1.0)])):
@@ -475,7 +539,7 @@ class TestWrittenOutData:
             spectrum, matrix = PROJECTOR_SPECTRUM, np.diag([1.0, 0.0])
         else:
             arm, tag = name.split()
-            spectrum, matrix = arm_spectrum(arm, tag), arm_matrix(arm, tag)
+            spectrum, matrix = arm_observable(arm, tag), arm_matrix(arm, tag)
         matrix = np.asarray(matrix, dtype=complex)
         vals, vecs = np.linalg.eigh(matrix)
         assert np.asarray(spectrum.rows, dtype=complex).tobytes() == matrix.tobytes()
@@ -493,7 +557,6 @@ class TestWrittenOutData:
             assert repr(arm_table(arm, tag, swap)) == repr(expected)
 
 
-_H = 1.0 / math.sqrt(2.0)
 # Over |I,+z>, |I,-z>, |II,+z>, |II,-z>: pre (|I> + |II>)|+z>, post |I>|+z> + |II>|-z>, or with spins swapped.
 QCC_PSI = (_H, 0.0, _H, 0.0)
 QCC_CHI = {False: (_H, 0.0, 0.0, _H), True: (0.0, _H, _H, 0.0)}
