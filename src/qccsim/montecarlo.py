@@ -2,11 +2,12 @@
 
 Each trial owns one counter block of a counter-based generator, so a
 batch is a pure function of (seed, n): any chunking or thread layout
-reproduces it bit for bit. Trials are drawn 2**20 at a time, keeping only
+reproduces it bit for bit. Each chunk draws its trials 2**14 at a time into
+one reused table of uniforms, small enough to stay in cache, and keeps only
 the acceptance mask and readouts (two counts for an intensity run).
 Postselection is Bernoulli with the exact coupled probability; accepted
 trials draw a pointer position from the exact final density by inverse-CDF
-on a dense tabulation, looked up in sorted blocks with unchanged bits.
+on a dense tabulation, looked up in sorted order with unchanged bits.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ DENSITY_POINTS = 4096
 # Uniform draws consumed per trial; one full Philox counter block, so
 # trial i always starts at counter offset i.
 DRAWS_PER_TRIAL = 4
-# Trials drawn at a time (a 32 MB table of uniforms), so memory stays bounded at any n.
-COUNTER_BLOCK = 2**20
-# Draws sorted at a time, so np.interp finds each bin from the last one; a larger sort leaves the cache.
+# Trials drawn, masked and looked up at a time: one reused 512 KB table of uniforms per chunk,
+# which stays in cache, so memory does not grow with n.
 LOOKUP_BLOCK = 2**14
 
 
@@ -79,9 +79,10 @@ def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
     cdf /= cdf[-1]
 
     def draw(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for s in range(0, u.size, LOOKUP_BLOCK):
-            order = u[s:s + LOOKUP_BLOCK].argsort()
-            out[s:s + LOOKUP_BLOCK][order] = np.interp(u[s:s + LOOKUP_BLOCK][order], cdf, xs)
+        # np.interp is elementwise, so the order changes no bit; near-sorted draws let its bin
+        # search start next to each answer. A radix sort of the 16-bit keys is cheaper than a float sort.
+        order = np.argsort((u * DENSITY_POINTS).astype(np.uint16), kind="stable")
+        out[order] = np.interp(u[order], cdf, xs)
         return out
 
     return draw
@@ -113,12 +114,20 @@ def check_estimation_coupling(g: float) -> None:
         raise ValidationError(f"weak-value estimation needs a nonzero coupling, got {g!r}")
 
 
-def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+def _trial_tables(seed: int, start: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first trial, table)`` for each run of up to ``LOOKUP_BLOCK`` trials from ``start``
+    on: row i of a table holds the uniforms of counter block ``first + i``. Every table is
+    drawn into one buffer, so each is overwritten by the next."""
+    import numpy as np
     from numpy.random import Generator, Philox  # here, so runs that never sample skip its import
 
     bits = Philox(key=seed)
     bits.advance(start)
-    return Generator(bits).random((count, DRAWS_PER_TRIAL))
+    random = Generator(bits).random
+    buffer = np.empty((min(count, LOOKUP_BLOCK), DRAWS_PER_TRIAL))
+    for first in range(start, start + count, LOOKUP_BLOCK):
+        table = buffer[:min(LOOKUP_BLOCK, start + count - first)]
+        yield first, random(out=table)
 
 
 def _blocks(start: int, count: int, size: int) -> list[tuple[int, int]]:
@@ -148,10 +157,8 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
 
     def run_chunk(bounds: tuple[int, int]) -> np.ndarray:
         filled = bounds[0]
-        for start, count in _blocks(*bounds, COUNTER_BLOCK):
-            u = _trial_uniforms(seed, start, count)
-            accepted = u[np.less(u[:, 0], p_post, out=mask[start:start + count]), 1]
-            del u  # freed before the lookup allocates
+        for first, u in _trial_tables(seed, *bounds):
+            accepted = u[:, 1][np.less(u[:, 0], p_post, out=mask[first:first + len(u)])]
             if draw is not None:
                 filled += draw(accepted, readouts[filled:filled + accepted.size]).size
         return readouts[bounds[0]:filled]
@@ -224,16 +231,15 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
     """
     check_trial_count(n)
     check_seed(seed)
+    import numpy as np
     p_ref = exact.i0
     p_pert = exact.i_perturbed
     if getattr(p_pert, "ndim", 0):
         raise ValidationError(f"one run's report expected, got a sweep's: i_perturbed has shape {p_pert.shape}")
     n_ref = n_pert = 0
-    for block in _blocks(0, n, COUNTER_BLOCK):
-        u = _trial_uniforms(seed, *block)
-        n_ref += int((u[:, 0] < p_ref).sum())
-        n_pert += int((u[:, 1] < p_pert).sum())
-        del u  # freed before the next block is drawn
+    for _, u in _trial_tables(seed, 0, n):
+        n_ref += int(np.count_nonzero(u[:, 0] < p_ref))
+        n_pert += int(np.count_nonzero(u[:, 1] < p_pert))
     if n_ref == 0:
         raise ValidationError("no reference detections; increase n")
     r_ref = n_ref / n

@@ -61,8 +61,8 @@ def hermitian_rows(matrix) -> tuple[tuple[complex, ...], ...]:
 class Spectrum(Record):
     """A hermitian observable written out: the ``rows`` of its matrix, its ``eigvals``
     and one amplitude sequence per eigenvector, in Python numbers. Building one checks
-    it, without numpy: finite entries, hermitian rows, one eigenpair per row, each
-    within ``EIGEN`` of A v = a v, and orthonormal eigenvectors."""
+    it, without numpy: finite entries, hermitian rows, one eigenpair per row with a finite
+    eigenvalue, each within ``EIGEN`` of A v = a v, and orthonormal eigenvectors."""
 
     rows: tuple[tuple[complex, ...], ...]
     eigvals: tuple[float, ...]
@@ -78,9 +78,11 @@ class Spectrum(Record):
         for k, (a, vec) in enumerate(zip(vals, vecs)):
             if len(vec) != side:
                 raise DimensionMismatch(f"amplitude vector has length {len(vec)}, expected {side}")
-            if max(abs(av - a * v) for av, v in zip(matvec(rows, vec), vec)) > EIGEN:
+            require(a, f"eigenvalue {k} must be finite")
+            # Written as "not <=" so that a NaN residual or overlap fails the check.
+            if not all(abs(av - a * v) <= EIGEN for av, v in zip(matvec(rows, vec), vec)):
                 raise ValidationError(f"eigenpair {k} residual exceeds {EIGEN}")
-        if max(abs(vdot(u, v) - (i == j)) for i, u in enumerate(vecs) for j, v in enumerate(vecs)) > EIGEN:
+        if not all(abs(vdot(u, v) - (i == j)) <= EIGEN for i, u in enumerate(vecs) for j, v in enumerate(vecs)):
             raise ValidationError("eigenvectors are not orthonormal")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "eigvals", vals)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from qccsim.montecarlo import DENSITY_POINTS
+from qccsim.montecarlo import DENSITY_POINTS, DRAWS_PER_TRIAL
 from qccsim.pointer import density, support
 from qccsim.weakmeas import Spectrum, reduce_table
 
@@ -259,6 +259,22 @@ def inverse_cdf_oracle(pointer_final, u) -> np.ndarray:
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))))
     cdf /= cdf[-1]
     return np.interp(u, cdf, xs), cdf
+
+
+def trial_uniforms_oracle(seed: int, start: int, count: int) -> np.ndarray:
+    """The uniforms of ``count`` trials from ``start`` on, as one contiguous ``(count, 4)`` draw
+    of the seeded Philox stream: row i is counter block ``start + i``."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(start)
+    return np.random.Generator(bits).random((count, DRAWS_PER_TRIAL))
+
+
+def sample_trials_oracle(coupled, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The acceptance mask and readouts of ``sample_trials(coupled, n, seed)``, from one
+    contiguous draw and one unsorted lookup of every accepted trial."""
+    u = trial_uniforms_oracle(seed, 0, n)
+    mask = u[:, 0] < min(max(coupled.postselect_prob_coupled, 0.0), 1.0)
+    return mask, inverse_cdf_oracle(coupled.pointer_final, u[mask, 1])[0]
 
 
 def rows_as_dicts(header, columns) -> list[dict]:

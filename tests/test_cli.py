@@ -612,7 +612,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, error", EXTREME_WIDTHS)
     def test_extreme_width_message_names_quantity_and_width(self, capsys, monkeypatch, argv, error):
-        monkeypatch.setattr(montecarlo, "_trial_uniforms", None)  # a run that samples fails here
+        monkeypatch.setattr(montecarlo, "_trial_tables", None)  # a run that samples fails here
         code, _, err = run_cli(capsys, *argv)
         assert code == 5
         kind, message = error.split(": ", 1)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from qccsim.cli import build_context
 from qccsim.errors import ValidationError
 import qccsim.montecarlo as montecarlo
 from qccsim.montecarlo import (
-    COUNTER_BLOCK,
+    DRAWS_PER_TRIAL,
     LOOKUP_BLOCK,
     TrialBatch,
     _tabulated_inverse_cdf,
-    _trial_uniforms,
+    _trial_tables,
     estimate_weak_value,
     sample_intensity_experiment,
     sample_trials,
@@ -25,10 +26,25 @@ from qccsim.pointer import make_gaussian
 from qccsim.serialize import dumps_json, write_trials_csv
 from qccsim.weakmeas import couple_and_postselect
 
-from oracles import CHI2_999_DF63, gaussian_amplitude, inverse_cdf_oracle
+from oracles import (
+    CHI2_999_DF63,
+    gaussian_amplitude,
+    inverse_cdf_oracle,
+    sample_trials_oracle,
+    trial_uniforms_oracle,
+)
 
 PHI0 = make_gaussian(0.0, 1.0)
 SEED = 12345
+# Trial counts on each side of the table edges, and past 2**20.
+TABLE_EDGES = [LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 3 * LOOKUP_BLOCK + 5, 2**20 + 17]
+
+
+def drawn_tables(seed: int, start: int, count: int) -> np.ndarray:
+    """The tables ``_trial_tables`` yields, copied out of its reused buffer and stacked."""
+    tables = [(first, table.copy()) for first, table in _trial_tables(seed, start, count)]
+    assert [first for first, _ in tables] == list(range(start, start + count, LOOKUP_BLOCK))
+    return np.concatenate([table for _, table in tables])
 
 
 def batches_equal(a: TrialBatch, b: TrialBatch) -> bool:
@@ -91,11 +107,11 @@ class TestDeterminism:
     def test_chunk_count_follows_cpus_not_workers(self, monkeypatch):
         chunks = []
 
-        def counting_uniforms(seed, start, count):
+        def counting_tables(seed, start, count):
             chunks.append(count)
-            return _trial_uniforms(seed, start, count)
+            return _trial_tables(seed, start, count)
 
-        monkeypatch.setattr(montecarlo, "_trial_uniforms", counting_uniforms)
+        monkeypatch.setattr(montecarlo, "_trial_tables", counting_tables)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         ctx, obs = build_context("qcc-pi-I")
         batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 20_000, SEED, workers=10**6)
@@ -103,10 +119,10 @@ class TestDeterminism:
         assert batches_equal(batch, sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 20_000, SEED))
 
     def test_two_workers_equal_one_across_counter_blocks(self, monkeypatch, tmp_path):
-        # One worker draws blocks of 2**20 and 17 trials, two draw one block of 524297 each.
+        # One worker draws 64 full tables and one of 17 trials; two draw 32 full tables each, then 9 and 8 trials.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         coupled = couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.05)
-        n = COUNTER_BLOCK + 17
+        n = 2**20 + 17
         one, two = (sample_trials(coupled, n, SEED, workers=w) for w in (1, 2))
         assert batches_equal(one, two)
         write_trials_csv(one, tmp_path / "one.csv")
@@ -126,9 +142,23 @@ class TestDeterminism:
         assert batches_equal(batch, sample_trials(coupled, 80_003, SEED))
 
     def test_chunked_stream_matches_contiguous_stream(self):
-        whole = _trial_uniforms(SEED, 0, 300)
-        assert np.array_equal(_trial_uniforms(SEED, 100, 120), whole[100:220])
-        assert np.array_equal(_trial_uniforms(SEED, 0, 100), whole[:100])
+        whole = trial_uniforms_oracle(SEED, 0, 300)
+        assert np.array_equal(drawn_tables(SEED, 100, 120), whole[100:220])
+        assert np.array_equal(drawn_tables(SEED, 0, 100), whole[:100])
+
+    @pytest.mark.parametrize("count", TABLE_EDGES)
+    def test_tables_across_their_edges_match_the_contiguous_stream(self, count):
+        assert np.array_equal(drawn_tables(SEED, 100, count), trial_uniforms_oracle(SEED, 100, count))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", TABLE_EDGES)
+    def test_batches_across_table_edges_equal_the_oracle(self, monkeypatch, n, workers):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        coupled = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, 0.1)
+        batch = sample_trials(coupled, n, SEED, workers=workers)
+        mask, positions = sample_trials_oracle(coupled, n, SEED)
+        assert np.array_equal(batch.postselected, mask)
+        assert np.array_equal(batch.positions.view(np.uint64), positions.view(np.uint64))
 
 
 class TestSortedLookup:
@@ -160,7 +190,7 @@ class TestSortedLookup:
         coupled = couple_and_postselect(*build_context("spin-trivial"), PHI0, 0.1)
         assert coupled.postselect_prob_coupled > 0.99
         n = 3 * LOOKUP_BLOCK + 5
-        u = _trial_uniforms(SEED, 0, n)
+        u = trial_uniforms_oracle(SEED, 0, n)
         accepted = u[u[:, 0] < coupled.postselect_prob_coupled, 1]
         batch = sample_trials(coupled, n, SEED)
         assert self.bits(batch.positions) == self.bits(inverse_cdf_oracle(coupled.pointer_final, accepted)[0])
@@ -344,8 +374,41 @@ class TestIntensitySampling:
         counts = sample_intensity_experiment(exact, 100, SEED)
         assert (counts.n_reference, counts.n_perturbed, counts.ratio, counts.two_proportion_z) == (100, 100, 1.0, 0.0)
 
+    @pytest.mark.parametrize("n", TABLE_EDGES)
+    def test_counts_across_table_edges_equal_the_oracle(self, n):
+        exact = intensity_absorber(AbsorberConfig("I", 0.1))
+        u = trial_uniforms_oracle(SEED, 0, n)
+        counts = sample_intensity_experiment(exact, n, SEED)
+        oracle = (int(np.count_nonzero(u[:, 0] < exact.i0)), int(np.count_nonzero(u[:, 1] < exact.i_perturbed)))
+        assert (counts.n_reference, counts.n_perturbed) == oracle
+
     def test_no_perturbed_detections_leave_the_error_undefined(self):
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 40.0)), 100, 1)
         assert counts.n_perturbed == 0
         assert math.isnan(counts.ratio_std_error)
         assert '"ratio_std_error": null' in dumps_json(counts._asdict())
+
+
+class TestTracedMemory:
+    """Each chunk draws into one reused table of ``LOOKUP_BLOCK`` rows, whatever n is."""
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        run(100)  # imports and first-call set-up stay out of the count
+        tracemalloc.start()
+        try:
+            run(2**20 + 17)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_an_intensity_run_peaks_below_one_megabyte(self):
+        exact = intensity_absorber(AbsorberConfig("I", 0.1))
+        assert self.traced_peak(lambda n: sample_intensity_experiment(exact, n, SEED)) < 2**20
+
+    def test_a_two_worker_pointer_run_holds_no_table_of_every_trial(self, monkeypatch):
+        # At p_post ~ 1 the mask and readouts are as large as they get; one (n, 4) table would add n * 32 bytes.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        coupled = couple_and_postselect(*build_context("spin-trivial"), PHI0, 0.1)
+        peak = self.traced_peak(lambda n: sample_trials(coupled, n, SEED, workers=2))
+        assert peak < (2**20 + 17) * DRAWS_PER_TRIAL * 8

@@ -128,6 +128,20 @@ class TestObservable:
             build()
         assert (type(caught.value), str(caught.value)) == (error, message)
 
+    @pytest.mark.parametrize(
+        "rows, eigvals, eigvecs, message",
+        [
+            (SIGMA_X_ROWS, (math.nan, 1.0), SIGMA_X_PAIRS, "eigenvalue 0 must be finite, got nan"),
+            # A v overflows and the residual inf - inf is NaN; reduce_table's weak value was inf+nanj.
+            (((1.5e308,) * 2,) * 2, (0.0, math.inf), ((_H, -_H), (_H, _H)), "eigenvalue 1 must be finite, got inf"),
+        ],
+        ids=["nan", "inf"],
+    )
+    def test_a_non_finite_eigenvalue_is_rejected(self, rows, eigvals, eigvecs, message):
+        with pytest.raises(ValidationError) as caught:
+            Spectrum(rows, eigvals, eigvecs)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("matrix", [[], 5.0], ids=["empty", "scalar"])
     def test_a_matrix_without_rows_names_its_shape(self, matrix):
         with pytest.raises(DimensionMismatch, match=r"^operator matrix has shape \((0|1),\), expected"):
