@@ -110,29 +110,24 @@ def midpoint(a, b):
     return np.where(abs(total) < math.inf, total / 2.0, a / 2.0 + b / 2.0)
 
 
-def component_position_element(a: GaussianComponent, b: GaussianComponent, width: float) -> float:
-    """Closed-form <u_a|x|u_b> between unit-norm components."""
-    return component_overlap(a, b, width) * midpoint(a.center, b.center)
-
-
-def _pair_sum(p: GaussianPointerState, q: GaussianPointerState, element) -> complex:
+def moments(p: GaussianPointerState, q: GaussianPointerState) -> tuple[complex, complex]:
+    """Closed-form (<p|q>, <p|x|q>) including coefficients, from one pass over the component pairs."""
     if p.width != q.width:
         raise ValidationError(f"mixed pointer widths {p.width} and {q.width}")
-    total = 0.0 + 0.0j
+    total = position = 0.0 + 0.0j
     for a in p.components:
         for b in q.components:
-            total += a.coeff.conjugate() * b.coeff * element(a, b, p.width)
-    return total
+            w, e = a.coeff.conjugate() * b.coeff, component_overlap(a, b, p.width)
+            total, position = total + w * e, position + w * (e * midpoint(a.center, b.center))
+    for quantity, value in (("<p|q>", total), ("<p|x|q>", position)):
+        if not cmath.isfinite(value):
+            raise OverflowError(f"pointer pair sum overflows: {quantity} is {value!r}")
+    return total, position
 
 
 def overlap(p: GaussianPointerState, q: GaussianPointerState) -> complex:
     """Closed-form <p|q> including coefficients."""
-    return _pair_sum(p, q, component_overlap)
-
-
-def position_element(p: GaussianPointerState, q: GaussianPointerState) -> complex:
-    """Closed-form <p|x|q> including coefficients."""
-    return _pair_sum(p, q, component_position_element)
+    return moments(p, q)[0]
 
 
 def norm_sq(p: GaussianPointerState) -> float:
@@ -141,11 +136,11 @@ def norm_sq(p: GaussianPointerState) -> float:
 
 
 def mean_position(p: GaussianPointerState) -> float:
-    """<x> of the normalized state, from pairwise closed-form integrals."""
-    n2 = norm_sq(p)
-    if n2 <= 0.0:
+    """<x> of the normalized state, from one pass of pairwise closed-form integrals."""
+    total, position = moments(p, p)
+    if total.real <= 0.0:
         raise ValidationError("mean_position undefined for a zero-norm pointer state")
-    return position_element(p, p).real / n2
+    return position.real / total.real
 
 
 def evaluate(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
@@ -263,9 +258,9 @@ def to_grid(p: GaussianPointerState, xmin: float, xmax: float, n_points: int) ->
         )
     if not math.isfinite(xmax - xmin):
         raise ValidationError(f"grid domain [{xmin}, {xmax}] has no finite width")
+    exact = norm_sq(p)
     import numpy as np
     grid = GridPointerState(xmin, xmax, evaluate(p, np.linspace(xmin, xmax, int(n_points))))
-    exact = norm_sq(p)
     if abs(grid.trapezoid_norm_sq - exact) > GRID_NORM * max(1.0, exact):
         raise ValidationError(
             f"grid norm {grid.trapezoid_norm_sq!r} deviates from closed form {exact!r} "

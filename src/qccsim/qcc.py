@@ -14,7 +14,7 @@ import math
 
 from ._record import Record
 from .errors import ValidationError
-from .pointer import check_width, make_gaussian, overlap, position_element, translate
+from .pointer import check_width, make_gaussian, moments, translate
 from .weakmeas import PrePostContext, Spectrum, first_failure, one_number, reduce_table, require
 
 SIGMA_X_ROWS = ((0.0, 1.0), (1.0, 0.0))
@@ -200,10 +200,10 @@ def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccRep
     norm2 = x_i = x_ii = 0.0
     for p_s, q_s in terms:
         for p_t, q_t in terms:
-            o_i, o_ii = overlap(p_s, p_t), overlap(q_s, q_t)
+            (o_i, e_i), (o_ii, e_ii) = moments(p_s, p_t), moments(q_s, q_t)
             norm2 += (o_i * o_ii).real
-            x_i += (position_element(p_s, p_t) * o_ii).real
-            x_ii += (o_i * position_element(q_s, q_t)).real
+            x_i += (e_i * o_ii).real
+            x_ii += (o_i * e_ii).real
     if norm2 <= 0.0:
         raise ValidationError("joint postselection has zero probability")
     return _qcc_report(

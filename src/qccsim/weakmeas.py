@@ -332,14 +332,15 @@ class BranchTable(NamedTuple):
     def margin(self, phi0: GaussianPointerState, g):
         """Weak-regime margin |g| |A^w| / (2 sigma) at each coupling in ``g``:
         a float for one coupling, an array for an array."""
+        require(g, "coupling strength must be finite")
         return run_on(g, lambda gs: abs(gs) * (1.0 / (2.0 * phi0.width)) * abs(self.weak_value()))
 
     def validity(self, phi0: GaussianPointerState, g) -> ValidityReport:
         """Weak-regime margin and second-order dominance at each coupling in ``g``."""
 
         def report(gs) -> ValidityReport:
-            gs = abs(gs)
             margin = self.margin(phi0, gs)
+            gs = abs(gs)
             wv_sq = self.transition_sq / self.overlap
             # ||P^2 u|| for a normalized Gaussian wavepacket at rest.
             p2_norm = math.sqrt(3.0 / width_power(phi0.width, 16.0, 4, "validity second order"))

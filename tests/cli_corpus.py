@@ -1,0 +1,180 @@
+"""The CLI's observable behaviour as a digest corpus: for each argv, the exit code and
+the sha256 of its stdout, its stderr and each file it leaves behind.
+
+    PYTHONPATH=src python tests/cli_corpus.py --write   # rewrite tests/data/cli_corpus.json
+    PYTHONPATH=src python tests/cli_corpus.py           # compare every case with that file
+
+Each case runs in-process through ``qccsim.cli.main``, in a fresh output directory
+(``QCCSIM_OUTDIR``) that holds one empty subdirectory ``d``. The record's timestamp
+and the output directory's path are masked before hashing. The cases are derived
+from ``SCENARIO_TABLE`` and from the argv lists of the CI steps that feed the CLI
+extreme inputs. Without numpy, the comparison skips the cases that need it, so the
+scalar cases can be compared under any Python.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import itertools
+import json
+import os
+import re
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from qccsim.cli import CONTEXT_NAMES, OUTDIR_ENV, SCENARIO_TABLE, main
+from qccsim.qcc import OBSERVABLE_TAGS
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "data" / "cli_corpus.json"
+CI = ROOT / ".github" / "workflows" / "tests.yml"
+CI_STEPS = ("no traceback on extreme inputs", "failed runs leave no file")
+TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+COUPLINGS = ("0", "5e-324", "1e-08", "0.01", "0.5", "-2", "1e307", "1e308")
+WIDTHS = ("1e-100", "1", "1e100")
+JOINT_COUPLINGS = ("0", "5e-324", "0.02", "1e307", "1e308")
+SPLIT_COUPLINGS = (("0.3", "-0.1"), ("1e308", "-1e308"), ("5e-324", "1e307"))
+SWEEPS = {"qcc": ("--g", "0:0.2:5"), "neutron-absorber": ("--M", "0:1:4"), "neutron-magnetic": ("--alpha=-3:3:5",)}
+SMALL_MC = ("--n", "2000")
+# Each value rule at its boundaries, as tests/test_cli.py's RULE_CASES lists them.
+RULE_BOUNDARIES = (
+    "neutron-absorber --M -0.0",
+    "neutron-absorber --M=-5e-324",
+    "neutron-magnetic --alpha 3.141592653589793",
+    "neutron-magnetic --alpha=-3.141592653589793",
+    "qcc --pointer-width 5e-324",
+    "qcc --pointer-width 0.0",
+    "weak-value --pointer-width -0.0",
+    "montecarlo --g 5e-324",
+    "montecarlo --g -0.0",
+    "montecarlo --workers 1",
+)
+
+
+def ci_inputs() -> list[tuple[str, ...]]:
+    """The argv lists of CI's extreme-input steps, as their heredocs give them
+    (the failed-run step's lines start with the expected exit code)."""
+    found = []
+    for step in CI.read_text().split("- name: ")[1:]:
+        if step.split("\n", 1)[0] in CI_STEPS:
+            lines = step.split("<<'EOF'\n", 1)[1].splitlines()
+            for words in map(str.split, lines[: [line.strip() for line in lines].index("EOF")]):
+                found.append(tuple(words[1:] if words[0].isdigit() else words))
+    return found
+
+
+def cases() -> list[tuple[str, ...]]:
+    """Every argv of the corpus, in order, without repeats."""
+    argvs = []
+    for name, scenario in SCENARIO_TABLE.items():
+        argvs += [(name,), (name, "--validate-only")]
+        for param in scenario.params:
+            argvs += [(name, param.option, value) for value in param.choices]
+    for context, g, width in itertools.product(CONTEXT_NAMES, COUPLINGS, WIDTHS):
+        argvs.append(("weak-value", "--context", context, "--g", g, "--pointer-width", width))
+    for tan_theta in ("0", "1e-08", "30", "-3", "1e200"):
+        argvs.append(("weak-value", "--context", "anomalous", "--tan-theta", tan_theta))
+    for scenario, (obs_I, obs_II), swap in itertools.product(
+        ("qcc", "qcc-joint"), itertools.product(OBSERVABLE_TAGS, repeat=2), ((), ("--swap-spin-labels",))
+    ):
+        observables = ("--observable-I", obs_I, "--observable-II", obs_II, *swap)
+        argvs += [(scenario, "--g", g, *observables) for g in JOINT_COUPLINGS]
+        argvs += [(scenario, "--g-I", g_I, "--g-II", g_II, *observables) for g_I, g_II in SPLIT_COUPLINGS]
+    for scenario, width, g in itertools.product(("qcc", "qcc-joint"), WIDTHS[::2], ("0.02", "1e307")):
+        argvs.append((scenario, "--g", g, "--pointer-width", width))
+    for workers, csv in itertools.product(("1", "2"), ((), ("--csv", "t.csv", "--json", "r.json"))):
+        argvs.append(("montecarlo", *SMALL_MC, "--workers", workers, *csv))
+        argvs.append(("montecarlo", "--mode", "intensity-magnetic", *SMALL_MC, "--workers", workers))
+    for width in WIDTHS[::2]:
+        argvs.append(("montecarlo", *SMALL_MC, "--pointer-width", width))
+    for scenario, grid in SWEEPS.items():
+        argvs.append(("sweep", "--scenario", scenario, *grid))
+        argvs.append(("sweep", "--scenario", scenario, *grid, "--csv", "s.csv", "--json", "r.json"))
+    for width in WIDTHS[::2]:
+        argvs.append(("sweep", "--scenario", "qcc", *SWEEPS["qcc"], "--pointer-width", width))
+    argvs.append(("weak-value", "--csv", "g.csv", "--grid-points", "64"))
+    argvs += [tuple(line.split()) for line in RULE_BOUNDARIES]
+    argvs += ci_inputs()
+    return list(dict.fromkeys(argvs))
+
+
+def _digest(text: str, out_dir: Path) -> str:
+    masked = TIMESTAMP.sub('"timestamp": "<masked>"', text.replace(str(out_dir), "<out>"))
+    return hashlib.sha256(masked.encode()).hexdigest()
+
+
+def run_case(argv, out_dir: Path) -> dict:
+    """One entry: ``argv`` run through ``main`` with ``out_dir`` as its output directory."""
+    (out_dir / "d").mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    saved = os.environ.get(OUTDIR_ENV)
+    os.environ[OUTDIR_ENV] = str(out_dir)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse's exits: 2 on a flag error
+                code = exc.code
+    finally:
+        if saved is None:
+            del os.environ[OUTDIR_ENV]
+        else:
+            os.environ[OUTDIR_ENV] = saved
+    premade = out_dir / "d"
+    left = sorted(p for p in out_dir.rglob("*") if p != premade or any(p.iterdir()))
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout": _digest(stdout.getvalue(), out_dir),
+        "stderr": _digest(stderr.getvalue(), out_dir),
+        "artifacts": {
+            p.relative_to(out_dir).as_posix(): _digest(p.read_text(), out_dir) if p.is_file() else "directory"
+            for p in left
+        },
+    }
+
+
+def run_in_temp(argv) -> dict:
+    with tempfile.TemporaryDirectory() as out_dir:
+        return run_case(argv, Path(out_dir))
+
+
+def load() -> list[dict]:
+    return json.loads(CORPUS.read_text())
+
+
+def write(entries: list[dict]) -> None:
+    lines = ",\n".join(json.dumps(entry) for entry in entries)
+    CORPUS.write_text(f"[\n{lines}\n]\n")
+
+
+def compare() -> int:
+    """Compare every case with the corpus file; print the differing argvs and a summary."""
+    same = differ = skipped = 0
+    for entry in load():
+        try:
+            got = run_in_temp(entry["argv"])
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+            skipped += 1
+            continue
+        if got == entry:
+            same += 1
+        else:
+            differ += 1
+            print("differs:", " ".join(entry["argv"]))
+    print(f"python {sys.version.split()[0]}: {same} same, {differ} differ, {skipped} skipped (need numpy)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--write"]:
+        write([run_in_temp(argv) for argv in cases()])
+        print(f"wrote {CORPUS}")
+    else:
+        sys.exit(compare())

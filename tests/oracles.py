@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from qccsim.montecarlo import DENSITY_POINTS, DRAWS_PER_TRIAL
-from qccsim.pointer import density, support
+from qccsim.pointer import component_overlap, density, midpoint, support
 from qccsim.weakmeas import Spectrum, reduce_table
 
 # 0.999 quantile of the chi-square distribution with 63 degrees of
@@ -52,6 +52,21 @@ def gaussian_amplitude(x: np.ndarray, coeffs, centers, width: float) -> np.ndarr
         dx = np.asarray(x, dtype=float) - c
         out += a * norm * np.exp(-(dx**2) / (4.0 * width**2))
     return out
+
+
+def component_position_element(a, b, width: float) -> float:
+    """Closed-form <u_a|x|u_b> between unit-norm components."""
+    return component_overlap(a, b, width) * midpoint(a.center, b.center)
+
+
+def pair_sum(p, q, element) -> complex:
+    """sum over component pairs of c_a^* c_b element(a, b, width), one sum per call:
+    the per-pair evaluation order that pointer.moments keeps for both its sums."""
+    total = 0.0 + 0.0j
+    for a in p.components:
+        for b in q.components:
+            total += a.coeff.conjugate() * b.coeff * element(a, b, p.width)
+    return total
 
 
 def quadrature_grid(centers, width: float, n: int = 2**16):

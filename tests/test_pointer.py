@@ -1,6 +1,8 @@
 """Gaussian pointer closed forms against quadrature and grid sampling."""
 
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +12,15 @@ from qccsim.pointer import (
     GaussianComponent,
     GaussianPointerState,
     GridPointerState,
+    component_overlap,
     density,
     evaluate,
     make_gaussian,
     mean_position,
     midpoint,
+    moments,
     norm_sq,
     overlap,
-    position_element,
     superpose,
     support,
     to_grid,
@@ -25,7 +28,9 @@ from qccsim.pointer import (
 )
 
 from oracles import (
+    component_position_element,
     gaussian_amplitude,
+    pair_sum,
     quadrature_grid,
     quadrature_mean_position,
     quadrature_norm_sq,
@@ -145,8 +150,75 @@ class TestPositionElement:
         expected = np.trapezoid(f_p.conj() * xs * f_q, xs)
         p, q = two_component(*p_args), two_component(*q_args)
         assert abs(expected) > 0.1
-        assert position_element(p, q) == pytest.approx(expected, abs=1e-10)
-        assert position_element(q, p) == pytest.approx(expected.conjugate(), abs=1e-10)
+        assert moments(p, q)[1] == pytest.approx(expected, abs=1e-10)
+        assert moments(q, p)[1] == pytest.approx(expected.conjugate(), abs=1e-10)
+
+
+def random_pointer(rng, width):
+    """1-4 complex components: centers at mixed scales, the float limits among them, and a
+    -0.0 coefficient now and then."""
+    n = int(rng.integers(1, 5))
+    scales = rng.choice([1e-3, 1.0, 1e3, 1e150], size=n)
+    centers = [float(c) for c in rng.normal(size=n) * scales]
+    for i in range(n):
+        if rng.random() < 0.25:
+            centers[i] = float(rng.choice([1e308, -1e308, -0.0]))
+    coeffs = [complex(*rng.normal(size=2)) for _ in range(n)]
+    if rng.random() < 0.3:
+        coeffs[0] = complex(-0.0, float(rng.choice([0.0, -0.0])))
+    return GaussianPointerState(width, tuple(zip(coeffs, centers)))
+
+
+def hexes(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestMoments:
+    WIDTHS = [1e-100, 1e-8, 0.3, 1.0, 7.0, 1e8, 1e100]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_both_sums_are_the_per_pair_sums_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        width = self.WIDTHS[seed % len(self.WIDTHS)]
+        for _ in range(10):
+            p, q = random_pointer(rng, width), random_pointer(rng, width)
+            want = pair_sum(p, q, component_overlap), pair_sum(p, q, component_position_element)
+            if not all(map(cmath.isfinite, want)):
+                quantity = "<p|q>" if not cmath.isfinite(want[0]) else "<p|x|q>"
+                with pytest.raises(OverflowError, match=f"^pointer pair sum overflows: {re.escape(quantity)} is "):
+                    moments(p, q)
+                continue
+            got = moments(p, q)
+            assert [hexes(z) for z in got] == [hexes(z) for z in want]
+            assert overlap(p, q) == got[0]
+            total, position = pair_sum(p, p, component_overlap), pair_sum(p, p, component_position_element)
+            if cmath.isfinite(total) and cmath.isfinite(position) and total.real > 0.0:
+                assert mean_position(p).hex() == (position.real / max(total.real, 0.0)).hex()
+
+    def test_a_negative_zero_coefficient_keeps_its_signs(self):
+        p = GaussianPointerState(1.0, ((complex(-0.0, 0.0), 0.5), (complex(-0.0, -0.0), -0.5)))
+        q = make_gaussian(0.0, 1.0)
+        for pair in ((p, q), (q, p), (p, p)):
+            want = pair_sum(*pair, component_overlap), pair_sum(*pair, component_position_element)
+            assert [hexes(z) for z in moments(*pair)] == [hexes(z) for z in want]
+
+    def test_a_norm_beyond_the_float_range_overflows(self):
+        # |1e155|^2 = 1e310: at the parent, norm_sq read inf and mean_position nan.
+        p = GaussianPointerState(1.0, ((1e155, 0.0),))
+        for readout in (norm_sq, mean_position, lambda p: overlap(p, p)):
+            with pytest.raises(OverflowError, match=r"^pointer pair sum overflows: <p\|q> is \(inf\+nanj\)$"):
+                readout(p)
+        with pytest.raises(OverflowError, match=r"^pointer pair sum overflows: <p\|q> is "):
+            to_grid(p, -10.0, 10.0, 1024)
+
+    def test_a_position_beyond_the_float_range_overflows(self):
+        # <p|p> is 2.25, but <p|x|p> = 2.25 * 1e308 leaves the float range; one pass
+        # reads both, so the norm fails with the position.
+        p = GaussianPointerState(1.0, ((1.5, 1e308),))
+        assert pair_sum(p, p, component_overlap) == 2.25
+        for readout in (norm_sq, mean_position):
+            with pytest.raises(OverflowError, match=r"^pointer pair sum overflows: <p\|x\|q> is \(inf\+0j\)$"):
+                readout(p)
 
 
 class TestClosedFormNorm:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qccsim.errors import ValidationError
-from qccsim.pointer import GaussianComponent, component_overlap, component_position_element
+from qccsim.pointer import GaussianComponent, component_overlap
 from qccsim.qcc import (
     OBSERVABLE_TAGS,
     QccConfig,
@@ -19,7 +19,7 @@ from qccsim.qcc import (
 )
 from qccsim.weakmeas import vdot
 
-from oracles import fit_exponent, quadrature_mean_position
+from oracles import component_position_element, fit_exponent, quadrature_mean_position
 
 G_DEFAULT = 0.02
 

@@ -407,6 +407,20 @@ class TestValidityMargin:
         report = validity_margin(ctx, obs, PHI0, 0.1)
         assert report.margin == pytest.approx(0.05, abs=1e-14)
 
+    def test_non_finite_coupling_has_no_validity_report(self):
+        # At the parent this returned margin=nan and dominance_ratio=0.0.
+        with pytest.raises(ValidationError, match=r"^coupling strength must be finite, got nan$"):
+            validity_margin(*build_context("anomalous"), PHI0, math.nan)
+
+    @pytest.mark.parametrize("g", [math.inf, -math.inf, np.array([0.1, math.inf])])
+    def test_non_finite_coupling_has_no_margin(self, g):
+        # At the parent a margin at an infinite coupling was nan.
+        bad = float(np.ravel(g)[-1])
+        table = arm_table("I", "sigma_x")
+        for check in (table.margin, table.validity):
+            with pytest.raises(ValidationError, match=rf"^coupling strength must be finite, got {bad!r}$"):
+                check(PHI0, g)
+
     def test_linear_error_grows_with_margin(self):
         ctx, obs = build_context("anomalous", tan_theta=3.0)
         gs = np.linspace(0.01, 0.2, 6)
