@@ -63,7 +63,6 @@ from .qcc import (
     SIGMA_X_ROWS,
     QccConfig,
     arm_observable,
-    arm_table,
     build_prepost,
     run_ideal_qcc,
     run_joint_pointers,
@@ -78,7 +77,7 @@ from .serialize import (
     write_trials_csv,
 )
 from .tolerances import MAX_AMPLITUDES
-from .weakmeas import PrePostContext, Spectrum, reduce_table
+from .weakmeas import PrePostContext, Spectrum, branch_table
 
 OUTDIR_ENV = "QCCSIM_OUTDIR"
 # A user's BLAS thread count; without one, a CLI process asks for one thread.
@@ -104,13 +103,13 @@ _HALF = 1.0 / math.sqrt(2.0)
 # Spectra of sigma_x and of |path 0><path 0|, written out exactly as np.linalg.eigh returns them.
 SIGMA_X_SPECTRUM = Spectrum(SIGMA_X_ROWS, (-1.0, 1.0), ((-_HALF, _HALF), (_HALF, _HALF)))
 PROJECTOR_SPECTRUM = Spectrum(((1.0, 0.0), (0.0, 0.0)), (0.0, 1.0), ((0.0, 1.0), (1.0, 0.0)))
-# Two-level context name -> (psi, chi, observable spectrum). "anomalous" is the
+# Two-level context name -> (context, observable spectrum). "anomalous" is the
 # sigma_x one whose chi = (cos theta, sin theta) follows tan_theta, taken
 # without atan, which loses precision at large |tan theta|.
 _TWO_LEVEL = {
-    "spin-trivial": ((1.0, 0.0), (1.0, 0.0), SIGMA_X_SPECTRUM),
-    "path-null": ((_HALF, _HALF), (0.0, 1.0), PROJECTOR_SPECTRUM),
-    "orthogonal": ((1.0, 0.0), (0.0, 1.0), SIGMA_X_SPECTRUM),
+    "spin-trivial": (PrePostContext((1.0, 0.0), (1.0, 0.0)), SIGMA_X_SPECTRUM),
+    "path-null": (PrePostContext((_HALF, _HALF), (0.0, 1.0)), PROJECTOR_SPECTRUM),
+    "orthogonal": (PrePostContext((1.0, 0.0), (0.0, 1.0)), SIGMA_X_SPECTRUM),
 }
 # Cheshire Cat context name -> (arm, observable tag), on the states of build_prepost().
 _ARM_CONTEXTS = {
@@ -119,28 +118,16 @@ _ARM_CONTEXTS = {
 CONTEXT_NAMES = (*_TWO_LEVEL, "anomalous", *_ARM_CONTEXTS)
 
 
-def _two_level(name: str, tan_theta: float) -> tuple:
-    if name == "anomalous":
-        h = math.hypot(1.0, tan_theta)
-        return (1.0, 0.0), (1.0 / h, tan_theta / h), SIGMA_X_SPECTRUM
-    if name not in _TWO_LEVEL:
-        raise ValidationError(f"unknown context {name!r}; choose from {CONTEXT_NAMES}")
-    return _TWO_LEVEL[name]
-
-
 def build_context(name: str, tan_theta: float = 3.0) -> tuple[PrePostContext, Spectrum]:
     """Named pre/postselection scenarios used by weak-value and montecarlo runs."""
     if name in _ARM_CONTEXTS:
         return build_prepost(), arm_observable(*_ARM_CONTEXTS[name])
-    psi, chi, spectrum = _two_level(name, tan_theta)
-    return PrePostContext(psi, chi), spectrum
-
-
-def context_table(name: str, tan_theta: float = 3.0) -> BranchTable:
-    """``branch_table(*build_context(name, tan_theta))``, reduced from the same data without numpy."""
-    if name in _ARM_CONTEXTS:
-        return arm_table(*_ARM_CONTEXTS[name])
-    return reduce_table(*_two_level(name, tan_theta))
+    if name == "anomalous":
+        h = math.hypot(1.0, tan_theta)
+        return PrePostContext((1.0, 0.0), (1.0 / h, tan_theta / h)), SIGMA_X_SPECTRUM
+    if name not in _TWO_LEVEL:
+        raise ValidationError(f"unknown context {name!r}; choose from {CONTEXT_NAMES}")
+    return _TWO_LEVEL[name]
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -435,7 +422,7 @@ def _qcc_config(params: dict) -> QccConfig:
 
 
 def run_weak_value(params: dict, csv_path: Path | None) -> dict:
-    table = context_table(params["context"], params["tan_theta"])
+    table = branch_table(*build_context(params["context"], params["tan_theta"]))
     table.weak_value()  # an orthogonal postselection raises before coupling
     phi0 = make_gaussian(0.0, params["pointer_width"])
     result = table.couple(phi0, params["g"])
@@ -472,7 +459,7 @@ def run_neutron_magnetic(params: dict) -> dict:
 def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
     n, seed = params["n"], params["seed"]
     if params["mode"] == "pointer":
-        table = context_table(params["context"], params["tan_theta"])
+        table = branch_table(*build_context(params["context"], params["tan_theta"]))
         wv = table.weak_value()  # an orthogonal postselection raises before sampling
         phi0 = make_gaussian(0.0, params["pointer_width"])
         exact = table.couple(phi0, params["g"])

@@ -12,7 +12,7 @@ import math
 
 from ._record import Record
 from .errors import NegativeRadicand, ValidationError
-from .qcc import ARMS, CHI, PSI, arm_table
+from .qcc import ARMS, CHI, PSI, arm_table, check_arm
 from .tolerances import ARITHMETIC, STRUCTURAL
 from .weakmeas import elementwise, first_failure, one_number, require, run_on, squared, vdot
 
@@ -34,8 +34,7 @@ class AbsorberConfig(Record):
     M: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.arm not in ARMS:
-            raise ValidationError(f"arm must be one of {ARMS}, got {self.arm!r}")
+        check_arm(self.arm)
         check_absorption(self.M)
 
 
@@ -46,8 +45,7 @@ class MagneticConfig(Record):
     alpha: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.arm not in ARMS:
-            raise ValidationError(f"arm must be one of {ARMS}, got {self.arm!r}")
+        check_arm(self.arm)
         check_rotation(self.alpha)
 
 
@@ -79,8 +77,7 @@ class IntensityReport(Record):
     expansion_error: float
 
     def __post_init__(self) -> None:
-        if self.i0 <= 0.0:
-            raise ValidationError(f"reference intensity must be positive, got {self.i0}")
+        require(self.i0, "reference intensity must be positive", lambda i0: i0 > 0.0)
         if first_failure(lambda d: abs(d) <= ARITHMETIC, self.ratio - self.i_perturbed / self.i0):
             raise ValidationError("ratio field is inconsistent with the intensities")
 

@@ -15,7 +15,7 @@ import math
 from ._record import Record
 from .errors import ValidationError
 from .pointer import check_width, make_gaussian, moments, translate
-from .weakmeas import PrePostContext, Spectrum, first_failure, one_number, reduce_table, require
+from .weakmeas import PrePostContext, Spectrum, branch_table, first_failure, one_number, require
 
 SIGMA_X_ROWS = ((0.0, 1.0), (1.0, 0.0))
 ARMS = ("I", "II")
@@ -40,6 +40,12 @@ _ARM_EIGENPAIRS = {
 WEAK_MARGIN_WARN = 0.2
 
 
+def check_arm(arm: str) -> None:
+    """The arm rule: one of ``ARMS``."""
+    if arm not in ARMS:
+        raise ValidationError(f"arm must be one of {ARMS}, got {arm!r}")
+
+
 @functools.cache
 def arm_observable(arm: str, tag: str) -> Spectrum:
     """Arm-local observable on path (x) spin, written out and checked.
@@ -47,8 +53,7 @@ def arm_observable(arm: str, tag: str) -> Spectrum:
     ``projector`` is |arm><arm| (x) 1, ``sigma_x`` is |arm><arm| (x) sigma_x.
     Built once per (arm, tag): every call returns the same immutable object.
     """
-    if arm not in ARMS:
-        raise ValidationError(f"arm must be one of {ARMS}, got {arm!r}")
+    check_arm(arm)
     if tag not in OBSERVABLE_TAGS:
         raise ValidationError(f"observable must be one of {OBSERVABLE_TAGS}, got {tag!r}")
     spin = SIGMA_X_ROWS if tag == "sigma_x" else ((1.0, 0.0), (0.0, 1.0))
@@ -84,7 +89,7 @@ def arm_table(arm: str, tag: str, swap_spin_labels: bool = False) -> BranchTable
 
 @functools.cache
 def _arm_table(arm: str, tag: str, swap_spin_labels: bool) -> BranchTable:
-    return reduce_table(PSI, CHI[swap_spin_labels], arm_observable(arm, tag))
+    return branch_table(_prepost(swap_spin_labels), arm_observable(arm, tag))
 
 
 class QccConfig(Record):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from ._record import Record
 from .errors import DimensionMismatch, OrthogonalPostselection, ValidationError
@@ -340,11 +340,13 @@ class BranchTable(NamedTuple):
 
         def report(gs) -> ValidityReport:
             margin = self.margin(phi0, gs)
-            gs = abs(gs)
-            wv_sq = self.transition_sq / self.overlap
-            # ||P^2 u|| for a normalized Gaussian wavepacket at rest.
-            p2_norm = math.sqrt(3.0 / width_power(phi0.width, 16.0, 4, "validity second order"))
-            second_order = squared(gs, "validity second order", "|g|") / 2.0 * abs(wv_sq) * p2_norm
+            # ||P^2 u|| = sqrt(3) / (4 sigma^2) for a normalized Gaussian wavepacket at rest.
+            p2_norm = math.sqrt(3.0) / width_power(phi0.width, 4.0, 2, "validity second order")
+            if p2_norm == math.inf:
+                raise OverflowError("validity second order overflows: "
+                                    f"sqrt(3)/(4*pointer_width**2) at pointer_width={phi0.width!r}")
+            wv_sq = abs(self.transition_sq / self.overlap)
+            second_order = squared(abs(gs), "validity second order", "|g|") / 2.0 * wv_sq * p2_norm
             dominance = select(margin > 0.0, lambda: second_order / margin,
                                lambda: select(second_order > 0.0, lambda: math.inf, lambda: 0.0))
             return ValidityReport(margin, margin, second_order, dominance)
@@ -352,11 +354,12 @@ class BranchTable(NamedTuple):
         return run_on(g, report)
 
 
-def reduce_table(psi: Sequence, chi: Sequence, spectrum: Spectrum) -> BranchTable:
-    """The :class:`BranchTable` of amplitudes ``psi`` and ``chi`` and an observable's
-    written-out spectrum: the one reduction behind every table, in Python complex
-    arithmetic, so a table is the same whether or not numpy built its inputs."""
-    psi, chi = [complex(x) for x in psi], [complex(x) for x in chi]
+def branch_table(ctx: PrePostContext, spectrum: Spectrum) -> BranchTable:
+    """Reduce a (context, observable) pair to its :class:`BranchTable`, in Python complex
+    arithmetic: the one door to a table, the same whether or not numpy built its inputs."""
+    if len(spectrum.rows) != len(ctx.psi_i):
+        raise DimensionMismatch(f"observable has {len(spectrum.rows)} rows for a {len(ctx.psi_i)}-level context")
+    psi, chi = ctx.psi_i, ctx.chi_f
     merged: dict[float, complex] = {}
     for a, vec in zip(spectrum.eigvals, spectrum.eigvecs):
         merged[a] = merged.get(a, 0.0 + 0.0j) + vdot(chi, vec) * vdot(vec, psi)
@@ -369,13 +372,6 @@ def reduce_table(psi: Sequence, chi: Sequence, spectrum: Spectrum) -> BranchTabl
         transition=vdot(chi, a_psi),
         transition_sq=vdot(chi, matvec(spectrum.rows, a_psi)),
     )
-
-
-def branch_table(ctx: PrePostContext, spectrum: Spectrum) -> BranchTable:
-    """Reduce a (context, observable) pair to its :class:`BranchTable`."""
-    if len(spectrum.rows) != len(ctx.psi_i):
-        raise DimensionMismatch(f"observable has {len(spectrum.rows)} rows for a {len(ctx.psi_i)}-level context")
-    return reduce_table(ctx.psi_i, ctx.chi_f, spectrum)
 
 
 def weak_value(ctx: PrePostContext, obs: Spectrum) -> complex:

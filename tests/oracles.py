@@ -13,7 +13,7 @@ import numpy as np
 
 from qccsim.montecarlo import DENSITY_POINTS, DRAWS_PER_TRIAL
 from qccsim.pointer import component_overlap, density, midpoint, support
-from qccsim.weakmeas import Spectrum, reduce_table
+from qccsim.weakmeas import PrePostContext, Spectrum, branch_table
 
 # 0.999 quantile of the chi-square distribution with 63 degrees of
 # freedom, for the 64-bin histogram test.
@@ -228,7 +228,7 @@ def branch_oracle(psi, chi, matrix):
 def sum_rule_gap(psi, a_matrix, basis_matrix) -> tuple[float, float]:
     """<psi|A|psi> by numpy, and its gap to sum_f |<b_f|psi>|^2 A^w_f over the eigenbasis b_f of B.
 
-    Each A^w_f is the package's weak value, read off ``reduce_table`` with the
+    Each A^w_f is the package's weak value, read off ``branch_table`` with the
     postselection b_f. A numerically orthogonal outcome contributes
     conj(<b_f|psi>) <b_f|A|psi>, the same product without the 0 * inf ambiguity.
     """
@@ -239,7 +239,7 @@ def sum_rule_gap(psi, a_matrix, basis_matrix) -> tuple[float, float]:
     lhs = np.vdot(psi, a @ psi)
     rhs = 0.0 + 0.0j
     for b in np.linalg.eigh(np.asarray(basis_matrix, dtype=complex))[1].T:
-        table = reduce_table(psi.tolist(), b.tolist(), spectrum)
+        table = branch_table(PrePostContext(psi.tolist(), b.tolist()), spectrum)
         if table.orthogonal:
             rhs += table.overlap.conjugate() * table.transition
         else:

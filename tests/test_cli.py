@@ -32,15 +32,15 @@ from oracles import fit_exponent
 DATA = Path(__file__).parent / "data"
 
 OVERFLOW_1E300 = "OverflowError: Gaussian pointer overflows: 8*pointer_width**2 at pointer_width=1e+300"
-UNDERFLOW_1E_100 = (
-    "ZeroDivisionError: validity second order underflows to 0: 16*pointer_width**4 at pointer_width=1e-100"
+OVERFLOW_1E_160 = (
+    "OverflowError: validity second order overflows: sqrt(3)/(4*pointer_width**2) at pointer_width=1e-160"
 )
 # Pointer widths beyond float range: each run exits 5, naming the width, before any sampling.
 EXTREME_WIDTHS = [
     (("weak-value", "--pointer-width", "1e300"), OVERFLOW_1E300),
     (("qcc", "--pointer-width", "1e300"), OVERFLOW_1E300),
     (("montecarlo", "--n", "2000", "--pointer-width", "1e300"), OVERFLOW_1E300),
-    (("weak-value", "--pointer-width", "1e-100"), UNDERFLOW_1E_100),
+    (("weak-value", "--pointer-width", "1e-160", "--g", "1"), OVERFLOW_1E_160),
     (
         ("weak-value", "--pointer-width", "1e-300"),
         "ZeroDivisionError: Gaussian pointer underflows to 0: 8*pointer_width**2 at pointer_width=1e-300",
@@ -379,22 +379,22 @@ class TestSweeps:
                 cached.cache_clear()
             calls = {"tables": 0, "spectra": 0}
 
-            def counting_reduce_table(*args):
+            def counting_branch_table(*args):
                 calls["tables"] += 1
-                return reduce_table(*args)
+                return branch_table(*args)
 
             def counting_post_init(spectrum):
                 calls["spectra"] += 1
                 post_init(spectrum)
 
             with monkeypatch.context() as patch:
-                patch.setattr(qcc, "reduce_table", counting_reduce_table)
+                patch.setattr(qcc, "branch_table", counting_branch_table)
                 patch.setattr(Spectrum, "__post_init__", counting_post_init)
                 code, _, _ = run_cli(capsys, "sweep", "--scenario", scenario, flag, f"0:1:{points}")
             assert code == 0
             return calls["tables"], calls["spectra"]
 
-        reduce_table, post_init = qcc.reduce_table, Spectrum.__post_init__
+        branch_table, post_init = qcc.branch_table, Spectrum.__post_init__
         assert counted_calls(3) == counted_calls(300)
 
     def test_range_parsing(self):
@@ -617,6 +617,16 @@ class TestExitCodes:
         assert code == 5
         kind, message = error.split(": ", 1)
         assert json.loads(err)["error"] == {"type": kind, "message": message}
+
+    @pytest.mark.parametrize("width", [1e-100, 1e100])
+    @pytest.mark.parametrize("g", [0.0, 1.0])
+    def test_validity_reads_sqrt3_over_4_width_squared_at_any_representable_width(self, capsys, width, g):
+        # 16*width**4 leaves the float range at these widths; sqrt(3)/(4*width**2) does not.
+        code, out, _ = run_cli(capsys, "weak-value", "--pointer-width", repr(width), "--g", repr(g))
+        assert code == 0
+        # qcc-pi-I is a projector, so (A^2)^w = A^w = 1.
+        second_order = json.loads(out)["results"]["validity_second_order"]
+        assert second_order == pytest.approx(g * g / 2.0 * math.sqrt(3.0) / 4.0 / width / width, rel=1e-15)
 
     def test_a_subnormal_monte_carlo_coupling_overflows_the_estimate(self, capsys):
         code, out, err = run_cli(capsys, "montecarlo", "--g", "5e-324", "--n", "2000")

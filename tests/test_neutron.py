@@ -7,7 +7,7 @@ import pytest
 
 import qccsim.neutron
 from qccsim.errors import NegativeRadicand, ValidationError
-from qccsim.qcc import ARMS, QccConfig, build_prepost
+from qccsim.qcc import ARMS, QccConfig, arm_observable, build_prepost
 from qccsim.neutron import (
     AbsorberConfig,
     IntensityReport,
@@ -222,6 +222,18 @@ class TestValidation:
         with pytest.raises(ValidationError, match="^reference intensity must be positive, got 0.0$"):
             IntensityReport(i0=0.0, i_perturbed=0.0, ratio=0.0, first_order_prediction=0.0,
                             second_order_prediction=0.0, inferred_weak_value=0.0, expansion_error=0.0)
+
+    @pytest.mark.parametrize("i0", [math.inf, math.nan])
+    def test_a_non_finite_reference_intensity_is_rejected(self, i0):
+        with pytest.raises(ValidationError, match=f"^reference intensity must be positive, got {i0!r}$"):
+            IntensityReport(i0, 0.2, 0.0, 1.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("build", [lambda: arm_observable("III", "projector"),
+                                       lambda: AbsorberConfig("III", 0.1), lambda: MagneticConfig("III", 0.1)],
+                             ids=["arm_observable", "AbsorberConfig", "MagneticConfig"])
+    def test_each_arm_check_states_the_one_rule(self, build):
+        with pytest.raises(ValidationError, match=r"^arm must be one of \('I', 'II'\), got 'III'$"):
+            build()
 
     def test_a_config_of_another_kind_is_unsupported(self):
         with pytest.raises(ValidationError, match="^unsupported perturbation config QccConfig$"):
