@@ -47,7 +47,6 @@ _EXPORTS = {
     "pointer": (
         "GaussianComponent",
         "GaussianPointerState",
-        "GridPointerState",
         "make_gaussian",
         "mean_position",
         "norm_sq",

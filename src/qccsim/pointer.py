@@ -170,54 +170,6 @@ def density(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
     return abs_sq(evaluate(p, x))
 
 
-class GridPointerState(Record):
-    """Sampled pointer amplitudes on a uniform grid, for export only; one point per amplitude."""
-
-    xmin: float
-    xmax: float
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-        xmin = float(self.xmin)
-        xmax = float(self.xmax)
-        if not (math.isfinite(xmin) and math.isfinite(xmax)) or xmax <= xmin:
-            raise ValidationError(f"bad grid domain [{xmin}, {xmax}]")
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.ndim != 1:
-            raise ValidationError(f"grid amplitudes must be one-dimensional, got shape {amps.shape}")
-        check_grid_points(amps.size)
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
-            raise ValidationError("grid amplitudes contain non-finite entries")
-        dens = abs_sq(amps)
-        peak = float(dens.max(initial=0.0))
-        edge = float(max(dens[0], dens[-1]))
-        # Wrap-around guard on the density, so a minimally compliant domain of +-8 widths still passes.
-        if peak > 0.0 and edge >= GRID_BOUNDARY_DENSITY * peak:
-            raise ValidationError(
-                f"boundary density {edge:.3e} exceeds {GRID_BOUNDARY_DENSITY} of peak {peak:.3e}"
-            )
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "xmin", xmin)
-        object.__setattr__(self, "xmax", xmax)
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def xs(self) -> np.ndarray:
-        import numpy as np
-        return np.linspace(self.xmin, self.xmax, self.amps.size)
-
-    @property
-    def density(self) -> np.ndarray:
-        return abs_sq(self.amps)
-
-    @property
-    def trapezoid_norm_sq(self) -> float:
-        import numpy as np
-        return float(np.trapezoid(self.density, self.xs))
-
-
 def check_grid_points(n_points: int) -> None:
     """The grid size rule: a power of two >= 2, at most ``MAX_AMPLITUDES`` points."""
     if n_points > MAX_AMPLITUDES:
@@ -241,11 +193,13 @@ def support(p: GaussianPointerState) -> tuple[float, float]:
     return lo, hi
 
 
-def to_grid(p: GaussianPointerState, xmin: float, xmax: float, n_points: int) -> GridPointerState:
-    """Sample the superposition on [xmin, xmax] with ``n_points`` points.
+def to_grid(p: GaussianPointerState, xmin: float, xmax: float,
+            n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample the superposition on [xmin, xmax] with ``n_points`` points: the grid ``xs``,
+    the amplitudes there and their density, |amp|^2 by :func:`abs_sq`.
 
-    The domain must cover the pointer's :func:`support`; the trapezoidal
-    norm is verified against the closed form.
+    The domain must cover the pointer's :func:`support`; the density at the domain's ends
+    must be negligible against its peak, and its trapezoidal norm must match the closed form.
     """
     if not p.components:
         raise ValidationError("cannot grid-sample an empty pointer state")
@@ -260,10 +214,14 @@ def to_grid(p: GaussianPointerState, xmin: float, xmax: float, n_points: int) ->
         raise ValidationError(f"grid domain [{xmin}, {xmax}] has no finite width")
     exact = norm_sq(p)
     import numpy as np
-    grid = GridPointerState(xmin, xmax, evaluate(p, np.linspace(xmin, xmax, int(n_points))))
-    if abs(grid.trapezoid_norm_sq - exact) > GRID_NORM * max(1.0, exact):
-        raise ValidationError(
-            f"grid norm {grid.trapezoid_norm_sq!r} deviates from closed form {exact!r} "
-            f"beyond {GRID_NORM}"
-        )
-    return grid
+    xs = np.linspace(xmin, xmax, int(n_points))
+    amps = evaluate(p, xs)
+    dens = abs_sq(amps)
+    peak, edge = float(dens.max()), float(max(dens[0], dens[-1]))
+    # Wrap-around guard on the density, so a minimally compliant domain of +-8 widths still passes.
+    if peak > 0.0 and edge >= GRID_BOUNDARY_DENSITY * peak:
+        raise ValidationError(f"boundary density {edge:.3e} exceeds {GRID_BOUNDARY_DENSITY} of peak {peak:.3e}")
+    norm = float(np.trapezoid(dens, xs))
+    if abs(norm - exact) > GRID_NORM * max(1.0, exact):
+        raise ValidationError(f"grid norm {norm!r} deviates from closed form {exact!r} beyond {GRID_NORM}")
+    return xs, amps, dens

@@ -46,6 +46,12 @@ def check_arm(arm: str) -> None:
         raise ValidationError(f"arm must be one of {ARMS}, got {arm!r}")
 
 
+def check_observable(tag: str) -> None:
+    """The observable rule: one of ``OBSERVABLE_TAGS``."""
+    if tag not in OBSERVABLE_TAGS:
+        raise ValidationError(f"observable must be one of {OBSERVABLE_TAGS}, got {tag!r}")
+
+
 @functools.cache
 def arm_observable(arm: str, tag: str) -> Spectrum:
     """Arm-local observable on path (x) spin, written out and checked.
@@ -54,8 +60,7 @@ def arm_observable(arm: str, tag: str) -> Spectrum:
     Built once per (arm, tag): every call returns the same immutable object.
     """
     check_arm(arm)
-    if tag not in OBSERVABLE_TAGS:
-        raise ValidationError(f"observable must be one of {OBSERVABLE_TAGS}, got {tag!r}")
+    check_observable(tag)
     spin = SIGMA_X_ROWS if tag == "sigma_x" else ((1.0, 0.0), (0.0, 1.0))
     j = ARMS.index(arm)
     rows = tuple(tuple(float(r // 2 == c // 2 == j) * spin[r % 2][c % 2] for c in range(4)) for r in range(4))
@@ -106,8 +111,8 @@ class QccConfig(Record):
     pointer_width: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.observable_I not in OBSERVABLE_TAGS or self.observable_II not in OBSERVABLE_TAGS:
-            raise ValidationError(f"observable tags must be in {OBSERVABLE_TAGS}")
+        check_observable(self.observable_I)
+        check_observable(self.observable_II)
         require(self.g_I, "coupling g_I must be finite")
         require(self.g_II, "coupling g_II must be finite")
         check_width(self.pointer_width)

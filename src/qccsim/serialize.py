@@ -123,10 +123,11 @@ def _lines(columns) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
-def write_grid_csv(grid: GridPointerState, path: str | Path) -> None:
-    """Columns: x, re, im, prob_density."""
-    columns = (grid.xs, grid.amps.real, grid.amps.imag, grid.density)
-    _write_table(path, ("x", "re", "im", "prob_density"), grid.xs.size,
+def write_grid_csv(grid: tuple[np.ndarray, np.ndarray, np.ndarray], path: str | Path) -> None:
+    """Columns: x, re, im, prob_density, from :func:`qccsim.pointer.to_grid`'s ``(xs, amps, density)``."""
+    xs, amps, density = grid
+    columns = (xs, amps.real, amps.imag, density)
+    _write_table(path, ("x", "re", "im", "prob_density"), xs.size,
                  lambda a, b: _lines(_format_column(x[a:b]) for x in columns))
 
 

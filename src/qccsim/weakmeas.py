@@ -347,6 +347,10 @@ class BranchTable(NamedTuple):
                                     f"sqrt(3)/(4*pointer_width**2) at pointer_width={phi0.width!r}")
             wv_sq = abs(self.transition_sq / self.overlap)
             second_order = squared(abs(gs), "validity second order", "|g|") / 2.0 * wv_sq * p2_norm
+            bad = first_failure(lambda s: s < math.inf, second_order, gs)
+            if bad is not None:
+                raise OverflowError("validity second order overflows: |g|**2/2*|(A^2)^w|*sqrt(3)/(4*pointer_width**2) "
+                                    f"at g={bad[1]!r}, pointer_width={phi0.width!r}")
             dominance = select(margin > 0.0, lambda: second_order / margin,
                                lambda: select(second_order > 0.0, lambda: math.inf, lambda: 0.0))
             return ValidityReport(margin, margin, second_order, dominance)

@@ -248,9 +248,11 @@ def sum_rule_gap(psi, a_matrix, basis_matrix) -> tuple[float, float]:
 
 
 def grid_csv_oracle(grid) -> str:
-    """Grid CSV text, one row at a time from Python floats and complex numbers."""
+    """Grid CSV text of ``to_grid``'s ``(xs, amps, density)``, one row at a time from
+    Python floats and complex numbers."""
+    xs, amps, _ = grid
     lines = ["x,re,im,prob_density"]
-    for x, z in zip(grid.xs.tolist(), grid.amps.tolist()):
+    for x, z in zip(xs.tolist(), amps.tolist()):
         z = complex(z)
         cells = (x, z.real, z.imag, (z.conjugate() * z).real)
         lines.append(",".join(format(float(v), ".17g") for v in cells))

@@ -176,6 +176,13 @@ class TestIdealRun:
         with pytest.raises(ValidationError):
             QccConfig(pointer_width=0.0)
 
+    @pytest.mark.parametrize("build", [lambda: arm_observable("I", "x"), lambda: QccConfig(observable_I="x"),
+                                       lambda: QccConfig(observable_II="x")],
+                             ids=["arm_observable", "observable_I", "observable_II"])
+    def test_each_observable_check_states_the_one_rule(self, build):
+        with pytest.raises(ValidationError, match=r"^observable must be one of \('projector', 'sigma_x'\), got 'x'$"):
+            build()
+
     def test_a_coupling_array_of_two_dimensions_names_its_shape(self):
         cfg = QccConfig(g_I=np.zeros((2, 2)), g_II=np.zeros((2, 2)))
         with pytest.raises(ValidationError, match=r"^couplings must be one number or a 1-D array, got shape \(2, 2\)$"):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -515,6 +516,16 @@ class TestBranchTable:
         table = branch_table(*build_context("anomalous"))
         with pytest.raises(OverflowError, match=r"validity second order overflows: \|g\|\*\*2 at \|g\|=2e\+200"):
             table.validity(PHI0, np.array([0.1, -2e200, 3e200]))
+
+    @pytest.mark.parametrize("width, g", [(0.01, 1e153), (1e-100, 1e60), (0.01, np.array([0.1, 1e153, 2e153]))],
+                             ids=["one-coupling", "narrowest-width", "array"])
+    def test_overflowing_second_order_product_names_g_and_the_width(self, width, g):
+        # At the parent |g|**2 and the width quotient were finite, their product inf: a null in the record.
+        first = float(np.ravel(g)[np.ravel(g) > 1.0][0])
+        message = ("validity second order overflows: |g|**2/2*|(A^2)^w|*sqrt(3)/(4*pointer_width**2) "
+                   f"at g={first!r}, pointer_width={width!r}")
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            branch_table(*build_context("anomalous")).validity(make_gaussian(0.0, width), g)
 
     def test_degenerate_branches_are_merged_and_empty_ones_dropped(self):
         table = branch_table(*build_context("qcc-sigma-II"))
