@@ -27,7 +27,6 @@ _EXPORTS = {
     "montecarlo": (
         "EstimatorReport",
         "IntensityCounts",
-        "TrialBatch",
         "estimate_weak_value",
         "sample_intensity_experiment",
         "sample_trials",

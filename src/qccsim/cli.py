@@ -295,7 +295,7 @@ class JsonErrorParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-@functools.cache  # one parser per process: parsing does not change it, and no caller may
+@functools.cache  # one parser per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = JsonErrorParser(
         prog="qccsim",
@@ -463,16 +463,16 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
         wv = table.weak_value()  # an orthogonal postselection raises before sampling
         phi0 = make_gaussian(0.0, params["pointer_width"])
         exact = table.couple(phi0, params["g"])
-        batch = sample_trials(exact, n, seed, workers=params["workers"])
+        trials = sample_trials(exact, n, seed, workers=params["workers"])
         out = {
             "mode": "pointer",
             "context": params["context"],
-            "estimator": estimate_weak_value(batch, phi0, params["g"])._asdict(),
+            "estimator": estimate_weak_value(trials, phi0, params["g"])._asdict(),
             "exact_weak_value_re": wv.real,
             "exact_postselect_prob": exact.postselect_prob_coupled,
         }
         if csv_path is not None:
-            write_trials_csv(batch, csv_path)
+            write_trials_csv(trials, csv_path)
         return out
     if params["mode"] == "intensity-absorber":
         cfg = AbsorberConfig(params["arm"], params["M"])

@@ -1,7 +1,7 @@
 """Finite-statistics emulation of weak measurement runs.
 
 Each trial owns one counter block of a counter-based generator, so a
-batch is a pure function of (seed, n): any chunking or thread layout
+sample is a pure function of (seed, n): any chunking or thread layout
 reproduces it bit for bit. Each chunk draws its trials 2**14 at a time into
 one reused table of uniforms, small enough to stay in cache, and keeps only
 the acceptance mask and readouts (two counts for an intensity run).
@@ -30,36 +30,8 @@ DRAWS_PER_TRIAL = 4
 LOOKUP_BLOCK = 2**14
 
 
-class TrialBatch(Record):
-    """Outcomes of n independent pre/postselected trials.
-
-    ``postselected`` is the per-trial success mask; ``positions`` holds
-    the pointer readouts of successful trials, in trial order. The counts
-    ``n_total`` and ``n_postselected`` are attributes read off the mask, not fields.
-    """
-
-    positions: np.ndarray
-    postselected: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-        positions = np.array(self.positions, dtype=float)  # copies, frozen below
-        mask = np.array(self.postselected, dtype=bool)
-        n_postselected = int(mask.sum())
-        if positions.size != n_postselected:
-            raise ValidationError("need one position per postselected trial")
-        if positions.size and not np.all(np.isfinite(positions)):
-            raise ValidationError("positions contain non-finite entries")
-        positions.flags.writeable = False
-        mask.flags.writeable = False
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "postselected", mask)
-        object.__setattr__(self, "n_total", mask.size)
-        object.__setattr__(self, "n_postselected", n_postselected)
-
-
 class EstimatorReport(Record):
-    """Weak-value estimate from a trial batch."""
+    """Weak-value estimate from a trial sample."""
 
     mean_shift: float
     std_error: float
@@ -135,8 +107,9 @@ def _blocks(start: int, count: int, size: int) -> list[tuple[int, int]]:
     return [(s, min(size, start + count - s)) for s in range(start, start + count, size)]
 
 
-def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: int = 1) -> TrialBatch:
-    """Sample n trials of a coupled pre/postselected run.
+def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Sample n trials of a coupled pre/postselected run, as ``(positions, postselected)``: the
+    pointer readouts of the accepted trials, in trial order, and the per-trial acceptance mask.
 
     ``coupled`` is the exact run (see
     :func:`~qccsim.weakmeas.couple_and_postselect`): its coupled
@@ -172,26 +145,26 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
 
         with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
             parts = list(pool.map(run_chunk, bounds))
-    positions = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    del parts, readouts  # once concatenated, the buffer is freed before the batch copies the positions
-    return TrialBatch(positions, mask)
+    return (np.concatenate(parts) if len(parts) > 1 else parts[0]), mask
 
 
-def estimate_weak_value(batch: TrialBatch, phi0: GaussianPointerState, g: float) -> EstimatorReport:
-    """Estimate Re(A^w) as (mean readout - initial mean) / g."""
-    if batch.n_postselected < 2:
-        raise ValidationError(
-            f"insufficient statistics: {batch.n_postselected} postselected trials"
-        )
-    check_estimation_coupling(g)
+def estimate_weak_value(trials: tuple[np.ndarray, np.ndarray], phi0: GaussianPointerState, g: float) -> EstimatorReport:
+    """Estimate Re(A^w) as (mean readout - initial mean) / g from :func:`sample_trials`'s pair."""
     import numpy as np
-    mean_shift = float(batch.positions.mean()) - mean_position(phi0)
+    positions, postselected = trials
+    if not np.isfinite(positions).all():
+        raise ValidationError("positions contain non-finite entries")
+    n_postselected = positions.size
+    if n_postselected < 2:
+        raise ValidationError(f"insufficient statistics: {n_postselected} postselected trials")
+    check_estimation_coupling(g)
+    mean_shift = float(positions.mean()) - mean_position(phi0)
     with np.errstate(over="ignore"):
-        spread = float(batch.positions.std(ddof=1))
+        spread = float(positions.std(ddof=1))
     if not math.isfinite(spread):  # squared readouts of a ~1e154-wide pointer overflow: rescale
-        scale = float(np.max(np.abs(batch.positions)))
-        spread = scale * float((batch.positions / scale).std(ddof=1))
-    std_error = spread / math.sqrt(batch.n_postselected) / abs(g)
+        scale = float(np.max(np.abs(positions)))
+        spread = scale * float((positions / scale).std(ddof=1))
+    std_error = spread / math.sqrt(n_postselected) / abs(g)
     estimate = mean_shift / g
     for field, value in (("estimated_wv_re", estimate), ("std_error", std_error)):
         if not math.isfinite(value):  # a tiny coupling divides a finite shift past the float range
@@ -200,9 +173,9 @@ def estimate_weak_value(batch: TrialBatch, phi0: GaussianPointerState, g: float)
         mean_shift=mean_shift,
         std_error=std_error,
         estimated_wv_re=estimate,
-        postselect_rate=batch.n_postselected / batch.n_total,
-        n_total=batch.n_total,
-        n_postselected=batch.n_postselected,
+        postselect_rate=n_postselected / postselected.size,
+        n_total=postselected.size,
+        n_postselected=n_postselected,
     )
 
 

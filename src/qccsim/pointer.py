@@ -110,8 +110,9 @@ def midpoint(a, b):
     return np.where(abs(total) < math.inf, total / 2.0, a / 2.0 + b / 2.0)
 
 
-def moments(p: GaussianPointerState, q: GaussianPointerState) -> tuple[complex, complex]:
-    """Closed-form (<p|q>, <p|x|q>) including coefficients, from one pass over the component pairs."""
+def moments(p: GaussianPointerState, q: GaussianPointerState, position_read: bool = True) -> tuple[complex, complex]:
+    """Closed-form (<p|q>, <p|x|q>) including coefficients, from one pass over the component pairs.
+    A sum the caller reads must be finite: <p|x|q> only if ``position_read``."""
     if p.width != q.width:
         raise ValidationError(f"mixed pointer widths {p.width} and {q.width}")
     total = position = 0.0 + 0.0j
@@ -119,7 +120,7 @@ def moments(p: GaussianPointerState, q: GaussianPointerState) -> tuple[complex, 
         for b in q.components:
             w, e = a.coeff.conjugate() * b.coeff, component_overlap(a, b, p.width)
             total, position = total + w * e, position + w * (e * midpoint(a.center, b.center))
-    for quantity, value in (("<p|q>", total), ("<p|x|q>", position)):
+    for quantity, value in (("<p|q>", total), ("<p|x|q>", position))[:1 + position_read]:
         if not cmath.isfinite(value):
             raise OverflowError(f"pointer pair sum overflows: {quantity} is {value!r}")
     return total, position
@@ -127,7 +128,7 @@ def moments(p: GaussianPointerState, q: GaussianPointerState) -> tuple[complex, 
 
 def overlap(p: GaussianPointerState, q: GaussianPointerState) -> complex:
     """Closed-form <p|q> including coefficients."""
-    return moments(p, q)[0]
+    return moments(p, q, position_read=False)[0]
 
 
 def norm_sq(p: GaussianPointerState) -> float:

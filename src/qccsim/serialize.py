@@ -131,18 +131,21 @@ def write_grid_csv(grid: tuple[np.ndarray, np.ndarray, np.ndarray], path: str | 
                  lambda a, b: _lines(_format_column(x[a:b]) for x in columns))
 
 
-def write_trials_csv(batch: TrialBatch, path: str | Path) -> None:
-    """Columns: trial_index, postselected, position (empty when 0)."""
+def write_trials_csv(trials: tuple[np.ndarray, np.ndarray], path: str | Path) -> None:
+    """Columns: trial_index, postselected, position (empty when 0), from
+    :func:`qccsim.montecarlo.sample_trials`'s ``(positions, postselected)``."""
     import numpy as np
-    mask = batch.postselected
+    positions, mask = trials
     trial_of = np.flatnonzero(mask)  # the trial index of each position
+    if trial_of.size != positions.size:
+        raise ValidationError("need one position per postselected trial")
 
     def rows(start: int, stop: int) -> str:
         # A row template per trial, from its flag byte: the first % fills in the positions
         # ("%.17g" % x is format_float(x), and has no "%"), the second the trial indices.
         lo, hi = np.searchsorted(trial_of, (start, stop))
         template = mask[start:stop].tobytes().decode().replace("\x00", "%%d,0,\n").replace("\x01", "%%d,1,%.17g\n")
-        return template % tuple(batch.positions[lo:hi].tolist()) % tuple(range(start, stop))
+        return template % tuple(positions[lo:hi].tolist()) % tuple(range(start, stop))
 
     _write_table(path, ("trial_index", "postselected", "position"), mask.size, rows)
 

@@ -259,11 +259,12 @@ def grid_csv_oracle(grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trials_csv_oracle(batch) -> str:
-    """Trials CSV text, one trial at a time; rejected trials leave the position empty."""
+def trials_csv_oracle(trials) -> str:
+    """Trials CSV text of a ``(positions, postselected)`` sample, one trial at a time;
+    rejected trials leave the position empty."""
     lines = ["trial_index,postselected,position"]
-    positions = iter(batch.positions.tolist())
-    for i, hit in enumerate(batch.postselected.tolist()):
+    positions = iter(trials[0].tolist())
+    for i, hit in enumerate(trials[1].tolist()):
         lines.append(f"{i},1,{format(next(positions), '.17g')}" if hit else f"{i},0,")
     return "\n".join(lines) + "\n"
 

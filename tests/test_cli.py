@@ -21,7 +21,7 @@ import pytest
 from qccsim import cli, montecarlo, qcc
 from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
-from qccsim.montecarlo import TrialBatch, estimate_weak_value, sample_trials
+from qccsim.montecarlo import estimate_weak_value, sample_trials
 from qccsim.neutron import AbsorberConfig, MagneticConfig
 from qccsim.pointer import make_gaussian
 from qccsim.qcc import OBSERVABLE_TAGS, QccConfig
@@ -439,6 +439,22 @@ class TestConfigFile:
         assert code == 3
         assert json.loads(out)["violations"] == [message]
 
+    def test_an_integer_for_a_float_is_stored_as_a_float(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"g": 100000000000000000000}')
+        code, out, _ = run_cli(capsys, "qcc", "--config", str(cfg))
+        assert code == 0
+        assert '"g": 1e+20' in out
+        assert type(json.loads(out)["config"]["g"]) is float
+
+    def test_an_integral_float_for_an_integer_is_stored_as_an_integer(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"n": 2000.0}')
+        code, out, _ = run_cli(capsys, "montecarlo", "--config", str(cfg))
+        n = json.loads(out)["config"]["n"]
+        assert code == 0
+        assert type(n) is int and n == 2000
+
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"g": 0.05}))
@@ -746,7 +762,7 @@ class TestValidateOnly:
 
 PI_UP = math.nextafter(math.pi, 4)
 PHI0 = make_gaussian(0.0, 1.0)
-TWO_TRIALS = TrialBatch([0.0, 0.0], [True, True])
+TWO_TRIALS = (np.zeros(2), np.ones(2, dtype=bool))
 EXACT_RUN = qcc.arm_table("I", "projector").couple(PHI0, 0.05)
 # Each value rule at its boundaries: (argv, parameter, the library call that applies the rule,
 # the rule's message where the value is rejected or None where it is accepted). --validate-only

@@ -14,7 +14,6 @@ import qccsim.montecarlo as montecarlo
 from qccsim.montecarlo import (
     DRAWS_PER_TRIAL,
     LOOKUP_BLOCK,
-    TrialBatch,
     _tabulated_inverse_cdf,
     _trial_tables,
     estimate_weak_value,
@@ -47,13 +46,9 @@ def drawn_tables(seed: int, start: int, count: int) -> np.ndarray:
     return np.concatenate([table for _, table in tables])
 
 
-def batches_equal(a: TrialBatch, b: TrialBatch) -> bool:
-    return (
-        a.n_total == b.n_total
-        and a.n_postselected == b.n_postselected
-        and np.array_equal(a.postselected, b.postselected)
-        and np.array_equal(a.positions, b.positions)
-    )
+def batches_equal(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Two ``(positions, postselected)`` samples hold the same trials."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestDeterminism:
@@ -76,7 +71,7 @@ class TestDeterminism:
         ctx, obs = build_context("qcc-pi-I")
         a = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 5_000, SEED)
         b = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 5_000, SEED + 1)
-        assert not np.array_equal(a.postselected, b.postselected)
+        assert not np.array_equal(a[1], b[1])
 
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 10)])
     def test_thread_pool_is_capped_by_chunks_and_cpus(self, monkeypatch, cpus, expected):
@@ -100,9 +95,9 @@ class TestDeterminism:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10, SEED, workers=10**6)
+        trials = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10, SEED, workers=10**6)
         assert pools == [expected]
-        assert batches_equal(batch, sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10, SEED))
+        assert batches_equal(trials, sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10, SEED))
 
     def test_chunk_count_follows_cpus_not_workers(self, monkeypatch):
         chunks = []
@@ -114,9 +109,9 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo, "_trial_tables", counting_tables)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 20_000, SEED, workers=10**6)
+        trials = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 20_000, SEED, workers=10**6)
         assert sorted(chunks) == [10_000, 10_000]
-        assert batches_equal(batch, sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 20_000, SEED))
+        assert batches_equal(trials, sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 20_000, SEED))
 
     def test_two_workers_equal_one_across_counter_blocks(self, monkeypatch, tmp_path):
         # One worker draws 64 full tables and one of 17 trials; two draw 32 full tables each, then 9 and 8 trials.
@@ -136,10 +131,10 @@ class TestDeterminism:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            batch = sample_trials(coupled, 80_003, SEED, workers=8)
+            trials = sample_trials(coupled, 80_003, SEED, workers=8)
         finally:
             sys.setswitchinterval(interval)
-        assert batches_equal(batch, sample_trials(coupled, 80_003, SEED))
+        assert batches_equal(trials, sample_trials(coupled, 80_003, SEED))
 
     def test_chunked_stream_matches_contiguous_stream(self):
         whole = trial_uniforms_oracle(SEED, 0, 300)
@@ -155,10 +150,10 @@ class TestDeterminism:
     def test_batches_across_table_edges_equal_the_oracle(self, monkeypatch, n, workers):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         coupled = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, 0.1)
-        batch = sample_trials(coupled, n, SEED, workers=workers)
-        mask, positions = sample_trials_oracle(coupled, n, SEED)
-        assert np.array_equal(batch.postselected, mask)
-        assert np.array_equal(batch.positions.view(np.uint64), positions.view(np.uint64))
+        positions, mask = sample_trials(coupled, n, SEED, workers=workers)
+        want_mask, want_positions = sample_trials_oracle(coupled, n, SEED)
+        assert np.array_equal(mask, want_mask)
+        assert np.array_equal(positions.view(np.uint64), want_positions.view(np.uint64))
 
 
 class TestSortedLookup:
@@ -192,44 +187,44 @@ class TestSortedLookup:
         n = 3 * LOOKUP_BLOCK + 5
         u = trial_uniforms_oracle(SEED, 0, n)
         accepted = u[u[:, 0] < coupled.postselect_prob_coupled, 1]
-        batch = sample_trials(coupled, n, SEED)
-        assert self.bits(batch.positions) == self.bits(inverse_cdf_oracle(coupled.pointer_final, accepted)[0])
+        positions, _ = sample_trials(coupled, n, SEED)
+        assert self.bits(positions) == self.bits(inverse_cdf_oracle(coupled.pointer_final, accepted)[0])
 
 
 class TestPostselectionStatistics:
     def test_rate_matches_exact_probability(self):
         ctx, obs = build_context("qcc-pi-I")
         n = 1_000_000
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), n, SEED)
+        positions, _ = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), n, SEED)
         se = math.sqrt(0.25 * 0.75 / n)
-        assert abs(batch.n_postselected / n - 0.25) <= 4.0 * se
+        assert abs(positions.size / n - 0.25) <= 4.0 * se
 
     def test_orthogonal_postselection_never_accepts(self):
         ctx, obs = build_context("orthogonal")
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 2_000, SEED)
-        assert batch.n_postselected == 0
-        assert batch.positions.size == 0
+        positions, mask = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 2_000, SEED)
+        assert np.count_nonzero(mask) == 0
+        assert positions.size == 0
 
 
 class TestEstimator:
     def test_projector_arm_one(self):
         ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), 1_000_000, SEED)
-        report = estimate_weak_value(batch, PHI0, 0.1)
+        trials = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), 1_000_000, SEED)
+        report = estimate_weak_value(trials, PHI0, 0.1)
         assert abs(report.estimated_wv_re - 1.0) <= 4.0 * report.std_error
         assert report.postselect_rate == pytest.approx(0.25, abs=0.01)
 
     def test_projector_arm_two_sees_nothing(self):
         ctx, obs = build_context("qcc-pi-II")
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), 1_000_000, SEED)
-        report = estimate_weak_value(batch, PHI0, 0.1)
+        trials = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), 1_000_000, SEED)
+        report = estimate_weak_value(trials, PHI0, 0.1)
         assert abs(report.estimated_wv_re) <= 4.0 * report.std_error
 
     def test_anomalous_amplification(self):
         g = 0.01
         ctx, obs = build_context("anomalous", tan_theta=3.0)
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, g), 1_000_000, SEED)
-        report = estimate_weak_value(batch, PHI0, g)
+        trials = sample_trials(couple_and_postselect(ctx, obs, PHI0, g), 1_000_000, SEED)
+        report = estimate_weak_value(trials, PHI0, g)
         assert abs(report.estimated_wv_re - 3.0) <= 4.0 * report.std_error
         assert report.estimated_wv_re > 1.0
 
@@ -237,8 +232,8 @@ class TestEstimator:
         ctx, obs = build_context("qcc-pi-I")
         errors = []
         for n in (10_000, 1_000_000):
-            batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), n, SEED)
-            errors.append(estimate_weak_value(batch, PHI0, 0.1).std_error)
+            trials = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), n, SEED)
+            errors.append(estimate_weak_value(trials, PHI0, 0.1).std_error)
         assert 5.0 <= errors[0] / errors[1] <= 20.0
 
     def test_readout_distribution_matches_exact_density(self):
@@ -257,41 +252,41 @@ class TestEstimator:
         n_bins = 64
         edges = np.interp(np.linspace(0.0, 1.0, n_bins + 1)[1:-1], cdf, xs)
 
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, g), 1_000_000, SEED)
+        positions, _ = sample_trials(couple_and_postselect(ctx, obs, PHI0, g), 1_000_000, SEED)
         counts = np.bincount(
-            np.searchsorted(edges, batch.positions), minlength=n_bins
+            np.searchsorted(edges, positions), minlength=n_bins
         )
-        expected = batch.n_postselected / n_bins
+        expected = positions.size / n_bins
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_999_DF63
 
     def test_spread_of_readouts_whose_squares_overflow_is_finite(self):
         positions = np.array([1e154, -1e154, 3e154])
-        batch = TrialBatch(positions=positions, postselected=np.ones(3, dtype=bool))
-        report = estimate_weak_value(batch, PHI0, 1.0)
+        trials = (positions, np.ones(3, dtype=bool))
+        report = estimate_weak_value(trials, PHI0, 1.0)
         assert report.std_error == pytest.approx(np.std(positions / 1e154, ddof=1) * 1e154 / math.sqrt(3), rel=1e-15)
 
     def test_insufficient_statistics_rejected(self):
         ctx, obs = build_context("orthogonal")
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 100, SEED)
+        trials = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 100, SEED)
         with pytest.raises(ValidationError):
-            estimate_weak_value(batch, PHI0, 0.1)
+            estimate_weak_value(trials, PHI0, 0.1)
 
     def test_zero_coupling_rejected(self):
         ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 100, SEED)
+        trials = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.0), 100, SEED)
         with pytest.raises(ValidationError):
-            estimate_weak_value(batch, PHI0, 0.0)
+            estimate_weak_value(trials, PHI0, 0.0)
 
     @pytest.mark.parametrize(
         "positions, field", [([1.0, 1.0], "estimated_wv_re"), ([-1.0, 1.0], "std_error")], ids=["mean", "spread"]
     )
     def test_an_estimate_beyond_the_float_range_overflows(self, positions, field):
         # A finite shift or spread divided by a subnormal coupling leaves the float range.
-        batch = TrialBatch(positions, [True, True])
+        trials = (np.array(positions), np.ones(2, dtype=bool))
         with pytest.raises(OverflowError, match=rf"^weak-value estimate overflows: {field} at g=5e-324$"):
-            estimate_weak_value(batch, PHI0, 5e-324)
-        report = estimate_weak_value(batch, PHI0, 1e-300)
+            estimate_weak_value(trials, PHI0, 5e-324)
+        report = estimate_weak_value(trials, PHI0, 1e-300)
         assert math.isfinite(report.estimated_wv_re) and math.isfinite(report.std_error)
 
 
@@ -304,17 +299,12 @@ class TestBatchValidation:
 
     def test_non_finite_positions_rejected(self):
         with pytest.raises(ValidationError, match="^positions contain non-finite entries$"):
-            TrialBatch([math.nan], [True])
+            estimate_weak_value((np.array([math.nan]), np.ones(1, dtype=bool)), PHI0, 0.1)
 
-    def test_inconsistent_batch_rejected(self):
-        with pytest.raises(ValidationError):
-            TrialBatch(positions=np.array([0.1]), postselected=np.array([True, True, False]))
-
-    def test_batch_arrays_are_read_only(self):
-        ctx, obs = build_context("qcc-pi-I")
-        batch = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.1), 50, SEED)
-        with pytest.raises(ValueError):
-            batch.postselected[0] = False
+    def test_inconsistent_batch_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="^need one position per postselected trial$"):
+            write_trials_csv((np.array([0.1]), np.array([True, True, False])), tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestSeedRule:
@@ -328,11 +318,15 @@ class TestSeedRule:
 
     @pytest.mark.parametrize("seed", [0, 2**128 - 1])
     def test_seed_at_the_philox_key_bounds_samples(self, seed):
-        assert sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 10, seed).n_total == 10
+        assert sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 10, seed)[1].size == 10
         assert sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 10, seed).seed == seed
 
 
 class TestIntensitySampling:
+    def test_zero_trials_are_rejected(self):
+        with pytest.raises(ValidationError, match="^need at least one trial, got n=0$"):
+            sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 0, 1)
+
     def test_empty_arm_ratio_is_flat(self):
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("II", 0.3)), 100_000, SEED)
         assert abs(counts.ratio - 1.0) <= 4.0 * counts.ratio_std_error
@@ -405,6 +399,12 @@ class TestTracedMemory:
     def test_an_intensity_run_peaks_below_one_megabyte(self):
         exact = intensity_absorber(AbsorberConfig("I", 0.1))
         assert self.traced_peak(lambda n: sample_intensity_experiment(exact, n, SEED)) < 2**20
+
+    def test_a_one_worker_pointer_run_returns_the_buffer_it_fills(self):
+        # At p_post ~ 1 the readouts fill their buffer; a copy of them would add n * 8 bytes.
+        coupled = couple_and_postselect(*build_context("spin-trivial"), PHI0, 0.1)
+        peak = self.traced_peak(lambda n: sample_trials(coupled, n, SEED))
+        assert peak < (2**20 + 17) * (8 + 1) + 2**22
 
     def test_a_two_worker_pointer_run_holds_no_table_of_every_trial(self, monkeypatch):
         # At p_post ~ 1 the mask and readouts are as large as they get; one (n, 4) table would add n * 32 bytes.

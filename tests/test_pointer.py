@@ -186,6 +186,8 @@ class TestMoments:
                 quantity = "<p|q>" if not cmath.isfinite(want[0]) else "<p|x|q>"
                 with pytest.raises(OverflowError, match=f"^pointer pair sum overflows: {re.escape(quantity)} is "):
                     moments(p, q)
+                if quantity == "<p|x|q>":  # overlap reads <p|q> alone
+                    assert hexes(overlap(p, q)) == hexes(want[0])
                 continue
             got = moments(p, q)
             assert [hexes(z) for z in got] == [hexes(z) for z in want]
@@ -211,13 +213,19 @@ class TestMoments:
             to_grid(p, -10.0, 10.0, 1024)
 
     def test_a_position_beyond_the_float_range_overflows(self):
-        # <p|p> is 2.25, but <p|x|p> = 2.25 * 1e308 leaves the float range; one pass
-        # reads both, so the norm fails with the position.
+        # <p|p> is 2.25, but <p|x|p> = 2.25 * 1e308 leaves the float range.
         p = GaussianPointerState(1.0, ((1.5, 1e308),))
         assert pair_sum(p, p, component_overlap) == 2.25
-        for readout in (norm_sq, mean_position):
+        for readout in (mean_position, lambda p: moments(p, p)):
             with pytest.raises(OverflowError, match=r"^pointer pair sum overflows: <p\|x\|q> is \(inf\+0j\)$"):
                 readout(p)
+
+    def test_the_norm_is_read_without_the_position(self):
+        # <p|x|p> leaves the float range, but overlap and norm_sq read <p|q> alone.
+        p = GaussianPointerState(1.0, ((1.5, 1e308),))
+        assert norm_sq(p) == 2.25
+        assert overlap(p, p) == 2.25
+        assert overlap(p, make_gaussian(1e308, 1.0)) == 1.5
 
 
 class TestClosedFormNorm:

@@ -86,6 +86,11 @@ class TestWeakValueSignature:
 
 
 class TestIdealRun:
+    @pytest.mark.parametrize("name", ["g_I", "g_II"])
+    def test_a_non_finite_coupling_is_rejected(self, name):
+        with pytest.raises(ValidationError, match=rf"^coupling {name} must be finite, got inf$"):
+            QccConfig(**{name: math.inf})
+
     def test_projector_shift_equals_coupling(self):
         report = run_ideal_qcc(QccConfig(g_I=G_DEFAULT, g_II=G_DEFAULT))
         assert report.shift_I == pytest.approx(G_DEFAULT, abs=1e-14)

@@ -10,7 +10,6 @@ import pytest
 
 from qccsim.cli import main
 from qccsim.errors import ValidationError
-from qccsim.montecarlo import TrialBatch
 from qccsim.pointer import density, make_gaussian, superpose, support, to_grid, translate
 from qccsim.serialize import BLOCK_ROWS, Table, dumps_json, write_grid_csv, write_trials_csv
 
@@ -177,28 +176,28 @@ class TestCsvAgainstRowOracle:
         mask = rng.random(n) < 0.3
         mask[-1] = True  # the last, partial block ends on an accepted trial
         positions = rng.normal(0.0, 1e3, int(mask.sum()))
-        batch = TrialBatch(positions, mask)
+        trials = (positions, mask)
         target = tmp_path / "trials.csv"
-        write_trials_csv(batch, target)
-        assert target.read_bytes() == trials_csv_oracle(batch).encode()
+        write_trials_csv(trials, target)
+        assert target.read_bytes() == trials_csv_oracle(trials).encode()
 
     @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0], ids=["none accepted", "some accepted", "all accepted"])
     def test_trials_at_block_edges(self, tmp_path, n, rate):
         rng = np.random.default_rng(n)
         mask = rng.random(n) < rate
-        batch = TrialBatch(rng.normal(0.0, 1e3, int(mask.sum())), mask)
+        trials = (rng.normal(0.0, 1e3, int(mask.sum())), mask)
         target = tmp_path / "trials.csv"
-        write_trials_csv(batch, target)
-        assert target.read_bytes() == trials_csv_oracle(batch).encode()
+        write_trials_csv(trials, target)
+        assert target.read_bytes() == trials_csv_oracle(trials).encode()
 
     def test_trials_with_extreme_positions(self, tmp_path):
         positions = np.array([-0.0, 5e-324, -1e-300, 1e308, -1e308, 0.0, 0.1])
         mask = np.zeros(BLOCK_ROWS + 3, dtype=bool)
         mask[[0, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2]] = True
-        batch = TrialBatch(positions, mask)
+        trials = (positions, mask)
         target = tmp_path / "trials.csv"
-        write_trials_csv(batch, target)
+        write_trials_csv(trials, target)
         text = target.read_text()
-        assert text == trials_csv_oracle(batch)
+        assert text == trials_csv_oracle(trials)
         assert "\n0,1,-0\n" in text and f"\n{BLOCK_ROWS},1,-1e+308\n" in text

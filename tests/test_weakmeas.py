@@ -460,6 +460,24 @@ G_ARRAY = np.array([0.0, -0.0, 0.02, -0.02, 0.3, -1.7, 4.0, 1e-320, 5e-324, 1e10
 
 
 class TestBranchTable:
+    def test_a_non_finite_coupling_has_no_readout(self):
+        with pytest.raises(ValidationError, match=r"^coupling strength must be finite, got inf$"):
+            arm_table("I", "projector").readout(PHI0, math.inf)
+
+    def test_a_branch_center_beyond_the_float_range_is_rejected(self):
+        # g = 1e308 is finite, but the one branch, at eigenvalue 2, sits at 2e308.
+        spectrum = Spectrum(((2, 0), (0, -2)), (-2, 2), ((0, 1), (1, 0)))
+        table = branch_table(PrePostContext([1.0, 0.0], [0.6, 0.8]), spectrum)
+        assert table.eigvals == (2.0,)
+        with pytest.raises(ValidationError, match=r"^branch center x_0 \+ g a_k must be finite, got inf$"):
+            table.readout(PHI0, 1e308)
+
+    def test_a_zero_probability_run_has_no_linear_response(self):
+        table = arm_table("I", "projector")
+        blank = table.couple(PHI0, 0.1)._replace(postselect_prob_coupled=0.0)
+        with pytest.raises(ValidationError, match="^mean_position undefined for a zero-norm pointer state$"):
+            table.linear_response(blank)
+
     @pytest.mark.parametrize("name, ctx, obs", TABLE_CASES, ids=[case[0] for case in TABLE_CASES])
     @pytest.mark.parametrize("width", [1e-100, 0.3, 1.0, 3.0, 1e100])
     def test_readout_equals_the_pointer_readouts_bit_for_bit(self, name, ctx, obs, width):
