@@ -55,7 +55,6 @@ _EXPORTS = {
         "translate",
     ),
     "qcc": (
-        "QccConfig",
         "QccReport",
         "arm_observable",
         "arm_table",

@@ -61,7 +61,6 @@ from .qcc import (
     ARMS,
     OBSERVABLE_TAGS,
     SIGMA_X_ROWS,
-    QccConfig,
     arm_observable,
     build_prepost,
     run_ideal_qcc,
@@ -409,18 +408,6 @@ def validate_params(scenario: str, params: dict) -> list[str]:
     return violations
 
 
-def _qcc_config(params: dict) -> QccConfig:
-    g_i = params["g_I"] if params["g_I"] is not None else params["g"]
-    g_ii = params["g_II"] if params["g_II"] is not None else params["g"]
-    return QccConfig(
-        observable_I=params["observable_I"],
-        observable_II=params["observable_II"],
-        g_I=g_i,
-        g_II=g_ii,
-        pointer_width=params["pointer_width"],
-    )
-
-
 def run_weak_value(params: dict, csv_path: Path | None) -> dict:
     table = branch_table(*build_context(params["context"], params["tan_theta"]))
     table.weak_value()  # an orthogonal postselection raises before coupling
@@ -438,9 +425,11 @@ def run_weak_value(params: dict, csv_path: Path | None) -> dict:
 
 
 def run_qcc_scenario(params: dict, joint: bool) -> dict:
-    cfg = _qcc_config(params)
     runner = run_joint_pointers if joint else run_ideal_qcc
-    report = runner(cfg, swap_spin_labels=bool(params["swap_spin_labels"]))
+    report = runner(observable_I=params["observable_I"], observable_II=params["observable_II"],
+                    g_I=params["g"] if params["g_I"] is None else params["g_I"],
+                    g_II=params["g"] if params["g_II"] is None else params["g_II"],
+                    pointer_width=params["pointer_width"], swap_spin_labels=params["swap_spin_labels"])
     return qcc_report_dict(report)
 
 
@@ -499,7 +488,9 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
     if scenario == "qcc":
         values = parse_range(params["g"])
         header = QCC_SWEEP_HEADER
-        record = qcc_report_dict(run_ideal_qcc(_qcc_config({**params, "g_I": values, "g_II": values})))
+        record = qcc_report_dict(run_ideal_qcc(
+            observable_I=params["observable_I"], observable_II=params["observable_II"],
+            g_I=values, g_II=values, pointer_width=params["pointer_width"]))
         columns = [values, *(record[c] for c in header[1:])]
     else:
         header = NEUTRON_SWEEP_HEADER

@@ -17,10 +17,13 @@ import os
 
 from ._record import Record
 from .errors import CapacityError, ValidationError
-from .pointer import density, mean_position, support
+from .pointer import check_grid_points, density, mean_position, support
 from .tolerances import MAX_TRIALS
 
+# Inverse-CDF knots while the support spans at most 32 widths; past that, the next power of two
+# that keeps them at most 1/KNOTS_PER_WIDTH width apart, within check_grid_points' cap.
 DENSITY_POINTS = 4096
+KNOTS_PER_WIDTH = 128
 
 # Uniform draws consumed per trial; one full Philox counter block, so
 # trial i always starts at counter offset i.
@@ -42,9 +45,13 @@ class EstimatorReport(Record):
 
 
 def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
-    """Inverse CDF of the normalized |phi_f(x)|^2 on a dense grid."""
+    """Inverse CDF of the normalized |phi_f(x)|^2 on a dense grid, sized from the pointer's support."""
     import numpy as np
-    xs = np.linspace(*support(pointer_final), DENSITY_POINTS)
+    lo, hi = support(pointer_final)
+    intervals = math.ceil(KNOTS_PER_WIDTH * (hi - lo) / pointer_final.width)
+    knots = DENSITY_POINTS if intervals <= DENSITY_POINTS else 1 << intervals.bit_length()
+    check_grid_points(knots)
+    xs = np.linspace(lo, hi, knots)
     dens = density(pointer_final, xs)
     segments = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(segments)))

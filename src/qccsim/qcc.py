@@ -14,7 +14,7 @@ import math
 
 from ._record import Record
 from .errors import ValidationError
-from .pointer import check_width, make_gaussian, moments, translate
+from .pointer import make_gaussian, moments, translate
 from .weakmeas import PrePostContext, Spectrum, branch_table, first_failure, one_number, require
 
 SIGMA_X_ROWS = ((0.0, 1.0), (1.0, 0.0))
@@ -97,27 +97,6 @@ def _arm_table(arm: str, tag: str, swap_spin_labels: bool) -> BranchTable:
     return branch_table(_prepost(swap_spin_labels), arm_observable(arm, tag))
 
 
-class QccConfig(Record):
-    """Couplings and observables for one Cheshire Cat run.
-
-    ``g_I`` and ``g_II`` may also be arrays of one shape: the config then
-    describes a sweep, and :func:`run_ideal_qcc` reports arrays.
-    """
-
-    observable_I: str = "projector"
-    observable_II: str = "sigma_x"
-    g_I: float | np.ndarray = 0.02
-    g_II: float | np.ndarray = 0.02
-    pointer_width: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_observable(self.observable_I)
-        check_observable(self.observable_II)
-        require(self.g_I, "coupling g_I must be finite")
-        require(self.g_II, "coupling g_II must be finite")
-        check_width(self.pointer_width)
-
-
 class QccReport(Record):
     """The four defining weak values plus exact pointer shifts.
 
@@ -125,8 +104,8 @@ class QccReport(Record):
     postselection. ``postselect_prob_I``/``postselect_prob_II`` are the
     exact probabilities including the coupling: per arm for separate
     runs, both equal to the joint probability when ``joint`` is set.
-    For a sweep config the shift, probability and warning fields are
-    arrays over the couplings.
+    For a sweep the shift, probability and warning fields are arrays
+    over the couplings.
     """
 
     wv_pi_I: complex
@@ -143,43 +122,53 @@ class QccReport(Record):
     joint: bool
 
 
-def _qcc_report(cfg: QccConfig, swap_spin_labels: bool, **measured) -> QccReport:
+def _checked_run(observable_I: str, observable_II: str, g_I, g_II, pointer_width: float,
+                 swap_spin_labels: bool) -> tuple[BranchTable, BranchTable, GaussianPointerState]:
+    """A run's two arm tables and its fresh pointer, after checking its arguments in the
+    order observable_I, observable_II, g_I, g_II, pointer_width (the pointer checks its width)."""
+    check_observable(observable_I)
+    check_observable(observable_II)
+    require(g_I, "coupling g_I must be finite")
+    require(g_II, "coupling g_II must be finite")
+    return (arm_table("I", observable_I, swap_spin_labels), arm_table("II", observable_II, swap_spin_labels),
+            make_gaussian(0.0, pointer_width))
+
+
+def _qcc_report(table_I: BranchTable, table_II: BranchTable, phi0: GaussianPointerState, g_I, g_II,
+                swap_spin_labels: bool, **measured) -> QccReport:
     """A run's ``measured`` shifts, coupled probabilities and ``joint`` flag, plus
     the four weak values, unperturbed postselection and weak-regime flag."""
-    for arm, g in (("I", cfg.g_I), ("II", cfg.g_II)):
+    for arm, g in (("I", g_I), ("II", g_II)):
         bad = first_failure(lambda shift: abs(shift) < math.inf, measured[f"shift_{arm}"], g)
         if bad is not None:  # a record holds finite shifts only
             raise OverflowError(f"pointer shift overflows: shift_{arm} at g_{arm}={bad[1]!r}")
-    table = functools.partial(arm_table, swap_spin_labels=swap_spin_labels)
-    phi0 = make_gaussian(0.0, cfg.pointer_width)
-    margin_I = table("I", cfg.observable_I).margin(phi0, cfg.g_I)
-    margin_II = table("II", cfg.observable_II).margin(phi0, cfg.g_II)
-    amp = table("I", "projector").overlap
+    margin_I, margin_II = table_I.margin(phi0, g_I), table_II.margin(phi0, g_II)
     return QccReport(
-        wv_pi_I=table("I", "projector").weak_value(),
-        wv_sigma_I=table("I", "sigma_x").weak_value(),
-        wv_pi_II=table("II", "projector").weak_value(),
-        wv_sigma_II=table("II", "sigma_x").weak_value(),
-        postselect_amp=amp,
-        postselect_prob=abs(amp) ** 2,
+        wv_pi_I=arm_table("I", "projector", swap_spin_labels).weak_value(),
+        wv_sigma_I=arm_table("I", "sigma_x", swap_spin_labels).weak_value(),
+        wv_pi_II=arm_table("II", "projector", swap_spin_labels).weak_value(),
+        wv_sigma_II=arm_table("II", "sigma_x", swap_spin_labels).weak_value(),
+        postselect_amp=table_I.overlap,
+        postselect_prob=abs(table_I.overlap) ** 2,
         margin_warning=(margin_I >= WEAK_MARGIN_WARN) | (margin_II >= WEAK_MARGIN_WARN),
         **measured,
     )
 
 
-def run_ideal_qcc(cfg: QccConfig, swap_spin_labels: bool = False) -> QccReport:
+def run_ideal_qcc(*, observable_I: str, observable_II: str, g_I, g_II, pointer_width: float,
+                  swap_spin_labels: bool = False) -> QccReport:
     """Two separate single-pointer runs, one per arm, plus the weak values.
 
     Each arm couples its own pointer in its own run, which is the ideal
-    protocol: the reported shifts are exact single-coupling results. A
-    sweep config is evaluated over all its couplings at once.
+    protocol: the reported shifts are exact single-coupling results.
+    ``g_I`` and ``g_II`` may also be arrays of one shape: the run is then a
+    sweep over all its couplings at once, and reports arrays.
     """
-    swap = bool(swap_spin_labels)
-    phi0 = make_gaussian(0.0, cfg.pointer_width)
-    shift_I, prob_I = arm_table("I", cfg.observable_I, swap).readout(phi0, cfg.g_I)
-    shift_II, prob_II = arm_table("II", cfg.observable_II, swap).readout(phi0, cfg.g_II)
+    table_I, table_II, phi0 = _checked_run(observable_I, observable_II, g_I, g_II, pointer_width, swap_spin_labels)
+    shift_I, prob_I = table_I.readout(phi0, g_I)
+    shift_II, prob_II = table_II.readout(phi0, g_II)
     return _qcc_report(
-        cfg, swap,
+        table_I, table_II, phi0, g_I, g_II, swap_spin_labels,
         shift_I=shift_I,
         shift_II=shift_II,
         postselect_prob_I=prob_I,
@@ -188,7 +177,8 @@ def run_ideal_qcc(cfg: QccConfig, swap_spin_labels: bool = False) -> QccReport:
     )
 
 
-def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccReport:
+def run_joint_pointers(*, observable_I: str, observable_II: str, g_I, g_II, pointer_width: float,
+                       swap_spin_labels: bool = False) -> QccReport:
     """Both couplings in one run on path (x) spin (x) pointer_I (x) pointer_II.
 
     The arm observables are arm-local, so A_I A_II = 0 and the coupling
@@ -198,13 +188,10 @@ def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccRep
     from the ideal run's two couplings. Marginal shifts agree with the
     separate runs up to terms of order g_I * g_II.
     """
-    if not (one_number(cfg.g_I) and one_number(cfg.g_II)):
+    table_I, table_II, phi0 = _checked_run(observable_I, observable_II, g_I, g_II, pointer_width, swap_spin_labels)
+    if not (one_number(g_I) and one_number(g_II)):
         raise ValidationError("a joint run takes scalar couplings")
-    swap = bool(swap_spin_labels)
-    phi0 = make_gaussian(0.0, cfg.pointer_width)
-    table_I = arm_table("I", cfg.observable_I, swap)
-    phi_I = table_I.pointer(phi0, cfg.g_I)
-    phi_II = arm_table("II", cfg.observable_II, swap).pointer(phi0, cfg.g_II)
+    phi_I, phi_II = table_I.pointer(phi0, g_I), table_II.pointer(phi0, g_II)
     identity_term = translate(phi0, 0.0, -table_I.overlap)
     terms = ((phi_I, phi0), (phi0, phi_II), (identity_term, phi0))
     norm2 = x_i = x_ii = 0.0
@@ -217,7 +204,7 @@ def run_joint_pointers(cfg: QccConfig, swap_spin_labels: bool = False) -> QccRep
     if norm2 <= 0.0:
         raise ValidationError("joint postselection has zero probability")
     return _qcc_report(
-        cfg, swap,
+        table_I, table_II, phi0, g_I, g_II, swap_spin_labels,
         shift_I=x_i / norm2,
         shift_II=x_ii / norm2,
         postselect_prob_I=norm2,

@@ -18,17 +18,18 @@ from .errors import ValidationError
 
 # Rows formatted and written at a time, so a table of any length needs bounded memory.
 BLOCK_ROWS = 2**14
+FLOAT_FORMAT = ".17g"  # every float a record or CSV prints: 17 significant digits
 
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form of a float."""
-    return format(float(x), ".17g")
+    return format(float(x), FLOAT_FORMAT)
 
 
 def _format_column(values) -> list[str]:
     """:func:`format_float` of every entry of a float array or sequence."""
     import numpy as np
-    return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
+    return [format(x, FLOAT_FORMAT) for x in np.asarray(values, dtype=float).tolist()]
 
 
 class Table:
@@ -139,12 +140,13 @@ def write_trials_csv(trials: tuple[np.ndarray, np.ndarray], path: str | Path) ->
     trial_of = np.flatnonzero(mask)  # the trial index of each position
     if trial_of.size != positions.size:
         raise ValidationError("need one position per postselected trial")
+    accepted = f"%%d,1,%{FLOAT_FORMAT}\n"
 
     def rows(start: int, stop: int) -> str:
         # A row template per trial, from its flag byte: the first % fills in the positions
-        # ("%.17g" % x is format_float(x), and has no "%"), the second the trial indices.
+        # (%-formatting by FLOAT_FORMAT is format_float, and has no "%"), the second the trial indices.
         lo, hi = np.searchsorted(trial_of, (start, stop))
-        template = mask[start:stop].tobytes().decode().replace("\x00", "%%d,0,\n").replace("\x01", "%%d,1,%.17g\n")
+        template = mask[start:stop].tobytes().decode().replace("\x00", "%%d,0,\n").replace("\x01", accepted)
         return template % tuple(positions[lo:hi].tolist()) % tuple(range(start, stop))
 
     _write_table(path, ("trial_index", "postselected", "position"), mask.size, rows)

@@ -5,11 +5,12 @@ the sha256 of its stdout, its stderr and each file it leaves behind.
     PYTHONPATH=src python tests/cli_corpus.py           # compare every case with that file
 
 Each case runs in-process through ``qccsim.cli.main``, in a fresh output directory
-(``QCCSIM_OUTDIR``) that holds one empty subdirectory ``d``. The record's timestamp
-and the output directory's path are masked before hashing. The cases are derived
-from ``SCENARIO_TABLE`` and from the argv lists of the CI steps that feed the CLI
-extreme inputs. Without numpy, the comparison skips the cases that need it, so the
-scalar cases can be compared under any Python.
+(``QCCSIM_OUTDIR``) that holds one empty subdirectory ``d`` and the ``CONFIG_FILES``,
+which an argv names as ``<out>/<name>``. The record's timestamp and the output
+directory's path are masked before hashing. The cases are derived from
+``SCENARIO_TABLE``, from the argv lists of the CI steps that feed the CLI extreme
+inputs, and from ``CONFIG_CASES``. Without numpy, the comparison skips the cases
+that need it, so the scalar cases can be compared under any Python.
 """
 
 from __future__ import annotations
@@ -52,6 +53,48 @@ RULE_BOUNDARIES = (
     "montecarlo --g 5e-324",
     "montecarlo --g -0.0",
     "montecarlo --workers 1",
+)
+
+OUT = "<out>"  # a case's output directory, in an argv and in every digested text
+# Config files, by name, as each case's output directory holds them.
+CONFIG_FILES = {
+    "overrides.json": '{"g": 0.3, "g_I": 0.05, "observable_I": "sigma_x", "swap_spin_labels": true}',
+    "unknown-key.json": '{"g": 0.1, "bogus": 1}',
+    "float-true.json": '{"g": true}',
+    "float-string.json": '{"g": "0.5"}',
+    "float-null.json": '{"g": null}',
+    "float-integer.json": '{"g": 1, "pointer_width": 2}',
+    "float-beyond-range.json": '{"g": 1' + "0" * 400 + "}",
+    "int-integral-float.json": '{"n": 2000.0, "seed": 7.0}',
+    "int-fraction.json": '{"n": 2000.5}',
+    "choice-number.json": '{"observable_I": 1}',
+    "switch-string.json": '{"swap_spin_labels": "yes"}',
+    "sweep.json": '{"sweep_scenario": "qcc", "g": "0:0.2:3", "pointer_width": 0.5}',
+    "array.json": "[1, 2]",
+    "invalid.json": '{"g": ',
+}
+# Runs that read a config file: flags override it; each JSON type meets each kind's rule.
+CONFIG_CASES = (
+    "qcc --config <out>/overrides.json",
+    "qcc --config <out>/overrides.json --g-I 0.1 --observable-I projector",
+    "qcc-joint --config <out>/overrides.json --g 0.2",
+    "qcc --config <out>/unknown-key.json",
+    "qcc --config <out>/unknown-key.json --validate-only",
+    "qcc --config <out>/float-true.json",
+    "qcc --config <out>/float-string.json",
+    "qcc --config <out>/float-null.json",
+    "qcc --config <out>/float-null.json --g 0.1",
+    "qcc --config <out>/float-integer.json",
+    "qcc --config <out>/float-beyond-range.json",
+    "qcc --config <out>/float-beyond-range.json --validate-only",
+    "montecarlo --config <out>/int-integral-float.json",
+    "montecarlo --config <out>/int-fraction.json",
+    "qcc --config <out>/choice-number.json",
+    "qcc --config <out>/switch-string.json",
+    "sweep --config <out>/sweep.json",
+    "qcc --config <out>/array.json",
+    "qcc --config <out>/invalid.json",
+    "qcc --config <out>/missing.json",
 )
 
 
@@ -99,24 +142,27 @@ def cases() -> list[tuple[str, ...]]:
     argvs.append(("weak-value", "--csv", "g.csv", "--grid-points", "64"))
     argvs += [tuple(line.split()) for line in RULE_BOUNDARIES]
     argvs += ci_inputs()
+    argvs += [tuple(line.split()) for line in CONFIG_CASES]
     return list(dict.fromkeys(argvs))
 
 
 def _digest(text: str, out_dir: Path) -> str:
-    masked = TIMESTAMP.sub('"timestamp": "<masked>"', text.replace(str(out_dir), "<out>"))
+    masked = TIMESTAMP.sub('"timestamp": "<masked>"', text.replace(str(out_dir), OUT))
     return hashlib.sha256(masked.encode()).hexdigest()
 
 
 def run_case(argv, out_dir: Path) -> dict:
     """One entry: ``argv`` run through ``main`` with ``out_dir`` as its output directory."""
     (out_dir / "d").mkdir()
+    for name, text in CONFIG_FILES.items():
+        (out_dir / name).write_text(text)
     stdout, stderr = io.StringIO(), io.StringIO()
     saved = os.environ.get(OUTDIR_ENV)
     os.environ[OUTDIR_ENV] = str(out_dir)
     try:
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
-                code = main(list(argv))
+                code = main([arg.replace(OUT, str(out_dir)) for arg in argv])
             except SystemExit as exc:  # argparse's exits: 2 on a flag error
                 code = exc.code
     finally:
@@ -125,7 +171,8 @@ def run_case(argv, out_dir: Path) -> dict:
         else:
             os.environ[OUTDIR_ENV] = saved
     premade = out_dir / "d"
-    left = sorted(p for p in out_dir.rglob("*") if p != premade or any(p.iterdir()))
+    left = sorted(p for p in out_dir.rglob("*")
+                  if p.relative_to(out_dir).as_posix() not in CONFIG_FILES and (p != premade or any(p.iterdir())))
     return {
         "argv": list(argv),
         "exit": code,

@@ -271,8 +271,14 @@ def trials_csv_oracle(trials) -> str:
 
 def inverse_cdf_oracle(pointer_final, u) -> np.ndarray:
     """The sampler's inverse-CDF readouts of uniforms ``u``: one plain ``np.interp`` over the
-    unsorted draws, on the sampler's trapezoid CDF over its ``DENSITY_POINTS`` knots."""
-    xs = np.linspace(*support(pointer_final), DENSITY_POINTS)
+    unsorted draws, on the sampler's trapezoid CDF over its knots: ``DENSITY_POINTS`` while the
+    support spans at most 32 widths, else doubled until they are at most 1/128 width apart."""
+    lo, hi = support(pointer_final)
+    knots, width = DENSITY_POINTS, pointer_final.width
+    if hi - lo > 32.0 * width:
+        while (hi - lo) / (knots - 1) > width / 128.0:
+            knots *= 2
+    xs = np.linspace(lo, hi, knots)
     dens = density(pointer_final, xs)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))))
     cdf /= cdf[-1]

@@ -21,7 +21,7 @@ from qccsim.neutron import (
     intensity_magnetic,
 )
 from qccsim.pointer import make_gaussian, norm_sq, overlap
-from qccsim.qcc import QccConfig, run_ideal_qcc
+from qccsim.qcc import run_ideal_qcc
 from qccsim.weakmeas import couple_and_postselect, linear_response_report
 
 from oracles import fit_exponent, random_hermitian, random_state, sum_rule_gap
@@ -50,7 +50,8 @@ def normalized_distance(pointer_final) -> float:
 def test_criterion_1_qcc_signature():
     with criterion(1, "QCC weak-value signature"):
         start = time.perf_counter()
-        report = run_ideal_qcc(QccConfig())
+        report = run_ideal_qcc(observable_I="projector", observable_II="sigma_x", g_I=0.02, g_II=0.02,
+                               pointer_width=1.0)
         assert report.wv_pi_I == pytest.approx(1.0, abs=1e-12)
         assert report.wv_sigma_I == pytest.approx(0.0, abs=1e-12)
         assert report.wv_pi_II == pytest.approx(0.0, abs=1e-12)

@@ -23,8 +23,8 @@ from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
 from qccsim.montecarlo import estimate_weak_value, sample_trials
 from qccsim.neutron import AbsorberConfig, MagneticConfig
-from qccsim.pointer import make_gaussian
-from qccsim.qcc import OBSERVABLE_TAGS, QccConfig
+from qccsim.pointer import check_width, make_gaussian
+from qccsim.qcc import OBSERVABLE_TAGS
 from qccsim.weakmeas import Spectrum
 
 from oracles import fit_exponent
@@ -779,8 +779,8 @@ RULE_CASES = [
      f"precession angle must satisfy |alpha| <= pi, got {PI_UP!r}"),
     (("sweep", "--scenario", "neutron-magnetic", "--alpha=-4:4:3000"), "alpha",
      lambda: MagneticConfig("I", np.linspace(-4, 4, 3000)), "precession angle must satisfy |alpha| <= pi, got -4.0"),
-    (("qcc", "--pointer-width", "5e-324"), "pointer_width", lambda: QccConfig(pointer_width=5e-324), None),
-    (("qcc", "--pointer-width", "0.0"), "pointer_width", lambda: QccConfig(pointer_width=0.0),
+    (("qcc", "--pointer-width", "5e-324"), "pointer_width", lambda: check_width(5e-324), None),
+    (("qcc", "--pointer-width", "0.0"), "pointer_width", lambda: check_width(0.0),
      "Gaussian width must be positive and finite, got 0.0"),
     (("weak-value", "--pointer-width", "-0.0"), "pointer_width", lambda: make_gaussian(0.0, -0.0),
      "Gaussian width must be positive and finite, got -0.0"),

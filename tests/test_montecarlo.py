@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from qccsim.cli import build_context
-from qccsim.errors import ValidationError
+from qccsim.errors import CapacityError, ValidationError
 import qccsim.montecarlo as montecarlo
 from qccsim.montecarlo import (
+    DENSITY_POINTS,
     DRAWS_PER_TRIAL,
     LOOKUP_BLOCK,
     _tabulated_inverse_cdf,
@@ -181,6 +182,22 @@ class TestSortedLookup:
         readouts = _tabulated_inverse_cdf(pointer)(u, np.empty_like(u))
         assert self.bits(readouts) == self.bits(inverse_cdf_oracle(pointer, u)[0])
 
+    # Anomalous branches at +-g, each 8 widths inside the support: 32 widths at g = 8.
+    @pytest.mark.parametrize("g, knots", [(0.1, DENSITY_POINTS), (8.0, DENSITY_POINTS), (8.5, 2**13),
+                                          (100.0, 2**15), (1e3, 2**18)])
+    def test_the_knot_count_follows_the_support(self, g, knots):
+        pointer = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, g).pointer_final
+        u = np.random.default_rng(7).random(1000)
+        readouts = _tabulated_inverse_cdf(pointer)(u, np.empty_like(u))
+        oracle, cdf = inverse_cdf_oracle(pointer, u)
+        assert cdf.size == knots
+        assert self.bits(readouts) == self.bits(oracle)
+
+    def test_a_support_past_the_knot_limit_is_a_capacity_error(self):
+        coupled = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, 1e5)
+        with pytest.raises(CapacityError, match=r"^grid of 33554432 points exceeds limit 1048576$"):
+            sample_trials(coupled, 2000, 1)
+
     def test_spin_trivial_accepts_nearly_every_trial(self):
         coupled = couple_and_postselect(*build_context("spin-trivial"), PHI0, 0.1)
         assert coupled.postselect_prob_coupled > 0.99
@@ -259,6 +276,15 @@ class TestEstimator:
         expected = positions.size / n_bins
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_999_DF63
+
+    def test_far_apart_lobes_keep_the_pointer_spread(self):
+        # Branches 2,000 widths apart: the upper lobe is a Gaussian of spread 1 about +g.
+        g = 1e3
+        coupled = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, g)
+        positions, _ = sample_trials(coupled, 200_000, 1)
+        lobe = positions[positions > 0.0] - g
+        std_error = 1.0 / math.sqrt(2.0 * (lobe.size - 1))  # of a normal sample's standard deviation
+        assert abs(float(lobe.std(ddof=1)) - 1.0) <= 4.0 * std_error
 
     def test_spread_of_readouts_whose_squares_overflow_is_finite(self):
         positions = np.array([1e154, -1e154, 3e154])

@@ -7,7 +7,8 @@ import pytest
 
 import qccsim.neutron
 from qccsim.errors import NegativeRadicand, ValidationError
-from qccsim.qcc import ARMS, QccConfig, arm_observable, build_prepost
+from qccsim.pointer import make_gaussian
+from qccsim.qcc import ARMS, arm_observable, build_prepost
 from qccsim.neutron import (
     AbsorberConfig,
     IntensityReport,
@@ -236,8 +237,8 @@ class TestValidation:
             build()
 
     def test_a_config_of_another_kind_is_unsupported(self):
-        with pytest.raises(ValidationError, match="^unsupported perturbation config QccConfig$"):
-            perturbed_intensity(QccConfig())
+        with pytest.raises(ValidationError, match="^unsupported perturbation config GaussianPointerState$"):
+            perturbed_intensity(make_gaussian(0.0, 1.0))
 
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ValidationError):

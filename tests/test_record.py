@@ -7,7 +7,7 @@ import pytest
 
 from qccsim._record import Record
 from qccsim.errors import ValidationError
-from qccsim.qcc import QccConfig
+from qccsim.neutron import AbsorberConfig
 from qccsim.qstate import StateVector
 
 
@@ -74,12 +74,12 @@ def test_asdict_is_in_field_order():
 
 
 def test_replace_changes_fields_and_validates_again():
-    cfg = QccConfig()._replace(g_I=0.5)
-    assert (cfg.g_I, cfg.g_II) == (0.5, QccConfig().g_II)
+    cfg = AbsorberConfig("II", 0.1)._replace(M=0.5)
+    assert (cfg.M, cfg.arm) == (0.5, AbsorberConfig("II", 0.1).arm)
     with pytest.raises(ValidationError):
-        QccConfig()._replace(pointer_width=-1.0)
+        AbsorberConfig("II", 0.1)._replace(M=-1.0)
     with pytest.raises(TypeError):
-        QccConfig()._replace(no_such_field=1.0)
+        AbsorberConfig("II", 0.1)._replace(no_such_field=1.0)
 
 
 def test_post_init_is_looked_up_at_construction(monkeypatch):
