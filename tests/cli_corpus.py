@@ -40,6 +40,9 @@ WIDTHS = ("1e-100", "1", "1e100")
 JOINT_COUPLINGS = ("0", "5e-324", "0.02", "1e307", "1e308")
 SPLIT_COUPLINGS = (("0.3", "-0.1"), ("1e308", "-1e308"), ("5e-324", "1e307"))
 SWEEPS = {"qcc": ("--g", "0:0.2:5"), "neutron-absorber": ("--M", "0:1:4"), "neutron-magnetic": ("--alpha=-3:3:5",)}
+# Each sweep one row past a 2^14-row block of the table renderer; the magnetic one passes alpha = 0.
+BLOCK_SWEEPS = {"qcc": ("--g", f"0:0.3:{2**14 + 1}"), "neutron-absorber": ("--M", f"0:2:{2**14 + 1}"),
+                "neutron-magnetic": (f"--alpha=-3:3:{2**14 + 1}",)}
 SMALL_MC = ("--n", "2000")
 # Each value rule at its boundaries, as tests/test_cli.py's RULE_CASES lists them.
 RULE_BOUNDARIES = (
@@ -139,6 +142,8 @@ def cases() -> list[tuple[str, ...]]:
         argvs.append(("sweep", "--scenario", scenario, *grid, "--csv", "s.csv", "--json", "r.json"))
     for width in WIDTHS[::2]:
         argvs.append(("sweep", "--scenario", "qcc", *SWEEPS["qcc"], "--pointer-width", width))
+    for scenario, grid in BLOCK_SWEEPS.items():
+        argvs.append(("sweep", "--scenario", scenario, *grid, "--csv", "s.csv", "--json", "r.json"))
     argvs.append(("weak-value", "--csv", "g.csv", "--grid-points", "64"))
     argvs += [tuple(line.split()) for line in RULE_BOUNDARIES]
     argvs += ci_inputs()
