@@ -13,6 +13,7 @@ import numpy as np
 
 from qccsim.montecarlo import DENSITY_POINTS, DRAWS_PER_TRIAL
 from qccsim.pointer import component_overlap, density, midpoint, support
+from qccsim.serialize import format_float
 from qccsim.weakmeas import PrePostContext, Spectrum, branch_table
 
 # 0.999 quantile of the chi-square distribution with 63 degrees of
@@ -299,6 +300,14 @@ def sample_trials_oracle(coupled, n: int, seed: int) -> tuple[np.ndarray, np.nda
     u = trial_uniforms_oracle(seed, 0, n)
     mask = u[:, 0] < min(max(coupled.postselect_prob_coupled, 0.0), 1.0)
     return mask, inverse_cdf_oracle(coupled.pointer_final, u[mask, 1])[0]
+
+
+def table_csv_oracle(header, columns) -> str:
+    """A sweep table's CSV text, one row at a time, one ``format_float`` per cell."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(format_float(x) for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def rows_as_dicts(header, columns) -> list[dict]:

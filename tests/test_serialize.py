@@ -11,9 +11,9 @@ import pytest
 from qccsim.cli import main
 from qccsim.errors import ValidationError
 from qccsim.pointer import density, make_gaussian, superpose, support, to_grid, translate
-from qccsim.serialize import BLOCK_ROWS, Table, dumps_json, write_grid_csv, write_trials_csv
+from qccsim.serialize import BLOCK_ROWS, Table, dumps_json, write_grid_csv, write_sweep_csv, write_trials_csv
 
-from oracles import grid_csv_oracle, rows_as_dicts, trials_csv_oracle
+from oracles import grid_csv_oracle, rows_as_dicts, table_csv_oracle, trials_csv_oracle
 
 # One object through every branch of the JSON writer.
 EVERY_BRANCH = {
@@ -114,6 +114,42 @@ class TestTableAgainstRowOracle:
 
     def test_no_rows_is_an_empty_list(self):
         assert dumps_json({"rows": Table(["g"], [[]])}) == dumps_json({"rows": []})
+
+
+def broadcast_columns(n_rows: int, seed: int) -> tuple[list[str], list[np.ndarray]]:
+    """Each edge cell as a broadcast (stride-0) column, as a sweep passes its constants,
+    each followed by a varying column of random and edge cells."""
+    varying = random_columns(random.Random(seed), len(EDGE_CELLS), n_rows)
+    columns = []
+    for constant, column in zip(EDGE_CELLS, varying):
+        columns += [np.broadcast_to(constant, (n_rows,)), np.array(column)]
+    return [f"c{k}" for k in range(len(columns))], columns
+
+
+class TestTableBlocksAgainstRowOracle:
+    """A table is rendered a block of rows at a time, its broadcast columns formatted once:
+    the record and the CSV equal the row-at-a-time oracles on both sides of a block edge."""
+
+    def check(self, tmp_path, header, columns):
+        table = Table(header, columns)
+        assert dumps_json({"rows": table}) == dumps_json({"rows": rows_as_dicts(header, columns)})
+        write_sweep_csv(tmp_path / "sweep.csv", table)
+        assert (tmp_path / "sweep.csv").read_text() == table_csv_oracle(header, columns)
+
+    @pytest.mark.parametrize("n_rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_broadcast_edge_cells_beside_varying_columns(self, tmp_path, n_rows):
+        header, columns = broadcast_columns(n_rows, seed=n_rows)
+        assert [column.strides for column in columns[::2]] == [(0,)] * len(EDGE_CELLS)
+        self.check(tmp_path, header, columns)
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_every_column_broadcast(self, tmp_path, n_rows):
+        # A one-point sweep is all broadcast: np.broadcast_to gives its swept column stride 0 too.
+        columns = [np.broadcast_to(np.linspace(0.5, 1.0, 1), (n_rows,)), np.broadcast_to(-0.0, (n_rows,))]
+        self.check(tmp_path, ["g", "wv"], columns)
+
+    def test_no_rows_with_a_broadcast_column(self, tmp_path):
+        self.check(tmp_path, ["g", "wv"], [np.zeros(0), np.broadcast_to(math.nan, (0,))])
 
 
 @pytest.mark.parametrize(
