@@ -14,7 +14,8 @@ overflow or division by zero, a pointer width whose powers leave the
 float range, or a pointer too far out for floats to resolve its width).
 Each of these errors prints one JSON object to stderr. Output files are
 renamed into place only once all are written, so a failed run leaves
-none behind, nor any directory it created for them.
+none behind, nor any directory it created for them, and an earlier file
+under the same name stays as it was.
 
 numpy loads only where a run builds an array: ``sweep``, ``montecarlo``
 and the ``weak-value --csv`` grid. ``qcc``, ``qcc-joint``, ``weak-value``
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -244,7 +246,7 @@ class Scenario(NamedTuple):
 
     help: str
     params: tuple[Param, ...]
-    run: Callable[[dict, Path | None], dict]
+    run: Callable[[dict, Path | None, dict], dict]  # (params, staged CSV path, checked sweep grids)
     csv: str = ""  # the results key naming the --csv artifact; "" when there is none
 
 
@@ -252,18 +254,18 @@ class Scenario(NamedTuple):
 # installed on a ``run_*`` function also sees the CLI's calls to it.
 SCENARIO_TABLE = {
     "weak-value": Scenario("single weak measurement on a named context", WEAK_VALUE_PARAMS,
-                           lambda p, csv: run_weak_value(p, csv), csv="grid_csv"),
-    "qcc": Scenario("Cheshire Cat run (qcc)", QCC_PARAMS, lambda p, csv: run_qcc_scenario(p, False)),
+                           lambda p, csv, _: run_weak_value(p, csv), csv="grid_csv"),
+    "qcc": Scenario("Cheshire Cat run (qcc)", QCC_PARAMS, lambda p, csv, _: run_qcc_scenario(p, False)),
     "qcc-joint": Scenario("Cheshire Cat run (qcc-joint)", QCC_PARAMS,
-                          lambda p, csv: run_qcc_scenario(p, True)),
+                          lambda p, csv, _: run_qcc_scenario(p, True)),
     "neutron-absorber": Scenario("arm absorber intensity experiment", (ARM, ABSORBER_M),
-                                 lambda p, csv: run_neutron_absorber(p)),
+                                 lambda p, csv, _: run_neutron_absorber(p)),
     "neutron-magnetic": Scenario("arm spin-rotation intensity experiment", (ARM, ROTATION_ALPHA),
-                                 lambda p, csv: run_neutron_magnetic(p)),
+                                 lambda p, csv, _: run_neutron_magnetic(p)),
     "montecarlo": Scenario("finite-statistics sampling", MONTECARLO_PARAMS,
-                           lambda p, csv: run_montecarlo(p, csv), csv="trials_csv"),
+                           lambda p, csv, _: run_montecarlo(p, csv), csv="trials_csv"),
     "sweep": Scenario("parameter sweep emitting a CSV table", SWEEP_PARAMS,
-                      lambda p, csv: run_sweep(p, csv), csv="sweep_csv"),
+                      lambda p, csv, grids: run_sweep(p, csv, grids), csv="sweep_csv"),
 }
 _FLAG_TYPES = {"float": float, "int": int}
 _VALUE_FLAGS = {p.option for s in SCENARIO_TABLE.values() for p in s.params if p.kind != "switch"}
@@ -355,8 +357,9 @@ def resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, list[
     return params, violations
 
 
-def _problem(param: Param, params: dict) -> str | None:
-    """Why ``params[param.name]`` is not of its kind, or None; stores coerced numbers back.
+def _problem(param: Param, params: dict, grids: dict) -> str | None:
+    """Why ``params[param.name]`` is not of its kind, or None; stores coerced numbers back,
+    and a range's checked grid in ``grids``, since ``params`` keeps the range's text.
 
     Raises ``ValidationError`` for a malformed range or a failed library rule."""
     raw = value = params.get(param.name)
@@ -390,22 +393,26 @@ def _problem(param: Param, params: dict) -> str | None:
         value = parse_range(raw)
     if param.check is not None:
         param.check(value)
+    if param.kind == "range":
+        grids[param.name] = value
     return None
 
 
-def validate_params(scenario: str, params: dict) -> list[str]:
-    """Every violated precondition, one message per violation, in table order."""
+def validate_params(scenario: str, params: dict) -> tuple[list[str], dict]:
+    """Every violated precondition, one message per violation, in table order, and the
+    checked grid of each sweep range by parameter name, which the run sweeps."""
     violations: list[str] = []
+    grids: dict = {}
     for param in SCENARIO_TABLE[scenario].params:
         if param.when is not None and params.get(param.when[0]) not in param.when[1]:
             continue
         try:
-            problem = _problem(param, params)
+            problem = _problem(param, params, grids)
         except ValidationError as exc:  # a library rule's own message, as in the run
             problem = str(exc)
         if problem is not None:
             violations.append(f"{param.name}: {problem}")
-    return violations
+    return violations, grids
 
 
 def run_weak_value(params: dict, csv_path: Path | None) -> dict:
@@ -482,11 +489,12 @@ def run_montecarlo(params: dict, csv_path: Path | None) -> dict:
     }
 
 
-def run_sweep(params: dict, csv_path: Path | None) -> dict:
-    """One run over the whole swept array: its rows equal single runs at each value."""
+def run_sweep(params: dict, csv_path: Path | None, grids: dict) -> dict:
+    """One run over the whole swept array, the swept parameter's grid in ``grids`` as
+    validation checked it: its rows equal single runs at each value."""
     scenario = params["sweep_scenario"]
     if scenario == "qcc":
-        values = parse_range(params["g"])
+        values = grids["g"]
         header = QCC_SWEEP_HEADER
         record = qcc_report_dict(run_ideal_qcc(
             observable_I=params["observable_I"], observable_II=params["observable_II"],
@@ -495,16 +503,17 @@ def run_sweep(params: dict, csv_path: Path | None) -> dict:
     else:
         header = NEUTRON_SWEEP_HEADER
         if scenario == "neutron-magnetic":
-            values = parse_range(params["alpha"])
+            values = grids["alpha"]
             rep = intensity_magnetic(MagneticConfig(params["arm"], values))
             predicted = rep.second_order_prediction
         else:
-            values = parse_range(params["M"])
+            values = grids["M"]
             rep = intensity_absorber(AbsorberConfig(params["arm"], values))
             predicted = rep.first_order_prediction
         columns = [values, rep.ratio, predicted, rep.inferred_weak_value, rep.expansion_error]
     import numpy as np
-    table = Table(header, [np.broadcast_to(column, values.shape) for column in columns])
+    # A constant column (a qcc weak value or postselect_prob) is broadcast; Table formats it once.
+    table = Table(header, [np.broadcast_to(c, values.shape) if np.ndim(c) == 0 else c for c in columns])
     out = {"swept_scenario": scenario, "columns": list(header), "rows": table}
     if csv_path is not None:
         write_sweep_csv(csv_path, table)
@@ -519,7 +528,8 @@ def _temp_beside(path: Path | None, kind: str) -> Path | None:
 def run(args: argparse.Namespace) -> int:
     scenario = args.scenario
     params, violations = resolve_params(scenario, args)
-    violations += validate_params(scenario, params)
+    problems, grids = validate_params(scenario, params)
+    violations += problems
     csv_key = SCENARIO_TABLE[scenario].csv
     if args.csv_path is not None and not csv_key:
         violations.append(f"csv: no CSV artifact defined for scenario {scenario}")
@@ -540,10 +550,11 @@ def run(args: argparse.Namespace) -> int:
     staged = [(temp, path) for temp, path in ((csv_temp, csv_path), (json_temp, json_path)) if path]
     try:
         for path in (csv_path, json_path):  # each missing directory is listed before the attempt
-            if path is not None:
-                created += reversed([parent for parent in path.parents if not parent.exists()])
+            if path is not None and not path.parent.is_dir():
+                # The first ancestor that exists ends the walk: its own ancestors exist too.
+                created += reversed(list(itertools.takewhile(lambda d: not d.exists(), path.parents)))
                 path.parent.mkdir(parents=True, exist_ok=True)
-        results = SCENARIO_TABLE[scenario].run(params, csv_temp)
+        results = SCENARIO_TABLE[scenario].run(params, csv_temp, grids)
         if csv_path is not None:
             results[csv_key] = str(csv_path)
         text = dumps_json({"artifact": "qccsim", "version": __version__,
@@ -556,7 +567,7 @@ def run(args: argparse.Namespace) -> int:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for temp, path in staged:
             os.replace(temp, path)
-        created.clear()
+        staged, created = [], []  # the run finished: nothing to clean up
     except OSError as exc:  # name the file the user gave, not its staging name
         final = {str(temp): str(path) for temp, path in staged}.get(str(exc.filename))
         if final is None:

@@ -220,9 +220,21 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
                 f"radicand {bad[0]!r} < 0: ratio {bad[1]!r} with pi_w {pi_w!r} "
                 "is not reachable by any spin weak value"
             )
-        return elementwise(lambda r: math.sqrt(max(r, 0.0)), radicand)
+        return _sqrt_clamped(radicand)
 
     return run_on(alpha, modulus)
+
+
+def _sqrt_clamped(radicand):
+    """sqrt(max(radicand, 0.0)), of one number or of a whole array in one numpy call.
+
+    IEEE sqrt is correctly rounded, so numpy's matches ``math.sqrt`` bit for bit. The
+    clamp is ``where``, not ``np.maximum``: like ``max``, it keeps a -0.0 radicand
+    (sqrt -0.0, printed "-0"), where ``np.maximum(-0.0, 0.0)`` is +0.0."""
+    if one_number(radicand):
+        return math.sqrt(max(radicand, 0.0))
+    import numpy as np
+    return np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
 
 
 class SystematicTermReport(Record):

@@ -272,6 +272,35 @@ class TestCsvArtifacts:
         assert ".tmp" not in message
         assert list(tmp_path.iterdir()) == []
 
+    QCC_SWEEP = ("sweep", "--scenario", "qcc", "--g")
+
+    def test_a_failed_run_keeps_an_earlier_artifact(self, capsys, tmp_path):
+        assert run_cli(capsys, *self.QCC_SWEEP, "0:1:3", "--csv", "s.csv", "--out", str(tmp_path))[0] == 0
+        before = (tmp_path / "s.csv").read_bytes()
+        (tmp_path / "d").mkdir()
+        code, out, err = run_cli(capsys, *self.QCC_SWEEP, "0:2:5", "--csv", "s.csv", "--json", "d",
+                                 "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+        assert (tmp_path / "s.csv").read_bytes() == before
+        assert list(tmp_path.rglob(".qccsim-*")) == []
+
+    def test_a_rerun_replaces_the_artifact(self, capsys, tmp_path):
+        assert run_cli(capsys, *self.QCC_SWEEP, "0:1:3", "--csv", "s.csv", "--out", str(tmp_path))[0] == 0
+        code, _, err = run_cli(capsys, *self.QCC_SWEEP, "0:2:5", "--csv", "s.csv", "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 6
+        assert [f.name for f in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_new_directories_under_an_existing_one_are_all_created(self, capsys, tmp_path):
+        (tmp_path / "old").mkdir()
+        code, _, err = run_cli(capsys, *self.QCC_SWEEP, "0:1:3", "--csv", "old/a/b/c/s.csv",
+                               "--json", "old/a/r.json", "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "old", "old/a", "old/a/b", "old/a/b/c", "old/a/b/c/s.csv", "old/a/r.json",
+        ]
+
 
 class TestSweeps:
     def test_qcc_sweep_header_and_signature(self, capsys, tmp_path):
@@ -396,6 +425,58 @@ class TestSweeps:
 
         branch_table, post_init = qcc.branch_table, Spectrum.__post_init__
         assert counted_calls(3) == counted_calls(300)
+
+    @pytest.mark.parametrize(
+        "scenario, flag", [("qcc", "--g"), ("neutron-absorber", "--M"), ("neutron-magnetic", "--alpha")]
+    )
+    def test_a_sweep_parses_its_range_once(self, capsys, monkeypatch, tmp_path, scenario, flag):
+        calls = {"parse_range": 0, "linspace": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_range", counted("parse_range", cli.parse_range))
+        monkeypatch.setattr(np, "linspace", counted("linspace", np.linspace))
+        code, _, err = run_cli(capsys, "sweep", "--scenario", scenario, flag, "0:1:5", "--csv", "s.csv",
+                               "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert calls == {"parse_range": 1, "linspace": 1}
+
+    # Each range violation --validate-only reports, and the run's exit-3 message.
+    RANGE_VIOLATIONS = [
+        (("--scenario", "qcc"), "g: sweep over qcc needs --g start:stop:count"),
+        (("--scenario", "qcc", "--g", "0:1"), "g: range must be start:stop:count, got '0:1'"),
+        (("--scenario", "qcc", "--g", "0:1:0"), "g: range count must be >= 1, got 0"),
+        (("--scenario", "qcc", "--g", "a:b:3"), "g: bad range 'a:b:3': could not convert string to float: 'a'"),
+        (("--scenario", "qcc", "--g", "0:inf:3"), "g: range endpoints must be finite, got '0:inf:3'"),
+        (("--scenario", "qcc", "--g=-1e308:1e308:3"), "g: range '-1e308:1e308:3' has no finite width"),
+        (("--scenario", "neutron-absorber", "--M", "0:nan:3"), "M: range endpoints must be finite, got '0:nan:3'"),
+        (("--scenario", "neutron-absorber", "--M=-1:1:5"), "M: absorption coefficient must be >= 0, got -1.0"),
+        (("--scenario", "neutron-magnetic", "--alpha", "0:1:2.5"),
+         "alpha: bad range '0:1:2.5': invalid literal for int() with base 10: '2.5'"),
+        (("--scenario", "neutron-magnetic", "--alpha=-4:4:3"),
+         "alpha: precession angle must satisfy |alpha| <= pi, got -4.0"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", RANGE_VIOLATIONS, ids=[m for _, m in RANGE_VIOLATIONS])
+    def test_each_range_violation_is_reported(self, capsys, argv, message):
+        code, out, _ = run_cli(capsys, "sweep", *argv, "--validate-only")
+        assert (code, json.loads(out)["violations"]) == (3, [message])
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert (code, out, json.loads(err)["error"]["message"]) == (3, "", message)
+
+    def test_range_violations_beside_other_violations_are_all_reported(self, capsys, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"sweep_scenario": "neutron-absorber", "M": 5, "pointer_width": 0}))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(config), "--validate-only")
+        assert code == 3
+        assert json.loads(out)["violations"] == [
+            "M: range must be start:stop:count, got 5",
+            "pointer_width: Gaussian width must be positive and finite, got 0.0",
+        ]
 
     def test_range_parsing(self):
         assert parse_range("0:1:5").tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]

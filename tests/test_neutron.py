@@ -22,6 +22,7 @@ from qccsim.neutron import (
     reference_intensity,
     systematic_term_report,
 )
+from qccsim.serialize import format_float
 from qccsim.weakmeas import vdot
 
 from oracles import (
@@ -198,6 +199,39 @@ class TestInference:
     def test_zero_perturbation_infers_nan(self):
         assert math.isnan(infer_weak_value(AbsorberConfig("I", 0.0), 0.9))
         assert math.isnan(infer_weak_value(MagneticConfig("II", 0.0), 1.1))
+
+    # (pi_w, [(alpha, ratio), ...]); radicand = (ratio - 1) * 4 / alpha**2 + pi_w.
+    SPIN_INFERENCE_CASES = [
+        (0.0, [
+            (0.5, 1.0),  # +0.0
+            (0.5, math.nan), (0.5, -math.nan),  # NaN of either sign passes as a NaN modulus
+            (2.0**500, 1.0 + 2.0**-52),  # 2**-1050, subnormal
+            (2.0**500, 1.0 - 2.0**-53),  # -2**-1051, subnormal and clamped
+            (1.0, 1e300), (1e-150, 2.0), (1e-100, 1e300),  # 4e300, 4e300 and inf
+            (0.2, 1.01), (-0.3, 1.5), (3.0, 1.9),
+        ]),
+        (-0.0, [(0.5, 1.0)]),  # 0.0 + -0.0 is +0.0
+        (-4.999e-12, [(1.0, 1.0), (1.0, 1.0 + 2.0**-52)]),  # just inside the noise floor 5e-12: clamped
+        (1e-300, [(1.0, 1.0), (1e10, 1.0)]),
+    ]
+
+    @pytest.mark.parametrize("pi_w, cases", SPIN_INFERENCE_CASES, ids=[repr(p) for p, _ in SPIN_INFERENCE_CASES])
+    def test_array_spin_inference_is_the_scalar_one_bit_for_bit(self, pi_w, cases):
+        alpha, ratio = (np.array(column) for column in zip(*cases))
+        array = infer_spin_weak_value_modulus(alpha, ratio, pi_w)
+        scalar = np.array([infer_spin_weak_value_modulus(a, r, pi_w) for a, r in cases])
+        assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+        assert [format_float(x) for x in array] == [format_float(x) for x in scalar]
+
+    def test_clamped_sqrt_keeps_a_negative_zero(self):
+        # No (ratio, alpha, pi_w) makes the radicand -0.0, so the sqrt step is driven directly.
+        radicands = [0.0, -0.0, math.nan, -math.nan, 5e-324, -5e-324, 2.0**-1050, -4.9e-12, 4e300,
+                     math.inf, 1.7976931348623157e308, 0.25]
+        array = qccsim.neutron._sqrt_clamped(np.array(radicands))
+        scalar = np.array([qccsim.neutron._sqrt_clamped(r) for r in radicands])
+        assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+        assert [format_float(x) for x in array][:2] == ["0", "-0"]
+        assert [format_float(x) for x in array] == [format_float(x) for x in scalar]
 
     def test_zero_perturbation_rejected(self):
         with pytest.raises(ValidationError):
