@@ -44,6 +44,8 @@ SWEEPS = {"qcc": ("--g", "0:0.2:5"), "neutron-absorber": ("--M", "0:1:4"), "neut
 BLOCK_SWEEPS = {"qcc": ("--g", f"0:0.3:{2**14 + 1}"), "neutron-absorber": ("--M", f"0:2:{2**14 + 1}"),
                 "neutron-magnetic": (f"--alpha=-3:3:{2**14 + 1}",)}
 SMALL_MC = ("--n", "2000")
+# Four 2^14-trial blocks and 17 trials more, so two chunks each end inside a block.
+BLOCKS_MC = ("--n", str(4 * 2**14 + 17))
 # Each value rule at its boundaries, as tests/test_cli.py's RULE_CASES lists them.
 RULE_BOUNDARIES = (
     "neutron-absorber --M -0.0",
@@ -137,6 +139,9 @@ def cases() -> list[tuple[str, ...]]:
         argvs.append(("montecarlo", "--mode", "intensity-magnetic", *SMALL_MC, "--workers", workers))
     for width in WIDTHS[::2]:
         argvs.append(("montecarlo", *SMALL_MC, "--pointer-width", width))
+    argvs += [("montecarlo", *BLOCKS_MC, "--workers", workers, "--csv", "t.csv") for workers in ("1", "2")]
+    argvs.append(("montecarlo", "--context", "spin-trivial", *BLOCKS_MC, "--workers", "2"))
+    argvs += [("montecarlo", "--mode", mode, *BLOCKS_MC) for mode in ("intensity-absorber", "intensity-magnetic")]
     for scenario, grid in SWEEPS.items():
         argvs.append(("sweep", "--scenario", scenario, *grid))
         argvs.append(("sweep", "--scenario", scenario, *grid, "--csv", "s.csv", "--json", "r.json"))
