@@ -2,12 +2,14 @@
 
 Each trial owns one counter block of a counter-based generator, so a
 sample is a pure function of (seed, n): any chunking or thread layout
-reproduces it bit for bit. Each chunk draws its trials 2**14 at a time into
-one reused table of uniforms, small enough to stay in cache, and keeps only
-the acceptance mask and readouts (two counts for an intensity run).
-Postselection is Bernoulli with the exact coupled probability; accepted
-trials draw a pointer position from the exact final density by inverse-CDF
-on a dense tabulation, looked up in sorted order with unchanged bits.
+reproduces it bit for bit. Each chunk draws the raw 64-bit words of its
+trials 2**14 at a time, small enough to stay in cache, and compares them
+with integer bounds, so that only an accepted trial's readout word becomes
+a uniform; it keeps only the acceptance mask and readouts (two counts for
+an intensity run). Postselection is Bernoulli with the exact coupled
+probability; accepted trials draw a pointer position from the exact final
+density by inverse-CDF on a dense tabulation, looked up in sorted order
+with unchanged bits.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from .tolerances import MAX_TRIALS
 DENSITY_POINTS = 4096
 KNOTS_PER_WIDTH = 128
 
-# Uniform draws consumed per trial; one full Philox counter block, so
-# trial i always starts at counter offset i.
+# Philox words per trial: one full counter block, so trial i always starts at counter offset i.
+# Column 0 decides acceptance (the reference detection of an intensity run), column 1 is the
+# readout (the perturbed detection); columns 2 and 3 are drawn and never read.
 DRAWS_PER_TRIAL = 4
-# Trials drawn, masked and looked up at a time: one reused 512 KB table of uniforms per chunk,
-# which stays in cache, so memory does not grow with n.
+# Trials drawn, masked and looked up at a time: a 512 KB block of words per chunk, dropped before
+# the next is drawn, so it stays in cache and memory does not grow with n.
 LOOKUP_BLOCK = 2**14
 
 
@@ -93,20 +96,27 @@ def check_estimation_coupling(g: float) -> None:
         raise ValidationError(f"weak-value estimation needs a nonzero coupling, got {g!r}")
 
 
+def _word_bound(p: float) -> int:
+    """The W for which a Philox word w passes ``w < W`` exactly when its uniform is below p."""
+    # numpy's Philox uniform of w is (w >> 11) * 2**-53, and p * 2**53 is exact (a power-of-two
+    # scaling), so for an integer k = w >> 11 < 2**53: u < p <=> k < ceil(p * 2**53) <=> w < W.
+    # At p >= 1 every word passes (W = 2**64); at p <= 0, -0.0 or NaN none does, as u < nan is False.
+    if not p > 0.0:
+        return 0
+    return math.ceil(p * 2.0**53) << 11 if p < 1.0 else 2**64
+
+
 def _trial_tables(seed: int, start: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(first trial, table)`` for each run of up to ``LOOKUP_BLOCK`` trials from ``start``
-    on: row i of a table holds the uniforms of counter block ``first + i``. Every table is
-    drawn into one buffer, so each is overwritten by the next."""
-    import numpy as np
-    from numpy.random import Generator, Philox  # here, so runs that never sample skip its import
+    """``(first trial, words)`` for each run of up to ``LOOKUP_BLOCK`` trials from ``start``
+    on: row i of ``words`` holds the raw ``uint64`` words of counter block ``first + i``. Each
+    block is a new array; drop it before asking for the next, so that only one is alive."""
+    from numpy.random import Philox  # here, so runs that never sample skip its import
 
     bits = Philox(key=seed)
     bits.advance(start)
-    random = Generator(bits).random
-    buffer = np.empty((min(count, LOOKUP_BLOCK), DRAWS_PER_TRIAL))
     for first in range(start, start + count, LOOKUP_BLOCK):
-        table = buffer[:min(LOOKUP_BLOCK, start + count - first)]
-        yield first, random(out=table)
+        rows = min(LOOKUP_BLOCK, start + count - first)
+        yield first, bits.random_raw(rows * DRAWS_PER_TRIAL).reshape(rows, DRAWS_PER_TRIAL)
 
 
 def _blocks(start: int, count: int, size: int) -> list[tuple[int, int]]:
@@ -129,18 +139,19 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
     check_trial_count(n)
     check_seed(seed)
     check_workers(workers)
-    p_post = min(max(coupled.postselect_prob_coupled, 0.0), 1.0)
+    bound = _word_bound(coupled.postselect_prob_coupled)
     final = coupled.pointer_final
-    draw = _tabulated_inverse_cdf(final) if p_post > 0.0 and final.components else None
+    draw = _tabulated_inverse_cdf(final) if bound and final.components else None
     # Each chunk writes its mask and its readouts from its first trial on; unwritten pages cost no memory.
     mask, readouts = np.empty(n, dtype=bool), np.empty(n)
 
     def run_chunk(bounds: tuple[int, int]) -> np.ndarray:
         filled = bounds[0]
-        for first, u in _trial_tables(seed, *bounds):
-            accepted = u[:, 1][np.less(u[:, 0], p_post, out=mask[first:first + len(u)])]
-            if draw is not None:
-                filled += draw(accepted, readouts[filled:filled + accepted.size]).size
+        for first, words in _trial_tables(seed, *bounds):
+            accepted = words[:, 1][np.less(words[:, 0], bound, out=mask[first:first + len(words)])]
+            del words
+            if draw is not None:  # numpy's Philox double of each accepted readout word, bit for bit
+                filled += draw((accepted >> 11) * 2.0**-53, readouts[filled:filled + accepted.size]).size
         return readouts[bounds[0]:filled]
 
     # One chunk per thread, never more than trials or CPUs; the output does not depend on it.
@@ -212,14 +223,15 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
     check_trial_count(n)
     check_seed(seed)
     import numpy as np
-    p_ref = exact.i0
     p_pert = exact.i_perturbed
     if getattr(p_pert, "ndim", 0):
         raise ValidationError(f"one run's report expected, got a sweep's: i_perturbed has shape {p_pert.shape}")
+    bound_ref, bound_pert = _word_bound(exact.i0), _word_bound(p_pert)
     n_ref = n_pert = 0
-    for _, u in _trial_tables(seed, 0, n):
-        n_ref += int(np.count_nonzero(u[:, 0] < p_ref))
-        n_pert += int(np.count_nonzero(u[:, 1] < p_pert))
+    for _, words in _trial_tables(seed, 0, n):
+        n_ref += int(np.count_nonzero(words[:, 0] < bound_ref))
+        n_pert += int(np.count_nonzero(words[:, 1] < bound_pert))
+        del words
     if n_ref == 0:
         raise ValidationError("no reference detections; increase n")
     r_ref = n_ref / n

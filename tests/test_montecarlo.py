@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qccsim.montecarlo import (
     LOOKUP_BLOCK,
     _tabulated_inverse_cdf,
     _trial_tables,
+    _word_bound,
     estimate_weak_value,
     sample_intensity_experiment,
     sample_trials,
@@ -38,13 +40,22 @@ PHI0 = make_gaussian(0.0, 1.0)
 SEED = 12345
 # Trial counts on each side of the table edges, and past 2**20.
 TABLE_EDGES = [LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 3 * LOOKUP_BLOCK + 5, 2**20 + 17]
+# Probabilities at the edges of the integer word bound: trial 4's two drawn uniforms, each with
+# its float neighbours, are below 1/2, where p * 2**53 of a neighbour is not an integer.
+EDGE_N = 2000
+EDGE_UNIFORMS = trial_uniforms_oracle(SEED, 0, EDGE_N)
+EDGE_PROBABILITIES = [
+    0.0, -0.0, 5e-324, 2.0**-53,
+    *(float(v) for u in EDGE_UNIFORMS[4, :2] for v in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0))),
+    1.0 - 2.0**-53, 1.0, float(np.nextafter(1.0, 2.0)), math.inf, -math.inf, math.nan,
+]
 
 
 def drawn_tables(seed: int, start: int, count: int) -> np.ndarray:
-    """The tables ``_trial_tables`` yields, copied out of its reused buffer and stacked."""
-    tables = [(first, table.copy()) for first, table in _trial_tables(seed, start, count)]
+    """The word blocks ``_trial_tables`` yields, stacked, as numpy's Philox doubles ``(w >> 11) * 2**-53``."""
+    tables = list(_trial_tables(seed, start, count))
     assert [first for first, _ in tables] == list(range(start, start + count, LOOKUP_BLOCK))
-    return np.concatenate([table for _, table in tables])
+    return (np.concatenate([words for _, words in tables]) >> 11) * 2.0**-53
 
 
 def batches_equal(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -155,6 +166,41 @@ class TestDeterminism:
         want_mask, want_positions = sample_trials_oracle(coupled, n, SEED)
         assert np.array_equal(mask, want_mask)
         assert np.array_equal(positions.view(np.uint64), want_positions.view(np.uint64))
+
+
+class TestWordBound:
+    """Raw Philox words compared with an integer bound accept and count exactly the trials whose
+    uniform, as ``Generator.random`` draws it, is below p."""
+
+    @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+    def test_pointer_acceptance_is_the_float_comparison(self, p):
+        coupled = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, 0.1)
+        coupled = coupled._replace(postselect_prob_coupled=p)
+        positions, mask = sample_trials(coupled, EDGE_N, SEED)
+        want = EDGE_UNIFORMS[:, 0] < p
+        assert np.array_equal(mask, want)
+        readouts = inverse_cdf_oracle(coupled.pointer_final, EDGE_UNIFORMS[want, 1])[0]
+        assert np.array_equal(positions.view(np.uint64), readouts.view(np.uint64))
+
+    @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+    def test_intensity_counts_are_the_float_comparison(self, p):
+        # The sampler reads only the two intensities; an IntensityReport would reject most of these.
+        n_ref, n_pert = (int(np.count_nonzero(EDGE_UNIFORMS[:, column] < p)) for column in (0, 1))
+        counts = sample_intensity_experiment(SimpleNamespace(i0=0.5, i_perturbed=p), EDGE_N, SEED)
+        assert counts.n_perturbed == n_pert
+        if n_ref:
+            assert sample_intensity_experiment(SimpleNamespace(i0=p, i_perturbed=0.5), EDGE_N, SEED).n_reference == n_ref
+        else:
+            with pytest.raises(ValidationError, match="^no reference detections; increase n$"):
+                sample_intensity_experiment(SimpleNamespace(i0=p, i_perturbed=0.5), EDGE_N, SEED)
+
+    @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+    def test_words_next_to_the_bound_compare_as_their_uniforms(self, p):
+        # A word on the bound is drawn with probability 2**-64, so the draws above cannot reach it.
+        bound = _word_bound(p)
+        near = (min(max(bound + step, 0), 2**64 - 1) for step in (-2**11, -1, 0, 1, 2**11))
+        words = np.array([0, 2**11, 2**63, 2**64 - 2**11 - 1, 2**64 - 1, *near], dtype=np.uint64)
+        assert np.array_equal(words < bound, (words >> 11) * 2.0**-53 < p)
 
 
 class TestSortedLookup:
@@ -410,7 +456,7 @@ class TestIntensitySampling:
 
 
 class TestTracedMemory:
-    """Each chunk draws into one reused table of ``LOOKUP_BLOCK`` rows, whatever n is."""
+    """Each chunk holds one block of ``LOOKUP_BLOCK`` rows of words at a time, whatever n is."""
 
     @staticmethod
     def traced_peak(run) -> int:
