@@ -46,6 +46,10 @@ BLOCK_SWEEPS = {"qcc": ("--g", f"0:0.3:{2**14 + 1}"), "neutron-absorber": ("--M"
 SMALL_MC = ("--n", "2000")
 # Four 2^14-trial blocks and 17 trials more, so two chunks each end inside a block.
 BLOCKS_MC = ("--n", str(4 * 2**14 + 17))
+# Trials CSV positions at the edges of %.17g's fixed notation: straddling 1e-4, crossing
+# 1e16-1e17 into exponent notation, and in exponent notation only.
+TRIALS_CSV_SCALES = (("--g", "1e-05", "--pointer-width", "0.0001"), ("--pointer-width", "3e16"),
+                     ("--pointer-width", "1e100"))
 # Each value rule at its boundaries, as tests/test_cli.py's RULE_CASES lists them.
 RULE_BOUNDARIES = (
     "neutron-absorber --M -0.0",
@@ -142,6 +146,8 @@ def cases() -> list[tuple[str, ...]]:
     argvs += [("montecarlo", *BLOCKS_MC, "--workers", workers, "--csv", "t.csv") for workers in ("1", "2")]
     argvs.append(("montecarlo", "--context", "spin-trivial", *BLOCKS_MC, "--workers", "2"))
     argvs += [("montecarlo", "--mode", mode, *BLOCKS_MC) for mode in ("intensity-absorber", "intensity-magnetic")]
+    argvs += [("montecarlo", *SMALL_MC, *args, "--csv", "t.csv") for args in TRIALS_CSV_SCALES]
+    argvs.append(("montecarlo", "--context", "spin-trivial", *BLOCKS_MC, "--csv", "t.csv"))
     for scenario, grid in SWEEPS.items():
         argvs.append(("sweep", "--scenario", scenario, *grid))
         argvs.append(("sweep", "--scenario", scenario, *grid, "--csv", "s.csv", "--json", "r.json"))
