@@ -7,11 +7,13 @@ row, comma separators and LF line endings, and no quoting: headers are
 fixed identifiers, and cells are numbers or empty. A sweep table and a
 pointer grid are rendered 2^14 rows at a time, by one %-template per row
 filled once per block; a sweep's record rows are read from the text of
-its CSV rows, so each cell is formatted once for both.
+its CSV rows, so each cell is formatted once for both. A trials CSV is
+rendered 2^13 rows at a time, as fixed-width rows of numpy-computed text.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from pathlib import Path
@@ -19,8 +21,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
-# Rows formatted and written at a time, so a table of any length needs bounded memory.
-BLOCK_ROWS = 2**14
+# Rows formatted and written at a time, so a table of any length needs bounded memory; a
+# trials CSV row takes more memory to render (:func:`write_trials_csv`), so half as many.
+BLOCK_ROWS, TRIAL_BLOCK_ROWS = 2**14, 2**13
 FLOAT_FORMAT = ".17g"  # every float a record or CSV prints: 17 significant digits
 
 
@@ -29,9 +32,69 @@ def format_float(x: float) -> str:
     return format(float(x), FLOAT_FORMAT)
 
 
-def _spans(n_rows: int) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` of each block of at most ``BLOCK_ROWS`` of ``n_rows`` rows."""
-    return ((start, min(start + BLOCK_ROWS, n_rows)) for start in range(0, n_rows, BLOCK_ROWS))
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """Built on first use, so that importing this module imports no numpy: ``digits[g]``, g = 0..99
+    as 2 ASCII digits; ``pairs[g]``, the same spaced by NULs, and ``pairs[g + 100]`` without
+    trailing zeros; ``marks``, for :func:`_float_texts`; 10**k, k = 0..20, and its 26-bit halves."""
+    import numpy as np
+    g = np.arange(100)[:, None]
+    digits = (g // np.array([10, 1]) % 10 + ord("0")).astype(np.uint8)
+    pairs = np.zeros((2, 100, 2, 2), np.uint8)
+    pairs[0, ..., 0], pairs[1, ..., 0] = digits, np.where(g % np.array([100, 10]) == 0, 0, digits)
+    marks = np.zeros((42, 40), np.uint8)
+    for i in range(42):  # row 21 * (x < 0) + E + 4
+        negative, E = i // 21, i % 21 - 4
+        marks[i, :6] = list((b"-" * negative + (b"0." + b"0" * (-1 - E) if E < 0 else b"")).ljust(6, b"\0"))
+        marks[i, 6 : max(6, 2 * E + 7) : 2] = ord("0")
+    power = np.array([float(10**k) for k in range(21)])
+    high = power * 134217729.0 - (power * 134217729.0 - power)
+    return digits.view(np.uint16).ravel(), pairs.reshape(-1, 4).view(np.uint32).ravel(), marks, np.array([power, high, power - high])
+
+
+def _float_texts(x: np.ndarray) -> np.ndarray:
+    """The :func:`format_float` text of each float64 of ``x``: row i of the ``(len(x), 40)``
+    uint8 array holds x[i]'s characters in order, with NULs between and after them."""
+    import numpy as np
+    _, pairs, marks, scale = _tables()
+    # Numpy settles x's 17 digits N and E = floor(log10|x|) exactly where %.17g prints fixed
+    # notation, E in [-4, 16]: 10**(16 - E) ≤ 1e20 < 5**22 * 2**22 is exact, and Dekker's product
+    # (Veltkamp split by 2**27 + 1; no overflow or underflow here) gives |x| * 10**(16 - E) = p + e
+    # exactly. If N = p + rint(e) is in [1e16, 1e17), p > 2**53 is an even integer, so rint's half
+    # to even on e is %.17g's on p + e. Else (E one off, a carry to 1e17, x out of range): format_float.
+    with np.errstate(all="ignore"):
+        a = np.abs(x)
+        E = np.floor(np.log10(a))
+        fast = (E >= -4) & (E <= 16)
+        E = np.where(fast, E, 0).astype(np.intp)
+        s, s_hi, s_lo = scale[:, 16 - E]
+        p, c = a * s, a * 134217729.0
+        a_hi = c - (c - a)
+        a_lo = a - a_hi
+        e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+        N = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    settled = fast & (N >= 10**16) & (N < 10**17)
+    N[~settled] = 10**16
+    # Sign, and "0." and zeros if E < 0, in bytes 0-5; digit j in 2j + 6 (trailing zeros NUL).
+    text = np.take(marks, 21 * (x < 0) + E + 4, axis=0)  # with 0x30, a "0", on digits 0..E
+    text[:, 6] = N // 10**16 + ord("0")
+    halves = ((N // 10**8 % 10**8).astype(np.uint32), (N % 10**8).astype(np.uint32))
+    groups = [h // 10**k % 100 for h in halves for k in (6, 4, 2, 0)]  # digits 1-2, ..., 15-16
+    words, zeros_after = text.view(np.uint32), True
+    for k in range(7, -1, -1):
+        words[:, k + 2] |= np.take(pairs, groups[k] + 100 * zeros_after)
+        zeros_after = zeros_after & (groups[k] == 0)
+    point = (np.arange(0, text.size, 40) + 2 * E + 7)[(E >= 0) & (E < 16)]  # after digit E
+    text.ravel()[point[text.ravel()[point + 1] != 0]] = ord(".")  # if digit E + 1 is kept
+    rest = np.flatnonzero(~settled)  # one %-formatting by FLOAT_FORMAT, which is format_float
+    rest_texts = (f"%{FLOAT_FORMAT}\n" * rest.size % tuple(x[rest].tolist())).encode().split(b"\n")[:-1]
+    text[rest] = np.array(rest_texts, "S40").view(np.uint8).reshape(-1, 40)
+    return text
+
+
+def _spans(n_rows: int, block: int = BLOCK_ROWS) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of each block of at most ``block`` of ``n_rows`` rows."""
+    return ((start, min(start + block, n_rows)) for start in range(0, n_rows, block))
 
 
 def _csv_blocks(columns: Sequence[Sequence[float]]) -> Iterator[str]:
@@ -167,22 +230,29 @@ def write_grid_csv(grid: tuple[np.ndarray, np.ndarray, np.ndarray], path: str | 
 
 def write_trials_csv(trials: tuple[np.ndarray, np.ndarray], path: str | Path) -> None:
     """Columns: trial_index, postselected, position (empty when 0), from
-    :func:`qccsim.montecarlo.sample_trials`'s ``(positions, postselected)``."""
+    :func:`qccsim.montecarlo.sample_trials`'s ``(positions, postselected)``. Each block's rows are
+    fixed-width bytes (index, ",0," or ",1,", :func:`_float_texts`), NULs dropped by ``translate``."""
     import numpy as np
     positions, mask = trials
     trial_of = np.flatnonzero(mask)  # the trial index of each position
     if trial_of.size != positions.size:
         raise ValidationError("need one position per postselected trial")
-    accepted = f"%%d,1,%{FLOAT_FORMAT}\n"
+    width = 2 * -(-len(str(mask.size)) // 2)  # a trial index's digits, in pairs
 
     def rows(start: int, stop: int) -> str:
-        # A row template per trial, from its flag byte: the first % fills in the positions
-        # (%-formatting by FLOAT_FORMAT is format_float, and has no "%"), the second the trial indices.
         lo, hi = np.searchsorted(trial_of, (start, stop))
-        template = mask[start:stop].tobytes().decode().replace("\x00", "%%d,0,\n").replace("\x01", accepted)
-        return template % tuple(positions[lo:hi].tolist()) % tuple(range(start, stop))
+        texts = _float_texts(positions[lo:hi])  # first: its temporaries are gone before the rows
+        block = bytearray(bytes(width) + b",0," + bytes(40) + b"\n") * (stop - start)
+        cells, index = np.frombuffer(block, np.uint8).reshape(stop - start, -1), np.arange(start, stop, dtype=np.uint32)
+        for k in range(0, width, 2):
+            cells.view(np.uint16)[:, k // 2] = np.take(_tables()[0], index // 10 ** (width - 2 - k) % 100)
+        for k in range(1, width):  # an index below 10**k: its first width - k digits are zeros, NUL
+            cells[: max(0, min(10**k, stop) - start), : width - k] = 0
+        cells[trial_of[lo:hi] - start, width + 1] = ord("1")
+        cells[trial_of[lo:hi] - start, width + 3 : -1] = texts
+        return block.translate(None, b"\0").decode()
 
-    _write_table(path, ("trial_index", "postselected", "position"), (rows(*span) for span in _spans(mask.size)))
+    _write_table(path, ("trial_index", "postselected", "position"), (rows(*span) for span in _spans(mask.size, TRIAL_BLOCK_ROWS)))
 
 
 def write_sweep_csv(path: str | Path, table: Table) -> None:

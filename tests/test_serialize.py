@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import random
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 import numpy as np
 import pytest
@@ -11,7 +12,17 @@ import pytest
 from qccsim.cli import main
 from qccsim.errors import ValidationError
 from qccsim.pointer import density, make_gaussian, superpose, support, to_grid, translate
-from qccsim.serialize import BLOCK_ROWS, Table, dumps_json, write_grid_csv, write_sweep_csv, write_trials_csv
+from qccsim.serialize import (
+    BLOCK_ROWS,
+    TRIAL_BLOCK_ROWS,
+    Table,
+    _float_texts,
+    dumps_json,
+    format_float,
+    write_grid_csv,
+    write_sweep_csv,
+    write_trials_csv,
+)
 
 from oracles import grid_csv_oracle, rows_as_dicts, table_csv_oracle, trials_csv_oracle
 
@@ -217,23 +228,98 @@ class TestCsvAgainstRowOracle:
         write_trials_csv(trials, target)
         assert target.read_bytes() == trials_csv_oracle(trials).encode()
 
-    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize(
+        "n", [1, TRIAL_BLOCK_ROWS - 1, TRIAL_BLOCK_ROWS, TRIAL_BLOCK_ROWS + 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
+    )
     @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0], ids=["none accepted", "some accepted", "all accepted"])
     def test_trials_at_block_edges(self, tmp_path, n, rate):
+        # Positions from 1e-6 to 1e19 in size: fixed notation from 1e-4 to below 1e17, exponent notation past it.
         rng = np.random.default_rng(n)
         mask = rng.random(n) < rate
-        trials = (rng.normal(0.0, 1e3, int(mask.sum())), mask)
+        k = int(mask.sum())
+        trials = (rng.normal(0.0, 1.0, k) * 10.0 ** rng.uniform(-6, 19, k), mask)
+        target = tmp_path / "trials.csv"
+        write_trials_csv(trials, target)
+        assert target.read_bytes() == trials_csv_oracle(trials).encode()
+
+    @pytest.mark.parametrize("n", [100, 10**4 + 1, 10**5 + 1])
+    def test_trial_index_digits(self, tmp_path, n):
+        # Trial indices across each power of ten, with room for one more digit than they use.
+        rng = np.random.default_rng(n)
+        mask = rng.random(n) < 0.01
+        trials = (rng.normal(0.0, 1.0, int(mask.sum())), mask)
         target = tmp_path / "trials.csv"
         write_trials_csv(trials, target)
         assert target.read_bytes() == trials_csv_oracle(trials).encode()
 
     def test_trials_with_extreme_positions(self, tmp_path):
-        positions = np.array([-0.0, 5e-324, -1e-300, 1e308, -1e308, 0.0, 0.1])
+        # Around the trials' block edge: both sides of 1e-4 and of 1e17, where %.17g changes notation,
+        # the even integers past 2**53, and a tie at the 17th digit, which rounds to even.
+        edge = [1e-4, math.nextafter(1e-4, 0.0), -1e17, math.nextafter(1e17, 0.0), 2.0**53 + 2, 0.5 + 2**-18]
+        positions = np.array([-0.0, 5e-324, -1e-300, *edge, 1e308, -1e308, 0.0, 0.1])
         mask = np.zeros(BLOCK_ROWS + 3, dtype=bool)
-        mask[[0, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2]] = True
+        around = list(range(TRIAL_BLOCK_ROWS - 2, TRIAL_BLOCK_ROWS + 4))
+        mask[[0, 2, 3, *around, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2]] = True
         trials = (positions, mask)
         target = tmp_path / "trials.csv"
         write_trials_csv(trials, target)
         text = target.read_text()
         assert text == trials_csv_oracle(trials)
         assert "\n0,1,-0\n" in text and f"\n{BLOCK_ROWS},1,-1e+308\n" in text
+        assert f"\n{TRIAL_BLOCK_ROWS - 2},1,0.0001\n{TRIAL_BLOCK_ROWS - 1},1,9.9999999999999991e-05\n" in text
+        assert f"\n{TRIAL_BLOCK_ROWS},1,-1e+17\n{TRIAL_BLOCK_ROWS + 1},1,99999999999999984\n" in text
+        assert f"\n{TRIAL_BLOCK_ROWS + 3},1,0.50000381469726562\n" in text
+
+
+def finite_bit_patterns(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` doubles with uniformly random bits, non-finite ones dropped."""
+    x = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    return x[np.isfinite(x)]
+
+
+def decimal_ties(rng: np.random.Generator, per_exponent: int) -> np.ndarray:
+    """Doubles whose exact decimal form has 18 significant digits, the last a 5: halfway between
+    two 17-digit decimals. m / 2**(17 - E) with m odd, for each E = -4..14, has exactly that many."""
+    ties = []
+    for E in range(-4, 15):
+        j = 17 - E
+        low, high = math.ceil(10.0**E * 2**j), math.floor(10.0 ** (E + 1) * 2**j)
+        m = rng.integers(low // 2, high // 2, per_exponent) * 2 + 1
+        ties.append(m / 2.0**j * rng.choice([-1.0, 1.0], per_exponent))
+    return np.concatenate(ties)
+
+
+class TestFloatTexts:
+    """The trials CSV's number kernel (``_float_texts``) against format_float, value by value."""
+
+    EDGES = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf,
+        1.7976931348623157e308, -1.7976931348623157e308, 2.0**53, 2.0**53 + 2, 9999999999999999.0,
+        99999999999999999.0, 1e-4, math.nextafter(1e-4, 0.0), 0.5 + 2**-18, 0.5 + 3 * 2**-18, 0.1, 1.0, 123.0,
+        *(v for k in range(-30, 30) for v in (10.0**k, math.nextafter(10.0**k, 0.0), math.nextafter(10.0**k, math.inf))),
+        *(v for k in range(1, 60) for v in (0.5 + 2.0**-k, 1.0 + 2.0**-k, 2.0**k + 0.5, -(1024.0 + 2.0**-k))),
+    ]
+
+    @staticmethod
+    def assert_texts(values: np.ndarray) -> None:
+        text = _float_texts(values)
+        got = np.column_stack([text, np.full(len(text), ord("\n"), np.uint8)]).tobytes().replace(b"\0", b"")
+        wrong = [(v, g) for v, g in zip(values.tolist(), got.decode().split("\n")) if g != format_float(v)]
+        assert not wrong, f"{len(wrong)} of {len(values)} differ, first {wrong[:5]}"
+
+    def test_edge_values(self):
+        self.assert_texts(np.array(self.EDGES))
+
+    def test_seeded_values(self):
+        rng = np.random.default_rng(30)
+        n = 10**6
+        log_uniform = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 20, n)
+        self.assert_texts(np.concatenate([log_uniform, finite_bit_patterns(rng, 10**5), decimal_ties(rng, 10**4)]))
+
+    def test_ties_round_to_even(self):
+        # %.17g rounds a tie half to even, and so does the kernel.
+        ties = decimal_ties(np.random.default_rng(31), 100).tolist()
+        assert all(len(Decimal(t).as_tuple().digits) == 18 and Decimal(t).as_tuple().digits[-1] == 5 for t in ties)
+        half_even = Context(prec=17, rounding=ROUND_HALF_EVEN)
+        assert all(Decimal(format_float(t)) == half_even.plus(Decimal(t)) for t in ties)
+        self.assert_texts(np.array(ties))
