@@ -46,6 +46,15 @@ BLOCK_SWEEPS = {"qcc": ("--g", f"0:0.3:{2**14 + 1}"), "neutron-absorber": ("--M"
 SMALL_MC = ("--n", "2000")
 # Four 2^14-trial blocks and 17 trials more, so two chunks each end inside a block.
 BLOCKS_MC = ("--n", str(4 * 2**14 + 17))
+# Intensity runs of odd n: one ending halfway through a counter block, one trial either side of
+# a 2^14-trial block, and the largest Philox key.
+INTENSITY_MC = (
+    "montecarlo --mode intensity-absorber --n 16383",
+    "montecarlo --mode intensity-absorber --arm II --n 16385",
+    "montecarlo --mode intensity-magnetic --n 32769 --seed 340282366920938463463374607431768211455",
+    "montecarlo --mode intensity-absorber --n 3 --seed 9",
+    "montecarlo --mode intensity-magnetic --arm II --n 3 --seed 4",
+)
 # Trials CSV positions at the edges of %.17g's fixed notation: straddling 1e-4, crossing
 # 1e16-1e17 into exponent notation, and in exponent notation only.
 TRIALS_CSV_SCALES = (("--g", "1e-05", "--pointer-width", "0.0001"), ("--pointer-width", "3e16"),
@@ -146,6 +155,7 @@ def cases() -> list[tuple[str, ...]]:
     argvs += [("montecarlo", *BLOCKS_MC, "--workers", workers, "--csv", "t.csv") for workers in ("1", "2")]
     argvs.append(("montecarlo", "--context", "spin-trivial", *BLOCKS_MC, "--workers", "2"))
     argvs += [("montecarlo", "--mode", mode, *BLOCKS_MC) for mode in ("intensity-absorber", "intensity-magnetic")]
+    argvs += [tuple(line.split()) for line in INTENSITY_MC]
     argvs += [("montecarlo", *SMALL_MC, *args, "--csv", "t.csv") for args in TRIALS_CSV_SCALES]
     argvs.append(("montecarlo", "--context", "spin-trivial", *BLOCKS_MC, "--csv", "t.csv"))
     for scenario, grid in SWEEPS.items():
