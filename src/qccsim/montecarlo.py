@@ -1,12 +1,13 @@
 """Finite-statistics emulation of weak measurement runs.
 
-Each trial owns one counter block of a counter-based generator, so a
-sample is a pure function of (seed, n): any chunking or thread layout
-reproduces it bit for bit. Each chunk draws the raw 64-bit words of its
-trials 2**14 at a time, small enough to stay in cache, and compares them
-with integer bounds, so that only an accepted trial's readout word becomes
-a uniform; it keeps only the acceptance mask and readouts (two counts for
-an intensity run). Postselection is Bernoulli with the exact coupled
+Each pointer trial owns one counter block of a counter-based generator,
+and intensity trial i the stream's words 2i and 2i + 1, so a sample is a
+pure function of (seed, n): any chunking or thread layout reproduces it
+bit for bit. Each chunk draws the raw 64-bit words of its trials 2**14 at
+a time, small enough to stay in cache, and compares them with integer
+bounds, so that only an accepted trial's readout word becomes a uniform;
+it keeps only the acceptance mask and readouts (two counts for an
+intensity run). Postselection is Bernoulli with the exact coupled
 probability; accepted trials draw a pointer position from the exact final
 density by inverse-CDF on a dense tabulation, looked up in sorted order
 with unchanged bits.
@@ -27,12 +28,12 @@ from .tolerances import MAX_TRIALS
 DENSITY_POINTS = 4096
 KNOTS_PER_WIDTH = 128
 
-# Philox words per trial: one full counter block, so trial i always starts at counter offset i.
-# Column 0 decides acceptance (the reference detection of an intensity run), column 1 is the
-# readout (the perturbed detection); columns 2 and 3 are drawn and never read.
+# Philox words per pointer trial: one full counter block, so trial i always starts at counter
+# offset i. Column 0 decides acceptance, column 1 is the readout; columns 2 and 3 are drawn and
+# never read. An intensity trial draws only its two columns, the reference and perturbed detections.
 DRAWS_PER_TRIAL = 4
-# Trials drawn, masked and looked up at a time: a 512 KB block of words per chunk, dropped before
-# the next is drawn, so it stays in cache and memory does not grow with n.
+# Trials drawn, masked and looked up at a time: a 512 KB block of words per chunk (256 KB for an
+# intensity run), dropped before the next is drawn, so it stays in cache and memory does not grow with n.
 LOOKUP_BLOCK = 2**14
 
 
@@ -106,17 +107,18 @@ def _word_bound(p: float) -> int:
     return math.ceil(p * 2.0**53) << 11 if p < 1.0 else 2**64
 
 
-def _trial_tables(seed: int, start: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
+def _trial_tables(seed: int, start: int, count: int, per_trial: int = DRAWS_PER_TRIAL) -> Iterator[tuple[int, np.ndarray]]:
     """``(first trial, words)`` for each run of up to ``LOOKUP_BLOCK`` trials from ``start``
-    on: row i of ``words`` holds the raw ``uint64`` words of counter block ``first + i``. Each
-    block is a new array; drop it before asking for the next, so that only one is alive."""
+    on: row i of ``words`` holds the next ``per_trial`` raw ``uint64`` words of the stream, for
+    trial ``first + i``. ``start`` counts counter blocks, so a run of fewer words per trial starts
+    at 0. Each block is a new array; drop it before asking for the next, so that only one is alive."""
     from numpy.random import Philox  # here, so runs that never sample skip its import
 
     bits = Philox(key=seed)
     bits.advance(start)
     for first in range(start, start + count, LOOKUP_BLOCK):
         rows = min(LOOKUP_BLOCK, start + count - first)
-        yield first, bits.random_raw(rows * DRAWS_PER_TRIAL).reshape(rows, DRAWS_PER_TRIAL)
+        yield first, bits.random_raw(rows * per_trial).reshape(rows, per_trial)
 
 
 def _blocks(start: int, count: int, size: int) -> list[tuple[int, int]]:
@@ -216,9 +218,9 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
 
     Detection probabilities are the exact intensities of one run's
     report (``intensity_absorber`` or ``intensity_magnetic``). Both runs
-    use n trials each, with independent uniforms from the same
-    counter-based stream; the count ratio estimates the exact intensity
-    ratio with a delta-method standard error.
+    use n trials each: trial i compares the stream's words 2i and 2i + 1
+    with the reference and perturbed probabilities; the count ratio
+    estimates the exact intensity ratio with a delta-method standard error.
     """
     check_trial_count(n)
     check_seed(seed)
@@ -228,7 +230,7 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
         raise ValidationError(f"one run's report expected, got a sweep's: i_perturbed has shape {p_pert.shape}")
     bound_ref, bound_pert = _word_bound(exact.i0), _word_bound(p_pert)
     n_ref = n_pert = 0
-    for _, words in _trial_tables(seed, 0, n):
+    for _, words in _trial_tables(seed, 0, n, 2):
         n_ref += int(np.count_nonzero(words[:, 0] < bound_ref))
         n_pert += int(np.count_nonzero(words[:, 1] < bound_pert))
         del words
@@ -243,10 +245,9 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
         ratio_se = math.nan  # undefined without perturbed detections; JSON null
     pooled = (n_ref + n_pert) / (2.0 * n)
     denom = math.sqrt(pooled * (1.0 - pooled) * 2.0 / n) if 0.0 < pooled < 1.0 else 0.0
-    if denom > 0.0:
-        z = (r_pert - r_ref) / denom
-    else:
-        z = 0.0 if r_pert == r_ref else math.inf
+    # n_ref >= 1 makes pooled > 0, pooled = 1 forces n_ref = n_pert = n, and for n <= MAX_TRIALS
+    # 0 < pooled < 1 gives denom > 0: a zero denom means equal rates, so z = 0.
+    z = (r_pert - r_ref) / denom if denom else 0.0
     return IntensityCounts(
         n_trials=n,
         n_reference=n_ref,

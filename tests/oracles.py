@@ -294,6 +294,12 @@ def trial_uniforms_oracle(seed: int, start: int, count: int) -> np.ndarray:
     return np.random.Generator(bits).random((count, DRAWS_PER_TRIAL))
 
 
+def intensity_uniforms_oracle(seed: int, n: int) -> np.ndarray:
+    """The uniforms of an intensity run's ``n`` trials, as one contiguous ``(n, 2)`` draw of the
+    seeded Philox stream: row i holds the reference and perturbed uniforms of trial i."""
+    return np.random.Generator(np.random.Philox(key=seed)).random((n, 2))
+
+
 def sample_trials_oracle(coupled, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The acceptance mask and readouts of ``sample_trials(coupled, n, seed)``, from one
     contiguous draw and one unsorted lookup of every accepted trial."""

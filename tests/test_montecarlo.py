@@ -31,6 +31,7 @@ from qccsim.weakmeas import couple_and_postselect
 from oracles import (
     CHI2_999_DF63,
     gaussian_amplitude,
+    intensity_uniforms_oracle,
     inverse_cdf_oracle,
     sample_trials_oracle,
     trial_uniforms_oracle,
@@ -41,14 +42,22 @@ SEED = 12345
 # Trial counts on each side of the table edges, and past 2**20.
 TABLE_EDGES = [LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 3 * LOOKUP_BLOCK + 5, 2**20 + 17]
 # Probabilities at the edges of the integer word bound: trial 4's two drawn uniforms, each with
-# its float neighbours, are below 1/2, where p * 2**53 of a neighbour is not an integer.
+# its float neighbours. A pointer run's are below 1/2, where p * 2**53 of a neighbour is not an
+# integer; an intensity run's (0.84 and 0.69) and their neighbours lie on the 2**-53 grid.
 EDGE_N = 2000
 EDGE_UNIFORMS = trial_uniforms_oracle(SEED, 0, EDGE_N)
-EDGE_PROBABILITIES = [
-    0.0, -0.0, 5e-324, 2.0**-53,
-    *(float(v) for u in EDGE_UNIFORMS[4, :2] for v in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0))),
-    1.0 - 2.0**-53, 1.0, float(np.nextafter(1.0, 2.0)), math.inf, -math.inf, math.nan,
-]
+INTENSITY_EDGE_UNIFORMS = intensity_uniforms_oracle(SEED, EDGE_N)
+
+
+def edge_probabilities(uniforms: np.ndarray) -> list[float]:
+    return [
+        0.0, -0.0, 5e-324, 2.0**-53,
+        *(float(v) for u in uniforms[4, :2] for v in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0))),
+        1.0 - 2.0**-53, 1.0, float(np.nextafter(1.0, 2.0)), math.inf, -math.inf, math.nan,
+    ]
+
+
+EDGE_PROBABILITIES = edge_probabilities(EDGE_UNIFORMS)
 
 
 def drawn_tables(seed: int, start: int, count: int) -> np.ndarray:
@@ -182,10 +191,10 @@ class TestWordBound:
         readouts = inverse_cdf_oracle(coupled.pointer_final, EDGE_UNIFORMS[want, 1])[0]
         assert np.array_equal(positions.view(np.uint64), readouts.view(np.uint64))
 
-    @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+    @pytest.mark.parametrize("p", edge_probabilities(INTENSITY_EDGE_UNIFORMS))
     def test_intensity_counts_are_the_float_comparison(self, p):
         # The sampler reads only the two intensities; an IntensityReport would reject most of these.
-        n_ref, n_pert = (int(np.count_nonzero(EDGE_UNIFORMS[:, column] < p)) for column in (0, 1))
+        n_ref, n_pert = (int(np.count_nonzero(INTENSITY_EDGE_UNIFORMS[:, column] < p)) for column in (0, 1))
         counts = sample_intensity_experiment(SimpleNamespace(i0=0.5, i_perturbed=p), EDGE_N, SEED)
         assert counts.n_perturbed == n_pert
         if n_ref:
@@ -440,13 +449,26 @@ class TestIntensitySampling:
         counts = sample_intensity_experiment(exact, 100, SEED)
         assert (counts.n_reference, counts.n_perturbed, counts.ratio, counts.two_proportion_z) == (100, 100, 1.0, 0.0)
 
-    @pytest.mark.parametrize("n", TABLE_EDGES)
+    @pytest.mark.parametrize("n", [*TABLE_EDGES, 1001])
     def test_counts_across_table_edges_equal_the_oracle(self, n):
         exact = intensity_absorber(AbsorberConfig("I", 0.1))
-        u = trial_uniforms_oracle(SEED, 0, n)
+        u = intensity_uniforms_oracle(SEED, n)
         counts = sample_intensity_experiment(exact, n, SEED)
         oracle = (int(np.count_nonzero(u[:, 0] < exact.i0)), int(np.count_nonzero(u[:, 1] < exact.i_perturbed)))
         assert (counts.n_reference, counts.n_perturbed) == oracle
+
+    @pytest.mark.parametrize("n", [1, 3, LOOKUP_BLOCK + 1, 3 * LOOKUP_BLOCK + 5])
+    def test_a_run_draws_two_words_per_trial(self, monkeypatch, n):
+        drawn = []
+
+        class CountingPhilox(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                drawn.append(size)
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        sample_intensity_experiment(SimpleNamespace(i0=1.0, i_perturbed=0.5), n, SEED)
+        assert sum(drawn) == 2 * n
 
     def test_no_perturbed_detections_leave_the_error_undefined(self):
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 40.0)), 100, 1)
@@ -468,9 +490,9 @@ class TestTracedMemory:
         finally:
             tracemalloc.stop()
 
-    def test_an_intensity_run_peaks_below_one_megabyte(self):
+    def test_an_intensity_run_peaks_below_half_a_megabyte(self):
         exact = intensity_absorber(AbsorberConfig("I", 0.1))
-        assert self.traced_peak(lambda n: sample_intensity_experiment(exact, n, SEED)) < 2**20
+        assert self.traced_peak(lambda n: sample_intensity_experiment(exact, n, SEED)) < 2**19
 
     def test_a_one_worker_pointer_run_returns_the_buffer_it_fills(self):
         # At p_post ~ 1 the readouts fill their buffer; a copy of them would add n * 8 bytes.
