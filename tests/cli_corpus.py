@@ -157,7 +157,8 @@ def cases() -> list[tuple[str, ...]]:
     argvs += [("montecarlo", "--mode", mode, *BLOCKS_MC) for mode in ("intensity-absorber", "intensity-magnetic")]
     argvs += [tuple(line.split()) for line in INTENSITY_MC]
     argvs += [("montecarlo", *SMALL_MC, *args, "--csv", "t.csv") for args in TRIALS_CSV_SCALES]
-    argvs.append(("montecarlo", "--context", "spin-trivial", *BLOCKS_MC, "--csv", "t.csv"))
+    # Trials CSVs over five 2^14-row blocks: nearly all trials accepted, and about a tenth.
+    argvs += [("montecarlo", "--context", context, *BLOCKS_MC, "--csv", "t.csv") for context in ("spin-trivial", "anomalous")]
     for scenario, grid in SWEEPS.items():
         argvs.append(("sweep", "--scenario", scenario, *grid))
         argvs.append(("sweep", "--scenario", scenario, *grid, "--csv", "s.csv", "--json", "r.json"))

@@ -229,9 +229,14 @@ class TestCsvAgainstRowOracle:
         assert target.read_bytes() == trials_csv_oracle(trials).encode()
 
     @pytest.mark.parametrize(
-        "n", [1, TRIAL_BLOCK_ROWS - 1, TRIAL_BLOCK_ROWS, TRIAL_BLOCK_ROWS + 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
+        "n",
+        [1, TRIAL_BLOCK_ROWS - 1, TRIAL_BLOCK_ROWS, TRIAL_BLOCK_ROWS + 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+         3 * BLOCK_ROWS + 5],
     )
-    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0], ids=["none accepted", "some accepted", "all accepted"])
+    @pytest.mark.parametrize(
+        "rate", [0.0, 0.1, 0.3, 0.99, 1.0],
+        ids=["none accepted", "a tenth accepted", "some accepted", "nearly all accepted", "all accepted"],
+    )
     def test_trials_at_block_edges(self, tmp_path, n, rate):
         # Positions from 1e-6 to 1e19 in size: fixed notation from 1e-4 to below 1e17, exponent notation past it.
         rng = np.random.default_rng(n)
