@@ -55,6 +55,8 @@ INTENSITY_MC = (
     "montecarlo --mode intensity-absorber --n 3 --seed 9",
     "montecarlo --mode intensity-magnetic --arm II --n 3 --seed 4",
 )
+# The smallest absorption: the sampled count ratio divided by 2 M leaves the float range.
+TINY_ABSORPTION_MC = ("montecarlo", "--mode", "intensity-absorber", "--M", "5e-324", "--n", "1000")
 # Trials CSV positions at the edges of %.17g's fixed notation: straddling 1e-4, crossing
 # 1e16-1e17 into exponent notation, and in exponent notation only.
 TRIALS_CSV_SCALES = (("--g", "1e-05", "--pointer-width", "0.0001"), ("--pointer-width", "3e16"),
@@ -156,6 +158,7 @@ def cases() -> list[tuple[str, ...]]:
     argvs.append(("montecarlo", "--context", "spin-trivial", *BLOCKS_MC, "--workers", "2"))
     argvs += [("montecarlo", "--mode", mode, *BLOCKS_MC) for mode in ("intensity-absorber", "intensity-magnetic")]
     argvs += [tuple(line.split()) for line in INTENSITY_MC]
+    argvs.append(TINY_ABSORPTION_MC)
     argvs += [("montecarlo", *SMALL_MC, *args, "--csv", "t.csv") for args in TRIALS_CSV_SCALES]
     # Trials CSVs over five 2^14-row blocks: nearly all trials accepted, and about a tenth.
     argvs += [("montecarlo", "--context", context, *BLOCKS_MC, "--csv", "t.csv") for context in ("spin-trivial", "anomalous")]
