@@ -21,7 +21,7 @@ import os
 from ._record import Record
 from .errors import CapacityError, ValidationError
 from .pointer import check_grid_points, density, mean_position, support
-from .tolerances import MAX_TRIALS
+from .tolerances import MAX_TRIALS, spans
 
 # Inverse-CDF knots while the support spans at most 32 widths; past that, the next power of two
 # that keeps them at most 1/KNOTS_PER_WIDTH width apart, within check_grid_points' cap.
@@ -32,9 +32,6 @@ KNOTS_PER_WIDTH = 128
 # offset i. Column 0 decides acceptance, column 1 is the readout; columns 2 and 3 are drawn and
 # never read. An intensity trial draws only its two columns, the reference and perturbed detections.
 DRAWS_PER_TRIAL = 4
-# Trials drawn, masked and looked up at a time: a 512 KB block of words per chunk (256 KB for an
-# intensity run), dropped before the next is drawn, so it stays in cache and memory does not grow with n.
-LOOKUP_BLOCK = 2**14
 
 
 class EstimatorReport(Record):
@@ -107,23 +104,17 @@ def _word_bound(p: float) -> int:
     return math.ceil(p * 2.0**53) << 11 if p < 1.0 else 2**64
 
 
-def _trial_tables(seed: int, start: int, count: int, per_trial: int = DRAWS_PER_TRIAL) -> Iterator[tuple[int, np.ndarray]]:
-    """``(first trial, words)`` for each run of up to ``LOOKUP_BLOCK`` trials from ``start``
-    on: row i of ``words`` holds the next ``per_trial`` raw ``uint64`` words of the stream, for
+def _trial_tables(seed: int, start: int, stop: int, per_trial: int = DRAWS_PER_TRIAL) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first trial, words)`` for each block of trials from ``start`` to ``stop`` (:func:`spans`):
+    row i of ``words`` holds the next ``per_trial`` raw ``uint64`` words of the stream, for
     trial ``first + i``. ``start`` counts counter blocks, so a run of fewer words per trial starts
     at 0. Each block is a new array; drop it before asking for the next, so that only one is alive."""
     from numpy.random import Philox  # here, so runs that never sample skip its import
 
     bits = Philox(key=seed)
     bits.advance(start)
-    for first in range(start, start + count, LOOKUP_BLOCK):
-        rows = min(LOOKUP_BLOCK, start + count - first)
-        yield first, bits.random_raw(rows * per_trial).reshape(rows, per_trial)
-
-
-def _blocks(start: int, count: int, size: int) -> list[tuple[int, int]]:
-    """``(start, count)`` of each run of ``size`` trials in a range of trials, in order."""
-    return [(s, min(size, start + count - s)) for s in range(start, start + count, size)]
+    for first, last in spans(start, stop):
+        yield first, bits.random_raw((last - first) * per_trial).reshape(-1, per_trial)
 
 
 def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -147,24 +138,24 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
     # Each chunk writes its mask and its readouts from its first trial on; unwritten pages cost no memory.
     mask, readouts = np.empty(n, dtype=bool), np.empty(n)
 
-    def run_chunk(bounds: tuple[int, int]) -> np.ndarray:
-        filled = bounds[0]
-        for first, words in _trial_tables(seed, *bounds):
+    def run_chunk(span: tuple[int, int]) -> np.ndarray:
+        filled = span[0]
+        for first, words in _trial_tables(seed, *span):
             accepted = words[:, 1][np.less(words[:, 0], bound, out=mask[first:first + len(words)])]
             del words
             if draw is not None:  # numpy's Philox double of each accepted readout word, bit for bit
                 filled += draw((accepted >> 11) * 2.0**-53, readouts[filled:filled + accepted.size]).size
-        return readouts[bounds[0]:filled]
+        return readouts[span[0]:filled]
 
     # One chunk per thread, never more than trials or CPUs; the output does not depend on it.
-    bounds = _blocks(0, n, -(-n // min(workers, n, os.cpu_count() or 1)))
-    if len(bounds) == 1:
-        parts = [run_chunk(bounds[0])]
+    chunks = spans(0, n, -(-n // min(workers, n, os.cpu_count() or 1)))
+    if len(chunks) == 1:
+        parts = [run_chunk(chunks[0])]
     else:
         from concurrent.futures import ThreadPoolExecutor  # here, so that one-chunk runs skip importing logging
 
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            parts = list(pool.map(run_chunk, bounds))
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(run_chunk, chunks))
     return (np.concatenate(parts) if len(parts) > 1 else parts[0]), mask
 
 

@@ -4,11 +4,11 @@ Floats are printed with 17 significant digits so that bit-exact
 reproducibility can be checked from the output alone; non-finite values
 are null in JSON and nan, inf or -inf in CSV. CSV files carry a header
 row, comma separators and LF line endings, and no quoting: headers are
-fixed identifiers, and cells are numbers or empty. A sweep table and a
-pointer grid are rendered 2^14 rows at a time, by one %-template per row
-filled once per block; a sweep's record rows are read from the text of
-its CSV rows, so each cell is formatted once for both. A trials CSV is
-rendered 2^13 rows at a time, as fixed-width rows of numpy-computed text.
+fixed identifiers, and cells are numbers or empty. Every table is rendered
+2^14 rows at a time (``tolerances.BLOCK_ROWS``): a sweep table and a
+pointer grid by one %-template per row filled once per block, a trials
+CSV as fixed-width rows of numpy-computed text. A sweep's record rows are
+read from the text of its CSV rows, so each cell is formatted once for both.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
+from .tolerances import spans
 
-# Rows formatted and written at a time, so a table of any length needs bounded memory; a
-# trials CSV row takes more memory to render (:func:`write_trials_csv`), so half as many.
-BLOCK_ROWS, TRIAL_BLOCK_ROWS = 2**14, 2**13
 FLOAT_FORMAT = ".17g"  # every float a record or CSV prints: 17 significant digits
 
 
@@ -92,11 +90,6 @@ def _float_texts(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _spans(n_rows: int, block: int = BLOCK_ROWS) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` of each block of at most ``block`` of ``n_rows`` rows."""
-    return ((start, min(start + block, n_rows)) for start in range(0, n_rows, block))
-
-
 def _csv_blocks(columns: Sequence[Sequence[float]]) -> Iterator[str]:
     """The CSV rows of equally long float columns, one text per block, each row ending in LF.
 
@@ -110,14 +103,14 @@ def _csv_blocks(columns: Sequence[Sequence[float]]) -> Iterator[str]:
     fixed = [column.size > 0 and column.strides[0] == 0 for column in columns]
     row = ",".join(format_float(c[0]) if f else f"%{FLOAT_FORMAT}" for c, f in zip(columns, fixed)) + "\n"
     varying = [column for column, f in zip(columns, fixed) if not f]
-    for start, stop in _spans(len(columns[0])):
+    for start, stop in spans(0, len(columns[0])):
         values = np.column_stack([c[start:stop] for c in varying]).ravel().tolist() if varying else ()
         yield row * (stop - start) % tuple(values)
 
 
 class Table:
     """Equally long float columns under ``header``, rendered once as the text of their
-    CSV rows (:func:`_csv_blocks`, one text per ``BLOCK_ROWS`` rows): :func:`write_sweep_csv`
+    CSV rows (:func:`_csv_blocks`, one text per block of rows): :func:`write_sweep_csv`
     writes that text, and a record reads its rows from it, as one object per row with
     nan, inf and -inf cells null."""
 
@@ -252,7 +245,7 @@ def write_trials_csv(trials: tuple[np.ndarray, np.ndarray], path: str | Path) ->
         cells[trial_of[lo:hi] - start, width + 3 : -1] = texts
         return block.translate(None, b"\0").decode()
 
-    _write_table(path, ("trial_index", "postselected", "position"), (rows(*span) for span in _spans(mask.size, TRIAL_BLOCK_ROWS)))
+    _write_table(path, ("trial_index", "postselected", "position"), (rows(*span) for span in spans(0, mask.size)))
 
 
 def write_sweep_csv(path: str | Path, table: Table) -> None:

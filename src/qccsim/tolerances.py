@@ -1,4 +1,4 @@
-"""Centralized numeric tolerances and capacity limits.
+"""Centralized numeric tolerances, capacity limits and the block policy.
 
 Every module reads its thresholds from these constants so that test
 expectations and runtime checks cannot drift apart.
@@ -22,3 +22,13 @@ MAX_AMPLITUDES = 2**20
 
 # Largest trial count one Monte Carlo run may sample.
 MAX_TRIALS = 2**24
+
+# Rows each blocked pass (Philox word tables, sweep and grid tables, trials CSVs) builds at a time,
+# dropping a block before the next: memory stays bounded at any length, and a 512 KB table of
+# pointer-trial words stays in cache.
+BLOCK_ROWS = 2**14
+
+
+def spans(start: int, stop: int, size: int = BLOCK_ROWS) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of at most ``size`` from ``start`` to ``stop``, in order."""
+    return [(first, min(first + size, stop)) for first in range(start, stop, size)]

@@ -15,7 +15,6 @@ import qccsim.montecarlo as montecarlo
 from qccsim.montecarlo import (
     DENSITY_POINTS,
     DRAWS_PER_TRIAL,
-    LOOKUP_BLOCK,
     _tabulated_inverse_cdf,
     _trial_tables,
     _word_bound,
@@ -26,6 +25,7 @@ from qccsim.montecarlo import (
 from qccsim.neutron import AbsorberConfig, intensity_absorber
 from qccsim.pointer import make_gaussian
 from qccsim.serialize import dumps_json, write_trials_csv
+from qccsim.tolerances import BLOCK_ROWS
 from qccsim.weakmeas import couple_and_postselect
 
 from oracles import (
@@ -40,7 +40,7 @@ from oracles import (
 PHI0 = make_gaussian(0.0, 1.0)
 SEED = 12345
 # Trial counts on each side of the table edges, and past 2**20.
-TABLE_EDGES = [LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 3 * LOOKUP_BLOCK + 5, 2**20 + 17]
+TABLE_EDGES = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5, 2**20 + 17]
 # Probabilities at the edges of the integer word bound: trial 4's two drawn uniforms, each with
 # its float neighbours. A pointer run's are below 1/2, where p * 2**53 of a neighbour is not an
 # integer; an intensity run's (0.84 and 0.69) and their neighbours lie on the 2**-53 grid.
@@ -62,8 +62,8 @@ EDGE_PROBABILITIES = edge_probabilities(EDGE_UNIFORMS)
 
 def drawn_tables(seed: int, start: int, count: int) -> np.ndarray:
     """The word blocks ``_trial_tables`` yields, stacked, as numpy's Philox doubles ``(w >> 11) * 2**-53``."""
-    tables = list(_trial_tables(seed, start, count))
-    assert [first for first, _ in tables] == list(range(start, start + count, LOOKUP_BLOCK))
+    tables = list(_trial_tables(seed, start, start + count))
+    assert [first for first, _ in tables] == list(range(start, start + count, BLOCK_ROWS))
     return (np.concatenate([words for _, words in tables]) >> 11) * 2.0**-53
 
 
@@ -123,9 +123,9 @@ class TestDeterminism:
     def test_chunk_count_follows_cpus_not_workers(self, monkeypatch):
         chunks = []
 
-        def counting_tables(seed, start, count):
-            chunks.append(count)
-            return _trial_tables(seed, start, count)
+        def counting_tables(seed, start, stop):
+            chunks.append(stop - start)
+            return _trial_tables(seed, start, stop)
 
         monkeypatch.setattr(montecarlo, "_trial_tables", counting_tables)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
@@ -219,7 +219,7 @@ class TestSortedLookup:
     def bits(values: np.ndarray) -> list[str]:
         return [v.hex() for v in values.tolist()]
 
-    @pytest.mark.parametrize("size", [LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 3 * LOOKUP_BLOCK + 5])
+    @pytest.mark.parametrize("size", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
     def test_block_edges(self, size):
         pointer = couple_and_postselect(*build_context("anomalous", tan_theta=3.0), PHI0, 0.1).pointer_final
         u = np.random.default_rng(size).random(size)
@@ -256,7 +256,7 @@ class TestSortedLookup:
     def test_spin_trivial_accepts_nearly_every_trial(self):
         coupled = couple_and_postselect(*build_context("spin-trivial"), PHI0, 0.1)
         assert coupled.postselect_prob_coupled > 0.99
-        n = 3 * LOOKUP_BLOCK + 5
+        n = 3 * BLOCK_ROWS + 5
         u = trial_uniforms_oracle(SEED, 0, n)
         accepted = u[u[:, 0] < coupled.postselect_prob_coupled, 1]
         positions, _ = sample_trials(coupled, n, SEED)
@@ -457,7 +457,7 @@ class TestIntensitySampling:
         oracle = (int(np.count_nonzero(u[:, 0] < exact.i0)), int(np.count_nonzero(u[:, 1] < exact.i_perturbed)))
         assert (counts.n_reference, counts.n_perturbed) == oracle
 
-    @pytest.mark.parametrize("n", [1, 3, LOOKUP_BLOCK + 1, 3 * LOOKUP_BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, 3, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
     def test_a_run_draws_two_words_per_trial(self, monkeypatch, n):
         drawn = []
 
@@ -478,7 +478,7 @@ class TestIntensitySampling:
 
 
 class TestTracedMemory:
-    """Each chunk holds one block of ``LOOKUP_BLOCK`` rows of words at a time, whatever n is."""
+    """Each chunk holds one block of ``BLOCK_ROWS`` rows of words at a time, whatever n is."""
 
     @staticmethod
     def traced_peak(run) -> int:

@@ -12,9 +12,8 @@ import pytest
 from qccsim.cli import main
 from qccsim.errors import ValidationError
 from qccsim.pointer import density, make_gaussian, superpose, support, to_grid, translate
+from qccsim.tolerances import BLOCK_ROWS
 from qccsim.serialize import (
-    BLOCK_ROWS,
-    TRIAL_BLOCK_ROWS,
     Table,
     _float_texts,
     dumps_json,
@@ -230,7 +229,7 @@ class TestCsvAgainstRowOracle:
 
     @pytest.mark.parametrize(
         "n",
-        [1, TRIAL_BLOCK_ROWS - 1, TRIAL_BLOCK_ROWS, TRIAL_BLOCK_ROWS + 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+        [1, BLOCK_ROWS // 2 - 1, BLOCK_ROWS // 2, BLOCK_ROWS // 2 + 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
          3 * BLOCK_ROWS + 5],
     )
     @pytest.mark.parametrize(
@@ -258,22 +257,22 @@ class TestCsvAgainstRowOracle:
         assert target.read_bytes() == trials_csv_oracle(trials).encode()
 
     def test_trials_with_extreme_positions(self, tmp_path):
-        # Around the trials' block edge: both sides of 1e-4 and of 1e17, where %.17g changes notation,
+        # Around the trials' block edges: both sides of 1e-4 and of 1e17, where %.17g changes notation,
         # the even integers past 2**53, and a tie at the 17th digit, which rounds to even.
         edge = [1e-4, math.nextafter(1e-4, 0.0), -1e17, math.nextafter(1e17, 0.0), 2.0**53 + 2, 0.5 + 2**-18]
         positions = np.array([-0.0, 5e-324, -1e-300, *edge, 1e308, -1e308, 0.0, 0.1])
-        mask = np.zeros(BLOCK_ROWS + 3, dtype=bool)
-        around = list(range(TRIAL_BLOCK_ROWS - 2, TRIAL_BLOCK_ROWS + 4))
-        mask[[0, 2, 3, *around, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2]] = True
+        mask = np.zeros(2 * BLOCK_ROWS + 3, dtype=bool)
+        around = list(range(BLOCK_ROWS - 2, BLOCK_ROWS + 4))
+        mask[[0, 2, 3, *around, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 2]] = True
         trials = (positions, mask)
         target = tmp_path / "trials.csv"
         write_trials_csv(trials, target)
         text = target.read_text()
         assert text == trials_csv_oracle(trials)
-        assert "\n0,1,-0\n" in text and f"\n{BLOCK_ROWS},1,-1e+308\n" in text
-        assert f"\n{TRIAL_BLOCK_ROWS - 2},1,0.0001\n{TRIAL_BLOCK_ROWS - 1},1,9.9999999999999991e-05\n" in text
-        assert f"\n{TRIAL_BLOCK_ROWS},1,-1e+17\n{TRIAL_BLOCK_ROWS + 1},1,99999999999999984\n" in text
-        assert f"\n{TRIAL_BLOCK_ROWS + 3},1,0.50000381469726562\n" in text
+        assert "\n0,1,-0\n" in text and f"\n{2 * BLOCK_ROWS},1,-1e+308\n" in text
+        assert f"\n{BLOCK_ROWS - 2},1,0.0001\n{BLOCK_ROWS - 1},1,9.9999999999999991e-05\n" in text
+        assert f"\n{BLOCK_ROWS},1,-1e+17\n{BLOCK_ROWS + 1},1,99999999999999984\n" in text
+        assert f"\n{BLOCK_ROWS + 3},1,0.50000381469726562\n" in text
 
 
 def finite_bit_patterns(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -64,7 +64,7 @@ LOADED_QCCSIM_MODULES = "import json, sys, {}\nprint(json.dumps(sorted(m for m i
 
 def test_serialize_import_loads_no_physics_module():
     loaded = json.loads(python("-c", LOADED_QCCSIM_MODULES.format("qccsim.serialize")).stdout)
-    assert loaded == ["qccsim", "qccsim.errors", "qccsim.serialize"]
+    assert loaded == ["qccsim", "qccsim.errors", "qccsim.serialize", "qccsim.tolerances"]
 
 
 def test_montecarlo_import_loads_no_scenario_or_state_algebra():
