@@ -68,8 +68,15 @@ def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
     return draw
 
 
+def _check_integer(value, name: str) -> None:
+    """A count is a Python or numpy integer: not a bool, a float or NaN."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def check_trial_count(n: int) -> None:
-    """The trial count rule: at least one trial, at most ``MAX_TRIALS``."""
+    """The trial count rule: an integer, at least one trial, at most ``MAX_TRIALS``."""
+    _check_integer(n, "trial count n")
     if n < 1:
         raise ValidationError(f"need at least one trial, got n={n}")
     if n > MAX_TRIALS:
@@ -83,13 +90,16 @@ def check_seed(seed: int) -> None:
 
 
 def check_workers(workers: int) -> None:
-    """The worker rule: at least one thread."""
+    """The worker rule: an integer, at least one thread."""
+    _check_integer(workers, "worker count")
     if workers < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers!r}")
 
 
 def check_estimation_coupling(g: float) -> None:
-    """The estimation rule: (mean readout - initial mean) / g needs g != 0."""
+    """The estimation rule: (mean readout - initial mean) / g needs a finite g != 0."""
+    if not abs(g) < math.inf:
+        raise ValidationError(f"weak-value estimation needs a finite coupling, got {g!r}")
     if g == 0.0:
         raise ValidationError(f"weak-value estimation needs a nonzero coupling, got {g!r}")
 

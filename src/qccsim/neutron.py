@@ -189,9 +189,15 @@ def infer_weak_value(cfg: AbsorberConfig | MagneticConfig, measured_ratio):
 
 
 def infer_projector_weak_value(M, measured_ratio):
-    """Invert the first-order absorber law: (1 - ratio) / (2 M)."""
+    """Invert the first-order absorber law: (1 - ratio) / (2 M). Raises OverflowError where
+    a tiny M divides the ratio's deficit past the float range."""
     require(M, "inference needs M > 0", lambda M: M > 0.0)
-    return run_on(M, lambda M: (1.0 - measured_ratio) / (2.0 * M))
+    require(measured_ratio, "inference needs a finite measured ratio")
+    inferred = run_on(M, lambda M: (1.0 - measured_ratio) / (2.0 * M))
+    bad = first_failure(lambda v: abs(v) < math.inf, inferred, M)
+    if bad is not None:
+        raise OverflowError(f"inferred weak value overflows: (1 - ratio) / (2 M) at M={bad[1]!r}")
+    return inferred
 
 
 def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
@@ -205,6 +211,8 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
     unreachable ratios raise. Elementwise over arrays of ``alpha`` and ratios.
     """
     require(alpha, "inference needs alpha != 0", lambda alpha: alpha != 0.0)
+    require(measured_ratio, "inference needs a finite measured ratio")
+    require(pi_w, "spin inference needs a finite pi_w")
 
     def modulus(alpha):
         alpha_sq = squared(alpha, "spin inference", "alpha")
@@ -213,8 +221,7 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
             raise ZeroDivisionError(f"spin inference underflows to 0: alpha**2 at alpha={zero[1]!r}")
         radicand = (measured_ratio - 1.0) * 4.0 / alpha_sq + pi_w
         noise_floor = STRUCTURAL * (4.0 / alpha_sq + abs(pi_w) + 1.0)
-        # NaN is no evidence of an unreachable ratio: it passes, as a NaN modulus.
-        bad = first_failure(lambda r: (r >= -noise_floor) | (r != r), radicand, measured_ratio)
+        bad = first_failure(lambda r: r >= -noise_floor, radicand, measured_ratio)
         if bad is not None:
             raise NegativeRadicand(
                 f"radicand {bad[0]!r} < 0: ratio {bad[1]!r} with pi_w {pi_w!r} "

@@ -737,6 +737,15 @@ class TestExitCodes:
         assert code == 0
         assert math.isfinite(estimator["estimated_wv_re"]) and math.isfinite(estimator["std_error"])
 
+    def test_a_subnormal_absorption_overflows_the_inference_from_counts(self, capsys):
+        # The exact ratio is 1 at M = 5e-324, so the exact inference is 0; a sampled ratio is not.
+        code, out, err = run_cli(capsys, "montecarlo", "--mode", "intensity-absorber", "--M", "5e-324", "--n", "1000")
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"] == {
+            "type": "OverflowError",
+            "message": "inferred weak value overflows: (1 - ratio) / (2 M) at M=5e-324",
+        }
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -403,6 +403,34 @@ class TestSeedRule:
         assert sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 10, seed).seed == seed
 
 
+class TestCountAndCouplingRules:
+    """Library callers get the CLI's rules: a count is an integer, a coupling finite and nonzero."""
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, math.nan, math.inf, True])
+    def test_a_trial_count_that_is_no_integer_is_rejected(self, n):
+        message = rf"^trial count n must be an integer, got {n!r}$"
+        with pytest.raises(ValidationError, match=message):
+            sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), n, 1)
+        with pytest.raises(ValidationError, match=message):
+            sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), n, 1)
+
+    @pytest.mark.parametrize("workers", [2.5, 1.0, math.nan, False])
+    def test_a_worker_count_that_is_no_integer_is_rejected(self, workers):
+        with pytest.raises(ValidationError, match=rf"^worker count must be an integer, got {workers!r}$"):
+            sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 10, 1, workers=workers)
+
+    def test_numpy_integer_counts_sample(self):
+        coupled = couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1)
+        assert batches_equal(sample_trials(coupled, np.int64(100), SEED, workers=np.int32(2)), sample_trials(coupled, 100, SEED))
+        assert sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), np.uint16(100), SEED).n_trials == 100
+
+    @pytest.mark.parametrize("g", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_a_non_finite_estimation_coupling_is_rejected(self, g):
+        trials = sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 1000, SEED)
+        with pytest.raises(ValidationError, match=rf"^weak-value estimation needs a finite coupling, got {g!r}$"):
+            estimate_weak_value(trials, PHI0, g)
+
+
 class TestIntensitySampling:
     def test_zero_trials_are_rejected(self):
         with pytest.raises(ValidationError, match="^need at least one trial, got n=0$"):

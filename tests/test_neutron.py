@@ -199,12 +199,41 @@ class TestInference:
     def test_zero_perturbation_infers_nan(self):
         assert math.isnan(infer_weak_value(AbsorberConfig("I", 0.0), 0.9))
         assert math.isnan(infer_weak_value(MagneticConfig("II", 0.0), 1.1))
+        # At zero perturbation the ratio is not read, so any ratio gives the documented NaN.
+        assert math.isnan(infer_weak_value(AbsorberConfig("I", 0.0), math.nan))
+
+    @pytest.mark.parametrize("ratio", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_a_non_finite_measured_ratio_is_rejected(self, ratio):
+        message = r"^inference needs a finite measured ratio, got "
+        with pytest.raises(ValidationError, match=message):
+            infer_projector_weak_value(0.1, ratio)
+        with pytest.raises(ValidationError, match=message):
+            infer_spin_weak_value_modulus(0.1, ratio, 1.0)
+        with pytest.raises(ValidationError, match=message):
+            infer_spin_weak_value_modulus(np.array([0.1, 0.2]), np.array([1.0, ratio]), 1.0)
+        with pytest.raises(ValidationError, match=message):
+            infer_weak_value(AbsorberConfig("I", np.array([0.0, 0.1])), np.array([1.0, ratio]))
+
+    @pytest.mark.parametrize("pi_w", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_projector_weak_value_is_rejected(self, pi_w):
+        with pytest.raises(ValidationError, match=r"^spin inference needs a finite pi_w, got "):
+            infer_spin_weak_value_modulus(0.1, 1.0, pi_w)
+
+    def test_an_inference_past_the_float_range_names_M(self):
+        message = r"^inferred weak value overflows: \(1 - ratio\) / \(2 M\) at M={}$"
+        with pytest.raises(OverflowError, match=message.format("5e-324")):
+            infer_projector_weak_value(5e-324, 0.5)
+        with pytest.raises(OverflowError, match=message.format("1e-320")):
+            infer_projector_weak_value(np.array([0.1, 1e-320, 5e-324]), np.array([0.5, 0.5, 0.5]))
+        with pytest.raises(OverflowError, match=message.format("5e-324")):
+            infer_weak_value(AbsorberConfig("I", 5e-324), 1.5)
+        assert infer_projector_weak_value(5e-324, 1.0) == 0.0  # a flat ratio infers 0 at any M
+        assert infer_projector_weak_value(1e-300, 0.5) == pytest.approx(2.5e299, rel=1e-15)
 
     # (pi_w, [(alpha, ratio), ...]); radicand = (ratio - 1) * 4 / alpha**2 + pi_w.
     SPIN_INFERENCE_CASES = [
         (0.0, [
             (0.5, 1.0),  # +0.0
-            (0.5, math.nan), (0.5, -math.nan),  # NaN of either sign passes as a NaN modulus
             (2.0**500, 1.0 + 2.0**-52),  # 2**-1050, subnormal
             (2.0**500, 1.0 - 2.0**-53),  # -2**-1051, subnormal and clamped
             (1.0, 1e300), (1e-150, 2.0), (1e-100, 1e300),  # 4e300, 4e300 and inf
