@@ -142,8 +142,8 @@ def _qcc_report(table_I: BranchTable, table_II: BranchTable, phi0: GaussianPoint
     No input gives a non-finite shift, so none is checked for. An arm table holds one
     branch at g a (shift g a), two of equal weight at -g and g (shift 0), or weights
     -1/4, 1/2, 1/4 at -g, 0, g (shift g e / (4 prob), with the Gaussian overlap e <= 1
-    and prob >= 1/4). So |shift| <= |g| for every finite g the readout accepts; a joint
-    run's shifts are finite too (:func:`run_joint_pointers`)."""
+    and prob >= 1/4). So |shift| <= |g| up to rounding, which keeps the shift at the
+    largest finite g finite; a joint run's shifts are finite too (:func:`run_joint_pointers`)."""
     margin_I, margin_II = table_I.margin(phi0, g_I), table_II.margin(phi0, g_II)
     return QccReport(
         wv_pi_I=arm_table("I", "projector", swap_spin_labels).weak_value(),

@@ -255,6 +255,18 @@ class TestRunArguments:
         assert qcc_args() == {name: resolved[name] if resolved[name] is not None else resolved["g"]
                               for name in ("observable_I", "observable_II", "g_I", "g_II", "pointer_width")}
 
+    @pytest.mark.parametrize("observable_I, observable_II", itertools.product(OBSERVABLE_TAGS, repeat=2))
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_shifts_stay_finite_at_any_coupling_and_width(self, runner, observable_I, observable_II, swap):
+        # No input reaches a non-finite shift or a joint probability below 1/8 (see qcc._qcc_report).
+        couplings = [0.0, 5e-324, 1e-300, 0.3, 40.0, 1e150, 1e300, 1.7976931348623157e308]
+        for width, g_I, g_II in itertools.product([1e-150, 1.0, 1e100, 4e153], couplings, [0.0, 0.7, -couplings[-1]]):
+            for sign in (1.0, -1.0):
+                report = runner(**qcc_args(observable_I=observable_I, observable_II=observable_II, g_I=sign * g_I,
+                                           g_II=g_II, pointer_width=width), swap_spin_labels=swap)
+                assert abs(report.shift_I) <= 2.0 * g_I and abs(report.shift_II) <= 2.0 * abs(g_II)
+                assert report.postselect_prob_I >= 0.125 - 1e-15
+
 
 def joint_oracle(args: dict, reverse: bool, swap: bool = False):
     """Joint two-pointer marginals with the couplings factored in either
@@ -289,19 +301,6 @@ def joint_oracle(args: dict, reverse: bool, swap: bool = False):
 
 
 class TestJointRun:
-    @pytest.mark.parametrize("runner", RUNNERS)
-    @pytest.mark.parametrize("observable_I, observable_II", itertools.product(OBSERVABLE_TAGS, repeat=2))
-    @pytest.mark.parametrize("swap", [False, True])
-    def test_shifts_stay_finite_at_any_coupling_and_width(self, runner, observable_I, observable_II, swap):
-        # No input reaches a non-finite shift or a joint probability below 1/8 (see qcc._qcc_report).
-        couplings = [0.0, 5e-324, 1e-300, 0.3, 40.0, 1e150, 1e300, 1.7976931348623157e308]
-        for width, g_I, g_II in itertools.product([1e-150, 1.0, 1e100, 4e153], couplings, [0.0, 0.7, -1e308]):
-            for sign in (1.0, -1.0):
-                report = runner(**qcc_args(observable_I=observable_I, observable_II=observable_II, g_I=sign * g_I,
-                                           g_II=g_II, pointer_width=width), swap_spin_labels=swap)
-                assert abs(report.shift_I) <= 2.0 * g_I and abs(report.shift_II) <= 2.0 * abs(g_II)
-                assert report.postselect_prob_I >= 0.125 - 1e-15
-
     def test_idle_second_pointer_reproduces_single_run(self):
         args = qcc_args(g_I=G_DEFAULT, g_II=0.0)
         ideal = run_ideal_qcc(**args)

@@ -12,7 +12,6 @@ import pytest
 from qccsim.cli import main
 from qccsim.errors import ValidationError
 from qccsim.pointer import density, make_gaussian, superpose, support, to_grid, translate
-from qccsim.tolerances import BLOCK_ROWS
 from qccsim.serialize import (
     Table,
     _float_texts,
@@ -22,6 +21,7 @@ from qccsim.serialize import (
     write_sweep_csv,
     write_trials_csv,
 )
+from qccsim.tolerances import BLOCK_ROWS
 
 from oracles import grid_csv_oracle, rows_as_dicts, table_csv_oracle, trials_csv_oracle
 
