@@ -3,14 +3,18 @@
 Each pointer trial owns one counter block of a counter-based generator,
 and intensity trial i the stream's words 2i and 2i + 1, so a sample is a
 pure function of (seed, n): any chunking or thread layout reproduces it
-bit for bit. Each chunk draws the raw 64-bit words of its trials 2**14 at
-a time, small enough to stay in cache, and compares them with integer
+bit for bit. Each chunk draws the raw 64-bit words of its trials 2**14
+at a time, small enough to stay in cache, and compares them with integer
 bounds, so that only an accepted trial's readout word becomes a uniform;
 it keeps only the acceptance mask and readouts (two counts for an
-intensity run). Postselection is Bernoulli with the exact coupled
-probability; accepted trials draw a pointer position from the exact final
-density by inverse-CDF on a dense tabulation, looked up in sorted order
-with unchanged bits.
+intensity run). A block's accepted readout words are gathered by
+``np.compress`` at acceptances between 0.11 and 0.85, and by boolean
+indexing outside that band, where its per-trial branch is predictable
+(``COMPRESS_BAND``); both give the same words in trial order.
+Postselection is Bernoulli with the exact coupled probability; accepted
+trials draw a pointer position from the exact final density by
+inverse-CDF on a dense tabulation, looked up in sorted order with
+unchanged bits.
 """
 
 from __future__ import annotations
@@ -32,6 +36,12 @@ KNOTS_PER_WIDTH = 128
 # offset i. Column 0 decides acceptance, column 1 is the readout; columns 2 and 3 are drawn and
 # never read. An intensity trial draws only its two columns, the reference and perturbed detections.
 DRAWS_PER_TRIAL = 4
+
+# Acceptance band where np.compress gathers a block's accepted readout words (one index pass).
+# Outside it boolean indexing is cheaper: it branches once per trial, and there that branch is
+# predictable. Per 2**14-row block the two cross at p = 0.11 and p = 0.85 (Xeon, numpy 2.4):
+# at p = 0.5 compress takes 0.029 ms and boolean indexing 0.080 ms, at p = 0.95 0.042 and 0.026.
+COMPRESS_BAND = (0.11, 0.85)
 
 
 class EstimatorReport(Record):
@@ -60,7 +70,8 @@ def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
 
     def draw(u: np.ndarray, out: np.ndarray) -> np.ndarray:
         # np.interp is elementwise, so the order changes no bit; near-sorted draws let its bin
-        # search start next to each answer. A radix sort of the 16-bit keys is cheaper than a float sort.
+        # search start next to each answer. The key floor(u * 4096) has 12 bits, held in a uint16:
+        # a radix sort of those keys is cheaper than a float sort.
         order = np.argsort((u * DENSITY_POINTS).astype(np.uint16), kind="stable")
         out[order] = np.interp(u[order], cdf, xs)
         return out
@@ -84,7 +95,8 @@ def check_trial_count(n: int) -> None:
 
 
 def check_seed(seed: int) -> None:
-    """The seed rule: a Philox key, at least 0 and below 2**128."""
+    """The seed rule: an integer Philox key, at least 0 and below 2**128."""
+    _check_integer(seed, "seed")
     if not 0 <= seed < 2**128:
         raise ValidationError(f"Philox key must be >= 0 and < 2**128, got {seed}")
 
@@ -147,11 +159,13 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
     draw = _tabulated_inverse_cdf(final) if bound and final.components else None
     # Each chunk writes its mask and its readouts from its first trial on; unwritten pages cost no memory.
     mask, readouts = np.empty(n, dtype=bool), np.empty(n)
+    low, high = map(_word_bound, COMPRESS_BAND)
+    gather = np.compress if low <= bound < high else lambda keep, column: column[keep]
 
     def run_chunk(span: tuple[int, int]) -> np.ndarray:
         filled = span[0]
         for first, words in _trial_tables(seed, *span):
-            accepted = words[:, 1][np.less(words[:, 0], bound, out=mask[first:first + len(words)])]
+            accepted = gather(np.less(words[:, 0], bound, out=mask[first:first + len(words)]), words[:, 1])
             del words
             if draw is not None:  # numpy's Philox double of each accepted readout word, bit for bit
                 filled += draw((accepted >> 11) * 2.0**-53, readouts[filled:filled + accepted.size]).size

@@ -219,8 +219,13 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
         zero = first_failure(lambda a2: a2 != 0.0, alpha_sq, alpha)
         if zero is not None:
             raise ZeroDivisionError(f"spin inference underflows to 0: alpha**2 at alpha={zero[1]!r}")
-        radicand = (measured_ratio - 1.0) * 4.0 / alpha_sq + pi_w
-        noise_floor = STRUCTURAL * (4.0 / alpha_sq + abs(pi_w) + 1.0)
+        scale, excess = 4.0 / alpha_sq, (measured_ratio - 1.0) * 4.0 / alpha_sq
+        for quantity, values in (("4 / alpha**2", scale), ("(ratio - 1) * 4 / alpha**2", excess)):
+            bad = first_failure(lambda v: abs(v) < math.inf, values, alpha)
+            if bad is not None:  # a subnormal alpha**2, or a huge ratio, leaves the float range
+                raise OverflowError(f"spin inference overflows: {quantity} at alpha={bad[1]!r}")
+        radicand = excess + pi_w
+        noise_floor = STRUCTURAL * (scale + abs(pi_w) + 1.0)
         bad = first_failure(lambda r: r >= -noise_floor, radicand, measured_ratio)
         if bad is not None:
             raise NegativeRadicand(
@@ -267,11 +272,12 @@ class SystematicTermReport(Record):
 
 def systematic_term_report(alpha: float) -> SystematicTermReport:
     """Quantify the second-order systematic term on arm I."""
+    check_rotation(alpha)
+    quadratic = -(alpha**2) / 4.0
+    if alpha != 0.0 and quadratic == 0.0:  # checked first: the spin inference overflows at such an alpha
+        raise ZeroDivisionError(f"systematic term underflows to 0: alpha**2/4 at alpha={alpha!r}")
     ratio, alternate = (intensity_magnetic(MagneticConfig("I", a)).ratio for a in (alpha, -alpha))
     deviation = ratio - 1.0
-    quadratic = -(alpha**2) / 4.0
-    if alpha != 0.0 and quadratic == 0.0:
-        raise ZeroDivisionError(f"systematic term underflows to 0: alpha**2/4 at alpha={alpha!r}")
     sigma_trans = arm_table("I", "sigma_x").transition
     return SystematicTermReport(
         alpha=alpha,

@@ -746,6 +746,24 @@ class TestExitCodes:
             "message": "inferred weak value overflows: (1 - ratio) / (2 M) at M=5e-324",
         }
 
+    # alpha**2 is subnormal, so 4 / alpha**2 is inf: the exact spin inference overflows, before any
+    # sampling and before neutron-magnetic's systematic term underflows at -3e-162.
+    @pytest.mark.parametrize(
+        "argv, alpha",
+        [
+            (("montecarlo", "--mode", "intensity-magnetic", "--alpha=1e-160", "--n", "1000"), "1e-160"),
+            (("montecarlo", "--mode", "intensity-magnetic", "--alpha=-1e-160", "--n", "1000"), "-1e-160"),
+            (("neutron-magnetic", "--alpha=-3e-162"), "-3e-162"),
+        ],
+    )
+    def test_a_tiny_rotation_overflows_the_spin_inference(self, capsys, argv, alpha):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"] == {
+            "type": "OverflowError",
+            "message": f"spin inference overflows: 4 / alpha**2 at alpha={alpha}",
+        }
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -801,10 +819,6 @@ class TestExitCodes:
             (
                 ("montecarlo", "--mode", "intensity-magnetic", "--alpha", "1e-320", "--n", "100"),
                 "spin inference underflows to 0: alpha**2 at alpha=1e-320",
-            ),
-            (
-                ("neutron-magnetic", "--alpha", "-3e-162"),
-                "systematic term underflows to 0: alpha**2/4 at alpha=-3e-162",
             ),
         ],
     )

@@ -1,6 +1,7 @@
 """Intensity-ratio experiments: absorber, spin rotation, and inference."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ class TestInference:
             (0.5, 1.0),  # +0.0
             (2.0**500, 1.0 + 2.0**-52),  # 2**-1050, subnormal
             (2.0**500, 1.0 - 2.0**-53),  # -2**-1051, subnormal and clamped
-            (1.0, 1e300), (1e-150, 2.0), (1e-100, 1e300),  # 4e300, 4e300 and inf
+            (1.0, 1e300), (1e-150, 2.0),  # 4e300 and 4e300
             (0.2, 1.01), (-0.3, 1.5), (3.0, 1.9),
         ]),
         (-0.0, [(0.5, 1.0)]),  # 0.0 + -0.0 is +0.0
@@ -251,6 +252,21 @@ class TestInference:
         scalar = np.array([infer_spin_weak_value_modulus(a, r, pi_w) for a, r in cases])
         assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
         assert [format_float(x) for x in array] == [format_float(x) for x in scalar]
+
+    # (alpha, ratio, the quantity that leaves the float range); 4 / alpha**2 is inf below |alpha| ~ 1.5e-154.
+    SPIN_OVERFLOW_CASES = [
+        (1e-100, 1e300, "(ratio - 1) * 4 / alpha**2"),
+        (1e-160, 1.001, "4 / alpha**2"),
+        (-1e-160, 1.0, "4 / alpha**2"),  # a flat ratio too: its noise floor would be inf
+    ]
+
+    @pytest.mark.parametrize("alpha, ratio, quantity", SPIN_OVERFLOW_CASES, ids=["huge-ratio", "tiny-alpha", "flat-ratio"])
+    def test_a_spin_inference_past_the_float_range_names_alpha(self, alpha, ratio, quantity):
+        message = re.escape(f"spin inference overflows: {quantity} at alpha={alpha!r}")
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            infer_spin_weak_value_modulus(alpha, ratio, 0.0)
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            infer_spin_weak_value_modulus(np.array([0.5, alpha]), np.array([1.0, ratio]), 0.0)
 
     def test_clamped_sqrt_keeps_a_negative_zero(self):
         # No (ratio, alpha, pi_w) makes the radicand -0.0, so the sqrt step is driven directly.
@@ -345,6 +361,11 @@ class TestSystematicTerm:
     def test_rotation_sign_is_irrelevant(self):
         report = systematic_term_report(0.3)
         assert report.alternate_sign_ratio == pytest.approx(report.ratio_exact, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha", [-3e-162, 5e-324])
+    def test_an_angle_whose_quadratic_term_underflows_is_named(self, alpha):
+        with pytest.raises(ZeroDivisionError, match=rf"^systematic term underflows to 0: alpha\*\*2/4 at alpha={alpha!r}$"):
+            systematic_term_report(alpha)
 
 
 def test_module_never_touches_pointers():
