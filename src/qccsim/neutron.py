@@ -208,7 +208,9 @@ def infer_spin_weak_value_modulus(alpha, measured_ratio, pi_w: float):
 
     Radicands within rounding distance of zero (the 4 / alpha^2 factor
     amplifies the ratio's float noise) clamp to zero; only genuinely
-    unreachable ratios raise. Elementwise over arrays of ``alpha`` and ratios.
+    unreachable ratios raise. Raises OverflowError where 4 / alpha^2, or
+    (ratio - 1) times it, leaves the float range. Elementwise over arrays
+    of ``alpha`` and ratios.
     """
     require(alpha, "inference needs alpha != 0", lambda alpha: alpha != 0.0)
     require(measured_ratio, "inference needs a finite measured ratio")

@@ -41,7 +41,7 @@ PHI0 = make_gaussian(0.0, 1.0)
 SEED = 12345
 # Trial counts on each side of the table edges, and past 2**20.
 TABLE_EDGES = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5, 2**20 + 17]
-# Acceptance about 0.11, 0.5 and 0.99: each side of montecarlo.COMPRESS_BAND and inside it.
+# Acceptance about 0.06, 0.5 and 0.998 at g = 0.1: below montecarlo.COMPRESS_BAND, inside it and above it.
 GATHER_CONTEXTS = ["anomalous", "path-null", "spin-trivial"]
 # Probabilities at the edges of the integer word bound: trial 4's two drawn uniforms, each with
 # its float neighbours. A pointer run's are below 1/2, where p * 2**53 of a neighbour is not an
@@ -173,7 +173,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("context", GATHER_CONTEXTS)
     def test_batches_across_table_edges_equal_the_oracle(self, monkeypatch, context, n, workers):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-        coupled = couple_and_postselect(*build_context(context, tan_theta=3.0), PHI0, 0.1)
+        coupled = couple_and_postselect(*build_context(context, tan_theta=4.0), PHI0, 0.1)
         positions, mask = sample_trials(coupled, n, SEED, workers=workers)
         want_mask, want_positions = sample_trials_oracle(coupled, n, SEED)
         assert np.array_equal(mask, want_mask)
@@ -400,7 +400,7 @@ class TestSeedRule:
         with pytest.raises(ValidationError, match=message):
             sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 10, seed)
 
-    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1, np.uint64(5)])
     def test_seed_at_the_philox_key_bounds_samples(self, seed):
         assert sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 10, seed)[1].size == 10
         assert sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 10, seed).seed == seed
@@ -412,12 +412,6 @@ class TestSeedRule:
             sample_trials(couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1), 10, seed)
         with pytest.raises(ValidationError, match=message):
             sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", 0.1)), 10, seed)
-
-    def test_a_numpy_integer_seed_samples_as_its_int(self):
-        coupled = couple_and_postselect(*build_context("qcc-pi-I"), PHI0, 0.1)
-        assert batches_equal(sample_trials(coupled, 100, np.uint64(5)), sample_trials(coupled, 100, 5))
-        report = intensity_absorber(AbsorberConfig("I", 0.1))
-        assert sample_intensity_experiment(report, 100, np.uint64(5)) == sample_intensity_experiment(report, 100, 5)
 
 
 class TestCountAndCouplingRules:
