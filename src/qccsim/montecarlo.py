@@ -3,8 +3,8 @@
 Each pointer trial owns one counter block of a counter-based generator,
 and intensity trial i the stream's words 2i and 2i + 1, so a sample is a
 pure function of (seed, n): any chunking or thread layout reproduces it
-bit for bit. Each chunk draws the raw 64-bit words of its trials 2**14
-at a time, small enough to stay in cache, and compares them with integer
+bit for bit. Each chunk draws the raw 64-bit words of its trials 2**14 at
+a time, small enough to stay in cache, and compares them with integer
 bounds, so that only an accepted trial's readout word becomes a uniform;
 it keeps only the acceptance mask and readouts (two counts for an
 intensity run). A block's accepted readout words are gathered by
