@@ -244,6 +244,10 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
     p_pert = exact.i_perturbed
     if getattr(p_pert, "ndim", 0):
         raise ValidationError(f"one run's report expected, got a sweep's: i_perturbed has shape {p_pert.shape}")
+    if not 0.0 < exact.i0 <= 1.0:  # NaN fails every comparison, so it is rejected too
+        raise ValidationError(f"reference intensity i0 must be in (0, 1], got {exact.i0!r}")
+    if not 0.0 <= p_pert <= 1.0:
+        raise ValidationError(f"perturbed intensity i_perturbed must be in [0, 1], got {p_pert!r}")
     bound_ref, bound_pert = _word_bound(exact.i0), _word_bound(p_pert)
     n_ref = n_pert = 0
     for _, words in _trial_tables(seed, 0, n, 2):

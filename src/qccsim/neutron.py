@@ -273,12 +273,12 @@ class SystematicTermReport(Record):
 
 
 def systematic_term_report(alpha: float) -> SystematicTermReport:
-    """Quantify the second-order systematic term on arm I."""
+    """Quantify the second-order systematic term on arm I; its ratios are exact intensities, not reports."""
     check_rotation(alpha)
     quadratic = -(alpha**2) / 4.0
-    if alpha != 0.0 and quadratic == 0.0:  # checked first: the spin inference overflows at such an alpha
+    if alpha != 0.0 and quadratic == 0.0:
         raise ZeroDivisionError(f"systematic term underflows to 0: alpha**2/4 at alpha={alpha!r}")
-    ratio, alternate = (intensity_magnetic(MagneticConfig("I", a)).ratio for a in (alpha, -alpha))
+    ratio, alternate = (perturbed_intensity(MagneticConfig("I", a)) / reference_intensity() for a in (alpha, -alpha))
     deviation = ratio - 1.0
     sigma_trans = arm_table("I", "sigma_x").transition
     return SystematicTermReport(

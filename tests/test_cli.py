@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qccsim import cli, montecarlo, qcc
+from qccsim import cli, montecarlo, neutron, qcc
 from qccsim.cli import MC_MODES, SCENARIO_TABLE, build_parser, main, parse_range
 from qccsim.errors import CapacityError, ValidationError
 from qccsim.montecarlo import estimate_weak_value, sample_trials
@@ -113,6 +113,25 @@ class TestRunRecord:
         assert code == 0
         results = json.loads(out)["results"]
         assert results["exact_weak_value_re"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_magnetic_run_builds_one_report_and_infers_once(self, capsys, monkeypatch):
+        # The systematic term reads its two ratios from exact intensities, not from reports of its own.
+        calls = dict.fromkeys(("intensity_magnetic", "infer_spin_weak_value_modulus", "require"), 0)
+        for name in calls:
+            original = getattr(neutron, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("qccsim")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        run_cli(capsys, "neutron-magnetic")  # the first run builds the cached arm tables
+        calls.update(dict.fromkeys(calls, 0))
+        code, _, _ = run_cli(capsys, "neutron-magnetic")
+        assert code == 0
+        assert calls == {"intensity_magnetic": 1, "infer_spin_weak_value_modulus": 1, "require": 9}
 
 
 class TestCsvArtifacts:

@@ -197,14 +197,22 @@ class TestWordBound:
     @pytest.mark.parametrize("p", edge_probabilities(INTENSITY_EDGE_UNIFORMS))
     def test_intensity_counts_are_the_float_comparison(self, p):
         # The sampler reads only the two intensities; an IntensityReport would reject most of these.
+        # Outside [0, 1], or NaN, p is no probability and is rejected by name; so is an i0 of 0.
         n_ref, n_pert = (int(np.count_nonzero(INTENSITY_EDGE_UNIFORMS[:, column] < p)) for column in (0, 1))
-        counts = sample_intensity_experiment(SimpleNamespace(i0=0.5, i_perturbed=p), EDGE_N, SEED)
-        assert counts.n_perturbed == n_pert
-        if n_ref:
-            assert sample_intensity_experiment(SimpleNamespace(i0=p, i_perturbed=0.5), EDGE_N, SEED).n_reference == n_ref
+        perturbed, reference = SimpleNamespace(i0=0.5, i_perturbed=p), SimpleNamespace(i0=p, i_perturbed=0.5)
+        if 0.0 <= p <= 1.0:
+            assert sample_intensity_experiment(perturbed, EDGE_N, SEED).n_perturbed == n_pert
+        else:
+            with pytest.raises(ValidationError, match=rf"^perturbed intensity i_perturbed must be in \[0, 1\], got {p!r}$"):
+                sample_intensity_experiment(perturbed, EDGE_N, SEED)
+        if not 0.0 < p <= 1.0:
+            with pytest.raises(ValidationError, match=rf"^reference intensity i0 must be in \(0, 1\], got {p!r}$"):
+                sample_intensity_experiment(reference, EDGE_N, SEED)
+        elif n_ref:
+            assert sample_intensity_experiment(reference, EDGE_N, SEED).n_reference == n_ref
         else:
             with pytest.raises(ValidationError, match="^no reference detections; increase n$"):
-                sample_intensity_experiment(SimpleNamespace(i0=p, i_perturbed=0.5), EDGE_N, SEED)
+                sample_intensity_experiment(reference, EDGE_N, SEED)
 
     @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
     def test_words_next_to_the_bound_compare_as_their_uniforms(self, p):
@@ -476,6 +484,23 @@ class TestIntensitySampling:
         report = intensity_absorber(AbsorberConfig("I", np.linspace(0.0, 1.0, 1000)))
         with pytest.raises(ValidationError, match=r"i_perturbed has shape \(1000,\)"):
             sample_intensity_experiment(report, n, 1)
+
+    @pytest.mark.parametrize(
+        "field, p, message",
+        [
+            ("i_perturbed", 5.0, "perturbed intensity i_perturbed must be in [0, 1], got 5.0"),
+            ("i_perturbed", -1.0, "perturbed intensity i_perturbed must be in [0, 1], got -1.0"),
+            ("i0", 5.0, "reference intensity i0 must be in (0, 1], got 5.0"),
+        ],
+    )
+    def test_an_intensity_that_is_no_probability_is_rejected(self, field, p, message):
+        # The record accepts these; the sampler once drew them as certain (5.0) or impossible (-1.0) detections.
+        report = intensity_absorber(AbsorberConfig("I", 0.1))
+        intensities = {"i0": report.i0, "i_perturbed": report.i_perturbed, field: p}
+        exact = report._replace(**intensities, ratio=intensities["i_perturbed"] / intensities["i0"])
+        with pytest.raises(ValidationError) as raised:
+            sample_intensity_experiment(exact, 1000, 1)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("m", [np.float64(0.2), np.array(0.2)], ids=["float64", "0-d array"])
     def test_one_number_of_numpy_type_samples_as_a_float(self, m):

@@ -362,6 +362,20 @@ class TestSystematicTerm:
         report = systematic_term_report(0.3)
         assert report.alternate_sign_ratio == pytest.approx(report.ratio_exact, abs=1e-14)
 
+    @pytest.mark.parametrize("alpha", [*ALPHA_GRID, 0.0, math.pi, -math.pi, 1e-8])
+    def test_ratios_are_the_intensity_reports_bit_for_bit(self, alpha):
+        report = systematic_term_report(alpha)
+        for ratio, angle in ((report.ratio_exact, alpha), (report.alternate_sign_ratio, -alpha)):
+            assert ratio.hex() == intensity_magnetic(MagneticConfig("I", angle)).ratio.hex()
+
+    def test_an_angle_past_the_spin_inference_range_has_finite_fields(self):
+        # 4 / alpha**2 overflows here, so an IntensityReport at this alpha raises; this report infers nothing.
+        with pytest.raises(OverflowError, match="^spin inference overflows"):
+            intensity_magnetic(MagneticConfig("I", 1e-160))
+        report = systematic_term_report(1e-160)
+        assert all(math.isfinite(value) for value in report._asdict().values())
+        assert (report.deviation, report.quadratic_prediction, report.deviation_over_quadratic) == (0.0, -2.5e-321, 0.0)
+
     @pytest.mark.parametrize("alpha", [-3e-162, 5e-324])
     def test_an_angle_whose_quadratic_term_underflows_is_named(self, alpha):
         with pytest.raises(ZeroDivisionError, match=rf"^systematic term underflows to 0: alpha\*\*2/4 at alpha={alpha!r}$"):

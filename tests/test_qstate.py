@@ -35,6 +35,8 @@ class TestStateVector:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             StateVector((2, 2), ("a", "b"), [1.0, 0.0])
+        with pytest.raises(ValidationError, match=r"^subsystem dimensions must be >= 1, got \(0,\)$"):
+            StateVector((0,), ("a",), [])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
@@ -45,6 +47,8 @@ class TestStateVector:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValidationError):
             StateVector((2, 2), ("a", "a"), [1, 0, 0, 0])
+        with pytest.raises(ValidationError, match="^2 labels for 1 subsystems$"):
+            StateVector((2,), ("a", "b"), [1, 0])
 
     def test_amps_read_only(self):
         s = spin(KET_PLUS_Z)
