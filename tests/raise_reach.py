@@ -1,6 +1,6 @@
 """Run tier-1 under a line tracer and fail if any ``raise`` in ``src/qccsim`` is never reached.
 
-    PYTHONPATH=src python tests/raise_reach.py [pytest arguments]
+    PYTHONPATH=src python tests/raise_reach.py
 
 Every test runs in this process under a stdlib ``sys.settrace`` line tracer (and
 ``threading.settrace``, for the Monte Carlo worker threads) that records lines only in
@@ -31,7 +31,7 @@ def raise_lines(path: Path) -> tuple[list[int], list[int]]:
     return sorted(node.lineno for node in nodes), shared
 
 
-def main(pytest_args: list[str]) -> int:
+def main() -> int:
     hit: dict[str, set[int]] = {str(path): set() for path in PACKAGE.glob("*.py")}
     tracers: dict[str, object] = {}  # by code file name: a line recorder, or None outside the package
 
@@ -52,7 +52,7 @@ def main(pytest_args: list[str]) -> int:
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *pytest_args])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -74,4 +74,4 @@ def main(pytest_args: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

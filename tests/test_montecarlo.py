@@ -198,7 +198,6 @@ class TestWordBound:
     def test_intensity_counts_are_the_float_comparison(self, p):
         # The sampler reads only the two intensities; an IntensityReport would reject most of these.
         # Outside [0, 1], or NaN, p is no probability and is rejected by name; so is an i0 of 0.
-        # 5.0 and -1.0 were once drawn as certain and impossible detections.
         n_ref, n_pert = (int(np.count_nonzero(INTENSITY_EDGE_UNIFORMS[:, column] < p)) for column in (0, 1))
         perturbed, reference = SimpleNamespace(i0=0.5, i_perturbed=p), SimpleNamespace(i0=p, i_perturbed=0.5)
         if 0.0 <= p <= 1.0:
