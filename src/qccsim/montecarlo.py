@@ -241,9 +241,10 @@ def sample_intensity_experiment(exact: IntensityReport, n: int, seed: int) -> In
     check_trial_count(n)
     check_seed(seed)
     import numpy as np
+    for name, value in (("i0", exact.i0), ("i_perturbed", exact.i_perturbed)):
+        if getattr(value, "ndim", 0):
+            raise ValidationError(f"one run's report expected, got a sweep's: {name} has shape {value.shape}")
     p_pert = exact.i_perturbed
-    if getattr(p_pert, "ndim", 0):
-        raise ValidationError(f"one run's report expected, got a sweep's: i_perturbed has shape {p_pert.shape}")
     if not 0.0 < exact.i0 <= 1.0:  # NaN fails every comparison, so it is rejected too
         raise ValidationError(f"reference intensity i0 must be in (0, 1], got {exact.i0!r}")
     if not 0.0 <= p_pert <= 1.0:

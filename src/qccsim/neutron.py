@@ -56,6 +56,12 @@ def _param(cfg: AbsorberConfig | MagneticConfig):
     raise ValidationError(f"unsupported perturbation config {type(cfg).__name__}")
 
 
+def _check_kind(cfg, kind: type) -> None:
+    """Reject a config of the other experiment, or of none, naming the one expected."""
+    if not isinstance(cfg, kind):
+        raise ValidationError(f"{kind.__name__} expected, got {type(cfg).__name__}")
+
+
 class IntensityReport(Record):
     """Reference and perturbed intensities with inference diagnostics.
 
@@ -120,6 +126,7 @@ def perturbed_intensity(cfg: AbsorberConfig | MagneticConfig):
 
 def intensity_absorber(cfg: AbsorberConfig) -> IntensityReport:
     """Exact absorber run against the first-order law 1 - 2 M Pi_w."""
+    _check_kind(cfg, AbsorberConfig)
     pi_w = _projector_weak_value(cfg.arm)
 
     def report(M) -> IntensityReport:
@@ -132,6 +139,7 @@ def intensity_absorber(cfg: AbsorberConfig) -> IntensityReport:
 
 def intensity_magnetic(cfg: MagneticConfig) -> IntensityReport:
     """Exact rotation run against 1 + (alpha^2/4)(|sigma_w|^2 - Pi_w)."""
+    _check_kind(cfg, MagneticConfig)
     pi_w = _projector_weak_value(cfg.arm)
     sigma_w = arm_table(cfg.arm, "sigma_x").weak_value()
 

@@ -93,10 +93,6 @@ class Operator(Record):
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def side(self) -> int:
-        return math.prod(self.dims)
-
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product ``a (x) b`` with concatenated subsystem labels."""

@@ -8,8 +8,8 @@ Each case runs in-process through ``qccsim.cli.main``, in a fresh output directo
 (``QCCSIM_OUTDIR``) that holds one empty subdirectory ``d`` and the ``CONFIG_FILES``,
 which an argv names as ``<out>/<name>``. The record's timestamp and the output
 directory's path are masked before hashing. The cases are derived from
-``SCENARIO_TABLE``, from the argv lists of the CI steps that feed the CLI extreme
-inputs, and from ``CONFIG_CASES``. Without numpy, the comparison skips the cases
+``SCENARIO_TABLE`` and from the argv lists below, among them ``EXTREME_INPUTS``,
+``FAILED_RUNS`` and ``CONFIG_CASES``. Without numpy, the comparison skips the cases
 that need it, so the scalar cases can be compared under any Python.
 """
 
@@ -31,8 +31,6 @@ from qccsim.qcc import OBSERVABLE_TAGS
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "cli_corpus.json"
-CI = ROOT / ".github" / "workflows" / "tests.yml"
-CI_STEPS = ("no traceback on extreme inputs", "failed runs leave no file")
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 
 COUPLINGS = ("0", "5e-324", "1e-08", "0.01", "0.5", "-2", "1e307", "1e308")
@@ -73,6 +71,59 @@ RULE_BOUNDARIES = (
     "montecarlo --g 5e-324",
     "montecarlo --g -0.0",
     "montecarlo --workers 1",
+)
+
+# Extreme inputs: each ends in a documented exit code, and a failure in exactly one JSON
+# error object on stderr, never in a traceback.
+EXTREME_INPUTS = (
+    "qcc --pointer-width 1e-100",
+    "montecarlo --n 2000 --pointer-width 1e153 --g 1",
+    "weak-value --g 1e300",
+    "qcc --pointer-width 1e300",
+    "weak-value --context anomalous --tan-theta 1e200",
+    "weak-value --grid-xmin -1e308 --grid-xmax 1e308 --csv g.csv",
+    "sweep --scenario qcc --g 0:1:3 --csv .",
+    "montecarlo --n 100 --csv .",
+    "weak-value --g 5e-324",
+    "qcc --g 1e307 --pointer-width 1e-100",
+    "qcc-joint --g 5e-324",
+    "qcc-joint --g 1e308",
+    "qcc-joint --g 1e307 --pointer-width 1e-100",
+    "qcc-joint --g-I 1e308 --g-II -1e308 --observable-I sigma_x --observable-II sigma_x",
+    "sweep --scenario qcc --g=-1e307:1e307:5",
+    "neutron-absorber --M=-5e-324",
+    "neutron-magnetic --alpha 3.1415926535897936",
+    "sweep --scenario neutron-magnetic --alpha=-4:4:3000",
+    "qcc --pointer-width 0",
+    "montecarlo --workers 0",
+    "weak-value --grid-points 4 --csv g.csv",
+    "weak-value --grid-points 2 --csv g.csv",
+    "weak-value --pointer-width 1e-160 --g 1",
+    "weak-value --pointer-width 0.01 --g 1e153",
+    "montecarlo --mode intensity-magnetic --arm I --alpha 0.05 --n 50 --seed 2",
+    "montecarlo --mode intensity-absorber --n 1 --seed 1",
+    "montecarlo --mode intensity-magnetic --alpha 1e-160 --n 1000",
+    "montecarlo --mode intensity-magnetic --alpha=-1e-160 --n 1000",
+    "qcc --g abc",
+    "qcc --bogus 1",
+    "sweep --scenario qcc --g 0:1:1048577",
+    "montecarlo --n 16777217",
+    "weak-value --grid-points 2097152 --csv g.csv",
+    "qcc --csv q.csv",
+    "sweep --scenario qcc --g inf:1:3",
+    "montecarlo --seed -1",
+    "montecarlo --n 0",
+    "weak-value --csv new/sub/g.csv --json new/r.json",
+    "montecarlo --context anomalous --g 1e5 --n 2000",
+)
+# Failed runs: each exits nonzero, prints no record and leaves no file beside the premade ``d``.
+FAILED_RUNS = (
+    "sweep --scenario qcc --g 0:1:3 --csv s.csv --json d",
+    "weak-value --context orthogonal --csv g.csv",
+    "montecarlo --mode intensity-magnetic --n 100 --csv t.csv",
+    "weak-value --context orthogonal --csv new/sub/g.csv --json d/new/r.json",
+    "weak-value --csv x --json ./x",
+    "montecarlo --g 5e-324 --n 2000",
 )
 
 OUT = "<out>"  # a case's output directory, in an argv and in every digested text
@@ -118,18 +169,6 @@ CONFIG_CASES = (
 )
 
 
-def ci_inputs() -> list[tuple[str, ...]]:
-    """The argv lists of CI's extreme-input steps, as their heredocs give them
-    (the failed-run step's lines start with the expected exit code)."""
-    found = []
-    for step in CI.read_text().split("- name: ")[1:]:
-        if step.split("\n", 1)[0] in CI_STEPS:
-            lines = step.split("<<'EOF'\n", 1)[1].splitlines()
-            for words in map(str.split, lines[: [line.strip() for line in lines].index("EOF")]):
-                found.append(tuple(words[1:] if words[0].isdigit() else words))
-    return found
-
-
 def cases() -> list[tuple[str, ...]]:
     """Every argv of the corpus, in order, without repeats."""
     argvs = []
@@ -171,7 +210,7 @@ def cases() -> list[tuple[str, ...]]:
         argvs.append(("sweep", "--scenario", scenario, *grid, "--csv", "s.csv", "--json", "r.json"))
     argvs.append(("weak-value", "--csv", "g.csv", "--grid-points", "64"))
     argvs += [tuple(line.split()) for line in RULE_BOUNDARIES]
-    argvs += ci_inputs()
+    argvs += [tuple(line.split()) for line in (*EXTREME_INPUTS, *FAILED_RUNS)]
     argvs += [tuple(line.split()) for line in CONFIG_CASES]
     return list(dict.fromkeys(argvs))
 

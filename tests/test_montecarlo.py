@@ -485,6 +485,11 @@ class TestIntensitySampling:
         with pytest.raises(ValidationError, match=r"i_perturbed has shape \(1000,\)"):
             sample_intensity_experiment(report, n, 1)
 
+    def test_a_sweeps_reference_intensity_is_rejected(self):
+        exact = SimpleNamespace(i0=np.array([0.5, 0.5]), i_perturbed=0.5)
+        with pytest.raises(ValidationError, match=r"^one run's report expected, got a sweep's: i0 has shape \(2,\)$"):
+            sample_intensity_experiment(exact, 10, 1)
+
     @pytest.mark.parametrize("m", [np.float64(0.2), np.array(0.2)], ids=["float64", "0-d array"])
     def test_one_number_of_numpy_type_samples_as_a_float(self, m):
         counts = sample_intensity_experiment(intensity_absorber(AbsorberConfig("I", m)), 1000, SEED)

@@ -318,6 +318,10 @@ class TestValidation:
     def test_a_config_of_another_kind_is_unsupported(self):
         with pytest.raises(ValidationError, match="^unsupported perturbation config GaussianPointerState$"):
             perturbed_intensity(make_gaussian(0.0, 1.0))
+        with pytest.raises(ValidationError, match="^AbsorberConfig expected, got MagneticConfig$"):
+            intensity_absorber(MagneticConfig("I", 0.2))
+        with pytest.raises(ValidationError, match="^MagneticConfig expected, got AbsorberConfig$"):
+            intensity_magnetic(AbsorberConfig("I", 0.2))
 
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ValidationError):

@@ -162,10 +162,15 @@ class TestTableBlocksAgainstRowOracle:
         self.check(tmp_path, ["g", "wv"], [np.zeros(0), np.broadcast_to(math.nan, (0,))])
 
 
+# Each sweep's nan cells, as (row, column): M = 0 and alpha = 0 infer no weak value.
+SWEEP_NAN_CELLS = {"--M=0:1:3": [(0, "inferred_wv")], "--alpha=-3:3:11": [(5, "inferred_wv")],
+                   f"--g=0:0.3:{2**14 + 3}": []}
+
+
 @pytest.mark.parametrize(
     "flag, spec",
     [
-        ("--scenario=neutron-absorber", "--M=0:1:3"),  # M = 0: no inference, a nan cell
+        ("--scenario=neutron-absorber", "--M=0:1:3"),
         ("--scenario=neutron-magnetic", "--alpha=-3:3:11"),
         ("--scenario=qcc", f"--g=0:0.3:{2**14 + 3}"),  # the CSV spans two blocks
     ],
@@ -183,8 +188,8 @@ def test_sweep_csv_cells_are_the_record_cells(tmp_path, capsys, flag, spec):
     for line, row in zip(lines, results["rows"]):
         assert list(row) == header
         assert [None if cell in ("nan", "inf", "-inf") else cell for cell in line] == list(row.values())
-    if flag.endswith("absorber"):
-        assert lines[0][header.index("inferred_wv")] == "nan"
+    nan_cells = [(i, name) for i, line in enumerate(lines) for name, cell in zip(header, line) if cell == "nan"]
+    assert nan_cells == SWEEP_NAN_CELLS[spec]
 
 
 def complex_pointer():

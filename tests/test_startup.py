@@ -15,12 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def python(*args: str, **env: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on ``src`` with no thread variable set except those in ``env``."""
+def python(*args: str, exit_code: int = 0, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``src`` with no thread variable set except those in ``env``;
+    it must end with ``exit_code``."""
     base = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env={**base, **env})
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     return proc
 
 
@@ -117,15 +118,34 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv)
     report.append([code, sorted(m for m in sys.modules if m.startswith("numpy"))])
 print(json.dumps([report, [m for m in %r if m in sys.modules]]))
-""" % (INTROSPECTION,)
+""" % ((*INTROSPECTION, "qccsim.qstate"),)
 
 
 def test_scalar_scenarios_run_without_numpy():
-    report, introspection = json.loads(
+    report, unneeded = json.loads(
         python("-c", RUN_SCALAR, json.dumps([argv for argv, _ in SCALAR_RUNS])).stdout
     )
     assert report == [[code, []] for _, code in SCALAR_RUNS]
-    assert introspection == []  # loaded by none of the runs: modules stay in sys.modules
+    # Neither introspection nor the state algebra, which no weak measurement uses, is loaded
+    # by any of the runs: modules stay in sys.modules.
+    assert unneeded == []
+
+
+# A failing `python -m qccsim.cli` process: each documented exit code, no record on stdout,
+# and exactly one JSON error object on stderr, never a traceback.
+ENTRY_FAILURES = [
+    (["qcc", "--g", "abc"], 2),
+    (["qcc", "--g", "nan"], 3),
+    (["montecarlo", "--n", "16777217"], 4),
+    (["weak-value", "--context", "orthogonal"], 5),
+]
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_FAILURES, ids=[f"exit-{code}" for _, code in ENTRY_FAILURES])
+def test_process_entry_failure_is_one_json_error(argv, code):
+    proc = python("-W", "error", "-m", "qccsim.cli", *argv, exit_code=code)
+    assert proc.stdout == ""
+    assert list(json.loads(proc.stderr)) == ["error"]
 
 
 def test_cli_import_skips_numpy_random():
