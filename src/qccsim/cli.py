@@ -421,7 +421,8 @@ def run_weak_value(params: dict, csv_path: Path | None) -> dict:
     phi0 = make_gaussian(0.0, params["pointer_width"])
     result = table.couple(phi0, params["g"])
     out = {"context": params["context"]}
-    out.update(weak_measurement_dict(result, table.linear_response(result), table.validity(phi0, params["g"])))
+    validity = table.validity(phi0, params["g"])  # its |g|**2 overflows before the linear law's g A^w
+    out.update(weak_measurement_dict(result, table.linear_response(result), validity))
     if csv_path is not None:
         lo, hi = support(result.pointer_final)
         xmin = lo if params["grid_xmin"] is None else params["grid_xmin"]

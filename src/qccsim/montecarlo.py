@@ -25,7 +25,7 @@ import os
 from ._record import Record
 from .errors import CapacityError, ValidationError
 from .pointer import check_grid_points, density, mean_position, support
-from .tolerances import MAX_TRIALS, spans
+from .tolerances import MAX_TRIALS, check_integer, spans
 
 # Inverse-CDF knots while the support spans at most 32 widths; past that, the next power of two
 # that keeps them at most 1/KNOTS_PER_WIDTH width apart, within check_grid_points' cap.
@@ -80,15 +80,9 @@ def _tabulated_inverse_cdf(pointer_final: GaussianPointerState):
     return draw
 
 
-def _check_integer(value, name: str) -> None:
-    """A count is a Python or numpy integer: not a bool, a float or NaN."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
 def check_trial_count(n: int) -> None:
     """The trial count rule: an integer, at least one trial, at most ``MAX_TRIALS``."""
-    _check_integer(n, "trial count n")
+    check_integer(n, "trial count n")
     if n < 1:
         raise ValidationError(f"need at least one trial, got n={n}")
     if n > MAX_TRIALS:
@@ -97,14 +91,14 @@ def check_trial_count(n: int) -> None:
 
 def check_seed(seed: int) -> None:
     """The seed rule: an integer Philox key, at least 0 and below 2**128."""
-    _check_integer(seed, "seed")
+    check_integer(seed, "seed")
     if not 0 <= seed < 2**128:
         raise ValidationError(f"Philox key must be >= 0 and < 2**128, got {seed}")
 
 
 def check_workers(workers: int) -> None:
     """The worker rule: an integer, at least one thread."""
-    _check_integer(workers, "worker count")
+    check_integer(workers, "worker count")
     if workers < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers!r}")
 

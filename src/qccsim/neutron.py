@@ -49,17 +49,11 @@ class MagneticConfig(Record):
         check_rotation(self.alpha)
 
 
-def _param(cfg: AbsorberConfig | MagneticConfig):
-    """``cfg``'s perturbation parameter, M or alpha: a scalar, or an array for a sweep."""
-    if isinstance(cfg, (AbsorberConfig, MagneticConfig)):
-        return cfg.M if isinstance(cfg, AbsorberConfig) else cfg.alpha
-    raise ValidationError(f"unsupported perturbation config {type(cfg).__name__}")
-
-
-def _check_kind(cfg, kind: type) -> None:
-    """Reject a config of the other experiment, or of none, naming the one expected."""
-    if not isinstance(cfg, kind):
-        raise ValidationError(f"{kind.__name__} expected, got {type(cfg).__name__}")
+def _param(cfg: AbsorberConfig | MagneticConfig, kinds: tuple[type, ...] = (AbsorberConfig, MagneticConfig)):
+    """``cfg``'s perturbation parameter, M or alpha (an array for a sweep); ``cfg`` is one of ``kinds``."""
+    if not isinstance(cfg, kinds):
+        raise ValidationError(f"{' or '.join(k.__name__ for k in kinds)} expected, got {type(cfg).__name__}")
+    return cfg.M if isinstance(cfg, AbsorberConfig) else cfg.alpha
 
 
 class IntensityReport(Record):
@@ -126,7 +120,7 @@ def perturbed_intensity(cfg: AbsorberConfig | MagneticConfig):
 
 def intensity_absorber(cfg: AbsorberConfig) -> IntensityReport:
     """Exact absorber run against the first-order law 1 - 2 M Pi_w."""
-    _check_kind(cfg, AbsorberConfig)
+    M = _param(cfg, (AbsorberConfig,))
     pi_w = _projector_weak_value(cfg.arm)
 
     def report(M) -> IntensityReport:
@@ -134,12 +128,12 @@ def intensity_absorber(cfg: AbsorberConfig) -> IntensityReport:
         second = first + squared(M, "second-order absorber prediction", "M") * (pi_w + pi_w**2)
         return _report(cfg, first, second, analysed=first)
 
-    return run_on(cfg.M, report)
+    return run_on(M, report)
 
 
 def intensity_magnetic(cfg: MagneticConfig) -> IntensityReport:
     """Exact rotation run against 1 + (alpha^2/4)(|sigma_w|^2 - Pi_w)."""
-    _check_kind(cfg, MagneticConfig)
+    alpha = _param(cfg, (MagneticConfig,))
     pi_w = _projector_weak_value(cfg.arm)
     sigma_w = arm_table(cfg.arm, "sigma_x").weak_value()
 
@@ -149,7 +143,7 @@ def intensity_magnetic(cfg: MagneticConfig) -> IntensityReport:
         second = 1.0 + (alpha_sq / 4.0) * (abs(sigma_w) ** 2 - pi_w)
         return _report(cfg, first, second, analysed=second)
 
-    return run_on(cfg.alpha, report)
+    return run_on(alpha, report)
 
 
 def _report(cfg, first, second, analysed) -> IntensityReport:
@@ -282,6 +276,8 @@ class SystematicTermReport(Record):
 
 def systematic_term_report(alpha: float) -> SystematicTermReport:
     """Quantify the second-order systematic term on arm I; its ratios are exact intensities, not reports."""
+    if getattr(alpha, "ndim", 0):
+        raise ValidationError(f"one rotation angle expected, got a sweep's: alpha has shape {alpha.shape}")
     check_rotation(alpha)
     quadratic = -(alpha**2) / 4.0
     if alpha != 0.0 and quadratic == 0.0:

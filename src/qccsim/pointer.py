@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from ._record import Record
 from .errors import CapacityError, NumericalError, ValidationError
-from .tolerances import GRID_BOUNDARY_DENSITY, GRID_NORM, MAX_AMPLITUDES
+from .tolerances import GRID_BOUNDARY_DENSITY, GRID_NORM, MAX_AMPLITUDES, check_integer
 
 GRID_HALF_WIDTHS = 8.0
 
@@ -172,7 +172,8 @@ def density(p: GaussianPointerState, x: np.ndarray) -> np.ndarray:
 
 
 def check_grid_points(n_points: int) -> None:
-    """The grid size rule: a power of two >= 2, at most ``MAX_AMPLITUDES`` points."""
+    """The grid size rule: an integer power of two >= 2, at most ``MAX_AMPLITUDES`` points."""
+    check_integer(n_points, "point count")
     if n_points > MAX_AMPLITUDES:
         raise CapacityError(f"grid of {n_points} points exceeds limit {MAX_AMPLITUDES}")
     if n_points < 2 or n_points & (n_points - 1):
@@ -204,7 +205,7 @@ def to_grid(p: GaussianPointerState, xmin: float, xmax: float,
     """
     if not p.components:
         raise ValidationError("cannot grid-sample an empty pointer state")
-    check_grid_points(int(n_points))
+    check_grid_points(n_points)
     lo, hi = support(p)
     if xmin > lo or xmax < hi:
         raise ValidationError(
@@ -215,7 +216,7 @@ def to_grid(p: GaussianPointerState, xmin: float, xmax: float,
         raise ValidationError(f"grid domain [{xmin}, {xmax}] has no finite width")
     exact = norm_sq(p)
     import numpy as np
-    xs = np.linspace(xmin, xmax, int(n_points))
+    xs = np.linspace(xmin, xmax, n_points)
     amps = evaluate(p, xs)
     dens = abs_sq(amps)
     peak, edge = float(dens.max()), float(max(dens[0], dens[-1]))

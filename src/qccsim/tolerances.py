@@ -1,8 +1,10 @@
-"""Centralized numeric tolerances, capacity limits and the block policy.
+"""Centralized numeric tolerances, capacity limits, the count rule and the block policy.
 
 Every module reads its thresholds from these constants so that test
 expectations and runtime checks cannot drift apart.
 """
+
+from .errors import ValidationError
 
 # Structural checks: normalization and hermiticity; also the spin inference's noise floor.
 STRUCTURAL = 1e-12
@@ -32,3 +34,9 @@ BLOCK_ROWS = 2**14
 def spans(start: int, stop: int, size: int = BLOCK_ROWS) -> list[tuple[int, int]]:
     """``(start, stop)`` of each run of at most ``size`` from ``start`` to ``stop``, in order."""
     return [(first, min(first + size, stop)) for first in range(start, stop, size)]
+
+
+def check_integer(value, name: str) -> None:
+    """A count is a Python or numpy integer: not a bool, a float or NaN."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -326,6 +326,9 @@ class BranchTable(NamedTuple):
         exact_shift = result.exact_shift
         predicted_shift = result.g * wv.real
         abs_error = abs(exact_shift - predicted_shift)
+        for field, value in (("predicted_shift", predicted_shift), ("abs_error", abs_error)):
+            if not math.isfinite(value):  # the exact shift is finite, but g Re(A^w) need not be
+                raise OverflowError(f"linear response overflows: {field} at g={result.g!r}")
         ratio = exact_shift / predicted_shift if predicted_shift != 0.0 else math.nan
         return LinearResponseReport(exact_shift, predicted_shift, abs_error, ratio)
 

@@ -163,18 +163,6 @@ def anomalous_postselect_prob(g: float, tan_theta: float, width: float) -> float
     return w_p**2 + w_m**2 + 2.0 * w_p * w_m * cross
 
 
-def qcc_sigma_I_distance(g: float, width: float) -> float:
-    """Norm distance between the normalized (sigma_x)_I final pointer and
-    the initial one. The final is (phi(x-g) + phi(x+g))/4 with squared
-    norm (1+c)/8 for c = exp(-g^2/(2 width^2)), and <phi0|final> =
-    exp(-g^2/(8 width^2))/2, so the normalized overlap is
-    exp(-g^2/(8 width^2)) sqrt(2/(1+c)) = 1 - g^4/(64 width^4) + ...
-    """
-    c = math.exp(-(g**2) / (2.0 * width**2))
-    ov = math.exp(-(g**2) / (8.0 * width**2)) * math.sqrt(2.0 / (1.0 + c))
-    return math.sqrt(max(2.0 - 2.0 * ov, 0.0))
-
-
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1.0j * rng.normal(size=dim)
     return v / np.linalg.norm(v)

@@ -22,7 +22,7 @@ from qccsim.montecarlo import (
     sample_intensity_experiment,
     sample_trials,
 )
-from qccsim.neutron import AbsorberConfig, intensity_absorber
+from qccsim.neutron import AbsorberConfig, MagneticConfig, intensity_absorber, intensity_magnetic
 from qccsim.pointer import make_gaussian
 from qccsim.serialize import dumps_json, write_trials_csv
 from qccsim.tolerances import BLOCK_ROWS
@@ -501,11 +501,15 @@ class TestIntensitySampling:
         counts = sample_intensity_experiment(exact, 100, SEED)
         assert (counts.n_reference, counts.n_perturbed, counts.ratio, counts.two_proportion_z) == (100, 100, 1.0, 0.0)
 
-    @pytest.mark.parametrize("n", [*TABLE_EDGES, 1001])
-    def test_counts_across_table_edges_equal_the_oracle(self, n):
-        exact = intensity_absorber(AbsorberConfig("I", 0.1))
-        u = intensity_uniforms_oracle(SEED, n)
-        counts = sample_intensity_experiment(exact, n, SEED)
+    @pytest.mark.parametrize("n, seed", [*((n, SEED) for n in TABLE_EDGES), (1001, SEED), (65553, 7)])
+    @pytest.mark.parametrize("report", [lambda: intensity_absorber(AbsorberConfig("I", 0.1)),
+                                        lambda: intensity_magnetic(MagneticConfig("I", 0.2))],
+                             ids=["absorber", "magnetic"])
+    def test_counts_across_table_edges_equal_the_oracle(self, report, n, seed):
+        # Each experiment at the CLI's defaults; 65553 trials with seed 7 span five 2^14-trial blocks.
+        exact = report()
+        u = intensity_uniforms_oracle(seed, n)
+        counts = sample_intensity_experiment(exact, n, seed)
         oracle = (int(np.count_nonzero(u[:, 0] < exact.i0)), int(np.count_nonzero(u[:, 1] < exact.i_perturbed)))
         assert (counts.n_reference, counts.n_perturbed) == oracle
 

@@ -316,7 +316,7 @@ class TestValidation:
             build()
 
     def test_a_config_of_another_kind_is_unsupported(self):
-        with pytest.raises(ValidationError, match="^unsupported perturbation config GaussianPointerState$"):
+        with pytest.raises(ValidationError, match="^AbsorberConfig or MagneticConfig expected, got GaussianPointerState$"):
             perturbed_intensity(make_gaussian(0.0, 1.0))
         with pytest.raises(ValidationError, match="^AbsorberConfig expected, got MagneticConfig$"):
             intensity_absorber(MagneticConfig("I", 0.2))
@@ -384,6 +384,15 @@ class TestSystematicTerm:
     def test_an_angle_whose_quadratic_term_underflows_is_named(self, alpha):
         with pytest.raises(ZeroDivisionError, match=rf"^systematic term underflows to 0: alpha\*\*2/4 at alpha={alpha!r}$"):
             systematic_term_report(alpha)
+
+    def test_a_sweeps_angles_are_rejected(self):
+        # An array passes check_rotation; the report takes one angle and names the array's shape.
+        with pytest.raises(ValidationError, match=r"^one rotation angle expected, got a sweep's: alpha has shape \(2,\)$"):
+            systematic_term_report(np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("alpha", [np.float64(0.3), np.array(0.3)], ids=["float64", "0-d array"])
+    def test_one_angle_of_numpy_type_is_one_angle(self, alpha):
+        assert systematic_term_report(alpha) == systematic_term_report(0.3)
 
 
 def test_module_never_touches_pointers():

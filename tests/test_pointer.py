@@ -302,6 +302,15 @@ class TestToGrid:
         with pytest.raises(CapacityError):
             to_grid(make_gaussian(0.0, 1.0), -8.0, 8.0, 2**21)
 
+    # A count is checked as given, never truncated by int(): 1024.7 is not 1024, nor True 1.
+    @pytest.mark.parametrize("n_points, rule", [
+        *((n, "an integer") for n in (1024.7, 1024.0, math.nan, math.inf, True)),
+        *((n, "a power of two >= 2") for n in (1000, 1, 0, -1024)),
+    ])
+    def test_a_bad_count_is_rejected(self, n_points, rule):
+        with pytest.raises(ValidationError, match=f"^point count must be {rule}, got {n_points!r}$"):
+            to_grid(make_gaussian(0.0, 1.0), -10.0, 10.0, n_points)
+
     def test_domain_without_finite_width_is_rejected_before_sampling(self):
         with pytest.raises(ValidationError, match="no finite width"):
             to_grid(make_gaussian(0.0, 1.0), -1e308, 1e308, 1024)

@@ -478,6 +478,19 @@ class TestBranchTable:
         with pytest.raises(ValidationError, match="^mean_position undefined for a zero-norm pointer state$"):
             table.linear_response(blank)
 
+    @pytest.mark.parametrize("tan_theta, g", [(3.0, 1e308), (1e4, 5e307)])
+    def test_a_prediction_beyond_the_float_range_overflows(self, tan_theta, g):
+        # The exact shift is finite, but g Re(A^w) is not.
+        with pytest.raises(OverflowError, match=f"^linear response overflows: predicted_shift at g={re.escape(repr(g))}$"):
+            linear_response_report(*build_context("anomalous", tan_theta), PHI0, g)
+
+    def test_an_error_beyond_the_float_range_overflows(self):
+        # A^w = -4/3 at a shift of +1.06e308: the prediction is finite, their distance is not.
+        table = BranchTable(eigvals=(1.0, 2.0), coeffs=(1.0 + 0j, -0.7 + 0j), overlap=0.3 + 0j,
+                            transition=-0.4 + 0j, transition_sq=-1.8 + 0j)
+        with pytest.raises(OverflowError, match=r"^linear response overflows: abs_error at g=8e\+307$"):
+            table.linear_response(table.couple(PHI0, 8e307))
+
     @pytest.mark.parametrize("name, ctx, obs", TABLE_CASES, ids=[case[0] for case in TABLE_CASES])
     @pytest.mark.parametrize("width", [1e-100, 0.3, 1.0, 3.0, 1e100])
     def test_readout_equals_the_pointer_readouts_bit_for_bit(self, name, ctx, obs, width):
