@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 
 from ._record import Record
 from .errors import CapacityError, ValidationError
@@ -157,25 +158,46 @@ def sample_trials(coupled: WeakMeasurementResult, n: int, seed: int, workers: in
     low, high = map(_word_bound, COMPRESS_BAND)
     gather = np.compress if low <= bound < high else lambda keep, column: column[keep]
 
-    def run_chunk(span: tuple[int, int]) -> np.ndarray:
-        filled = span[0]
-        for first, words in _trial_tables(seed, *span):
+    # One chunk per thread, never more than trials or CPUs; the output does not depend on it.
+    chunks = spans(0, n, -(-n // min(workers, n, os.cpu_count() or 1)))
+    ends = [0] * len(chunks)  # where each chunk's readouts stop
+    errors = [None] * len(chunks)
+
+    def run_chunk(k: int) -> None:
+        filled = chunks[k][0]
+        for first, words in _trial_tables(seed, *chunks[k]):
             accepted = gather(np.less(words[:, 0], bound, out=mask[first:first + len(words)]), words[:, 1])
             del words
             if draw is not None:  # numpy's Philox double of each accepted readout word, bit for bit
                 filled += draw((accepted >> 11) * 2.0**-53, readouts[filled:filled + accepted.size]).size
-        return readouts[span[0]:filled]
+        ends[k] = filled
 
-    # One chunk per thread, never more than trials or CPUs; the output does not depend on it.
-    chunks = spans(0, n, -(-n // min(workers, n, os.cpu_count() or 1)))
-    if len(chunks) == 1:
-        parts = [run_chunk(chunks[0])]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here, so that one-chunk runs skip importing logging
+    def run_helper(k: int) -> None:
+        try:
+            run_chunk(k)
+        except BaseException as exc:  # re-raised by the caller once every helper is joined
+            errors[k] = exc
 
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    return (np.concatenate(parts) if len(parts) > 1 else parts[0]), mask
+    # The calling thread samples the first chunk and one helper thread each further chunk.
+    helpers = []
+    try:
+        for k in range(1, len(chunks)):
+            helper = threading.Thread(target=run_helper, args=(k,))
+            helper.start()
+            helpers.append(helper)
+        run_chunk(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    # Each later chunk's readouts move down to follow the earlier ones, in the one buffer.
+    end = ends[0]
+    for (start, _), stop in zip(chunks[1:], ends[1:]):
+        readouts[end:end + stop - start] = readouts[start:stop]
+        end += stop - start
+    return readouts[:end], mask
 
 
 def estimate_weak_value(trials: tuple[np.ndarray, np.ndarray], phi0: GaussianPointerState, g: float) -> EstimatorReport:

@@ -278,6 +278,9 @@ def systematic_term_report(alpha: float) -> SystematicTermReport:
     """Quantify the second-order systematic term on arm I; its ratios are exact intensities, not reports."""
     if getattr(alpha, "ndim", 0):
         raise ValidationError(f"one rotation angle expected, got a sweep's: alpha has shape {alpha.shape}")
+    real = alpha.dtype.kind in "iuf" if hasattr(alpha, "dtype") else isinstance(alpha, (int, float))
+    if isinstance(alpha, bool) or not real:  # a list, a tuple or a string would fail at alpha**2
+        raise ValidationError(f"rotation angle alpha must be one real number, got {alpha!r}")
     check_rotation(alpha)
     quadratic = -(alpha**2) / 4.0
     if alpha != 0.0 and quadratic == 0.0:

@@ -1,8 +1,9 @@
 """Trial sampling determinism and statistical agreement with exact results."""
 
-import concurrent.futures
 import math
 import sys
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -74,6 +75,19 @@ def batches_equal(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndar
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def recording_threads(monkeypatch) -> list[threading.Thread]:
+    """The threads that ``sample_trials`` starts from now on, in start order."""
+    started = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(montecarlo.threading, "Thread", RecordingThread)
+    return started
+
+
 class TestDeterminism:
     def test_worker_layout_does_not_change_results(self):
         ctx, obs = build_context("qcc-pi-I")
@@ -96,31 +110,78 @@ class TestDeterminism:
         b = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 5_000, SEED + 1)
         assert not np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 10)])
-    def test_thread_pool_is_capped_by_chunks_and_cpus(self, monkeypatch, cpus, expected):
-        pools = []
-
-        class RecordingPool:
-            """Runs chunks in the calling thread and records the requested size."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    @pytest.mark.parametrize("cpus, helpers", [(2, 1), (64, 9)])
+    def test_helper_threads_are_capped_by_chunks_and_cpus(self, monkeypatch, cpus, helpers):
+        # The calling thread samples the first chunk, so a run starts one thread fewer than its chunks.
+        started = recording_threads(monkeypatch)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         ctx, obs = build_context("qcc-pi-I")
         trials = sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10, SEED, workers=10**6)
-        assert pools == [expected]
+        assert len(started) == helpers
         assert batches_equal(trials, sample_trials(couple_and_postselect(ctx, obs, PHI0, 0.05), 10, SEED))
+
+    @pytest.mark.parametrize("failing, reported", [((10, 20), 10), ((0, 20), 0)], ids=["helpers", "caller"])
+    def test_a_chunks_error_reaches_the_caller_after_every_helper_is_joined(self, monkeypatch, failing, reported):
+        # Four chunks of 10 trials. Either two helpers fail, the chunk from trial 10 after the one
+        # from trial 20, or the caller's own chunk fails with one helper. The last chunk finishes
+        # later still: the caller raises the first failing chunk's error, in chunk order, and only
+        # once every helper has ended.
+        started = recording_threads(monkeypatch)
+        delays = {10: 0.02, 30: 0.05}
+
+        def failing_tables(seed, start, stop, per_trial=DRAWS_PER_TRIAL):
+            time.sleep(delays.get(start, 0.0))
+            if start in failing:
+                raise RuntimeError(f"chunk from trial {start} failed")
+            yield from _trial_tables(seed, start, stop, per_trial)
+
+        monkeypatch.setattr(montecarlo, "_trial_tables", failing_tables)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        coupled = couple_and_postselect(*build_context("path-null"), PHI0, 0.1)
+        with pytest.raises(RuntimeError, match=rf"^chunk from trial {reported} failed$"):
+            sample_trials(coupled, 40, SEED, workers=4)
+        assert len(started) == 3
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize(
+        "context, p, n, cpus, rejected",
+        [
+            ("path-null", None, 40_000, 4, (0, 10_000)),
+            ("path-null", None, 40_000, 4, (10_000, 20_000)),
+            ("path-null", None, 40_000, 4, (30_000, 40_000)),
+            ("path-null", 0.0, 40_000, 4, None),
+            ("path-null", 1.0, 40_000, 4, None),
+            ("anomalous", None, 5, 8, None),
+            ("spin-trivial", None, BLOCK_ROWS + 1, 2, None),
+            ("path-null", None, 3 * BLOCK_ROWS + 5, 3, None),
+        ],
+        ids=["first-accepts-none", "second-accepts-none", "last-accepts-none", "acceptance-0", "acceptance-1",
+             "n-below-cpus", "edge-inside-block-0", "edges-inside-blocks-1-2"],
+    )
+    def test_every_layout_equals_the_one_worker_sample(self, monkeypatch, context, p, n, cpus, rejected):
+        # The later chunks' readouts move down inside the one buffer: chunks that add none, all
+        # chunks adding none or every trial, one-trial chunks, and chunk edges that split a
+        # block of BLOCK_ROWS trials (n = BLOCK_ROWS + 1 on 2 CPUs, chunk edges at 8193, and
+        # 3 * BLOCK_ROWS + 5 on 3 CPUs, at 16386 and 32772).
+        if rejected is not None:  # the largest word fails every bound below 2**64
+            lo, hi = rejected
+
+            def rejecting_tables(seed, start, stop, per_trial=DRAWS_PER_TRIAL):
+                for first, words in _trial_tables(seed, start, stop, per_trial):
+                    words[max(lo - first, 0):max(hi - first, 0), 0] = np.iinfo(np.uint64).max
+                    yield first, words
+
+            monkeypatch.setattr(montecarlo, "_trial_tables", rejecting_tables)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        coupled = couple_and_postselect(*build_context(context), PHI0, 0.1)
+        if p is not None:
+            coupled = coupled._replace(postselect_prob_coupled=p)
+        positions, mask = sample_trials(coupled, n, SEED, workers=cpus)
+        want_positions, want_mask = sample_trials(coupled, n, SEED)
+        assert np.array_equal(mask, want_mask)
+        assert np.array_equal(positions.view(np.uint64), want_positions.view(np.uint64))
+        if rejected is not None:
+            assert not mask[lo:hi].any()
 
     def test_chunk_count_follows_cpus_not_workers(self, monkeypatch):
         chunks = []

@@ -390,6 +390,17 @@ class TestSystematicTerm:
         with pytest.raises(ValidationError, match=r"^one rotation angle expected, got a sweep's: alpha has shape \(2,\)$"):
             systematic_term_report(np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [[0.1, 0.2], (0.1,), "0.1", True, np.bool_(True), 0.1j, None],
+        ids=["list", "tuple", "str", "bool", "numpy-bool", "complex", "none"],
+    )
+    def test_an_angle_that_is_not_one_real_number_is_rejected(self, alpha):
+        # Each would reach alpha**2, or take True as 1 rad; the report names alpha before check_rotation.
+        with pytest.raises(ValidationError) as caught:
+            systematic_term_report(alpha)
+        assert str(caught.value) == f"rotation angle alpha must be one real number, got {alpha!r}"
+
     @pytest.mark.parametrize("alpha", [np.float64(0.3), np.array(0.3)], ids=["float64", "0-d array"])
     def test_one_angle_of_numpy_type_is_one_angle(self, alpha):
         assert systematic_term_report(alpha) == systematic_term_report(0.3)

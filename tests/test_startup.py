@@ -131,6 +131,20 @@ def test_scalar_scenarios_run_without_numpy():
     assert unneeded == []
 
 
+RUN_TWO_WORKERS = """
+import contextlib, io, json, os, sys
+os.cpu_count = lambda: 2  # two chunks, so one helper thread, on any machine
+from qccsim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["montecarlo", "--n", "20000", "--workers", "2"])
+print(json.dumps([code, [m for m in ("concurrent.futures", "logging") if m in sys.modules]]))
+"""
+
+
+def test_two_worker_montecarlo_loads_no_thread_pool_or_logging():
+    assert json.loads(python("-c", RUN_TWO_WORKERS).stdout) == [0, []]
+
+
 # A failing `python -m qccsim.cli` process: each documented exit code, no record on stdout,
 # and exactly one JSON error object on stderr, never a traceback.
 ENTRY_FAILURES = [
